@@ -143,8 +143,8 @@ def cmd_fit_rvq(args):
                             epochs=o.epochs, sigma_assign=o.sigma_assign,
                             seed=o.seed)
     rvq.save_codebook(book, args.out)
-    mse = rvq.reconstruction_mse_by_depth(flat, book)
     tokens = rvq.quantize(flat, book)
+    mse = rvq.reconstruction_mse_by_depth(flat, book, tokens)
     entropy = ev.codebook_usage_entropy(tokens, book.vocab)
     print(f"wrote {args.out}: depth={book.depth} vocab={book.vocab} dim={book.dim}")
     for j in range(book.depth):
@@ -180,6 +180,12 @@ TRAIN_OPTS = {
 }
 
 
+def _tokenize(ds, book):
+    """(N, L, D) token grids of a dataset, quantized in one call."""
+    flat = ds.vectors.reshape(-1, ds.dim)
+    return rvq.quantize(flat, book).reshape(ds.count, ds.seq_len, book.depth)
+
+
 def cmd_train(args):
     o = Opts(args, TRAIN_OPTS)
     ds = data_mod.load_dataset(args.dataset)
@@ -191,7 +197,7 @@ def cmd_train(args):
         book = ckpt.codebook
         if book.dim != ds.dim or ckpt.backbone_config.seq_len != ds.seq_len:
             raise SystemExit("error: resume checkpoint disagrees with dataset shapes")
-        grids = np.stack([rvq.quantize(v, book) for v in ds.vectors])
+        grids = _tokenize(ds, book)
         trainer = ckpt_mod.restore_trainer(ckpt, grids, ds.labels.astype(np.int64))
         print(f"resumed at step {trainer.step_count}")
     else:
@@ -212,7 +218,7 @@ def cmd_train(args):
             latent_dim=book.dim, width=o.width, layers=o.layers, heads=o.heads,
             mixtures=o.mixtures, mean_rank=o.mean_rank,
             num_classes=ds.num_classes)
-        grids = np.stack([rvq.quantize(v, book) for v in ds.vectors])
+        grids = _tokenize(ds, book)
         model = Backbone(bc, seed=o.seed)
         trainer = Trainer(model, book, grids, ds.labels.astype(np.int64), tc)
 
@@ -394,7 +400,7 @@ def cmd_inspect(args):
         print(f"kind=dataset version={version} count={n} seq_len={L} dim={H} "
               f"num_classes={ncls}")
     elif magic == rvq.CODEBOOK_MAGIC:
-        book = rvq.codebook_from_bytes(blob)
+        book = rvq.load_codebook(args.path)
         print(f"kind=codebook version={rvq.CODEBOOK_VERSION} depth={book.depth} "
               f"vocab={book.vocab} dim={book.dim}")
         print("sigma=" + ",".join(f"{s:.6g}" for s in book.sigma))

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rvq
+
 DATASET_MAGIC = b"RGDS"
 DATASET_VERSION = 1
 
@@ -190,6 +192,5 @@ def mode_occupancy(vectors, centers):
     """Fraction of (flattened) vectors nearest to each ground-truth center."""
     flat = np.asarray(vectors, dtype=np.float64).reshape(-1, np.shape(centers)[1])
     centers = np.asarray(centers, dtype=np.float64)
-    d2 = ((flat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    nearest = d2.argmin(axis=1)
+    nearest = rvq._nearest(flat, centers)
     return np.bincount(nearest, minlength=centers.shape[0]) / flat.shape[0]

@@ -129,7 +129,8 @@ def generate_vectors(model, book, config: SamplerConfig, count, labels, rng):
 def train_small(vectors, labels, book, backbone_cfg: BackboneConfig,
                 train_cfg: TrainConfig):
     """Tokenize, train, and return (trainer, EMA-weight model)."""
-    grids = np.stack([rvq.quantize(v, book) for v in vectors])
+    N, L, H = np.shape(vectors)
+    grids = rvq.quantize(np.reshape(vectors, (N * L, H)), book).reshape(N, L, book.depth)
     model = Backbone(backbone_cfg, seed=train_cfg.seed)
     trainer = Trainer(model, book, grids, labels, train_cfg)
     trainer.run(train_cfg.steps)

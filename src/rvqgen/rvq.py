@@ -6,6 +6,14 @@ residual and subtracting it; dequantization sums the chosen codewords.
 Fitting runs depth by depth on the residuals left over from the previous
 depth, so the first d depths of a depth-D fit are exactly a depth-d fit.
 
+Every nearest-codeword search (quantization, the k-means passes, and
+`data.mode_occupancy`) goes through one kernel, `_scores`: the expanded
+squared distance ||r||^2 - 2 r.e + ||e||^2 without its ||r||^2 term, so
+one (N, H) x (H, V) matrix product replaces an (N, V, H) difference array.
+Dropping ||r||^2 shifts each row by a constant, which changes neither the
+row's argmin nor a max-subtracted softmax over it. Ties go to the lowest
+codeword index, as `np.argmin` takes the first minimum.
+
 Tokens are 1-based codeword indices; 0 is reserved as the MASK sentinel
 and never appears in quantizer output. Codebooks are immutable once
 fitted, and quantize/dequantize are pure, so concurrent readers are safe.
@@ -61,10 +69,21 @@ class Codebook:
         return self.embeddings[j - 1]
 
 
-def _nearest(residuals, table):
-    """Lowest-index nearest codeword per residual row. (N,H)x(V,H)->(N,)"""
-    d2 = ((residuals[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)  # argmin takes the first minimum: lowest index
+def _scores(rows, table):
+    """Squared distance less the row's own ||r||^2. (N,H)x(V,H)->(N,V)
+
+    ||e||^2 - 2 r.e ranks codewords as ||r - e||^2 does. Its rounding
+    error scales with ||e||^2 + ||r||*||e||, not with the distance, so
+    codewords closer together than that may rank either way.
+    """
+    scores = rows @ (-2.0 * table).T  # scaling by -2 is exact
+    scores += np.einsum("vh,vh->v", table, table)
+    return scores
+
+
+def _nearest(rows, table):
+    """Lowest-index nearest codeword per row. (N,H)x(V,H)->(N,)"""
+    return _scores(rows, table).argmin(axis=1)  # first minimum: lowest index
 
 
 def quantize(latents, book: Codebook, start_depth=None, out=None):
@@ -126,16 +145,28 @@ def dequantize(tokens, book: Codebook, up_to_depth=None):
     return z
 
 
-def reconstruction_mse_by_depth(vectors, book: Codebook):
-    """Mean squared reconstruction error using depth prefixes 1..D."""
+def reconstruction_mse_by_depth(vectors, book: Codebook, tokens=None):
+    """Mean squared reconstruction error using depth prefixes 1..D.
+
+    `tokens` may pass in `quantize(vectors, book)` when the caller already
+    holds it.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
-    tokens = quantize(vectors, book)
+    if tokens is None:
+        tokens = quantize(vectors, book)
     mse = np.empty(book.depth)
     z = np.zeros_like(vectors)
     for j in range(1, book.depth + 1):
         z += book.table(j)[tokens[:, j - 1] - 1]
         mse[j - 1] = ((vectors - z) ** 2).sum(axis=1).mean()
     return mse
+
+
+def _cluster_sums(assign, residuals, V):
+    """Per-cluster sums of residual rows, (V, H). bincount adds each column
+    in input order, as np.add.at does, so the sums are the same bits."""
+    return np.stack([np.bincount(assign, weights=col, minlength=V)
+                     for col in residuals.T], axis=1)
 
 
 def _kmeans_depth(residuals, V, update, epochs, sigma_assign, rng):
@@ -152,14 +183,13 @@ def _kmeans_depth(residuals, V, update, epochs, sigma_assign, rng):
         table = distinct[rng.choice(distinct.shape[0], size=V, replace=False)].copy()
 
     for _ in range(epochs):
-        d2 = ((residuals[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
+        scores = _scores(residuals, table)
         if update == "nearest":
-            assign = d2.argmin(axis=1)
+            assign = scores.argmin(axis=1)
             counts = np.bincount(assign, minlength=V).astype(np.float64)
-            sums = np.zeros_like(table)
-            np.add.at(sums, assign, residuals)
+            sums = _cluster_sums(assign, residuals, V)
         else:  # probabilistic: soft assignment by Gaussian affinity
-            logits = -d2 / (2.0 * sigma_assign**2)
+            logits = -scores / (2.0 * sigma_assign**2)
             logits -= logits.max(axis=1, keepdims=True)
             w = np.exp(logits)
             w /= w.sum(axis=1, keepdims=True)
@@ -216,7 +246,10 @@ def save_codebook(book: Codebook, path):
 def load_codebook(path):
     with open(path, "rb") as fh:
         blob = fh.read()
-    return codebook_from_bytes(blob)
+    try:
+        return codebook_from_bytes(blob)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def codebook_to_bytes(book: Codebook):
@@ -227,12 +260,18 @@ def codebook_to_bytes(book: Codebook):
 
 
 def codebook_from_bytes(blob):
+    off = struct.calcsize("<4sIIII")
+    if len(blob) < off:
+        raise ValueError(f"codebook truncated: {len(blob)} bytes, header needs {off}")
     magic, version, D, V, H = struct.unpack_from("<4sIIII", blob, 0)
     if magic != CODEBOOK_MAGIC:
         raise ValueError(f"bad codebook magic: expected {CODEBOOK_MAGIC!r}, found {magic!r}")
     if version != CODEBOOK_VERSION:
         raise ValueError(f"unsupported codebook version: expected {CODEBOOK_VERSION}, found {version}")
-    off = struct.calcsize("<4sIIII")
+    size = off + D * V * H * 8 + D * 8
+    if len(blob) != size:
+        raise ValueError(f"codebook length mismatch: header says {size} bytes, "
+                         f"file has {len(blob)}")
     emb = np.frombuffer(blob, dtype="<f8", count=D * V * H, offset=off).reshape(D, V, H)
     off += D * V * H * 8
     sigma = np.frombuffer(blob, dtype="<f8", count=D, offset=off)

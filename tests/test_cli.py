@@ -223,6 +223,27 @@ def test_missing_file_reports_path(tmp_path, capsys):
     assert "nope.bin" in err
 
 
+def test_truncated_or_padded_codebook_reports_path(workspace, capsys):
+    tmp, ds_path, book_path = workspace
+    blob = book_path.read_bytes()
+    bad = tmp / "bad.rvqc"
+    commands = (("eval", "--generated", ds_path, "--reference", ds_path,
+                 "--codebook", bad),
+                ("train", "--dataset", ds_path, "--codebook", bad,
+                 "--out", tmp / "m.ckpt", "--steps", 0),
+                ("inspect", bad))
+    for payload in [blob[:n] for n in range(len(blob))] + [blob + b"\0"]:
+        bad.write_bytes(payload)
+        # inspect dispatches on the magic, so it needs the first 4 bytes
+        for argv in commands if len(payload) >= 4 else commands[:2]:
+            assert run(*argv) == 1, (argv[0], len(payload))
+            out = capsys.readouterr()
+            assert out.out == ""
+            err = out.err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+    assert not (tmp / "m.ckpt").exists()
+
+
 def test_inspect_rejects_unknown_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"JUNKJUNKJUNK")

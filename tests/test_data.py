@@ -78,3 +78,15 @@ def test_nonfinite_vectors_rejected():
     bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         data_mod.Dataset(bad, np.zeros(1, dtype=np.uint32))
+
+
+def test_mode_occupancy_matches_broadcast_oracle():
+    for family, extra in (("grid", {}), ("ring", {}), ("classes", {"num_classes": 3})):
+        ds, meta = data_mod.synthesize(family, count=400, seq_len=4, dim=3,
+                                       modes=9, noise=1.0, seed=2, **extra)
+        centers = np.array(meta["centers"])
+        flat = ds.vectors.reshape(-1, 3)
+        d2 = ((flat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        want = np.bincount(d2.argmin(axis=1), minlength=9) / len(flat)
+        got = data_mod.mode_occupancy(ds.vectors, meta["centers"])
+        assert np.array_equal(got, want), family

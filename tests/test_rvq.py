@@ -1,9 +1,14 @@
 """Residual quantizer tests: hand-traced recurrences, telescoping, fitting
-fixed points, sigma estimation, and the binary codebook format."""
+fixed points, sigma estimation, the nearest-codeword kernel against its
+broadcast oracle, and the binary codebook format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from rvqgen import data as data_mod
 from rvqgen import rvq
 
 
@@ -179,6 +184,126 @@ def test_quantize_dequantize_roundtrip_unique_assignments():
 
 
 # ---------------------------------------------------------------------------
+# nearest-codeword kernel against the exact-distance broadcast oracle
+
+def oracle_d2(rows, table):
+    """Exact squared distances through an (N, V, H) difference array."""
+    return ((rows[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
+
+
+def oracle_kmeans_depth(residuals, V, update, epochs, sigma_assign, rng):
+    """`rvq._kmeans_depth` written with the broadcast distances and
+    np.add.at sums: the reference the kernel must reproduce."""
+    N = residuals.shape[0]
+    distinct = np.unique(residuals, axis=0)
+    if V > distinct.shape[0]:
+        table = residuals[rng.choice(N, size=V, replace=True)].copy()
+    else:
+        table = distinct[rng.choice(distinct.shape[0], size=V, replace=False)].copy()
+    for _ in range(epochs):
+        d2 = oracle_d2(residuals, table)
+        if update == "nearest":
+            assign = d2.argmin(axis=1)
+            counts = np.bincount(assign, minlength=V).astype(np.float64)
+            sums = np.zeros_like(table)
+            np.add.at(sums, assign, residuals)
+        else:
+            logits = -d2 / (2.0 * sigma_assign**2)
+            logits -= logits.max(axis=1, keepdims=True)
+            w = np.exp(logits)
+            w /= w.sum(axis=1, keepdims=True)
+            counts = w.sum(axis=0)
+            sums = w.T @ residuals
+        live = counts >= 1e-12
+        table[live] = sums[live] / counts[live, None]
+        if not np.all(live):
+            table[~live] = residuals[rng.choice(N, size=int((~live).sum()))]
+    return table
+
+
+def test_duplicate_codewords_resolve_to_lowest_index():
+    rng = np.random.default_rng(20)
+    for V in (2, 5, 33):
+        base = rng.standard_normal((V, 8))
+        for lo, hi in [(0, hi) for hi in range(1, V)] + [(hi - 1, hi) for hi in range(2, V)]:
+            table = base.copy()
+            table[hi] = table[lo]
+            rows = table[lo] + 1e-3 * rng.standard_normal((64, 8))
+            assert np.all(rvq._nearest(rows, table) == lo), (V, lo, hi)
+            book = rvq.Codebook(table[None], np.ones(1))
+            assert np.all(rvq.quantize(rows, book) == lo + 1)
+
+
+def test_small_integer_grid_ties_match_oracle():
+    # products and sums of small integers and halves are exact, so both
+    # forms see the same exact ties and must break them the same way
+    rng = np.random.default_rng(22)
+    axis = np.arange(-2.0, 3.0)
+    grid = np.array([[x, y] for x in axis for y in axis])
+    half = np.arange(-3.0, 3.5, 0.5)
+    rows = np.array([[x, y] for x in half for y in half])
+    for _ in range(5):
+        table = np.concatenate([grid, grid])[rng.permutation(50)]
+        got = rvq._nearest(rows, table)
+        assert np.array_equal(got, oracle_d2(rows, table).argmin(axis=1))
+
+
+FINITE = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nearest_matches_broadcast_oracle(data):
+    H = data.draw(st.integers(1, 6))
+    rows = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 16)), H),
+                                elements=FINITE))
+    table = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 12)), H),
+                                 elements=FINITE))
+    d2 = oracle_d2(rows, table)
+    got = rvq._nearest(rows, table)
+    # the kernel's rounding error scales with ||r||^2 + ||e||^2; below
+    # 1e-300 squares underflow and lose their precision altogether
+    scale = (rows**2).sum(axis=1) + (table**2).sum(axis=1).max()
+    tol = 1e-9 * scale + 1e-300
+    ranked = np.sort(d2, axis=1)
+    best = ranked[:, 0]
+    gap = ranked[:, 1] - best if table.shape[0] > 1 else np.full(len(rows), np.inf)
+    decided = gap > tol
+    assert np.array_equal(got[decided], d2.argmin(axis=1)[decided])
+    # where the oracle's best two nearly tie, either is a right answer
+    assert np.all(d2[np.arange(len(rows)), got] - best <= tol)
+
+
+def test_cluster_sums_match_add_at_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for N, V, H in ((1, 3, 2), (257, 8, 5), (5000, 32, 8)):
+        residuals = rng.standard_normal((N, H)) * 10.0 ** rng.integers(-8, 9, size=(N, 1))
+        assign = rng.integers(0, V - 1, size=N)  # cluster V-1 stays empty
+        want = np.zeros((V, H))
+        np.add.at(want, assign, residuals)
+        assert rvq._cluster_sums(assign, residuals, V).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_kmeans_matches_broadcast_oracle(seed):
+    ds, _ = data_mod.synthesize("grid", 256, 8, 8, modes=9, noise=0.1, seed=seed)
+    residuals = ds.vectors.reshape(-1, 8)
+    ss = np.random.SeedSequence(seed)
+    got = rvq._kmeans_depth(residuals, 32, "nearest", 10, 1.0,
+                            np.random.default_rng(ss))
+    want = oracle_kmeans_depth(residuals, 32, "nearest", 10, 1.0,
+                               np.random.default_rng(ss))
+    assert got.tobytes() == want.tobytes()
+    # the soft update sums its exponentials in another order: float64
+    # agreement to a few ulps of the residual scale, not bit equality
+    got = rvq._kmeans_depth(residuals, 32, "probabilistic", 10, 1.0,
+                            np.random.default_rng(ss))
+    want = oracle_kmeans_depth(residuals, 32, "probabilistic", 10, 1.0,
+                               np.random.default_rng(ss))
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 def test_codebook_roundtrip_bit_exact(tmp_path):
@@ -200,3 +325,20 @@ def test_codebook_rejects_wrong_magic_and_version():
     bad_version = blob[:4] + (99).to_bytes(4, "little") + blob[8:]
     with pytest.raises(ValueError, match="version"):
         rvq.codebook_from_bytes(bad_version)
+
+
+def test_codebook_rejects_short_header_truncation_and_trailing_bytes():
+    blob = rvq.codebook_to_bytes(book_2d())
+    with pytest.raises(ValueError, match="truncated"):
+        rvq.codebook_from_bytes(blob[:19])
+    with pytest.raises(ValueError, match="length mismatch"):
+        rvq.codebook_from_bytes(blob[:-1])
+    with pytest.raises(ValueError, match="length mismatch"):
+        rvq.codebook_from_bytes(blob + b"\0")
+
+
+def test_load_codebook_names_the_path(tmp_path):
+    path = tmp_path / "short.rvqc"
+    path.write_bytes(rvq.codebook_to_bytes(book_2d())[:30])
+    with pytest.raises(ValueError, match=f"^{path}: codebook length mismatch"):
+        rvq.load_codebook(path)
