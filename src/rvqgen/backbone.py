@@ -146,17 +146,19 @@ class Backbone:
         mask = np.asarray(mask)
         if tokens.ndim == 2:
             tokens, mask = tokens[None], mask[None]
-        B = tokens.shape[0]
         if tokens.shape[1:] != (c.seq_len, c.depth):
             raise ValueError(f"token grid must be (B, {c.seq_len}, {c.depth}), got {tokens.shape}")
-        for b in range(B):
-            check_depth_suffix_mask(mask[b])
+        if mask.shape != tokens.shape:
+            raise ValueError(f"mask shape {mask.shape} != token grid shape {tokens.shape}")
+        check_depth_suffix_mask(mask.reshape(-1, c.depth))
 
-        e_sum = np.zeros((B, c.seq_len, c.latent_dim))
+        # hidden depths contribute +0.0, which leaves every partial sum of
+        # the depth-ordered accumulation bit for bit unchanged
+        words = np.where(mask[..., None] == 1,
+                         book.embeddings[np.arange(c.depth), tokens - 1], 0.0)
+        e_sum = np.zeros((len(tokens), c.seq_len, c.latent_dim))
         for j in range(c.depth):
-            vis = mask[:, :, j] == 1
-            if vis.any():
-                e_sum[vis] += book.table(j + 1)[tokens[:, :, j][vis] - 1]
+            e_sum += words[:, :, j]
         q = c.depth - mask.sum(axis=2)
         hidden = (q == c.depth)[:, :, None].astype(np.float64)   # fully masked flag
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import struct
 import sys
 import time
 
@@ -20,7 +19,7 @@ from . import data as data_mod
 from . import evaluate as ev
 from . import rvq
 from .backbone import Backbone, BackboneConfig
-from .sampler import SamplerConfig, generate, preset
+from .sampler import SamplerConfig, preset
 from .trainer import TrainConfig, Trainer
 
 SEED_ENV = "RVQGEN_SEED"
@@ -284,21 +283,15 @@ def cmd_sample(args):
         raise SystemExit(f"error: label {o.label} outside "
                          f"[0, {model.config.num_classes}]")
 
-    rng = np.random.default_rng(config.seed)
-    grids = []
-    passes = 0
-    wall = 0.0
-    for _ in range(o.count):
-        tokens, stats = generate(model, book, o.label, config, rng=rng)
-        grids.append(tokens)
-        passes += stats["forward_passes"]
-        wall += stats["wall_time"]
-    grids = np.stack(grids)
-    vectors = np.stack([rvq.dequantize(g, book) for g in grids])
-    out_ds = data_mod.Dataset(vectors,
-                              np.full(o.count, o.label, dtype=np.uint32),
-                              num_classes=model.config.num_classes)
-    data_mod.save_dataset(out_ds, args.out)
+    labels = np.full(o.count, o.label, dtype=np.uint32)
+    t0 = time.perf_counter()
+    flat, grids, passes = ev.generate_vectors(
+        model, book, config, o.count, labels, np.random.default_rng(config.seed))
+    wall = time.perf_counter() - t0
+    vectors = flat.reshape(o.count, model.config.seq_len, book.dim)
+    data_mod.save_dataset(data_mod.Dataset(vectors, labels,
+                                           num_classes=model.config.num_classes),
+                          args.out)
 
     dump = [f"# forward_passes={passes} steps={config.steps} grids={o.count} "
             f"seq_len={model.config.seq_len} depth={model.config.depth}"]
@@ -396,9 +389,9 @@ def cmd_inspect(args):
         blob = fh.read()
     magic = blob[:4]
     if magic == data_mod.DATASET_MAGIC:
-        _, version, n, L, H, ncls = struct.unpack_from("<4sIIIII", blob, 0)
-        print(f"kind=dataset version={version} count={n} seq_len={L} dim={H} "
-              f"num_classes={ncls}")
+        ds = data_mod.load_dataset(args.path)
+        print(f"kind=dataset version={data_mod.DATASET_VERSION} count={ds.count} "
+              f"seq_len={ds.seq_len} dim={ds.dim} num_classes={ds.num_classes}")
     elif magic == rvq.CODEBOOK_MAGIC:
         book = rvq.load_codebook(args.path)
         print(f"kind=codebook version={rvq.CODEBOOK_VERSION} depth={book.depth} "

@@ -68,34 +68,38 @@ class Dataset:
         return self.vectors.shape[2]
 
 
+_HEADER = struct.Struct("<4sIIIII")
+
+
+def _record_dtype(L, H):
+    """One RGDS record: a u32 label then L*H f64, packed."""
+    return np.dtype([("label", "<u4"), ("vec", "<f8", (L, H))])
+
+
 def dataset_to_bytes(ds: Dataset) -> bytes:
     n, L, H = ds.vectors.shape
-    head = struct.pack("<4sIIIII", DATASET_MAGIC, DATASET_VERSION, n, L, H,
-                       ds.num_classes)
-    body = bytearray()
-    for i in range(n):
-        body += struct.pack("<I", int(ds.labels[i]))
-        body += np.ascontiguousarray(ds.vectors[i], dtype="<f8").tobytes()
-    return head + bytes(body)
+    records = np.empty(n, dtype=_record_dtype(L, H))
+    records["label"] = ds.labels
+    records["vec"] = ds.vectors
+    return _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, n, L, H,
+                        ds.num_classes) + records.tobytes()
 
 
 def dataset_from_bytes(blob: bytes) -> Dataset:
-    magic, version, n, L, H, num_classes = struct.unpack_from("<4sIIIII", blob, 0)
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"dataset header truncated: need {_HEADER.size} bytes, "
+                         f"file has {len(blob)}")
+    magic, version, n, L, H, num_classes = _HEADER.unpack_from(blob, 0)
     if magic != DATASET_MAGIC:
         raise ValueError(f"bad dataset magic: expected {DATASET_MAGIC!r}, found {magic!r}")
     if version != DATASET_VERSION:
         raise ValueError(f"unsupported dataset version: expected {DATASET_VERSION}, found {version}")
-    off = struct.calcsize("<4sIIIII")
-    rec = 4 + L * H * 8
-    if len(blob) != off + n * rec:
-        raise ValueError(f"dataset length mismatch: header says {off + n * rec} bytes, file has {len(blob)}")
-    labels = np.empty(n, dtype=np.uint32)
-    vectors = np.empty((n, L, H), dtype=np.float64)
-    for i in range(n):
-        p = off + i * rec
-        labels[i] = struct.unpack_from("<I", blob, p)[0]
-        vectors[i] = np.frombuffer(blob, dtype="<f8", count=L * H, offset=p + 4).reshape(L, H)
-    return Dataset(vectors, labels, num_classes)
+    size = _HEADER.size + n * (4 + L * H * 8)
+    if len(blob) != size:
+        raise ValueError(f"dataset length mismatch: header says {size} bytes, file has {len(blob)}")
+    records = np.frombuffer(blob, dtype=_record_dtype(L, H), count=n,
+                            offset=_HEADER.size)
+    return Dataset(records["vec"], records["label"], num_classes)
 
 
 def save_dataset(ds: Dataset, path, meta=None):
@@ -107,7 +111,11 @@ def save_dataset(ds: Dataset, path, meta=None):
 
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
-        return dataset_from_bytes(fh.read())
+        blob = fh.read()
+    try:
+        return dataset_from_bytes(blob)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def load_meta(path):

@@ -115,6 +115,8 @@ def codebook_usage_entropy(tokens, vocab):
 def generate_vectors(model, book, config: SamplerConfig, count, labels, rng):
     """Generate `count` grids and return (stacked position vectors, grids,
     total forward passes)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     grids = []
     passes = 0
     for i in range(count):

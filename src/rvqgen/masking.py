@@ -111,11 +111,10 @@ class MaskState:
 def check_depth_suffix_mask(mask):
     """Masked entries must be a depth suffix at every position."""
     m = np.asarray(mask)
-    if np.any((m != 0) & (m != 1)):
-        raise ValueError("mask entries must be 0 or 1")
-    visible = m.sum(axis=1)
-    expect = (np.arange(m.shape[1])[None, :] < visible[:, None]).astype(m.dtype)
-    if not np.array_equal(m, expect):
+    # a mask equal to the depth prefix of its own row sums holds only 0/1
+    if (m != (np.arange(m.shape[1]) < m.sum(axis=1)[:, None])).any():
+        if ((m != 0) & (m != 1)).any():
+            raise ValueError("mask entries must be 0 or 1")
         raise ValueError("mask is not in depth-suffix form")
 
 

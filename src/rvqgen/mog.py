@@ -159,50 +159,57 @@ def lowrank_sqdist(zt, mu_t, M, s):
 
 
 def nucleus(weights, top_p):
-    """Indices of the smallest prefix (by descending weight) with cumulative
-    mass >= top_p, and the renormalized restricted weights."""
+    """Row-wise nucleus truncation of (L, K) mixture weights.
+
+    Each row keeps the smallest prefix (by descending weight, ties in index
+    order) whose cumulative mass reaches top_p. Returns (order, cdf), both
+    (L, K): order[i] ranks the components of row i, and cdf[i] is their
+    cumulative mass divided by the kept mass. cdf reaches 1 at the last
+    kept rank and is >= 1 after it, so an inverse-CDF draw with u in [0, 1)
+    lands only on kept ranks, with the renormalized kept weights.
+    """
     if not 0 < top_p <= 1:
         raise ValueError("top_p must lie in (0, 1]")
-    order = np.argsort(-weights, kind="stable")
-    csum = np.cumsum(weights[order])
-    keep = int(np.searchsorted(csum, top_p * csum[-1] - 1e-15) + 1)
-    idx = order[:keep]
-    w = weights[idx]
-    return idx, w / w.sum()
+    order = np.argsort(-weights, axis=-1, kind="stable")
+    rows = np.arange(len(weights))
+    csum = np.cumsum(weights[rows[:, None], order], axis=-1)
+    keep = (csum < top_p * csum[:, -1:] - 1e-15).sum(axis=-1)
+    return order, csum / csum[rows, keep][:, None]
 
 
-def full_means(means, basis):
-    """Low-rank means to full H-dim means: (L, K, h) -> (L, K, H)."""
-    M = _data(basis.M)
-    s = _data(basis.s)
-    return np.einsum("khj,lkj->lkh", M, _data(means)) + s[None]
-
-
-def sample(params, basis, rng, top_p=1.0, temperature_pi=1.0, noise=None):
+def sample(params, basis, rng, top_p=1.0, noise=None):
     """Draw z per position: nucleus-restricted component choice, then
     z = a * (mu + eps) + b with eps standard normal.
 
-    `noise` overrides eps when given (used by the deterministic tests).
+    All positions are drawn at once: rng.random(L) picks the components by
+    inverse CDF, then rng.standard_normal((L, H)) gives eps. A seeded run
+    thus draws every uniform before any normal; versions that drew position
+    by position consumed the stream in another order, so the same seed
+    gives other (equally distributed) draws. Only the chosen component's
+    full mean is built. `noise` overrides eps when given (used by the
+    deterministic tests). Non-finite head outputs or draws raise
+    ValueError instead of quantizing to an arbitrary token.
     """
     p = params.detach() if isinstance(params, MoGParams) else params
     logits = _data(p.logits)
-    L, K = logits.shape
-    mu = full_means(p.means, basis)
-    a = np.exp(_data(p.log_scale)).reshape(L, 1)
+    means = _data(p.means)
+    log_scale = _data(p.log_scale)
     b = _data(p.shift)
-    H = b.shape[-1]
-
-    z = np.empty((L, H))
-    for i in range(L):
-        w = mixture_weights(logits[i])
-        idx, w_r = nucleus(w, top_p)
-        if temperature_pi != 1.0:
-            lw = np.log(np.maximum(w_r, 1e-300)) / temperature_pi
-            w_r = np.exp(lw - lw.max())
-            w_r /= w_r.sum()
-        comp = idx[rng.choice(len(idx), p=w_r)] if len(idx) > 1 else idx[0]
-        eps = rng.standard_normal(H) if noise is None else np.asarray(noise)[i]
-        z[i] = a[i] * (mu[i, comp] + eps) + b[i]
+    if not (np.isfinite(logits).all() and np.isfinite(means).all()
+            and np.isfinite(log_scale).all() and np.isfinite(b).all()):
+        raise ValueError("mog.sample: non-finite head outputs")
+    L, H = b.shape
+    order, cdf = nucleus(mixture_weights(logits), top_p)
+    rank = (cdf < rng.random(L)[:, None]).sum(axis=-1)
+    rows = np.arange(L)
+    comp = order[rows, rank]
+    M = _data(basis.M)[comp]                                   # (L, H, h)
+    mu = (M @ means[rows, comp][:, :, None])[:, :, 0] + _data(basis.s)[comp]
+    eps = rng.standard_normal((L, H)) if noise is None else np.asarray(noise)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        z = np.exp(log_scale).reshape(L, 1) * (mu + eps) + b
+    if not np.isfinite(z).all():
+        raise ValueError("mog.sample: non-finite draw")
     return z
 
 

@@ -114,11 +114,6 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _check(cond, op, msg):
-    if not cond:
-        raise ShapeError(f"{op}: {msg}")
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops
 
@@ -217,13 +212,15 @@ def matmul(a, b):
     """2D@2D, 3D@3D (batched), or 3D@2D (linear map on the last axis)."""
     a, b = constant(a), constant(b)
     ad, bd = a.data, b.data
-    _check(ad.ndim in (2, 3) and bd.ndim in (2, 3), "matmul",
-           f"operands must be 2D or 3D, got {ad.ndim}D and {bd.ndim}D")
-    _check(ad.shape[-1] == bd.shape[-2 if bd.ndim > 1 else 0], "matmul",
-           f"inner dims disagree: {ad.shape} @ {bd.shape}")
-    if ad.ndim == 3 and bd.ndim == 3:
-        _check(ad.shape[0] == bd.shape[0], "matmul",
-               f"batch dims disagree: {ad.shape} @ {bd.shape}")
+    # checks build their message only on failure: matmul runs hundreds of
+    # times per forward pass
+    if ad.ndim not in (2, 3) or bd.ndim not in (2, 3):
+        raise ShapeError(f"matmul: operands must be 2D or 3D, "
+                         f"got {ad.ndim}D and {bd.ndim}D")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul: inner dims disagree: {ad.shape} @ {bd.shape}")
+    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
+        raise ShapeError(f"matmul: batch dims disagree: {ad.shape} @ {bd.shape}")
 
     out = ad @ bd
 
@@ -282,11 +279,13 @@ def layer_norm(a, gain, bias, eps=1e-6):
     """Affine normalization over the last axis: gain * (x - mu)/sd + bias."""
     a, gain, bias = constant(a), constant(gain), constant(bias)
     w = a.shape[-1]
-    _check(gain.shape == (w,) and bias.shape == (w,), "layer_norm",
-           f"gain/bias must be ({w},), got {gain.shape} and {bias.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
+    if gain.shape != (w,) or bias.shape != (w,):
+        raise ShapeError(f"layer_norm: gain/bias must be ({w},), "
+                         f"got {gain.shape} and {bias.shape}")
+    # sum / w gives the bits of np.mean without its Python wrapper
+    mu = a.data.sum(axis=-1, keepdims=True) / w
     xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / w
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -296,8 +295,8 @@ def layer_norm(a, gain, bias, eps=1e-6):
         gbias = g.reshape(-1, w).sum(axis=0)
         gx_hat = g * gain.data
         gx = inv * (gx_hat
-                    - gx_hat.mean(axis=-1, keepdims=True)
-                    - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True))
+                    - gx_hat.sum(axis=-1, keepdims=True) / w
+                    - xhat * ((gx_hat * xhat).sum(axis=-1, keepdims=True) / w))
         return gx, ggain, gbias
 
     return _node(out, (a, gain, bias), bwd)
@@ -311,9 +310,11 @@ def gather(table, idx):
     """Select rows of `table` (first axis) by an integer index array."""
     table = constant(table)
     idx = np.asarray(idx)
-    _check(np.issubdtype(idx.dtype, np.integer), "gather", "indices must be integers")
-    _check(idx.size == 0 or (idx.min() >= 0 and idx.max() < table.shape[0]),
-           "gather", f"index out of range for table with {table.shape[0]} rows")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError("gather: indices must be integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ShapeError(f"gather: index out of range for table with "
+                         f"{table.shape[0]} rows")
 
     def bwd(g):
         gt = np.zeros_like(table.data)
@@ -335,7 +336,7 @@ def reshape(a, shape):
 
 def transpose(a, axes):
     a = constant(a)
-    inv = tuple(np.argsort(axes))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def bwd(g):
         return (g.transpose(inv),)
@@ -396,13 +397,14 @@ def lowrank_sqdist(z, mu, M, s):
     """
     z, mu, M, s = constant(z), constant(mu), constant(M), constant(s)
     N, H = z.shape
-    _check(mu.ndim == 3 and mu.shape[0] == N, "lowrank_sqdist",
-           f"mu must be (N, K, h) with N={N}, got {mu.shape}")
+    if mu.ndim != 3 or mu.shape[0] != N:
+        raise ShapeError(f"lowrank_sqdist: mu must be (N, K, h) with N={N}, "
+                         f"got {mu.shape}")
     K, h = mu.shape[1], mu.shape[2]
-    _check(M.shape == (K, H, h), "lowrank_sqdist",
-           f"M must be ({K}, {H}, {h}), got {M.shape}")
-    _check(s.shape == (K, H), "lowrank_sqdist",
-           f"s must be ({K}, {H}), got {s.shape}")
+    if M.shape != (K, H, h):
+        raise ShapeError(f"lowrank_sqdist: M must be ({K}, {H}, {h}), got {M.shape}")
+    if s.shape != (K, H):
+        raise ShapeError(f"lowrank_sqdist: s must be ({K}, {H}), got {s.shape}")
 
     zd, mud, Md, sd = z.data, mu.data, M.data, s.data
     Mt = Md.transpose(0, 2, 1)                         # (K, h, H)

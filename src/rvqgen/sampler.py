@@ -7,6 +7,15 @@ for the masked depths, then reveals enough tokens to match the schedule.
 Revealed tokens are frozen: later steps only re-predict what is still
 hidden, so the model is invoked exactly T times (2T with guidance) no
 matter how long or deep the grid is.
+
+Outside the model a step works on the whole grid at once: one component
+draw and one quantization for all positions, then, in confidence mode,
+one scoring pass over (L, D, H) and one sort to pick the reveals. The
+step's random draws come in a fixed order: the component uniforms of
+every position, then every position's normals (`mog.sample`), then the
+Gumbel noise or the hypergeometric reveal counts. Seeded runs are
+deterministic, but tokens differ from versions that drew per position at
+the same seed.
 """
 
 from __future__ import annotations
@@ -82,25 +91,27 @@ def confidence_scores(z, tokens, state: mk.MaskState, book: rvq.Codebook,
     """Per-masked-token confidence: Gaussian log-density of each depth's
     residual under its chosen codeword (variance sigma_j^2), cumulatively
     summed across depths, plus tau-scaled Gumbel noise. Revealed entries
-    get -inf."""
+    get -inf.
+
+    One pass over (L, D, H): revealed depths contribute a zero codeword, so
+    the running subtraction rounds exactly as a per-depth loop from each
+    position's first masked depth would.
+    """
     if book.sigma is None or not np.all(book.sigma > 0):
         raise ValueError("codebook sigma required for confidence scores")
     z = np.asarray(z, dtype=np.float64)
     L, D = state.shape
-    H = book.dim
-    u = np.asarray(state.unmasked_counts)
-    scores = np.full((L, D), -np.inf)
+    masked = state.mask == 0
     gumbel = rng.gumbel(size=(L, D))
-    for i in range(L):
-        res = z[i].copy()
-        cum = 0.0
-        for j in range(int(u[i]) + 1, D + 1):
-            word = book.table(j)[tokens[i, j - 1] - 1]
-            res -= word
-            s2 = float(book.sigma[j - 1]) ** 2
-            cum += -0.5 * H * np.log(2 * np.pi * s2) - (res @ res) / (2 * s2)
-            scores[i, j - 1] = cum + tau * gumbel[i, j - 1]
-    return scores
+    words = book.embeddings[np.arange(D), np.asarray(tokens) - 1]   # (L, D, H)
+    words[~masked] = 0.0
+    res = np.subtract.accumulate(np.concatenate([z[:, None], words], axis=1),
+                                 axis=1)[:, 1:]
+    s2 = book.sigma ** 2
+    log_n = (-0.5 * book.dim * np.log(2 * np.pi * s2)
+             - (res * res).sum(axis=-1) / (2 * s2))
+    cum = np.cumsum(np.where(masked, log_n, 0.0), axis=1)
+    return np.where(masked, cum + tau * gumbel, -np.inf)
 
 
 def select_unmask(state: mk.MaskState, n_target, scores=None, rng=None):
@@ -108,22 +119,24 @@ def select_unmask(state: mk.MaskState, n_target, scores=None, rng=None):
 
     Confidence mode (scores given): greedily reveal the highest-scoring
     token among each position's shallowest masked depth, which preserves
-    the depth-suffix invariant by construction. Random mode: the
+    the depth-suffix invariant by construction. A token can be revealed
+    only after every shallower masked token of its position, so the greedy
+    order ranks tokens by their running minimum score along depth; the
+    first n of a stable sort of those minima (ties to the lower position,
+    then the shallower depth) are the greedy reveals. Random mode: the
     hypergeometric BinaryUnmask draw.
     """
     if scores is None:
         return mk.binary_unmask(state, n_target, rng)
     if n_target > state.n_total:
         raise ValueError(f"n_target={n_target} exceeds masked count {state.n_total}")
-    u = np.asarray(state.unmasked_counts).copy()
-    q = np.asarray(state.masked_counts).copy()
-    D = state.shape[1]
-    for _ in range(state.n_total - n_target):
-        frontier = np.where(q > 0, scores[np.arange(len(u)), np.minimum(u, D - 1)],
-                            -np.inf)
-        pos = int(np.argmax(frontier))
-        u[pos] += 1
-        q[pos] -= 1
+    L, D = state.shape
+    masked = state.mask == 0
+    eff = np.minimum.accumulate(np.where(masked, scores, np.inf), axis=1)
+    # revealed entries sort after every masked one, -inf scores included
+    eff = np.where(masked, eff, np.nan)
+    picks = np.argsort(-eff.ravel(), kind="stable")[:state.n_total - n_target]
+    q = state.masked_counts - np.bincount(picks // D, minlength=L)
     return mk.state_from_masked_counts(q, D, step=state.step + 1)
 
 

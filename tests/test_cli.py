@@ -244,6 +244,45 @@ def test_truncated_or_padded_codebook_reports_path(workspace, capsys):
     assert not (tmp / "m.ckpt").exists()
 
 
+def test_truncated_or_padded_dataset_reports_path(workspace, capsys):
+    tmp, ds_path, book_path = workspace
+    small = tmp / "small.rgds"
+    assert run("synth", "--out", small, "--count", 3, "--seq-len", 2,
+               "--dim", 2, "--modes", 4, "--seed", 1) == 0
+    capsys.readouterr()
+    blob = small.read_bytes()
+    bad = tmp / "bad.rgds"
+    commands = (("fit-rvq", "--dataset", bad, "--depth", 1, "--vocab", 2,
+                 "--out", tmp / "never.rvqc"),
+                ("eval", "--generated", bad, "--reference", ds_path),
+                ("inspect", bad))
+    for payload in [blob[:n] for n in range(len(blob))] + [blob + b"\0"]:
+        bad.write_bytes(payload)
+        # inspect dispatches on the magic, so it needs the first 4 bytes
+        for argv in commands if len(payload) >= 4 else commands[:2]:
+            assert run(*argv) == 1, (argv[0], len(payload))
+            out = capsys.readouterr()
+            assert out.out == ""
+            err = out.err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+    assert not (tmp / "never.rvqc").exists()
+
+
+def test_sample_zero_count_is_an_error(workspace, capsys):
+    tmp, ds_path, book_path = workspace
+    ckpt = tmp / "z.ckpt"
+    assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", ckpt,
+               "--steps", 1, "--batch-size", 2, "--width", 16, "--layers", 1,
+               "--heads", 2, "--mixtures", 2, "--mean-rank", 2) == 0
+    capsys.readouterr()
+    assert run("sample", "--checkpoint", ckpt, "--out", tmp / "z.rgds",
+               "--count", 0, "--steps", 2) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: count must be >= 1, got 0"]
+    assert not (tmp / "z.rgds").exists()
+
+
 def test_inspect_rejects_unknown_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"JUNKJUNKJUNK")

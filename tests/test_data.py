@@ -1,5 +1,7 @@
 """Dataset container and synthetic family tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,24 @@ def test_truncated_file_rejected():
     blob = data_mod.dataset_to_bytes(ds)
     with pytest.raises(ValueError, match="length"):
         data_mod.dataset_from_bytes(blob[:-8])
+
+
+def test_bytes_match_per_record_struct_layout():
+    ds, _ = data_mod.synthesize("classes", count=7, seq_len=3, dim=2, modes=4,
+                                num_classes=3, seed=4)
+    blob = data_mod.dataset_to_bytes(ds)
+    expect = struct.pack("<4sIIIII", b"RGDS", 1, 7, 3, 2, 3)
+    for i in range(7):
+        expect += struct.pack("<I", int(ds.labels[i])) + ds.vectors[i].astype("<f8").tobytes()
+    assert blob == expect
+    back = data_mod.dataset_from_bytes(blob)
+    assert np.array_equal(back.labels, ds.labels)
+    assert back.vectors.tobytes() == ds.vectors.tobytes()
+
+
+def test_short_header_rejected():
+    with pytest.raises(ValueError, match="header truncated"):
+        data_mod.dataset_from_bytes(b"RGDS\x01\x00\x00\x00\x00\x00")
 
 
 def test_wrong_magic_and_version_rejected():

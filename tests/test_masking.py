@@ -242,6 +242,14 @@ def test_depth_prefix_checker_rejects_holes():
         mk.check_depth_prefix_tokens(np.array([[mk.MASK, 5]]))
 
 
+def test_suffix_mask_checker_names_the_fault():
+    mk.check_depth_suffix_mask(np.array([[1, 0], [0, 0], [1, 1]]))
+    with pytest.raises(ValueError, match="0 or 1"):
+        mk.check_depth_suffix_mask(np.array([[1, 0], [2, -1]]))
+    with pytest.raises(ValueError, match="suffix"):
+        mk.check_depth_suffix_mask(np.array([[1, 0], [0, 1]]))
+
+
 def test_mask_draw_distribution_matches_forward_logprob():
     # empirical pmf of draws from a partially masked state agrees with
     # forward_step_logprob

@@ -199,29 +199,93 @@ def test_surrogate_with_differentiable_q_matches_fd():
 # ---------------------------------------------------------------------------
 # sampling
 
+def nucleus_oracle(weights, top_p):
+    """Members of one row's nucleus, by descending weight: the smallest
+    prefix with cumulative mass >= top_p (one searchsorted per row)."""
+    order = np.argsort(-weights, kind="stable")
+    csum = np.cumsum(weights[order])
+    return order[:int(np.searchsorted(csum, top_p * csum[-1] - 1e-15) + 1)]
+
+
+def kept(cdf):
+    """Nucleus size per row: the ranks an inverse-CDF draw with u < 1 reaches."""
+    return (cdf < 1.0).sum(axis=-1) + 1
+
+
 def test_sample_topp_one_uses_full_mixture():
-    w = np.array([0.5, 0.3, 0.2])
-    idx, wr = mog.nucleus(w, 1.0)
-    assert sorted(idx.tolist()) == [0, 1, 2]
-    assert wr.sum() == pytest.approx(1.0)
+    w = np.array([[0.5, 0.3, 0.2]])
+    order, cdf = mog.nucleus(w, 1.0)
+    assert sorted(order[0].tolist()) == [0, 1, 2]
+    assert kept(cdf).tolist() == [3] and cdf[0, -1] == 1.0
 
 
 def test_sample_topp_tiny_is_argmax():
-    w = np.array([0.2, 0.5, 0.3])
-    idx, wr = mog.nucleus(w, 1e-9)
-    assert idx.tolist() == [1] and wr.tolist() == [1.0]
+    w = np.array([[0.2, 0.5, 0.3]])
+    order, cdf = mog.nucleus(w, 1e-9)
+    assert order[0, 0] == 1 and cdf[0, 0] == 1.0 and kept(cdf).tolist() == [1]
 
 
 def test_nucleus_monotone_in_topp():
     rng = np.random.default_rng(12)
-    w = rng.dirichlet(np.ones(8))
-    sizes = [len(mog.nucleus(w, p)[0]) for p in np.linspace(0.05, 1.0, 30)]
+    w = rng.dirichlet(np.ones(8))[None]
+    sizes = [int(kept(mog.nucleus(w, p)[1])[0]) for p in np.linspace(0.05, 1.0, 30)]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_nucleus_rejects_bad_topp():
     with pytest.raises(ValueError):
-        mog.nucleus(np.array([1.0]), 0.0)
+        mog.nucleus(np.array([[1.0]]), 0.0)
+
+
+@pytest.mark.parametrize("top_p", [0.3, 0.7, 0.94, 1.0])
+def test_nucleus_rows_match_per_row_oracle(top_p):
+    rng = np.random.default_rng(21)
+    w = rng.dirichlet(np.full(6, 0.5), size=200)
+    w[:20, 1] = w[:20, 3]                       # ties keep index order
+    w /= w.sum(axis=1, keepdims=True)
+    order, cdf = mog.nucleus(w, top_p)
+    sizes = kept(cdf)
+    for i in range(len(w)):
+        assert order[i, :sizes[i]].tolist() == nucleus_oracle(w[i], top_p).tolist()
+    assert np.all(cdf[np.arange(len(w)), sizes - 1] == 1.0)
+
+
+def test_sample_draws_nucleus_members_at_renormalized_rates():
+    # component k has the 1-D mean k, so a noise-free draw names its component
+    K, L, top_p = 6, 20000, 0.7
+    logits = np.log(np.array([0.05, 0.3, 0.02, 0.25, 0.18, 0.2]))
+    params = mog.MoGParams(np.tile(logits, (L, 1)),
+                           np.tile(np.arange(K, dtype=float)[None, :, None], (L, 1, 1)),
+                           np.zeros(L), np.zeros((L, 1)))
+    basis = mog.LowRankBasis(np.ones((K, 1, 1)), np.zeros((K, 1)))
+    z = mog.sample(params, basis, np.random.default_rng(5), top_p=top_p,
+                   noise=np.zeros((L, 1)))
+    comp = z[:, 0].astype(int)
+    assert np.array_equal(z[:, 0], comp)
+    members = nucleus_oracle(mog.mixture_weights(logits), top_p)
+    assert sorted(members.tolist()) == [1, 3, 5]
+    assert set(comp.tolist()) == set(members.tolist())
+    w = mog.mixture_weights(logits)[members]
+    expect = L * w / w.sum()
+    observed = np.bincount(comp, minlength=K)[members]
+    chi2 = float(((observed - expect) ** 2 / expect).sum())
+    assert chi2 < 13.82                          # chi-square, 2 dof, p = 0.001
+
+
+def test_sample_rejects_non_finite_outputs_and_draws():
+    rng = np.random.default_rng(17)
+    params, basis, _ = random_instance(rng, K=3, L=2)
+    for field, value in (("logits", np.nan), ("means", np.inf),
+                         ("log_scale", np.nan), ("shift", -np.inf)):
+        bad = mog.MoGParams(**{**params.__dict__})
+        arr = getattr(bad, field).copy()
+        arr.flat[0] = value
+        setattr(bad, field, arr)
+        with pytest.raises(ValueError, match="non-finite head outputs"):
+            mog.sample(bad, basis, np.random.default_rng(0))
+    huge = mog.MoGParams(params.logits, params.means, np.full(2, 800.0), params.shift)
+    with pytest.raises(ValueError, match="non-finite draw"):
+        mog.sample(huge, basis, np.random.default_rng(0))
 
 
 def test_sample_deterministic_degenerate_draw():

@@ -197,6 +197,57 @@ def test_shape_mismatch_names_op():
                       nm.constant(np.ones(3)))
 
 
+def _ones(*shape):
+    return nm.constant(np.ones(shape))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nm.matmul(_ones(3), _ones(3, 2)),
+     "matmul: operands must be 2D or 3D, got 1D and 2D"),
+    (lambda: nm.matmul(_ones(2, 3), _ones(2, 3)),
+     "matmul: inner dims disagree: (2, 3) @ (2, 3)"),
+    (lambda: nm.matmul(_ones(2, 3, 4), _ones(3, 4, 5)),
+     "matmul: batch dims disagree: (2, 3, 4) @ (3, 4, 5)"),
+    (lambda: nm.layer_norm(_ones(2, 3), _ones(4), _ones(3)),
+     "layer_norm: gain/bias must be (3,), got (4,) and (3,)"),
+    (lambda: nm.gather(_ones(3, 2), np.array([0.0, 1.0])),
+     "gather: indices must be integers"),
+    (lambda: nm.gather(_ones(3, 2), np.array([0, 3])),
+     "gather: index out of range for table with 3 rows"),
+    (lambda: nm.lowrank_sqdist(_ones(2, 3), _ones(4, 5, 2), _ones(5, 3, 2), _ones(5, 3)),
+     "lowrank_sqdist: mu must be (N, K, h) with N=2, got (4, 5, 2)"),
+    (lambda: nm.lowrank_sqdist(_ones(2, 3), _ones(2, 5, 2), _ones(5, 2, 2), _ones(5, 3)),
+     "lowrank_sqdist: M must be (5, 3, 2), got (5, 2, 2)"),
+    (lambda: nm.lowrank_sqdist(_ones(2, 3), _ones(2, 5, 2), _ones(5, 3, 2), _ones(4, 3)),
+     "lowrank_sqdist: s must be (5, 3), got (4, 3)"),
+])
+def test_every_shape_check_raises_its_message(call, message):
+    with pytest.raises(nm.ShapeError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_layer_norm_statistics_bit_equal_to_mean_oracle():
+    rng = np.random.default_rng(41)
+    x = nm.parameter(rng.normal(size=(3, 5, 48)) * 3.0 + 1.0)
+    gain = nm.parameter(rng.normal(size=48))
+    bias = nm.parameter(rng.normal(size=48))
+    g = rng.normal(size=(3, 5, 48))   # width not a power of two: /w rounds
+    out = nm.layer_norm(x, gain, bias)
+    nm.backward(nm.sum_(nm.mul(out, nm.constant(g))))
+
+    xd = x.data
+    mu = np.mean(xd, axis=-1, keepdims=True)
+    xc = xd - mu
+    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + 1e-6)
+    xhat = xc * inv
+    assert np.array_equal(out.data, xhat * gain.data + bias.data)
+    gx_hat = g * gain.data
+    gx = inv * (gx_hat - np.mean(gx_hat, axis=-1, keepdims=True)
+                - xhat * np.mean(gx_hat * xhat, axis=-1, keepdims=True))
+    assert np.array_equal(x.grad, gx)
+
+
 def test_diamond_graph_visited_once():
     # y = (x + x) * (x + x); a revisit bug would inflate the gradient
     x = nm.parameter(1.5)

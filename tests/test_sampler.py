@@ -3,6 +3,8 @@ tau=0 greedy limit, guidance scheduling, and determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqgen import masking as mk
 from rvqgen import rvq
@@ -175,6 +177,85 @@ def test_tau_zero_selection_matches_greedy_oracle():
 
     got = smp.select_unmask(state, 4, scores=scores)
     assert np.array_equal(np.asarray(got.masked_counts), oracle_counts)
+
+
+def confidence_loop_oracle(z, tokens, state, book, tau, rng, dot=True):
+    """Per-position, per-depth loop; dot=False squares the residual the way
+    the vectorized pass does, so its scores must match bit for bit."""
+    L, D = state.shape
+    H = book.dim
+    u = np.asarray(state.unmasked_counts)
+    scores = np.full((L, D), -np.inf)
+    gumbel = rng.gumbel(size=(L, D))
+    for i in range(L):
+        res = z[i].copy()
+        cum = 0.0
+        for j in range(int(u[i]) + 1, D + 1):
+            res -= book.table(j)[tokens[i, j - 1] - 1]
+            s2 = float(book.sigma[j - 1]) ** 2
+            sq = res @ res if dot else (res * res).sum()
+            cum += -0.5 * H * np.log(2 * np.pi * s2) - sq / (2 * s2)
+            scores[i, j - 1] = cum + tau * gumbel[i, j - 1]
+    return scores
+
+
+def greedy_select_oracle(state, n_target, scores):
+    """The greedy frontier loop: reveal the best shallowest-masked token,
+    lowest position first among ties, one token at a time."""
+    u = np.asarray(state.unmasked_counts).copy()
+    q = np.asarray(state.masked_counts).copy()
+    D = state.shape[1]
+    for _ in range(state.n_total - n_target):
+        frontier = np.where(q > 0, scores[np.arange(len(u)), np.minimum(u, D - 1)],
+                            -np.inf)
+        pos = int(np.argmax(frontier))
+        u[pos] += 1
+        q[pos] -= 1
+    return q
+
+
+@pytest.mark.parametrize("tau", [0.0, 28.0])
+def test_confidence_scores_match_loop_oracle(tau):
+    model, book = build(L=7, D=4, V=5, H=3)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        state = mk.state_from_masked_counts(rng.integers(0, 5, size=7), 4)
+        tokens = rng.integers(1, 6, size=(7, 4))
+        z = rng.normal(size=(7, 3)) * 2.0
+        seed = int(rng.integers(1 << 30))
+        got = smp.confidence_scores(z, tokens, state, book, tau,
+                                    np.random.default_rng(seed))
+        same_sq = confidence_loop_oracle(z, tokens, state, book, tau,
+                                         np.random.default_rng(seed), dot=False)
+        assert np.array_equal(got, same_sq)      # residuals round identically
+        dot = confidence_loop_oracle(z, tokens, state, book, tau,
+                                     np.random.default_rng(seed))
+        masked = state.mask == 0
+        assert np.all(got[~masked] == -np.inf)
+        np.testing.assert_allclose(got[masked], dot[masked], rtol=1e-12)
+
+
+@st.composite
+def selection_cases(draw):
+    L = draw(st.integers(1, 7))
+    D = draw(st.integers(1, 4))
+    q = draw(st.lists(st.integers(0, D), min_size=L, max_size=L))
+    state = mk.state_from_masked_counts(q, D)
+    # small integers make ties common
+    scores = np.array(draw(st.lists(st.integers(-2, 2), min_size=L * D,
+                                    max_size=L * D)), dtype=float).reshape(L, D)
+    n_target = draw(st.integers(0, state.n_total))
+    return state, n_target, scores
+
+
+@settings(max_examples=400, deadline=None)
+@given(selection_cases())
+def test_vectorized_selection_equals_greedy_loop(case):
+    state, n_target, scores = case
+    got = smp.select_unmask(state, n_target, scores=scores)
+    assert np.array_equal(got.masked_counts,
+                          greedy_select_oracle(state, n_target, scores))
+    assert got.n_total == n_target and got.step == state.step + 1
 
 
 def test_dominant_position_reveals_first():
