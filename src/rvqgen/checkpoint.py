@@ -8,6 +8,7 @@ codebook blob, then the raw float64 little-endian arrays in header order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ CHECKPOINT_MAGIC = b"RGCK"
 CHECKPOINT_VERSION = 1
 
 _GROUPS = ("params", "ema", "opt_m", "opt_v")
+_HEADER = struct.Struct("<4sIQ")
 
 
 @dataclass
@@ -56,13 +58,15 @@ class Checkpoint:
             "codebook_bytes": len(book_blob),
             "arrays": manifest,
         }, sort_keys=True).encode()
-        return (struct.pack("<4sIQ", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                            len(header))
+        return (_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header))
                 + header + book_blob + bytes(raw))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
-        magic, version, hlen = struct.unpack_from("<4sIQ", blob, 0)
+        if len(blob) < _HEADER.size:
+            raise ValueError(f"checkpoint header truncated: need {_HEADER.size} bytes, "
+                             f"file has {len(blob)}")
+        magic, version, hlen = _HEADER.unpack_from(blob, 0)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(
                 f"bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, found {magic!r}")
@@ -70,28 +74,41 @@ class Checkpoint:
             raise ValueError(
                 f"unsupported checkpoint version: expected {CHECKPOINT_VERSION}, "
                 f"found {version}")
-        off = struct.calcsize("<4sIQ")
-        head = json.loads(blob[off:off + hlen])
+        off = _HEADER.size
+        if len(blob) < off + hlen:
+            raise ValueError(f"checkpoint JSON header truncated: header says {hlen} "
+                             f"bytes, file has {len(blob) - off} after the fixed header")
+        try:
+            head = json.loads(blob[off:off + hlen])
+            book_len = int(head["codebook_bytes"])
+            manifest = [(item["group"], item["name"], [int(d) for d in item["shape"]])
+                        for item in head["arrays"]]
+            if any(group not in _GROUPS or min(shape, default=0) < 0
+                   for group, _, shape in manifest):
+                raise ValueError("bad array group or shape")
+            fields = dict(
+                backbone_config=BackboneConfig.from_dict(head["backbone_config"]),
+                train_config=TrainConfig.from_dict(head["train_config"]),
+                step=int(head["step"]), rng_state=head["rng_state"])
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise ValueError(f"checkpoint JSON header malformed: {e!r}") from None
         off += hlen
-        book = rvq.codebook_from_bytes(blob[off:off + head["codebook_bytes"]])
-        off += head["codebook_bytes"]
+        if len(blob) < off + book_len:
+            raise ValueError(f"checkpoint codebook truncated: header says {book_len} "
+                             f"bytes, file has {max(len(blob) - off, 0)}")
+        book = rvq.codebook_from_bytes(blob[off:off + book_len])
+        off += book_len
+        sizes = [math.prod(shape) for _, _, shape in manifest]
+        if len(blob) != off + 8 * sum(sizes):
+            raise ValueError(f"checkpoint length mismatch: header says "
+                             f"{off + 8 * sum(sizes)} bytes, file has {len(blob)}")
         groups = {g: {} for g in _GROUPS}
-        for item in head["arrays"]:
-            size = int(np.prod(item["shape"])) if item["shape"] else 1
+        for (group, name, shape), size in zip(manifest, sizes):
             arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
-            groups[item["group"]][item["name"]] = arr.reshape(item["shape"]).copy()
+            groups[group][name] = arr.reshape(shape).copy()
             off += size * 8
-        return cls(
-            backbone_config=BackboneConfig.from_dict(head["backbone_config"]),
-            train_config=TrainConfig.from_dict(head["train_config"]),
-            step=head["step"],
-            rng_state=head["rng_state"],
-            codebook=book,
-            params=groups["params"],
-            ema=groups["ema"],
-            opt_m=groups["opt_m"],
-            opt_v=groups["opt_v"],
-        )
+        return cls(codebook=book, params=groups["params"], ema=groups["ema"],
+                   opt_m=groups["opt_m"], opt_v=groups["opt_v"], **fields)
 
 
 def from_trainer(trainer: Trainer) -> Checkpoint:
@@ -117,9 +134,7 @@ def restore_trainer(ckpt: Checkpoint, grids, labels) -> Trainer:
     rng.bit_generator.state = ckpt.rng_state
     tr = Trainer(model, ckpt.codebook, grids, labels, ckpt.train_config, rng=rng)
     tr.step_count = ckpt.step
-    tr.ema = {k: v.copy() for k, v in ckpt.ema.items()}
-    tr.opt_m = {k: v.copy() for k, v in ckpt.opt_m.items()}
-    tr.opt_v = {k: v.copy() for k, v in ckpt.opt_v.items()}
+    tr.ema, tr.opt_m, tr.opt_v = ckpt.ema, ckpt.opt_m, ckpt.opt_v   # copied in
     return tr
 
 
@@ -137,4 +152,8 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        return Checkpoint.from_bytes(fh.read())
+        blob = fh.read()
+    try:
+        return Checkpoint.from_bytes(blob)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

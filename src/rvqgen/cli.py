@@ -307,23 +307,46 @@ def cmd_sample(args):
 # ---------------------------------------------------------------------------
 # eval
 
-def _load_token_dump(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def _load_token_dump(path, book):
+    """Header fields and (N, L, D) token grids of a `sample` token dump;
+    malformed dumps raise ValueError naming the path."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode().splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: token dump is not UTF-8 text") from None
+    if not lines or not lines[0].startswith("#"):
+        raise ValueError(f"{path}: token dump has no '#' header line")
     header = {}
-    if lines and lines[0].startswith("#"):
-        for part in lines[0][1:].split():
-            k, _, v = part.partition("=")
+    for part in lines[0][1:].split():
+        k, _, v = part.partition("=")
+        try:
             header[k] = int(v)
-        lines = lines[1:]
-    L, D = header.get("seq_len"), header.get("depth")
+        except ValueError:
+            raise ValueError(f"{path}: header field {part!r} is not key=integer") from None
+    L, D = header.get("seq_len", 0), header.get("depth", 0)
+    if L < 1 or D < 1:
+        raise ValueError(f"{path}: header needs positive seq_len and depth")
+    if D != book.depth:
+        raise ValueError(f"{path}: depth {D} disagrees with the codebook's {book.depth}")
     grids = []
-    for line in lines:
+    for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        vals = np.array([int(v) for v in line.split()], dtype=np.int64)
+        try:
+            vals = np.array([int(v) for v in line.split()], dtype=np.int64)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-integer token") from None
+        if vals.size != L * D:
+            raise ValueError(f"{path}: line {lineno}: {vals.size} tokens, "
+                             f"seq_len*depth is {L * D}")
+        if vals.min() < 1 or vals.max() > book.vocab:
+            raise ValueError(f"{path}: line {lineno}: token outside [1, {book.vocab}]")
         grids.append(vals.reshape(D, L).T)  # dump is depth-major
-    return header, (np.stack(grids) if grids else None)
+    if not grids:
+        raise ValueError(f"{path}: token dump has no grids")
+    return header, np.stack(grids)
 
 
 def cmd_eval(args):
@@ -348,7 +371,7 @@ def cmd_eval(args):
             raise SystemExit(f"error: codebook dim {book.dim} != data dim {gen.dim}")
         recon_curve = rvq.reconstruction_mse_by_depth(ref_flat, book).tolist()
         if args.tokens:
-            header, grids = _load_token_dump(args.tokens)
+            header, grids = _load_token_dump(args.tokens, book)
             passes = header.get("forward_passes", 0)
             tokens = grids.reshape(-1, grids.shape[-1])
         else:
@@ -386,8 +409,7 @@ def cmd_eval(args):
 
 def cmd_inspect(args):
     with open(args.path, "rb") as fh:
-        blob = fh.read()
-    magic = blob[:4]
+        magic = fh.read(4)
     if magic == data_mod.DATASET_MAGIC:
         ds = data_mod.load_dataset(args.path)
         print(f"kind=dataset version={data_mod.DATASET_VERSION} count={ds.count} "
@@ -398,7 +420,7 @@ def cmd_inspect(args):
               f"vocab={book.vocab} dim={book.dim}")
         print("sigma=" + ",".join(f"{s:.6g}" for s in book.sigma))
     elif magic == ckpt_mod.CHECKPOINT_MAGIC:
-        ck = ckpt_mod.Checkpoint.from_bytes(blob)
+        ck = ckpt_mod.load_checkpoint(args.path)
         bc = ck.backbone_config
         print(f"kind=checkpoint version={ckpt_mod.CHECKPOINT_VERSION} "
               f"step={ck.step}")

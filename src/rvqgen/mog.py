@@ -66,20 +66,20 @@ def mixture_weights(logits):
 # likelihoods (autodiff path)
 
 
-def _whitened(params, z):
-    """z~ = (z - b) / a with a = exp(log_scale), plus the pieces reused by
-    both loss flavors."""
+def _log_terms(params, basis, z):
+    """The nodes both loss flavors share, built once: the Jacobian term
+    H*log a, log pi (L, K) and log N(z~; mu_k, I) (L, K), where
+    z~ = (z - b) / a with a = exp(log_scale)."""
     logits = _tensor(params.logits)
-    means = _tensor(params.means)
     log_scale = _tensor(params.log_scale)
-    shift = _tensor(params.shift)
     z = _tensor(z)
     if np.any(_data(log_scale) == -np.inf):
         raise ValueError("scale a must be positive")
-    H = z.shape[-1]
     inv_a = nm.exp(nm.neg(log_scale))                      # (L,)
-    zt = nm.mul(nm.sub(z, shift), nm.reshape(inv_a, (-1, 1)))
-    return logits, means, log_scale, zt, H
+    zt = nm.mul(nm.sub(z, _tensor(params.shift)), nm.reshape(inv_a, (-1, 1)))
+    log_pi = nm.sub(logits, nm.logsumexp(logits, keepdims=True))
+    log_n = component_log_density(zt, _tensor(params.means), basis)
+    return nm.mul(log_scale, float(z.shape[-1])), log_pi, log_n
 
 
 def component_log_density(zt, means, basis):
@@ -89,32 +89,11 @@ def component_log_density(zt, means, basis):
     return nm.add(nm.mul(d2, -0.5), nm.constant(-0.5 * H * LOG_2PI))
 
 
-def exact_nll(params, basis, z):
-    """Exact mixture negative log-likelihood per position -> (L,) Tensor.
-
-    -log p(z) = H*log a - logsumexp_k(log pi_k + log N(z~; mu_k, I)); the
-    H*log a term is the Jacobian of the affine map (scalar a scales every
-    one of the H dimensions).
-    """
-    logits, means, log_scale, zt, H = _whitened(params, z)
-    log_pi = nm.sub(logits, nm.logsumexp(logits, keepdims=True))
-    log_n = component_log_density(zt, means, basis)
-    mix = nm.logsumexp(nm.add(log_pi, log_n))
-    return nm.sub(nm.mul(log_scale, float(H)), mix)
+def _nll(jac, log_pi, log_n):
+    return nm.sub(jac, nm.logsumexp(nm.add(log_pi, log_n)))
 
 
-def decomposed_loss(params, basis, z, differentiate_q=False):
-    """Jensen surrogate split into (regression, classification) per position.
-
-    q(k | z~, mu) ∝ N(z~; mu_k, I). regression = -sum_k q_k log N_k;
-    classification = KL(q || pi). By default q is treated as a constant
-    target (EM-style); set differentiate_q to also backprop through it.
-    The total surrogate is H*log a + regression + classification and upper
-    bounds exact_nll.
-    """
-    logits, means, log_scale, zt, H = _whitened(params, z)
-    log_pi = nm.sub(logits, nm.logsumexp(logits, keepdims=True))
-    log_n = component_log_density(zt, means, basis)
+def _decomposed(log_pi, log_n, differentiate_q):
     if differentiate_q:
         log_q = nm.sub(log_n, nm.logsumexp(log_n, keepdims=True))
         q = nm.softmax(log_n)
@@ -128,30 +107,50 @@ def decomposed_loss(params, basis, z, differentiate_q=False):
     return regression, classification
 
 
+def _surrogate(jac, log_pi, log_n, differentiate_q):
+    reg, cls = _decomposed(log_pi, log_n, differentiate_q)
+    return nm.add(jac, nm.add(reg, cls))
+
+
+def surrogate_and_nll(params, basis, z, differentiate_q=False):
+    """(surrogate, exact NLL) per position, two (L,) Tensors taken from one
+    whitening and one component log-density; see `surrogate_loss` and
+    `exact_nll`."""
+    terms = _log_terms(params, basis, z)
+    return _surrogate(*terms, differentiate_q), _nll(*terms)
+
+
+def exact_nll(params, basis, z):
+    """Exact mixture negative log-likelihood per position -> (L,) Tensor.
+
+    -log p(z) = H*log a - logsumexp_k(log pi_k + log N(z~; mu_k, I)); the
+    H*log a term is the Jacobian of the affine map (scalar a scales every
+    one of the H dimensions).
+    """
+    return _nll(*_log_terms(params, basis, z))
+
+
+def decomposed_loss(params, basis, z, differentiate_q=False):
+    """Jensen surrogate split into (regression, classification) per position.
+
+    q(k | z~, mu) ∝ N(z~; mu_k, I). regression = -sum_k q_k log N_k;
+    classification = KL(q || pi). By default q is treated as a constant
+    target (EM-style); set differentiate_q to also backprop through it.
+    The total surrogate is H*log a + regression + classification and upper
+    bounds exact_nll.
+    """
+    _, log_pi, log_n = _log_terms(params, basis, z)
+    return _decomposed(log_pi, log_n, differentiate_q)
+
+
 def surrogate_loss(params, basis, z, differentiate_q=False):
     """H*log a + regression + classification, per position -> (L,) Tensor."""
-    reg, cls = decomposed_loss(params, basis, z, differentiate_q)
-    log_scale = _tensor(params.log_scale)
-    H = _data(z).shape[-1]
-    return nm.add(nm.mul(log_scale, float(H)), nm.add(reg, cls))
+    return _surrogate(*_log_terms(params, basis, z), differentiate_q)
 
 
 def _logsumexp_np(x):
     m = x.max(axis=-1, keepdims=True)
     return m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
-
-
-def lowrank_sqdist(zt, mu_t, M, s):
-    """Expanded squared distance ||z~ - (M mu~ + s)||^2 for a single
-    component (numpy): z~ (H,), mu~ (h,), M (H, h), s (H,)."""
-    zt = np.asarray(zt, dtype=np.float64)
-    mu_t = np.asarray(mu_t, dtype=np.float64)
-    M = np.asarray(M, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    MtM = M.T @ M
-    Mts = M.T @ s
-    return float(zt @ zt + mu_t @ MtM @ mu_t + s @ s
-                 - 2.0 * (M.T @ zt) @ mu_t - 2.0 * zt @ s + 2.0 * mu_t @ Mts)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ graph is single-threaded during a forward or backward pass.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -316,10 +318,14 @@ def gather(table, idx):
         raise ShapeError(f"gather: index out of range for table with "
                          f"{table.shape[0]} rows")
 
+    rows, width = table.shape[0], math.prod(table.shape[1:])
+
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, *table.shape[1:]))
-        return (gt,)
+        # one bincount over (row, column) cells adds each cell's terms in
+        # input order from +0.0, the bits of np.add.at, duplicates included
+        cells = (idx.reshape(-1, 1).astype(np.intp) * width + np.arange(width)).reshape(-1)
+        gt = np.bincount(cells, weights=g.reshape(-1), minlength=rows * width)
+        return (gt.reshape(table.shape),)
 
     return _node(table.data[idx], (table,), bwd)
 
@@ -482,20 +488,24 @@ def grads(loss, params):
     return out
 
 
-def finite_difference_check(f, params, h=1e-5):
+def finite_difference_check(f, params, h=1e-5, entries=None):
     """Max relative error between analytic gradients of `f()` and central
-    finite differences over every entry of every parameter in `params`.
+    finite differences.
 
-    `f` must rebuild its graph from the current parameter data on each call.
+    `entries` maps parameter names to the flat indices to probe, in order;
+    by default every entry of every parameter in `params` is probed. `f`
+    must rebuild its graph from the current parameter data on each call.
     """
     if h <= 0:
         raise ValueError("finite_difference_check: h must be positive")
     analytic = grads(f(), params)
+    if entries is None:
+        entries = {name: range(p.data.size) for name, p in params.items()}
     worst = 0.0
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
+    for name, picks in entries.items():
+        flat = params[name].data.reshape(-1)
         gflat = analytic[name].reshape(-1)
-        for i in range(flat.size):
+        for i in picks:
             keep = flat[i]
             flat[i] = keep + h
             up = float(f().data)

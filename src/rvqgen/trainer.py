@@ -61,23 +61,21 @@ class TrainConfig:
         return cls(**d)
 
 
-def build_target(tokens, mask, book: rvq.Codebook):
-    """Masked-embedding regression targets.
+def masked_targets(tokens, masks, book: rvq.Codebook):
+    """Masked-embedding regression targets of (B, L, D) token grids.
 
-    z_i = sum of the codeword embeddings at the masked depths of position i
-    (ground-truth tokens); `included` flags positions with at least one
-    masked depth; only those enter the loss.
+    z[b, i] = sum of the codeword embeddings at the masked depths of
+    position i (ground-truth tokens), shape (B, L, H); `included` (B, L)
+    flags positions with at least one masked depth; only those enter the
+    loss.
     """
-    tokens = np.asarray(tokens)
-    mask = np.asarray(mask)
-    L, D = tokens.shape
-    z = np.zeros((L, book.dim))
+    B, L, D = tokens.shape
+    z = np.zeros((B, L, book.dim))
     for j in range(D):
-        hid = mask[:, j] == 0
+        hid = masks[:, :, j] == 0
         if hid.any():
-            z[hid] += book.table(j + 1)[tokens[hid, j] - 1]
-    included = mask.sum(axis=1) < D
-    return z, included
+            z[hid] += book.table(j + 1)[tokens[:, :, j][hid] - 1]
+    return z, masks.sum(axis=2) < D
 
 
 def gather_params(params: mog.MoGParams, rows):
@@ -107,13 +105,7 @@ def masked_loss(model: Backbone, book, tokens, masks, labels, ratios,
     if tokens.ndim == 2:
         tokens, masks = tokens[None], masks[None]
     B, L, D = tokens.shape
-
-    targets = np.zeros((B, L, book.dim))
-    for j in range(D):
-        hid = masks[:, :, j] == 0
-        if hid.any():
-            targets[hid] += book.table(j + 1)[tokens[:, :, j][hid] - 1]
-    included = masks.sum(axis=2) < D
+    targets, included = masked_targets(tokens, masks, book)
     rows = np.flatnonzero(included.reshape(-1))
 
     visible = mk.apply_mask(tokens, masks)
@@ -126,9 +118,8 @@ def masked_loss(model: Backbone, book, tokens, masks, labels, ratios,
     sel = mog.MoGParams(sel.logits, sel.means,
                         nm.reshape(sel.log_scale, (-1,)), sel.shift)
     z = targets.reshape(B * L, -1)[rows]
-    sur = nm.mean_(mog.surrogate_loss(sel, model.basis, z, differentiate_q))
-    nll = nm.mean_(mog.exact_nll(sel, model.basis, z))
-    return sur, nll, rows.size, out
+    sur, nll = mog.surrogate_and_nll(sel, model.basis, z, differentiate_q)
+    return nm.mean_(sur), nm.mean_(nll), rows.size, out
 
 
 class Trainer:
@@ -137,6 +128,18 @@ class Trainer:
     Every random decision (batch indices, mask ratios, masks, label
     dropout) flows from the single `rng`, so checkpointing its state makes
     resumed runs bit-identical to straight runs.
+
+    The AdamW moments and the EMA each live in one flat float64 buffer laid
+    out in sorted parameter-name order. A step flattens the gradients and
+    the parameters once, updates the buffers in place with whole-buffer ops
+    (the elementwise arithmetic of a per-tensor loop, hence its bits) and
+    points every `p.data` at its slice of the new parameter vector.
+
+    Outside writers: `opt_m`, `opt_v` and `ema` read as {name: view into the
+    buffer}, so later steps show through them (copy to keep a snapshot),
+    and accept {name: array} assignments, which are copied in. A step reads
+    every `p.data` afresh, so parameters rebound between steps (checkpoint
+    restore, tests) are the ones it updates.
     """
 
     def __init__(self, model: Backbone, book: rvq.Codebook, grids, labels,
@@ -149,9 +152,43 @@ class Trainer:
         self.schedule = mk.parse_schedule(config.schedule)
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.step_count = 0
-        self.opt_m = {k: np.zeros_like(p.data) for k, p in sorted(model.params.items())}
-        self.opt_v = {k: np.zeros_like(p.data) for k, p in sorted(model.params.items())}
-        self.ema = {k: p.data.copy() for k, p in sorted(model.params.items())}
+        self._layout, end = [], 0      # (name, start, end, shape) by name
+        for name, p in sorted(model.params.items()):
+            self._layout.append((name, end, end + p.data.size, p.shape))
+            end += p.data.size
+        self._ema = self._flat_params()
+        self._m = np.zeros_like(self._ema)
+        self._v = np.zeros_like(self._ema)
+        # scratch for the whole-buffer ops: fresh 1 MB temporaries cost
+        # more than the arithmetic
+        self._a = np.empty_like(self._ema)
+        self._b = np.empty_like(self._ema)
+
+    # -- flat state ----------------------------------------------------------
+
+    def _join(self, arrays):
+        """{name: array} -> one flat float64 vector in layout order."""
+        parts = []
+        for name, _, _, shape in self._layout:
+            a = np.asarray(arrays[name], dtype=np.float64)
+            if a.shape != shape:
+                raise ValueError(f"{name}: shape {a.shape}, parameter has {shape}")
+            parts.append(a.reshape(-1))
+        return np.concatenate(parts)
+
+    def _split(self, flat):
+        """Flat vector -> {name: view of its slice}."""
+        return {name: flat[a:b].reshape(shape) for name, a, b, shape in self._layout}
+
+    def _flat_params(self):
+        return self._join({k: p.data for k, p in self.model.params.items()})
+
+    opt_m = property(lambda self: self._split(self._m),
+                     lambda self, arrays: setattr(self, "_m", self._join(arrays)))
+    opt_v = property(lambda self: self._split(self._v),
+                     lambda self, arrays: setattr(self, "_v", self._join(arrays)))
+    ema = property(lambda self: self._split(self._ema),
+                   lambda self, arrays: setattr(self, "_ema", self._join(arrays)))
 
     # -- one step ----------------------------------------------------------
 
@@ -188,16 +225,18 @@ class Trainer:
 
         if n_sel > 0:
             g = nm.grads(sur, self.model.params)
+            flat_g = self._join(g)
             if c.clip_norm > 0:
+                # per-tensor sums in model order: a flat g @ g rounds otherwise
                 total = np.sqrt(sum(float((gk * gk).sum()) for gk in g.values()))
                 if total > c.clip_norm:
-                    scale = c.clip_norm / total
-                    g = {k: gk * scale for k, gk in g.items()}
-            self._adamw(g)
+                    flat_g *= c.clip_norm / total
+            params = self._adamw(flat_g)
+        else:
+            params = self._flat_params()
         self.step_count += 1
-        decay = c.ema_decay
-        for k, p in self.model.params.items():
-            self.ema[k] = decay * self.ema[k] + (1.0 - decay) * p.data
+        self._ema *= c.ema_decay
+        self._ema += np.multiply(params, 1.0 - c.ema_decay, out=self._a)
         return {"step": self.step_count, "loss": loss, "gap": gap,
                 "positions": n_sel}
 
@@ -211,26 +250,35 @@ class Trainer:
         return lr
 
     def _adamw(self, g):
+        """One AdamW update from the flat gradient; returns the flat
+        parameter vector after it. Every op rounds as in the per-tensor
+        form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        upd = (m/bc1) / (sqrt(v/bc2) + eps) + wd*p, p = p - lr*upd."""
         c = self.config
         t = self.step_count + 1
         lr = self._learning_rate(t)
         bc1 = 1.0 - c.beta1**t
         bc2 = 1.0 - c.beta2**t
-        for k in sorted(self.model.params):
-            p = self.model.params[k]
-            m, v = self.opt_m[k], self.opt_v[k]
-            gk = g[k]
-            m *= c.beta1
-            m += (1 - c.beta1) * gk
-            v *= c.beta2
-            v += (1 - c.beta2) * (gk * gk)
-            if lr == 0.0:
-                continue  # bitwise null update; moments still advance
-            upd = m / bc1
-            upd /= np.sqrt(v / bc2) + c.eps
-            if c.weight_decay:
-                upd += c.weight_decay * p.data
-            p.data = p.data - lr * upd
+        m, v, a, b = self._m, self._v, self._a, self._b
+        m *= c.beta1
+        m += np.multiply(g, 1 - c.beta1, out=a)
+        v *= c.beta2
+        np.multiply(g, g, out=a)
+        a *= 1 - c.beta2
+        v += a
+        p = self._flat_params()
+        if lr == 0.0:
+            return p  # bitwise null update; moments still advance
+        upd = np.divide(m, bc1, out=a)
+        den = np.sqrt(np.divide(v, bc2, out=b), out=b)
+        den += c.eps
+        upd /= den
+        if c.weight_decay:
+            upd += np.multiply(p, c.weight_decay, out=b)
+        p -= np.multiply(upd, lr, out=a)
+        for name, view in self._split(p).items():
+            self.model.params[name].data = view
+        return p
 
     def run(self, steps, log_fn=None):
         for _ in range(steps):
@@ -267,25 +315,10 @@ class Trainer:
                                        labels, ratios)
             return nll
 
-        analytic = nm.grads(loss(), self.model.params)
-        worst = 0.0
-        for k in sorted(self.model.params):
-            p = self.model.params[k]
-            flat = p.data.reshape(-1)
-            picks = arng.choice(flat.size, size=min(entries_per_tensor, flat.size),
+        picks = {k: arng.choice(p.data.size, size=min(entries_per_tensor, p.data.size),
                                 replace=False)
-            for i in picks:
-                keep = flat[i]
-                flat[i] = keep + h
-                up = float(loss().data)
-                flat[i] = keep - h
-                dn = float(loss().data)
-                flat[i] = keep
-                numeric = (up - dn) / (2 * h)
-                a = analytic[k].reshape(-1)[i]
-                denom = max(abs(a), abs(numeric), 1e-8)
-                worst = max(worst, abs(a - numeric) / denom)
-        return worst
+                 for k, p in sorted(self.model.params.items())}
+        return nm.finite_difference_check(loss, self.model.params, h, picks)
 
 
 def format_record(record):

@@ -154,7 +154,8 @@ def test_criterion_4_lowrank_identity():
             zt = rng.normal(size=16)
             mu = rng.normal(size=4)
             direct = float(((zt - (M @ mu + s)) ** 2).sum())
-            got = mog.lowrank_sqdist(zt, mu, M, s)
+            got = float(nm.lowrank_sqdist(zt[None], mu[None, None], M[None],
+                                          s[None]).data[0, 0])
             assert abs(got - direct) / max(abs(direct), 1e-300) < 1e-10
 
 

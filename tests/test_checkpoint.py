@@ -1,5 +1,7 @@
 """Checkpoint container tests: bit-exact round trips, version rejection,
-and resume-equals-straight-run determinism."""
+resume-equals-straight-run determinism, and truncated or padded files."""
+
+import json
 
 import numpy as np
 import pytest
@@ -84,3 +86,52 @@ def test_model_from_checkpoint_weights_choice():
                               ema.params["embed.w"].data)
     with pytest.raises(ValueError):
         ck.model_from_checkpoint(ckpt, weights="latest")
+
+
+# ---------------------------------------------------------------------------
+# truncated and padded files
+
+
+def _sections(blob):
+    """(fixed header end, JSON end, codebook end) offsets of an RGCK blob."""
+    hlen = int.from_bytes(blob[8:16], "little")
+    head = json.loads(blob[16:16 + hlen])
+    return 16, 16 + hlen, 16 + hlen + head["codebook_bytes"]
+
+
+def test_truncated_or_padded_checkpoint_names_path(tmp_path):
+    tr, _ = small_trainer()
+    tr.step()
+    blob = ck.from_trainer(tr).to_bytes()
+    fixed, json_end, book_end = _sections(blob)
+    cuts = sorted(set(range(book_end))                         # header, JSON, codebook
+                  | set(range(book_end, len(blob), 97))         # every 97th body byte
+                  | set(range(len(blob) - 16, len(blob))))      # the last 16 bytes
+    bad = tmp_path / "bad.ckpt"
+    for payload in [blob[:n] for n in cuts] + [blob + b"\0"]:
+        bad.write_bytes(payload)
+        with pytest.raises(ValueError) as info:
+            ck.load_checkpoint(bad)
+        assert str(info.value).startswith(f"{bad}: checkpoint "), len(payload)
+    bad.write_bytes(blob)
+    assert ck.load_checkpoint(bad).to_bytes() == blob
+
+
+def test_checkpoint_errors_name_the_section():
+    tr, _ = small_trainer()
+    blob = ck.from_trainer(tr).to_bytes()
+    fixed, json_end, book_end = _sections(blob)
+    for payload, reason in ((blob[:10], "header truncated"),
+                            (blob[:json_end - 1], "JSON header truncated"),
+                            (blob[:book_end - 1], "codebook truncated"),
+                            (blob[:-9], "length mismatch"),
+                            (blob + b"\0", "length mismatch")):
+        with pytest.raises(ValueError, match=reason):
+            ck.Checkpoint.from_bytes(payload)
+    # a JSON header that parses but lacks a field
+    head = json.loads(blob[fixed:json_end])
+    del head["arrays"]
+    text = json.dumps(head).encode()
+    broken = blob[:8] + len(text).to_bytes(8, "little") + text + blob[json_end:]
+    with pytest.raises(ValueError, match="JSON header malformed"):
+        ck.Checkpoint.from_bytes(broken)

@@ -2,6 +2,7 @@
 precedence, and the binary-format error contracts."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,66 @@ def test_truncated_or_padded_dataset_reports_path(workspace, capsys):
             err = out.err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
     assert not (tmp / "never.rvqc").exists()
+
+
+def test_truncated_or_padded_checkpoint_reports_path(workspace, capsys):
+    tmp, ds_path, book_path = workspace
+    ckpt = tmp / "good.ckpt"
+    assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", ckpt,
+               "--steps", 2, "--batch-size", 2, "--width", 16, "--layers", 1,
+               "--heads", 2, "--mixtures", 2, "--mean-rank", 2) == 0
+    capsys.readouterr()
+    blob = ckpt.read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    bad = tmp / "bad.ckpt"
+    commands = (("inspect", bad),
+                ("sample", "--checkpoint", bad, "--out", tmp / "never.rgds",
+                 "--count", 1, "--steps", 2),
+                ("train", "--dataset", ds_path, "--resume", bad,
+                 "--out", tmp / "never.ckpt"))
+    # the fixed header, mid-JSON, mid-codebook, mid-body, 9 bytes short, padded
+    for payload in (blob[:10], blob[:16 + hlen // 2], blob[:16 + hlen + 30],
+                    blob[:len(blob) // 2], blob[:-9], blob + b"\0"):
+        bad.write_bytes(payload)
+        for argv in commands:
+            assert run(*argv) == 1, (argv[0], len(payload))
+            out = capsys.readouterr()
+            assert out.out == ""
+            err = out.err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {bad}: checkpoint "), err
+    assert not (tmp / "never.rgds").exists() and not (tmp / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("dump,reason", [
+    ("1 2 3 4 1 2\n", "no '#' header"),
+    ("", "no '#' header"),
+    ("# forward_passes=3 depth=2\n1 2 3 4 1 2\n", "positive seq_len and depth"),
+    ("# forward_passes=3 seq_len=3\n1 2 3 4 1 2\n", "positive seq_len and depth"),
+    ("# seq_len=3 depth=two\n1 2 3 4 1 2\n", "not key=integer"),
+    ("# seq_len=3.5 depth=2\n1 2 3 4 1 2\n", "not key=integer"),
+    ("# seq_len=3 depth=3\n1 2 3 4 1 2 3 4 1\n", "disagrees with the codebook"),
+    ("# seq_len=3 depth=2\n1 2 x 4 1 2\n", "line 2: non-integer token"),
+    ("# seq_len=3 depth=2\n1 2 3 4 1 2\n1 2 3 4 1\n", "line 3: 5 tokens"),
+    ("# seq_len=3 depth=2\n1 2 3 4 1 2 3\n", "line 2: 7 tokens"),
+    ("# seq_len=3 depth=2\n0 2 3 4 1 2\n", r"token outside \[1, 4\]"),
+    ("# seq_len=3 depth=2\n1 2 3 5 1 2\n", r"token outside \[1, 4\]"),
+    ("# seq_len=3 depth=2\n\n", "no grids"),
+])
+def test_malformed_token_dump_reports_path(workspace, capsys, dump, reason):
+    tmp, ds_path, book_path = workspace
+    capsys.readouterr()
+    path = tmp / "dump.tokens.txt"
+    argv = ("eval", "--generated", ds_path, "--reference", ds_path,
+            "--codebook", book_path, "--tokens", path)
+    path.write_text("# forward_passes=3 seq_len=3 depth=2\n1 2 3 4 1 2\n4 4 4 4 4 4\n")
+    assert run(*argv) == 0
+    capsys.readouterr()
+    path.write_text(dump)
+    assert run(*argv) == 1
+    out = capsys.readouterr()
+    err = out.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+    assert re.search(reason, err[0]), err
 
 
 def test_sample_zero_count_is_an_error(workspace, capsys):

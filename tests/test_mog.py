@@ -123,17 +123,31 @@ def test_classification_zero_when_pi_matches_q():
 # ---------------------------------------------------------------------------
 # low-rank distance identity
 
+def lowrank_sqdist_oracle(zt, mu_t, M, s):
+    """Expanded ||z~ - (M mu~ + s)||^2 for one component in plain numpy:
+    z~ (H,), mu~ (h,), M (H, h), s (H,)."""
+    MtM = M.T @ M
+    Mts = M.T @ s
+    return float(zt @ zt + mu_t @ MtM @ mu_t + s @ s
+                 - 2.0 * (M.T @ zt) @ mu_t - 2.0 * zt @ s + 2.0 * mu_t @ Mts)
+
+
+def kernel_sqdist(zt, mu_t, M, s):
+    """The autodiff kernel at one position and one component."""
+    return float(nm.lowrank_sqdist(zt[None], mu_t[None, None], M[None], s[None]).data[0, 0])
+
+
 def test_lowrank_identity_fullrank_case():
     rng = np.random.default_rng(7)
     zt, mu = rng.normal(size=4), rng.normal(size=4)
-    got = mog.lowrank_sqdist(zt, mu, np.eye(4), np.zeros(4))
+    got = kernel_sqdist(zt, mu, np.eye(4), np.zeros(4))
     assert got == pytest.approx(((zt - mu) ** 2).sum(), rel=1e-12)
 
 
 def test_lowrank_identity_offset_only():
     rng = np.random.default_rng(8)
     zt, s = rng.normal(size=5), rng.normal(size=5)
-    got = mog.lowrank_sqdist(zt, np.zeros(2), np.zeros((5, 2)), s)
+    got = kernel_sqdist(zt, np.zeros(2), np.zeros((5, 2)), s)
     assert got == pytest.approx(((zt - s) ** 2).sum(), rel=1e-12)
 
 
@@ -145,8 +159,60 @@ def test_lowrank_identity_random_sweep():
         zt = rng.normal(size=16)
         mu = rng.normal(size=4)
         direct = ((zt - (M @ mu + s)) ** 2).sum()
-        got = mog.lowrank_sqdist(zt, mu, M, s)
-        assert abs(got - direct) / max(direct, 1e-300) < 1e-10
+        for got in (kernel_sqdist(zt, mu, M, s), lowrank_sqdist_oracle(zt, mu, M, s)):
+            assert abs(got - direct) / max(direct, 1e-300) < 1e-10
+
+
+def test_lowrank_kernel_matches_oracle_per_component():
+    rng = np.random.default_rng(12)
+    N, K, H, h = 5, 3, 6, 2
+    z, mu = rng.normal(size=(N, H)), rng.normal(size=(N, K, h))
+    M, s = rng.normal(size=(K, H, h)), rng.normal(size=(K, H))
+    got = nm.lowrank_sqdist(z, mu, M, s).data
+    for n in range(N):
+        for k in range(K):
+            assert got[n, k] == pytest.approx(
+                lowrank_sqdist_oracle(z[n], mu[n, k], M[k], s[k]), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one component log-density for both losses
+
+def _tensor_instance(rng, K=5, H=4, h=2, L=3):
+    raw = {"logits": rng.normal(size=(L, K)), "means": rng.normal(size=(L, K, h)),
+           "log_scale": 0.3 * rng.normal(size=(L,)), "shift": rng.normal(size=(L, H)),
+           "M": rng.normal(size=(K, H, h)), "s": rng.normal(size=(K, H))}
+    params = {k: nm.parameter(v, name=k) for k, v in raw.items()}
+    head = mog.MoGParams(params["logits"], params["means"], params["log_scale"],
+                         params["shift"])
+    return params, head, mog.LowRankBasis(params["M"], params["s"]), rng.normal(size=(L, H))
+
+
+@pytest.mark.parametrize("differentiate_q", [False, True])
+def test_shared_loss_path_is_bit_equal_to_separate_calls(differentiate_q):
+    rng = np.random.default_rng(13)
+    params, head, basis, z = _tensor_instance(rng)
+    sur, nll = mog.surrogate_and_nll(head, basis, z, differentiate_q)
+    sur_alone = mog.surrogate_loss(head, basis, z, differentiate_q)
+    nll_alone = mog.exact_nll(head, basis, z)
+    assert sur.data.tobytes() == sur_alone.data.tobytes()
+    assert nll.data.tobytes() == nll_alone.data.tobytes()
+    # and so are their gradients, each taken through its own graph
+    for shared, alone in ((sur, sur_alone), (nll, nll_alone)):
+        g_shared = nm.grads(nm.mean_(shared), params)
+        g_alone = nm.grads(nm.mean_(alone), params)
+        assert all(g_shared[k].tobytes() == g_alone[k].tobytes() for k in params)
+
+
+def test_shared_loss_path_builds_one_component_density(monkeypatch):
+    rng = np.random.default_rng(14)
+    _, head, basis, z = _tensor_instance(rng)
+    calls = []
+    kernel = nm.lowrank_sqdist
+    monkeypatch.setattr(nm, "lowrank_sqdist",
+                        lambda *a: calls.append(1) or kernel(*a))
+    mog.surrogate_and_nll(head, basis, z)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rvqgen import numerics as nm
 
@@ -110,6 +113,45 @@ def test_dead_parameter_gets_exact_zero():
     g = nm.grads(nm.sum_(nm.mul(used, used)), {"used": used, "dead": dead})
     assert np.array_equal(g["dead"], [0.0])
     assert np.allclose(g["used"], [4.0])
+
+
+def test_fd_check_probes_only_the_given_entries():
+    rng = np.random.default_rng(2)
+    params = {"w": nm.parameter(rng.normal(size=(3, 2)), name="w"),
+              "b": nm.parameter(rng.normal(size=(2,)), name="b")}
+    x = nm.constant(rng.normal(size=(4, 3)))
+    calls = []
+
+    def loss():
+        calls.append(1)
+        return nm.sum_(nm.gelu(nm.add(nm.matmul(x, params["w"]), params["b"])))
+
+    before = {k: p.data.copy() for k, p in params.items()}
+    picked = nm.finite_difference_check(loss, params, h=1e-5,
+                                        entries={"w": [4, 1], "b": [0]})
+    assert len(calls) == 1 + 2 * 3
+    assert all(np.array_equal(before[k], p.data) for k, p in params.items())
+    calls.clear()
+    full = nm.finite_difference_check(loss, params, h=1e-5)
+    assert len(calls) == 1 + 2 * 8
+    assert picked <= full < 1e-6
+
+    # the helper's error is the worst over the probed entries, computed as a
+    # hand-written central difference would
+    analytic = nm.grads(loss(), params)
+    worst = 0.0
+    for name, i in (("w", 4), ("w", 1), ("b", 0)):
+        flat = params[name].data.reshape(-1)
+        keep = flat[i]
+        flat[i] = keep + 1e-5
+        up = float(loss().data)
+        flat[i] = keep - 1e-5
+        dn = float(loss().data)
+        flat[i] = keep
+        numeric = (up - dn) / 2e-5
+        a = analytic[name].reshape(-1)[i]
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+    assert picked == worst
 
 
 def test_fd_check_rejects_bad_step():
@@ -269,3 +311,60 @@ def test_forward_values_stay_finite():
     x = nm.constant(rng.normal(size=(4, 6)) * 100)
     for out in (nm.softmax(x), nm.logsumexp(x), nm.gelu(x), nm.tanh(x)):
         assert np.all(np.isfinite(out.data))
+
+
+# ---------------------------------------------------------------------------
+# gather backward: bit-equal to np.add.at
+
+
+def _gather_grad(table, idx, g):
+    t = nm.parameter(table, name="t")
+    out = nm.gather(t, idx)
+    nm.backward(nm.sum_(nm.mul(out, nm.constant(g))))
+    return t.grad
+
+
+def _add_at_oracle(table, idx, g):
+    gt = np.zeros_like(table)
+    np.add.at(gt, idx.reshape(-1), g.reshape(-1, *table.shape[1:]))
+    return gt
+
+
+@pytest.mark.parametrize("table_shape,idx_shape", [
+    ((5,), (12,)), ((5, 3), (12,)), ((5, 3), (3, 4)), ((4, 3, 2), (9,)),
+    ((4, 3, 2), (2, 5)), ((1, 4), (7,))])
+def test_gather_backward_matches_add_at(table_shape, idx_shape):
+    rng = np.random.default_rng(sum(table_shape) * 31 + sum(idx_shape))
+    table = rng.normal(size=table_shape)
+    # few rows, many indices: every row repeats; magnitudes spread over 30
+    # decades so a changed summation order changes the bits
+    idx = rng.integers(0, table_shape[0], size=idx_shape)
+    g = rng.normal(size=idx_shape + table_shape[1:]) * 10.0 ** rng.integers(
+        -15, 15, size=idx_shape + table_shape[1:])
+    got = _gather_grad(table, idx, g)
+    assert got.shape == table.shape
+    assert got.tobytes() == _add_at_oracle(table, idx, g).tobytes()
+
+
+def test_gather_backward_unused_rows_and_empty_index():
+    table = np.ones((4, 2))
+    got = _gather_grad(table, np.array([1, 1]), np.array([[1.0, -0.0], [2.0, -0.0]]))
+    assert got.tobytes() == _add_at_oracle(
+        table, np.array([1, 1]), np.array([[1.0, -0.0], [2.0, -0.0]])).tobytes()
+    empty = np.zeros(0, dtype=np.int64)
+    assert _gather_grad(table, empty, np.zeros((0, 2))).tobytes() == \
+        np.zeros((4, 2)).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gather_backward_matches_add_at_property(data):
+    rows = data.draw(st.integers(1, 6))
+    tail = data.draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+    idx = data.draw(hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                          min_side=0, max_side=6),
+                               elements=st.integers(0, rows - 1)))
+    g = data.draw(hnp.arrays(np.float64, idx.shape + tail,
+                             elements=st.floats(-1e12, 1e12, allow_subnormal=False)))
+    table = np.zeros((rows,) + tail)
+    assert _gather_grad(table, idx, g).tobytes() == _add_at_oracle(table, idx, g).tobytes()

@@ -1,5 +1,6 @@
-"""Training-loop tests: target construction, null updates, convergence on a
-degenerate dataset, gradient hygiene, and the VLB diagnostics."""
+"""Training-loop tests: target construction, the flat AdamW/EMA state
+against a per-tensor oracle, null updates, convergence on a degenerate
+dataset, gradient hygiene, and the VLB diagnostics."""
 
 import numpy as np
 import pytest
@@ -24,12 +25,12 @@ def toy_setup(seed=0, n=64, L=4, D=2, V=4, H=3, **model_over):
 
 
 # ---------------------------------------------------------------------------
-# build_target
+# masked_targets (the batched targets masked_loss uses)
 
 def test_empty_mask_gives_no_targets():
     model, book, grids = toy_setup()
     mask = np.ones_like(grids[0], dtype=np.int8)
-    z, included = tnr.build_target(grids[0], mask, book)
+    z, included = tnr.masked_targets(grids[:1], mask[None], book)
     assert not included.any()
     sur, nll, n_sel, _ = tnr.masked_loss(model, book, grids[0], mask, [0], [1.0])
     assert n_sel == 0 and float(sur.data) == 0.0
@@ -38,20 +39,123 @@ def test_empty_mask_gives_no_targets():
 def test_fully_masked_target_is_reconstruction():
     model, book, grids = toy_setup()
     mask = np.zeros_like(grids[0], dtype=np.int8)
-    z, included = tnr.build_target(grids[0], mask, book)
+    z, included = tnr.masked_targets(grids[:1], mask[None], book)
     assert included.all()
-    assert np.allclose(z, rvq.dequantize(grids[0], book), atol=1e-12)
+    assert np.allclose(z[0], rvq.dequantize(grids[0], book), atol=1e-12)
 
 
 def test_target_partitions_full_reconstruction():
     model, book, grids = toy_setup()
     L, D = grids[0].shape
     st = mk.binary_mask(5, L, D, np.random.default_rng(3))
-    z_masked, _ = tnr.build_target(grids[0], st.mask, book)
+    z_masked = tnr.masked_targets(grids[:1], np.asarray(st.mask)[None], book)[0][0]
     z_visible = rvq.dequantize(grids[0], book,
                                up_to_depth=np.asarray(st.unmasked_counts))
     full = rvq.dequantize(grids[0], book)
     assert np.max(np.abs(z_visible + z_masked - full)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# flat optimizer state against a per-tensor oracle
+
+
+class PerTensorOracle:
+    """Clip, AdamW and EMA one tensor at a time on {name: array} state: the
+    loop that `Trainer`'s flat buffers replace. It draws batches and
+    losses through the trainer it is given, so both see the same data."""
+
+    def __init__(self, tr):
+        self.tr = tr
+        params = sorted(tr.model.params.items())
+        self.m = {k: np.zeros_like(p.data) for k, p in params}
+        self.v = {k: np.zeros_like(p.data) for k, p in params}
+        self.ema = {k: p.data.copy() for k, p in params}
+
+    def step(self):
+        tr, c = self.tr, self.tr.config
+        idx, ratios, masks, labels = tr._draw_batch()
+        sur, nll, n_sel, _ = tnr.masked_loss(tr.model, tr.book, tr.grids[idx], masks,
+                                             labels, ratios, c.differentiate_q)
+        if n_sel > 0:
+            g = nm.grads(sur, tr.model.params)
+            if c.clip_norm > 0:
+                total = np.sqrt(sum(float((gk * gk).sum()) for gk in g.values()))
+                if total > c.clip_norm:
+                    scale = c.clip_norm / total
+                    g = {k: gk * scale for k, gk in g.items()}
+            t = tr.step_count + 1
+            lr = tr._learning_rate(t)
+            bc1, bc2 = 1.0 - c.beta1**t, 1.0 - c.beta2**t
+            for k in sorted(tr.model.params):
+                p, m, v = tr.model.params[k], self.m[k], self.v[k]
+                m *= c.beta1
+                m += (1 - c.beta1) * g[k]
+                v *= c.beta2
+                v += (1 - c.beta2) * (g[k] * g[k])
+                if lr == 0.0:
+                    continue
+                upd = m / bc1
+                upd /= np.sqrt(v / bc2) + c.eps
+                if c.weight_decay:
+                    upd += c.weight_decay * p.data
+                p.data = p.data - lr * upd
+        tr.step_count += 1
+        for k, p in tr.model.params.items():
+            self.ema[k] = c.ema_decay * self.ema[k] + (1.0 - c.ema_decay) * p.data
+        return float(sur.data), float(sur.data - nll.data)
+
+
+def _same(a, b):
+    return sorted(a) == sorted(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+@pytest.mark.parametrize("over", [
+    dict(weight_decay=0.01, clip_norm=0.05, lr=3e-3),   # clipping every step
+    dict(weight_decay=0.01, clip_norm=3.0, lr=3e-3),    # clipping now and then
+    dict(lr=0.0),
+    dict(clip_norm=0.0, lr=1e-2, differentiate_q=True)])
+def test_flat_state_matches_per_tensor_oracle(over):
+    def make():
+        model, book, grids = toy_setup(seed=21)
+        cfg = tnr.TrainConfig(steps=30, batch_size=4, warmup=5, seed=21,
+                              audit_steps=(), **over)
+        return tnr.Trainer(model, book, grids, np.zeros(len(grids), dtype=np.int64), cfg)
+
+    tr, ref_tr = make(), make()
+    ref = PerTensorOracle(ref_tr)
+    init = tr.model.parameter_arrays()
+    noise = np.random.default_rng(22)
+    for i in range(30):
+        if i == 10:   # outside writers assign the optimizer dicts ...
+            for name in ("opt_m", "opt_v", "ema"):
+                state = {k: a * 1.25 for k, a in getattr(tr, name).items()}
+                setattr(tr, name, state)
+                setattr(ref, {"opt_m": "m", "opt_v": "v", "ema": "ema"}[name],
+                        {k: a.copy() for k, a in state.items()})
+        if i == 20:   # ... and rebind p.data
+            for k in sorted(tr.model.params):
+                new = tr.model.params[k].data + 1e-3 * noise.normal(
+                    size=tr.model.params[k].shape)
+                tr.model.params[k].data = new
+                ref_tr.model.params[k].data = new.copy()
+        rec = tr.step()
+        loss, gap = ref.step()
+        assert (rec["loss"], rec["gap"]) == (loss, gap), i
+        assert _same(tr.model.parameter_arrays(), ref_tr.model.parameter_arrays()), i
+        assert _same(tr.opt_m, ref.m) and _same(tr.opt_v, ref.v), i
+        assert _same(tr.ema, ref.ema), i
+        if over.get("lr") == 0.0 and i < 20:   # bitwise null update
+            assert _same(tr.model.parameter_arrays(), init), i
+    assert tr.rng.bit_generator.state == ref_tr.rng.bit_generator.state
+
+
+def test_optimizer_state_rejects_wrong_shapes():
+    model, book, grids = toy_setup()
+    tr = tnr.Trainer(model, book, grids, np.zeros(len(grids), dtype=np.int64),
+                     tnr.TrainConfig(steps=1, audit_steps=()))
+    bad = {k: np.zeros(a.size + 1) for k, a in tr.opt_m.items()}
+    with pytest.raises(ValueError, match="shape"):
+        tr.opt_m = bad
 
 
 # ---------------------------------------------------------------------------
