@@ -7,6 +7,13 @@ Class label and mask-ratio conditioning enter as a bias added to every
 normalized activation (bias-modulated normalization); the mask ratio is a
 scalar scaling a learned direction. Output heads are zero-initialized so an
 untrained model predicts the uniform mixture with zero means.
+
+The forward is written once against an op set and a parameter mapping.
+`forward(..., grad=True)` (training) runs it with the autodiff ops of
+`numerics` over the parameter Tensors; `grad=False` (sampling, VLB
+diagnostics) runs it with the graph-free kernels `numerics.plain` over the
+parameters' arrays, read afresh at each call, and returns ndarrays. The
+autodiff ops call those kernels, so the two modes agree bit for bit.
 """
 
 from __future__ import annotations
@@ -64,7 +71,8 @@ def sinusoidal_encoding(L, width):
 
 
 class Backbone:
-    """Owns the parameter store; forward passes build fresh graphs."""
+    """Owns the parameter store; autodiff forward passes build fresh
+    graphs, graph-free ones (grad=False) build none."""
 
     def __init__(self, config: BackboneConfig, seed=0):
         self.config = config
@@ -135,13 +143,23 @@ class Backbone:
 
     # -- forward ----------------------------------------------------------
 
-    def embed_input(self, tokens, mask, book: Codebook):
-        """(B, L, D) tokens + visibility mask -> (B, L, width) Tensor.
+    def _ops(self, grad):
+        """(op set, parameter mapping) of one forward pass: the autodiff
+        ops over the parameter Tensors, or the graph-free kernels over the
+        parameters' current arrays."""
+        if grad:
+            return nm, self.params
+        return nm.plain, {k: p.data for k, p in self.params.items()}
+
+    def embed_input(self, tokens, mask, book: Codebook, grad=True):
+        """(B, L, D) tokens + visibility mask -> (B, L, width) Tensor, or
+        ndarray with grad=False.
 
         Position features: sum of revealed codeword embeddings (learned
         null vector when fully hidden) concatenated with q_i / D.
         """
         c = self.config
+        ops, P = self._ops(grad)
         tokens = np.asarray(tokens)
         mask = np.asarray(mask)
         if tokens.ndim == 2:
@@ -162,75 +180,76 @@ class Backbone:
         q = c.depth - mask.sum(axis=2)
         hidden = (q == c.depth)[:, :, None].astype(np.float64)   # fully masked flag
 
-        feat = nm.add(nm.constant(e_sum),
-                      nm.mul(nm.constant(hidden), self.params["embed.null"]))
-        count = nm.constant((q / c.depth)[:, :, None])
-        x = nm.concat([feat, count], axis=-1)
-        return nm.add(nm.matmul(x, self.params["embed.w"]), self.params["embed.b"])
+        feat = ops.add(e_sum, ops.mul(hidden, P["embed.null"]))
+        x = ops.concat([feat, (q / c.depth)[:, :, None]], axis=-1)
+        return ops.add(ops.matmul(x, P["embed.w"]), P["embed.b"])
 
-    def _attention(self, x, prefix, B):
+    def _attention(self, ops, P, x, prefix, B):
         c = self.config
         W, nh = c.width, c.heads
         hd = W // nh
 
         def split_heads(t):
-            t = nm.reshape(t, (B, c.seq_len, nh, hd))
-            t = nm.transpose(t, (0, 2, 1, 3))
-            return nm.reshape(t, (B * nh, c.seq_len, hd))
+            t = ops.reshape(t, (B, c.seq_len, nh, hd))
+            t = ops.transpose(t, (0, 2, 1, 3))
+            return ops.reshape(t, (B * nh, c.seq_len, hd))
 
         def proj(name):
-            out = nm.matmul(x, self.params[prefix + f"attn.{name}w"])
-            bias = self.params.get(prefix + f"attn.{name}b")
-            return out if bias is None else nm.add(out, bias)
+            out = ops.matmul(x, P[prefix + f"attn.{name}w"])
+            bias = P.get(prefix + f"attn.{name}b")
+            return out if bias is None else ops.add(out, bias)
 
         q, k, v = (split_heads(proj(n)) for n in ("q", "k", "v"))
-        scores = nm.mul(nm.matmul(q, nm.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(hd))
-        out = nm.matmul(nm.softmax(scores), v)
-        out = nm.reshape(out, (B, nh, c.seq_len, hd))
-        out = nm.reshape(nm.transpose(out, (0, 2, 1, 3)), (B, c.seq_len, W))
-        return nm.add(nm.matmul(out, self.params[prefix + "attn.ow"]),
-                      self.params[prefix + "attn.ob"])
+        scores = ops.mul(ops.matmul(q, ops.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(hd))
+        out = ops.matmul(ops.softmax(scores), v)
+        out = ops.reshape(out, (B, nh, c.seq_len, hd))
+        out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (B, c.seq_len, W))
+        return ops.add(ops.matmul(out, P[prefix + "attn.ow"]), P[prefix + "attn.ob"])
 
-    def predict(self, embedded, labels, r):
-        """Embedded inputs + labels (B,) + mask ratio r (B,) -> MoGParams."""
+    def predict(self, embedded, labels, r, grad=True):
+        """Embedded inputs + labels (B,) + mask ratio r (B,) -> MoGParams of
+        Tensors, or of ndarrays with grad=False."""
         c = self.config
+        ops, P = self._ops(grad)
         B = embedded.shape[0]
         labels = np.asarray(labels, dtype=np.int64).reshape(B)
         if np.any((labels < 0) | (labels > c.num_classes)):
             raise ValueError(f"labels must lie in [0, {c.num_classes}]")
         r = np.broadcast_to(np.asarray(r, dtype=np.float64), (B,))
 
-        cond = nm.add(nm.gather(self.params["cond.classes"], labels),
-                      nm.mul(nm.constant(r[:, None]), self.params["cond.ratio"]))
-        cond = nm.reshape(cond, (B, 1, c.width))
+        cond = ops.add(ops.gather(P["cond.classes"], labels),
+                       ops.mul(r[:, None], P["cond.ratio"]))
+        cond = ops.reshape(cond, (B, 1, c.width))
 
         x = embedded
         if c.positional_encoding:
-            x = nm.add(x, nm.constant(self._pe[None]))
+            x = ops.add(x, self._pe[None])
         for i in range(c.layers):
             p = f"block{i}."
-            h1 = nm.add(nm.layer_norm(x, self.params[p + "ln1.g"],
-                                      self.params[p + "ln1.b"]), cond)
-            x = nm.add(x, self._attention(h1, p, B))
-            h2 = nm.add(nm.layer_norm(x, self.params[p + "ln2.g"],
-                                      self.params[p + "ln2.b"]), cond)
-            mlp = nm.matmul(nm.gelu(nm.add(nm.matmul(h2, self.params[p + "mlp.w1"]),
-                                           self.params[p + "mlp.b1"])),
-                            self.params[p + "mlp.w2"])
-            x = nm.add(x, nm.add(mlp, self.params[p + "mlp.b2"]))
-        y = nm.add(nm.layer_norm(x, self.params["final.g"], self.params["final.b"]),
-                   cond)
+            h1 = ops.add(ops.layer_norm(x, P[p + "ln1.g"], P[p + "ln1.b"]), cond)
+            x = ops.add(x, self._attention(ops, P, h1, p, B))
+            h2 = ops.add(ops.layer_norm(x, P[p + "ln2.g"], P[p + "ln2.b"]), cond)
+            mlp = ops.matmul(ops.gelu(ops.add(ops.matmul(h2, P[p + "mlp.w1"]),
+                                              P[p + "mlp.b1"])),
+                             P[p + "mlp.w2"])
+            x = ops.add(x, ops.add(mlp, P[p + "mlp.b2"]))
+        y = ops.add(ops.layer_norm(x, P["final.g"], P["final.b"]), cond)
 
         def head(name):
-            return nm.add(nm.matmul(y, self.params[f"head.{name}.w"]),
-                          self.params[f"head.{name}.b"])
+            return ops.add(ops.matmul(y, P[f"head.{name}.w"]), P[f"head.{name}.b"])
 
         logits = head("logits")
-        means = nm.reshape(head("means"), (B, c.seq_len, c.mixtures, c.mean_rank))
-        log_scale = nm.reshape(head("scale"), (B, c.seq_len))
+        means = ops.reshape(head("means"), (B, c.seq_len, c.mixtures, c.mean_rank))
+        log_scale = ops.reshape(head("scale"), (B, c.seq_len))
         shift = head("shift")
         self.forward_calls += 1
         return MoGParams(logits, means, log_scale, shift)
 
-    def forward(self, tokens, mask, book, labels, r):
-        return self.predict(self.embed_input(tokens, mask, book), labels, r)
+    def forward(self, tokens, mask, book, labels, r, grad=True):
+        """One model call. grad=True builds the autodiff graph over
+        `params` (training); grad=False runs the same arithmetic through
+        `numerics.plain` on the parameters' current arrays and returns
+        ndarray head outputs with the bits of the graph's `.data`
+        (inference). Both check their inputs alike and count one call."""
+        return self.predict(self.embed_input(tokens, mask, book, grad=grad),
+                            labels, r, grad=grad)

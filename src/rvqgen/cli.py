@@ -351,6 +351,9 @@ def _load_token_dump(path, book):
 
 def cmd_eval(args):
     t0 = time.perf_counter()
+    if args.tokens and not args.codebook:
+        raise ValueError(f"{args.tokens}: --tokens needs --codebook "
+                         "(token dumps are read against a codebook)")
     gen = data_mod.load_dataset(args.generated)
     ref = data_mod.load_dataset(args.reference)
     if gen.dim != ref.dim:

@@ -21,8 +21,9 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class MoGParams:
-    """Per-position head outputs. Fields are Tensors on the training path
-    and ndarrays on the sampling path.
+    """Per-position head outputs. Fields are Tensors from the autodiff
+    forward (training) and ndarrays from the graph-free forward (sampling,
+    VLB diagnostics); `detach` is the one conversion to ndarrays.
 
     logits (L, K); means (L, K, h) low-rank; log_scale (L,) with a=exp(.);
     shift (L, H).
@@ -37,6 +38,12 @@ class MoGParams:
         """Numpy view of the parameters (drops the graph)."""
         return MoGParams(_data(self.logits), _data(self.means),
                          _data(self.log_scale), _data(self.shift))
+
+    def grid(self, b):
+        """Head outputs of grid `b` of a batched graph-free forward
+        (ndarray fields): views (L, K), (L, K, h), (L,), (L, H)."""
+        return MoGParams(self.logits[b], self.means[b], self.log_scale[b],
+                         self.shift[b])
 
 
 @dataclass
@@ -189,11 +196,8 @@ def sample(params, basis, rng, top_p=1.0, noise=None):
     deterministic tests). Non-finite head outputs or draws raise
     ValueError instead of quantizing to an arbitrary token.
     """
-    p = params.detach() if isinstance(params, MoGParams) else params
-    logits = _data(p.logits)
-    means = _data(p.means)
-    log_scale = _data(p.log_scale)
-    b = _data(p.shift)
+    p = params.detach()
+    logits, means, log_scale, b = p.logits, p.means, p.log_scale, p.shift
     if not (np.isfinite(logits).all() and np.isfinite(means).all()
             and np.isfinite(log_scale).all() and np.isfinite(b).all()):
         raise ValueError("mog.sample: non-finite head outputs")

@@ -11,13 +11,24 @@ mixture-of-Gaussians head need. No GPU, no fusion, no fancy broadcasting
 beyond what numpy does (gradients are un-broadcast by summing over the
 expanded axes).
 
+Graph-free inference: every op the backbone uses (add, mul, matmul,
+layer_norm, gelu, softmax, gather, reshape, transpose, concat) has a
+plain-array forward kernel, collected in `plain` under the op's name with
+the op's signature. The autodiff op calls that kernel and then records its
+backward, so both paths compute the same bits by construction, and the
+kernels make the same shape and index checks. A forward run through
+`plain` takes and returns ndarrays and records nothing.
+
 Distinct graphs are independent and may run on distinct threads; a single
-graph is single-threaded during a forward or backward pass.
+graph is single-threaded during a forward or backward pass. The `plain`
+kernels hold no state, so graph-free forwards are as safe across threads
+as distinct graphs.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -126,7 +137,7 @@ def add(a, b):
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _node(a.data + b.data, (a, b), bwd)
+    return _node(np.add(a.data, b.data), (a, b), bwd)
 
 
 def sub(a, b):
@@ -145,7 +156,7 @@ def mul(a, b):
     def bwd(g):
         return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
 
-    return _node(ad * bd, (a, b), bwd)
+    return _node(np.multiply(ad, bd), (a, b), bwd)
 
 
 def neg(a):
@@ -190,13 +201,19 @@ def tanh(a):
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
+def _gelu_parts(x):
+    """Forward kernel of `gelu`: (out, x^2, tanh term); the backward reuses
+    the last two."""
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
+    return 0.5 * x * (1.0 + t), x2, t
+
+
 def gelu(a):
     """Tanh-approximation GELU; derivative is exact for this approximation."""
     a = constant(a)
     x = a.data
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    out = 0.5 * x * (1.0 + t)
+    out, x2, t = _gelu_parts(x)
 
     def bwd(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
@@ -210,10 +227,8 @@ def gelu(a):
 # matmul
 
 
-def matmul(a, b):
-    """2D@2D, 3D@3D (batched), or 3D@2D (linear map on the last axis)."""
-    a, b = constant(a), constant(b)
-    ad, bd = a.data, b.data
+def _matmul(ad, bd):
+    """Forward kernel of `matmul`."""
     # checks build their message only on failure: matmul runs hundreds of
     # times per forward pass
     if ad.ndim not in (2, 3) or bd.ndim not in (2, 3):
@@ -223,8 +238,14 @@ def matmul(a, b):
         raise ShapeError(f"matmul: inner dims disagree: {ad.shape} @ {bd.shape}")
     if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
         raise ShapeError(f"matmul: batch dims disagree: {ad.shape} @ {bd.shape}")
+    return ad @ bd
 
-    out = ad @ bd
+
+def matmul(a, b):
+    """2D@2D, 3D@3D (batched), or 3D@2D (linear map on the last axis)."""
+    a, b = constant(a), constant(b)
+    ad, bd = a.data, b.data
+    out = _matmul(ad, bd)
 
     def bwd(g):
         if ad.ndim == 2 and bd.ndim == 2:
@@ -247,12 +268,16 @@ def matmul(a, b):
 # normalization / softmax family
 
 
+def _softmax(x):
+    """Forward kernel of `softmax`."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(a):
     """Softmax over the last axis, max-subtracted for stability."""
     a = constant(a)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(a.data)
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -277,20 +302,27 @@ def logsumexp(a, keepdims=False):
     return _node(out if keepdims else out.squeeze(-1), (a,), bwd)
 
 
-def layer_norm(a, gain, bias, eps=1e-6):
-    """Affine normalization over the last axis: gain * (x - mu)/sd + bias."""
-    a, gain, bias = constant(a), constant(gain), constant(bias)
-    w = a.shape[-1]
+def _layer_norm_parts(x, gain, bias, eps):
+    """Forward kernel of `layer_norm`: (out, xhat, 1/sd); the backward
+    reuses the last two."""
+    w = x.shape[-1]
     if gain.shape != (w,) or bias.shape != (w,):
         raise ShapeError(f"layer_norm: gain/bias must be ({w},), "
                          f"got {gain.shape} and {bias.shape}")
     # sum / w gives the bits of np.mean without its Python wrapper
-    mu = a.data.sum(axis=-1, keepdims=True) / w
-    xc = a.data - mu
+    mu = x.sum(axis=-1, keepdims=True) / w
+    xc = x - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / w
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm(a, gain, bias, eps=1e-6):
+    """Affine normalization over the last axis: gain * (x - mu)/sd + bias."""
+    a, gain, bias = constant(a), constant(gain), constant(bias)
+    w = a.shape[-1]
+    out, xhat, inv = _layer_norm_parts(a.data, gain.data, bias.data, eps)
 
     def bwd(g):
         ggain = (g * xhat).reshape(-1, w).sum(axis=0)
@@ -308,16 +340,22 @@ def layer_norm(a, gain, bias, eps=1e-6):
 # indexing / shaping
 
 
-def gather(table, idx):
-    """Select rows of `table` (first axis) by an integer index array."""
-    table = constant(table)
+def _gather(table, idx):
+    """Forward kernel of `gather`."""
     idx = np.asarray(idx)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("gather: indices must be integers")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"gather: index out of range for table with "
                          f"{table.shape[0]} rows")
+    return table[idx]
 
+
+def gather(table, idx):
+    """Select rows of `table` (first axis) by an integer index array."""
+    table = constant(table)
+    idx = np.asarray(idx)
+    out = _gather(table.data, idx)
     rows, width = table.shape[0], math.prod(table.shape[1:])
 
     def bwd(g):
@@ -327,7 +365,19 @@ def gather(table, idx):
         gt = np.bincount(cells, weights=g.reshape(-1), minlength=rows * width)
         return (gt.reshape(table.shape),)
 
-    return _node(table.data[idx], (table,), bwd)
+    return _node(out, (table,), bwd)
+
+
+def _reshape(a, shape):
+    return a.reshape(shape)
+
+
+def _transpose(a, axes):
+    return a.transpose(axes)
+
+
+def _concat(parts, axis=-1):
+    return np.concatenate(parts, axis=axis)
 
 
 def reshape(a, shape):
@@ -337,7 +387,7 @@ def reshape(a, shape):
     def bwd(g):
         return (g.reshape(old),)
 
-    return _node(a.data.reshape(shape), (a,), bwd)
+    return _node(_reshape(a.data, shape), (a,), bwd)
 
 
 def transpose(a, axes):
@@ -347,7 +397,7 @@ def transpose(a, axes):
     def bwd(g):
         return (g.transpose(inv),)
 
-    return _node(a.data.transpose(axes), (a,), bwd)
+    return _node(_transpose(a.data, axes), (a,), bwd)
 
 
 def concat(parts, axis=-1):
@@ -358,7 +408,7 @@ def concat(parts, axis=-1):
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
+    return _node(_concat([p.data for p in parts], axis), tuple(parts), bwd)
 
 
 def sum_(a, axis=None, keepdims=False):
@@ -386,6 +436,35 @@ def mean_(a, axis=None, keepdims=False):
         return (np.broadcast_to(gk / count, shp).copy(),)
 
     return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# graph-free forward kernels
+
+
+def _plain_layer_norm(x, gain, bias, eps=1e-6):
+    return _layer_norm_parts(x, gain, bias, eps)[0]
+
+
+def _plain_gelu(x):
+    return _gelu_parts(x)[0]
+
+
+# The forward kernels of the backbone's ops, under the ops' names and
+# signatures, over ndarrays. Each autodiff op above calls its kernel, so a
+# forward through `plain` gives the bits of the autodiff forward's `.data`.
+plain = SimpleNamespace(
+    add=np.add,
+    mul=np.multiply,
+    matmul=_matmul,
+    layer_norm=_plain_layer_norm,
+    gelu=_plain_gelu,
+    softmax=_softmax,
+    gather=_gather,
+    reshape=_reshape,
+    transpose=_transpose,
+    concat=_concat,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ Revealed tokens are frozen: later steps only re-predict what is still
 hidden, so the model is invoked exactly T times (2T with guidance) no
 matter how long or deep the grid is.
 
+Each model call is the backbone's graph-free forward
+(`Backbone.forward(..., grad=False)`): the autodiff arithmetic on plain
+arrays, with no graph recorded since no backward pass follows. It gives
+the bits of the autodiff forward, so tokens do not depend on the path.
+
 Outside the model a step works on the whole grid at once: one component
 draw and one quantization for all positions, then, in confidence mode,
 one scoring pass over (L, D, H) and one sort to pick the reveals. The
@@ -78,12 +83,6 @@ def cfg_weight(config: SamplerConfig, t):
         return config.cfg_start
     frac = (t - 1) / (config.steps - 1)
     return config.cfg_start + frac * (config.cfg_end - config.cfg_start)
-
-
-def _flat_params(out) -> mog.MoGParams:
-    """(1, L, ...) Tensor head outputs -> numpy (L, ...) MoGParams."""
-    return mog.MoGParams(out.logits.data[0], out.means.data[0],
-                         out.log_scale.data[0], out.shift.data[0])
 
 
 def confidence_scores(z, tokens, state: mk.MaskState, book: rvq.Codebook,
@@ -166,11 +165,11 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     for t in range(1, config.steps + 1):
         r_model = (t - 1) / config.steps
         visible = mk.apply_mask(tokens, state.mask)
-        params = _flat_params(model.forward(visible, state.mask, book,
-                                            [label], [r_model]))
+        params = model.forward(visible, state.mask, book, [label], [r_model],
+                               grad=False).grid(0)
         if config.use_cfg:
-            uncond = _flat_params(model.forward(visible, state.mask, book,
-                                                [0], [r_model]))
+            uncond = model.forward(visible, state.mask, book, [0], [r_model],
+                                   grad=False).grid(0)
             params = mog.cfg_combine(params, uncond, cfg_weight(config, t))
 
         z = mog.sample(params, basis, rng, top_p=config.top_p)

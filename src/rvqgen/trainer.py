@@ -363,10 +363,8 @@ def _model_reconstructions(model, book, tokens, state, label, ratio, rng, sample
     """Draw full-grid candidates x0_hat ~ p(x0 | x_t): sample z at masked
     positions, quantize the masked depths, keep revealed tokens."""
     visible = mk.apply_mask(tokens, state.mask)
-    out = model.forward(visible, state.mask, book, [label], [ratio])
-    flat = gather_params(out, np.arange(tokens.shape[0]))
-    params = mog.MoGParams(flat.logits.data, flat.means.data,
-                           flat.log_scale.data.reshape(-1), flat.shift.data)
+    params = model.forward(visible, state.mask, book, [label], [ratio],
+                           grad=False).grid(0)
     basis = mog.LowRankBasis(model.params["basis.M"].data,
                              model.params["basis.s"].data)
     start = np.asarray(state.unmasked_counts)

@@ -1,10 +1,14 @@
 """Backbone contracts: initialization, equivariance, conditioning, shapes,
-and the embedding's consistency with RVQ dequantization."""
+the embedding's consistency with RVQ dequantization, and the graph-free
+forward's bit equality with the autodiff forward."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqgen import masking as mk
+from rvqgen import numerics as nm
 from rvqgen import rvq
 from rvqgen.backbone import Backbone, BackboneConfig
 from rvqgen.mog import mixture_weights
@@ -156,3 +160,130 @@ def test_forward_counter_increments():
     model.forward(tokens, st.mask, book, labels=[1], r=[0.5])
     model.forward(tokens, st.mask, book, labels=[1], r=[0.5])
     assert model.forward_calls == 2
+
+
+# ---------------------------------------------------------------------------
+# graph-free forward (grad=False) against the autodiff forward
+
+HEADS = ("logits", "means", "log_scale", "shift")
+
+
+def perturb(model, seed, scale=0.3):
+    """Random offsets on every parameter, so the zero-initialized heads
+    and unit gains carry signal."""
+    rng = np.random.default_rng(seed)
+    for p in model.params.values():
+        p.data = p.data + scale * rng.normal(size=p.data.shape)
+    return model
+
+
+def assert_modes_bit_equal(model, book, tokens, masks, labels, r):
+    ref = model.forward(tokens, masks, book, labels, r)
+    got = model.forward(tokens, masks, book, labels, r, grad=False)
+    for name in HEADS:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert isinstance(a, np.ndarray) and isinstance(b, nm.Tensor), name
+        assert a.shape == b.data.shape, name
+        assert a.tobytes() == b.data.tobytes(), name
+    return got
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("num_classes", [0, 2])
+@pytest.mark.parametrize("pe", [True, False])
+def test_plain_forward_bit_equal_to_autodiff(B, num_classes, pe):
+    cfg = tiny_config(num_classes=num_classes, positional_encoding=pe)
+    model = perturb(Backbone(cfg, seed=4), seed=B + 10 * num_classes)
+    book = tiny_book(cfg)
+    rng = np.random.default_rng(B)
+    tokens = np.stack([random_grid(cfg, book, seed=s) for s in range(B)])
+    # in every grid position 0 is fully masked, position 1 fully revealed
+    q = rng.integers(0, cfg.depth + 1, size=(B, cfg.seq_len))
+    q[:, 0], q[:, 1] = cfg.depth, 0
+    masks = np.stack([mk.state_from_masked_counts(qb, cfg.depth).mask for qb in q])
+    visible = np.stack([mk.apply_mask(t, m) for t, m in zip(tokens, masks)])
+    labels = rng.integers(0, num_classes + 1, size=B)
+    out = assert_modes_bit_equal(model, book, visible, masks, labels, rng.random(B))
+    assert out.logits.shape == (B, cfg.seq_len, cfg.mixtures)
+
+
+def test_plain_forward_reads_parameters_afresh():
+    cfg = tiny_config()
+    model = perturb(Backbone(cfg, seed=0), seed=1)
+    book = tiny_book(cfg)
+    tokens = random_grid(cfg, book)
+    st_ = mk.binary_mask(3, cfg.seq_len, cfg.depth, np.random.default_rng(0))
+    before = model.forward(tokens, st_.mask, book, [1], [0.5], grad=False)
+    # rebinding and in-place edits both show in the next call
+    model.params["head.logits.b"].data = model.params["head.logits.b"].data + 1.0
+    model.params["head.shift.w"].data[0, 0] += 0.25
+    after = assert_modes_bit_equal(model, book, tokens, st_.mask, [1], [0.5])
+    assert not np.array_equal(before.logits, after.logits)
+    assert not np.array_equal(before.shift, after.shift)
+
+
+@st.composite
+def forward_cases(draw):
+    heads = draw(st.integers(1, 2))
+    cfg = BackboneConfig(
+        seq_len=draw(st.integers(1, 5)), depth=draw(st.integers(1, 3)),
+        vocab=draw(st.integers(1, 4)), latent_dim=draw(st.integers(1, 3)),
+        width=heads * draw(st.integers(1, 4)), layers=draw(st.integers(1, 2)),
+        heads=heads, mixtures=draw(st.integers(1, 3)),
+        mean_rank=draw(st.integers(1, 2)), num_classes=draw(st.integers(0, 2)),
+        positional_encoding=draw(st.booleans()))
+    B = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    return cfg, B, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(forward_cases())
+def test_plain_forward_bit_equal_property(case):
+    cfg, B, seed = case
+    rng = np.random.default_rng(seed)
+    model = perturb(Backbone(cfg, seed=seed), seed=seed + 1)
+    book = rvq.Codebook(rng.normal(size=(cfg.depth, cfg.vocab, cfg.latent_dim)),
+                        np.ones(cfg.depth))
+    tokens = rng.integers(1, cfg.vocab + 1, size=(B, cfg.seq_len, cfg.depth))
+    q = rng.integers(0, cfg.depth + 1, size=(B, cfg.seq_len))
+    masks = np.stack([mk.state_from_masked_counts(qb, cfg.depth).mask for qb in q])
+    visible = np.stack([mk.apply_mask(t, m) for t, m in zip(tokens, masks)])
+    labels = rng.integers(0, cfg.num_classes + 1, size=B)
+    assert_modes_bit_equal(model, book, visible, masks, labels, rng.random(B))
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (lambda t, m: (t[:, :1], m[:, :1], [1]), "token grid must be"),
+    (lambda t, m: (t[:-1], m[:-1], [1]), "token grid must be"),
+    (lambda t, m: (t, np.stack([m, m]), [1]), "mask shape"),
+    (lambda t, m: (t, np.array([[0, 1]] * len(m), dtype=np.int8), [1]), "suffix"),
+    (lambda t, m: (t, m, [3]), "labels"),
+    (lambda t, m: (t, m, [-1]), "labels"),
+])
+def test_both_modes_reject_malformed_inputs_alike(bad, reason):
+    cfg = tiny_config()
+    model = Backbone(cfg, seed=0)
+    book = tiny_book(cfg)
+    good = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0)).mask
+    tokens, mask, labels = bad(random_grid(cfg, book), good)
+    messages = []
+    for grad in (True, False):
+        with pytest.raises(ValueError, match=reason) as info:
+            model.forward(tokens, mask, book, labels, [0.5], grad=grad)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert model.forward_calls == 0
+
+
+def test_forward_counter_counts_both_modes():
+    cfg = tiny_config()
+    model = Backbone(cfg, seed=0)
+    book = tiny_book(cfg)
+    tokens = random_grid(cfg, book)
+    st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
+    model.forward(tokens, st_.mask, book, labels=[1], r=[0.5], grad=False)
+    assert model.forward_calls == 1
+    model.forward(tokens, st_.mask, book, labels=[1], r=[0.5])
+    model.forward(tokens, st_.mask, book, labels=[1], r=[0.5], grad=False)
+    assert model.forward_calls == 3

@@ -329,6 +329,24 @@ def test_malformed_token_dump_reports_path(workspace, capsys, dump, reason):
     assert re.search(reason, err[0]), err
 
 
+def test_eval_tokens_without_codebook_is_an_error(workspace, capsys):
+    # token dumps are read against a codebook; without one the dump would
+    # go unread and the report would claim forward_pass_count=0
+    tmp, ds_path, book_path = workspace
+    dump = tmp / "dump.tokens.txt"
+    dump.write_text("# forward_passes=3 seq_len=3 depth=2\n1 2 3 4 1 2\n")
+    base = ("eval", "--generated", ds_path, "--reference", ds_path)
+    assert run(*base, "--codebook", book_path, "--tokens", dump) == 0
+    capsys.readouterr()
+    for path in (dump, tmp / "missing.tokens.txt"):
+        assert run(*base, "--tokens", path) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = out.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+        assert "--codebook" in err[0]
+
+
 def test_sample_zero_count_is_an_error(workspace, capsys):
     tmp, ds_path, book_path = workspace
     ckpt = tmp / "z.ckpt"

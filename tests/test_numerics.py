@@ -368,3 +368,77 @@ def test_gather_backward_matches_add_at_property(data):
                              elements=st.floats(-1e12, 1e12, allow_subnormal=False)))
     table = np.zeros((rows,) + tail)
     assert _gather_grad(table, idx, g).tobytes() == _add_at_oracle(table, idx, g).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# graph-free forward kernels (`nm.plain`)
+
+PLAIN_OPS = ("add", "mul", "matmul", "layer_norm", "gelu", "softmax", "gather",
+             "reshape", "transpose", "concat")
+
+
+def _plain_cases(rng):
+    """(op name, positional args) over ndarrays; shapes as the backbone
+    uses them, including broadcasting and scalar operands."""
+    x = rng.normal(size=(3, 5, 48)) * 3.0 + 1.0
+    return [
+        ("add", (x, rng.normal(size=48))),
+        ("add", (x, rng.normal(size=(3, 1, 48)))),
+        ("mul", (x, 1.0 / np.sqrt(12))),
+        ("mul", (rng.normal(size=(3, 5, 1)), rng.normal(size=48))),
+        ("matmul", (rng.normal(size=(4, 7)), rng.normal(size=(7, 3)))),
+        ("matmul", (x, rng.normal(size=(48, 20)))),
+        ("matmul", (rng.normal(size=(6, 5, 8)), rng.normal(size=(6, 8, 5)))),
+        ("matmul", (rng.normal(size=(5, 4)), rng.normal(size=(3, 4, 2)))),
+        ("layer_norm", (x, rng.normal(size=48), rng.normal(size=48))),
+        ("layer_norm", (x, rng.normal(size=48), rng.normal(size=48), 1e-3)),
+        ("gelu", (x * 4.0,)),
+        ("softmax", (rng.normal(size=(6, 5, 5)) * 30.0,)),
+        ("gather", (rng.normal(size=(5, 3)), np.array([4, 0, 0, 2]))),
+        ("gather", (rng.normal(size=(5, 3, 2)), np.array([[1, 3], [3, 1]]))),
+        ("reshape", (x, (3, 5, 4, 12))),
+        ("transpose", (rng.normal(size=(2, 3, 4, 5)), (0, 2, 1, 3))),
+        ("concat", ([x, rng.normal(size=(3, 5, 1))], -1)),
+        ("concat", ([rng.normal(size=(2, 3)), rng.normal(size=(4, 3))], 0)),
+    ]
+
+
+def test_plain_namespace_holds_the_backbone_op_set():
+    assert sorted(vars(nm.plain)) == sorted(PLAIN_OPS)
+
+
+PLAIN_CASES = _plain_cases(np.random.default_rng(17))
+
+
+@pytest.mark.parametrize("name, args", PLAIN_CASES,
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(PLAIN_CASES)])
+def test_plain_kernel_bit_equal_to_autodiff_op(name, args):
+    got = getattr(nm.plain, name)(*args)
+    # the autodiff op still takes raw ndarrays and returns a Tensor
+    ref = getattr(nm, name)(*args)
+    assert isinstance(got, np.ndarray) and isinstance(ref, nm.Tensor)
+    assert got.dtype == np.float64 and got.shape == ref.data.shape
+    assert got.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("matmul", (np.ones(3), np.ones((3, 2))),
+     "matmul: operands must be 2D or 3D, got 1D and 2D"),
+    ("matmul", (np.ones((2, 3)), np.ones((2, 3))),
+     "matmul: inner dims disagree: (2, 3) @ (2, 3)"),
+    ("matmul", (np.ones((2, 3, 4)), np.ones((3, 4, 5))),
+     "matmul: batch dims disagree: (2, 3, 4) @ (3, 4, 5)"),
+    ("layer_norm", (np.ones((2, 3)), np.ones(4), np.ones(3)),
+     "layer_norm: gain/bias must be (3,), got (4,) and (3,)"),
+    ("gather", (np.ones((3, 2)), np.array([0.0, 1.0])),
+     "gather: indices must be integers"),
+    ("gather", (np.ones((3, 2)), np.array([0, 3])),
+     "gather: index out of range for table with 3 rows"),
+    ("gather", (np.ones((3, 2)), np.array([-1])),
+     "gather: index out of range for table with 3 rows"),
+])
+def test_plain_kernel_checks_like_its_op(name, args, message):
+    for fn in (getattr(nm.plain, name), getattr(nm, name)):
+        with pytest.raises(nm.ShapeError) as info:
+            fn(*args)
+        assert str(info.value) == message

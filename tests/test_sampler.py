@@ -1,5 +1,6 @@
 """Sampler tests: step-count independence, invariant preservation, the
-tau=0 greedy limit, guidance scheduling, and determinism."""
+tau=0 greedy limit, guidance scheduling, determinism, and the graph-free
+model calls against the autodiff forward as oracle."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvqgen import masking as mk
+from rvqgen import numerics as nm
 from rvqgen import rvq
 from rvqgen import sampler as smp
 from rvqgen.backbone import Backbone, BackboneConfig
@@ -287,3 +289,73 @@ def test_revealed_tokens_never_change_over_run():
                              validate=True)  # validate raises on revision
     trace.append(tokens)
     assert np.all(tokens >= 1)
+
+
+# ---------------------------------------------------------------------------
+# graph-free model calls: the autodiff forward stays as the oracle
+
+def trained_like(L=5, D=3, seed=0, **over):
+    """A model whose heads carry signal (random offsets on every
+    parameter, small on the scale head so draws stay finite)."""
+    model, book = build(L=L, D=D, seed=seed, **over)
+    rng = np.random.default_rng(seed + 100)
+    for name, p in model.params.items():
+        scale = 0.05 if name.startswith("head.scale") else 0.3
+        p.data = p.data + scale * rng.normal(size=p.data.shape)
+    return model, book
+
+
+def autodiff_forward(monkeypatch):
+    """Route every sampler model call through the autodiff forward."""
+    forward = Backbone.forward
+    seen = []
+
+    def graph_forward(self, *args, grad=True):
+        seen.append(grad)
+        return forward(self, *args, grad=True).detach()
+
+    monkeypatch.setattr(Backbone, "forward", graph_forward)
+    return seen
+
+
+@pytest.mark.parametrize("cfg", [
+    smp.SamplerConfig(steps=6, selection="random"),
+    smp.SamplerConfig(steps=6, selection="confidence", temperature=2.0),
+    smp.SamplerConfig(steps=6, selection="confidence", temperature=28.0,
+                      top_p=0.9, use_cfg=True, cfg_start=0.02, cfg_end=2.4),
+], ids=["random", "confidence", "cfg-top_p"])
+def test_generate_matches_autodiff_forward_oracle(monkeypatch, cfg):
+    model, book = trained_like()
+    runs = []
+    for seed in range(4):
+        runs.append(smp.generate(model, book, 1 + seed % 2, cfg,
+                                 rng=np.random.default_rng(seed))[0])
+    seen = autodiff_forward(monkeypatch)
+    for seed in range(4):
+        oracle, stats = smp.generate(model, book, 1 + seed % 2, cfg,
+                                     rng=np.random.default_rng(seed))
+        assert np.array_equal(runs[seed], oracle), seed
+        assert stats["forward_passes"] == cfg.steps * (2 if cfg.use_cfg else 1)
+    # the sampler asked for the graph-free forward on every call
+    assert seen and not any(seen)
+
+
+def test_generate_builds_no_autodiff_tensors(monkeypatch):
+    model, book = trained_like()
+    made = []
+    init = nm.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+    for cfg in (smp.SamplerConfig(steps=4, selection="random"),
+                smp.preset("paper-28", steps=4)):
+        smp.generate(model, book, 1, cfg, rng=np.random.default_rng(0),
+                     validate=True)
+    assert made == []
+    # the guard is live: an autodiff forward does construct Tensors
+    st_ = mk.binary_mask(2, 5, 3, np.random.default_rng(0))
+    model.forward(np.ones((5, 3), dtype=np.int64), st_.mask, book, [1], [0.5])
+    assert made

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rvqgen import masking as mk
+from rvqgen import mog
 from rvqgen import numerics as nm
 from rvqgen import rvq
 from rvqgen import trainer as tnr
@@ -346,6 +347,39 @@ def test_vlb_perfect_model_reconstruction_term_zero():
                                rng=np.random.default_rng(13), model_samples=4)
     assert terms["L_0"] == 0.0
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in terms["L_t"])
+
+
+def autodiff_reconstructions(model, book, tokens, state, label, ratio, rng, samples):
+    """`_model_reconstructions` on the autodiff forward, flattening the head
+    outputs through `gather_params` as the loss path does."""
+    visible = mk.apply_mask(tokens, state.mask)
+    out = model.forward(visible, state.mask, book, [label], [ratio])
+    flat = tnr.gather_params(out, np.arange(tokens.shape[0]))
+    params = mog.MoGParams(flat.logits.data, flat.means.data,
+                           flat.log_scale.data.reshape(-1), flat.shift.data)
+    basis = mog.LowRankBasis(model.params["basis.M"].data, model.params["basis.s"].data)
+    start = np.asarray(state.unmasked_counts)
+    return [rvq.quantize(mog.sample(params, basis, rng), book, start_depth=start,
+                         out=tokens) for _ in range(samples)]
+
+
+def test_vlb_terms_match_autodiff_forward_oracle(monkeypatch):
+    # the reconstructions use the graph-free forward; the autodiff oracle
+    # must not move a single term
+    model, book, grids = toy_setup()
+    rng = np.random.default_rng(21)
+    for p in model.params.values():
+        p.data = p.data + 0.3 * rng.normal(size=p.data.shape)
+    schedule = mk.parse_schedule("circle")
+
+    def terms_at(seed):
+        return tnr.vlb_diagnostic(grids[0], model, book, T=4, schedule=schedule,
+                                  rng=np.random.default_rng(seed), model_samples=32)
+
+    plain = [terms_at(seed) for seed in (11, 12)]
+    assert all(np.isfinite(t["L_t"]).all() for t in plain)
+    monkeypatch.setattr(tnr, "_model_reconstructions", autodiff_reconstructions)
+    assert [terms_at(seed) for seed in (11, 12)] == plain
 
 
 def test_vlb_rejects_huge_grids():
