@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rvq
 from .backbone import Backbone, BackboneConfig
-from .data import atomic_write
+from .data import atomic_write, check_length, load_file, read_header
 from .trainer import TrainConfig, Trainer
 
 CHECKPOINT_MAGIC = b"RGCK"
@@ -63,17 +63,8 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
-        if len(blob) < _HEADER.size:
-            raise ValueError(f"checkpoint header truncated: need {_HEADER.size} bytes, "
-                             f"file has {len(blob)}")
-        magic, version, hlen = _HEADER.unpack_from(blob, 0)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(
-                f"bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, found {magic!r}")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version: expected {CHECKPOINT_VERSION}, "
-                f"found {version}")
+        (hlen,) = read_header(blob, _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                              "checkpoint")
         off = _HEADER.size
         if len(blob) < off + hlen:
             raise ValueError(f"checkpoint JSON header truncated: header says {hlen} "
@@ -99,9 +90,7 @@ class Checkpoint:
         book = rvq.codebook_from_bytes(blob[off:off + book_len])
         off += book_len
         sizes = [math.prod(shape) for _, _, shape in manifest]
-        if len(blob) != off + 8 * sum(sizes):
-            raise ValueError(f"checkpoint length mismatch: header says "
-                             f"{off + 8 * sum(sizes)} bytes, file has {len(blob)}")
+        check_length(blob, off + 8 * sum(sizes), "checkpoint")
         groups = {g: {} for g in _GROUPS}
         for (group, name, shape), size in zip(manifest, sizes):
             arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
@@ -151,9 +140,4 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return Checkpoint.from_bytes(blob)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return load_file(path, Checkpoint.from_bytes)

@@ -63,8 +63,8 @@ class Opts:
     def __init__(self, args, table):
         self.table = table
         self.cli = vars(args)
-        self.file = parse_config_file(args.config) if getattr(args, "config", None) \
-            else {}
+        self.path = getattr(args, "config", None)
+        self.file = parse_config_file(self.path) if self.path else {}
 
     def __getattr__(self, name):
         if name not in self.table:
@@ -73,7 +73,10 @@ class Opts:
         if self.cli.get(name) is not None:
             return self.cli[name]
         if name in self.file:
-            return _coerce(self.file[name], kind)
+            try:
+                return _coerce(self.file[name], kind)
+            except ValueError as e:
+                raise ValueError(f"{self.path}: {name}: {e}") from None
         if callable(default):
             return default()
         return default
@@ -223,16 +226,12 @@ def cmd_train(args):
 
     log_path = args.log or str(args.out) + ".log"
     log_lines = []
-
-    def log_fn(line):
-        log_lines.append(line)
-
     total = trainer.config.steps
     every = trainer.config.checkpoint_every
     while trainer.step_count < total:
         chunk = total - trainer.step_count if every == 0 \
             else min(every, total - trainer.step_count)
-        trainer.run(chunk, log_fn=log_fn)
+        trainer.run(chunk, log_fn=log_lines.append)
         if trainer.step_count < total:
             ckpt_mod.save_checkpoint(ckpt_mod.from_trainer(trainer),
                                      f"{args.out}.step{trainer.step_count}")

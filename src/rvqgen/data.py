@@ -1,9 +1,13 @@
-"""Dataset file format, atomic file IO, and synthetic data generators.
+"""Dataset file format, atomic file IO, the binary-file reader, and
+synthetic data generators.
 
 The dataset container is deliberately dumb: N records of (label, L x H
 float64 vectors), little-endian, with a fixed header. Synthetic families
 keep their ground-truth parameters in a JSON sidecar so evaluation can
-score generated samples against the true distribution.
+score generated samples against the true distribution. All three binary
+formats (RGDS here, RVQC, RGCK) check their fixed header with
+`read_header` and their exact size with `check_length`, and load through
+`load_file`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,38 @@ def atomic_write(path, payload: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_header(blob, header: struct.Struct, magic, version, kind):
+    """Fields after magic and version of a binary file's fixed header;
+    a short header, another magic or another version raise ValueError."""
+    if len(blob) < header.size:
+        raise ValueError(f"{kind} header truncated: need {header.size} bytes, "
+                         f"file has {len(blob)}")
+    found, found_version, *fields = header.unpack_from(blob, 0)
+    if found != magic:
+        raise ValueError(f"bad {kind} magic: expected {magic!r}, found {found!r}")
+    if found_version != version:
+        raise ValueError(f"unsupported {kind} version: expected {version}, "
+                         f"found {found_version}")
+    return fields
+
+
+def check_length(blob, size, kind):
+    """A body cut short or with trailing bytes raises ValueError."""
+    if len(blob) != size:
+        raise ValueError(f"{kind} length mismatch: header says {size} bytes, "
+                         f"file has {len(blob)}")
+
+
+def load_file(path, from_bytes):
+    """Parse a whole binary file; errors name the path."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return from_bytes(blob)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 @dataclass
@@ -86,17 +122,9 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
 
 
 def dataset_from_bytes(blob: bytes) -> Dataset:
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"dataset header truncated: need {_HEADER.size} bytes, "
-                         f"file has {len(blob)}")
-    magic, version, n, L, H, num_classes = _HEADER.unpack_from(blob, 0)
-    if magic != DATASET_MAGIC:
-        raise ValueError(f"bad dataset magic: expected {DATASET_MAGIC!r}, found {magic!r}")
-    if version != DATASET_VERSION:
-        raise ValueError(f"unsupported dataset version: expected {DATASET_VERSION}, found {version}")
-    size = _HEADER.size + n * (4 + L * H * 8)
-    if len(blob) != size:
-        raise ValueError(f"dataset length mismatch: header says {size} bytes, file has {len(blob)}")
+    n, L, H, num_classes = read_header(blob, _HEADER, DATASET_MAGIC,
+                                       DATASET_VERSION, "dataset")
+    check_length(blob, _HEADER.size + n * (4 + L * H * 8), "dataset")
     records = np.frombuffer(blob, dtype=_record_dtype(L, H), count=n,
                             offset=_HEADER.size)
     return Dataset(records["vec"], records["label"], num_classes)
@@ -110,12 +138,7 @@ def save_dataset(ds: Dataset, path, meta=None):
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return dataset_from_bytes(blob)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return load_file(path, dataset_from_bytes)
 
 
 def load_meta(path):

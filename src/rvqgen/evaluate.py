@@ -1,5 +1,7 @@
-"""Desk-scale evaluation: Gaussian Fréchet distance on raw vectors,
-reconstruction-vs-depth curves, schedule cross-grids, and sampler sweeps.
+"""Desk-scale evaluation: Gaussian Fréchet distance on raw vectors, the
+`eval` report (reconstruction-vs-depth curve, codebook usage entropy),
+many-grid generation for `sample`, and the training-by-sampling schedule
+cross-grid.
 
 The Fréchet distance stands in for feature-space FID: the synthetic data
 distributions are known, so raw-vector moments are a meaningful
@@ -109,7 +111,7 @@ def codebook_usage_entropy(tokens, vocab):
 
 
 # ---------------------------------------------------------------------------
-# generation-driven sweeps
+# generation-driven evaluation
 
 
 def generate_vectors(model, book, config: SamplerConfig, count, labels, rng):
@@ -141,37 +143,6 @@ def train_small(vectors, labels, book, backbone_cfg: BackboneConfig,
     return trainer, ema_model
 
 
-def depth_sweep(vectors, depths, vocab, fit_seed=0, pipeline=None):
-    """Reconstruction (and optionally generation) quality per RVQ depth.
-
-    `pipeline`, when given, is a dict with backbone/train/sampler configs
-    and evaluation sizes; without it only the deterministic reconstruction
-    curve is reported.
-    """
-    if len(depths) < 2:
-        raise ValueError("need at least two depth values to sweep")
-    vectors = np.asarray(vectors, dtype=np.float64)
-    rows = []
-    for D in depths:
-        book = rvq.fit_codebook(vectors.reshape(-1, vectors.shape[-1]),
-                                depth=D, vocab=vocab, seed=fit_seed)
-        mse = rvq.reconstruction_mse_by_depth(
-            vectors.reshape(-1, vectors.shape[-1]), book)
-        row = {"D": D, "recon_mse": float(mse[-1]),
-               "recon_mse_by_depth": mse.tolist()}
-        if pipeline is not None:
-            bb = replace(pipeline["backbone"], depth=D)
-            _, model = train_small(pipeline["vectors"], pipeline["labels"],
-                                   book, bb, pipeline["train"])
-            rng = np.random.default_rng(pipeline.get("eval_seed", 0))
-            labels = pipeline["eval_labels"]
-            flat, _, _ = generate_vectors(model, book, pipeline["sampler"],
-                                          len(labels), labels, rng)
-            row["fd"] = frechet_distance(flat, pipeline["reference"])
-        rows.append(row)
-    return rows
-
-
 def schedule_grid(vectors, labels, book, backbone_cfg, train_cfg,
                   sampler_cfg, reference, eval_labels,
                   train_schedules=("circle", "cosine", "exp"),
@@ -193,27 +164,6 @@ def schedule_grid(vectors, labels, book, backbone_cfg, train_cfg,
                 rows.append({"train": tr_s, "sample": sm_s,
                              "cfg": w > 0,
                              "fd": frechet_distance(flat, reference)})
-    return rows
-
-
-def sampler_stats(model, book, base: SamplerConfig, reference, eval_labels,
-                  steps_list=(8, 16, 32, 63), topp_list=(0.8, 0.9, 1.0),
-                  tau_list=(0.0, 1.0, 28.0), eval_seed=0):
-    """Independent sweeps over steps, top-p, and choice temperature."""
-    rows = []
-    sweeps = (
-        [("steps", {"steps": v}) for v in steps_list]
-        + [("top_p", {"top_p": v}) for v in topp_list]
-        + [("tau", {"temperature": v}) for v in tau_list]
-    )
-    for kind, over in sweeps:
-        sc = replace(base, **over)
-        rng = np.random.default_rng(eval_seed)
-        flat, _, passes = generate_vectors(model, book, sc, len(eval_labels),
-                                           eval_labels, rng)
-        rows.append({"sweep": kind, **over,
-                     "fd": frechet_distance(flat, reference),
-                     "forward_passes": passes})
     return rows
 
 

@@ -7,9 +7,10 @@ that DAG and visits each node exactly once, accumulating gradients into
 `Tensor.grad`.
 
 The op set is deliberately small: exactly what the backbone and the
-mixture-of-Gaussians head need. No GPU, no fusion, no fancy broadcasting
-beyond what numpy does (gradients are un-broadcast by summing over the
-expanded axes).
+mixture-of-Gaussians head need. Ops are called as functions (`add(a, b)`,
+`matmul(a, b)`); `Tensor` has no operator overloads. No GPU, no fusion,
+no fancy broadcasting beyond what numpy does (gradients are un-broadcast
+by summing over the expanded axes).
 
 Graph-free inference: every op the backbone uses (add, mul, matmul,
 layer_norm, gelu, softmax, gather, reshape, transpose, concat) has a
@@ -31,8 +32,6 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class ShapeError(ValueError):
@@ -69,31 +68,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
-
-    # Operator sugar; scalars and ndarrays are wrapped as constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(data, name=None):
@@ -416,9 +390,7 @@ def sum_(a, axis=None, keepdims=False):
     shp = a.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, shp).copy(),)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gk, shp).copy(),)
 
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
@@ -430,9 +402,7 @@ def mean_(a, axis=None, keepdims=False):
     count = a.data.size if axis is None else shp[axis]
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shp).copy(),)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gk / count, shp).copy(),)
 
     return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)

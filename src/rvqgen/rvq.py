@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data
+
 MASK = 0  # sentinel token value; codewords occupy 1..V
 
 CODEBOOK_MAGIC = b"RVQC"
@@ -49,6 +51,9 @@ class Codebook:
             raise ValueError(f"embeddings must be (D, V, H), got {self.embeddings.shape}")
         if self.sigma.shape != (self.embeddings.shape[0],):
             raise ValueError("sigma must hold one scale per depth")
+        if 0 in self.embeddings.shape:
+            raise ValueError(f"codebook needs depth, vocab and dim >= 1, got "
+                             f"{self.embeddings.shape}")
         if not np.all(np.isfinite(self.embeddings)):
             raise ValueError("codebook embeddings must be finite")
 
@@ -215,6 +220,8 @@ def fit_codebook(vectors, depth, vocab, update="nearest", epochs=10,
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("vectors must be a non-empty (N, H) array")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     if vocab < 2:
         raise ValueError("vocab must be at least 2")
     if update not in ("nearest", "probabilistic"):
@@ -238,40 +245,29 @@ def fit_codebook(vectors, depth, vocab, update="nearest", epochs=10,
 # serialization: magic "RVQC", version, D/V/H as u32 LE, embeddings, sigmas
 
 
+_HEADER = struct.Struct("<4sIIII")
+
+
 def save_codebook(book: Codebook, path):
-    from .data import atomic_write
-    atomic_write(path, codebook_to_bytes(book))
+    data.atomic_write(path, codebook_to_bytes(book))
 
 
 def load_codebook(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return codebook_from_bytes(blob)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return data.load_file(path, codebook_from_bytes)
 
 
 def codebook_to_bytes(book: Codebook):
-    return (struct.pack("<4sIIII", CODEBOOK_MAGIC, CODEBOOK_VERSION,
-                        book.depth, book.vocab, book.dim)
+    return (_HEADER.pack(CODEBOOK_MAGIC, CODEBOOK_VERSION,
+                         book.depth, book.vocab, book.dim)
             + np.ascontiguousarray(book.embeddings, dtype="<f8").tobytes()
             + np.ascontiguousarray(book.sigma, dtype="<f8").tobytes())
 
 
 def codebook_from_bytes(blob):
-    off = struct.calcsize("<4sIIII")
-    if len(blob) < off:
-        raise ValueError(f"codebook truncated: {len(blob)} bytes, header needs {off}")
-    magic, version, D, V, H = struct.unpack_from("<4sIIII", blob, 0)
-    if magic != CODEBOOK_MAGIC:
-        raise ValueError(f"bad codebook magic: expected {CODEBOOK_MAGIC!r}, found {magic!r}")
-    if version != CODEBOOK_VERSION:
-        raise ValueError(f"unsupported codebook version: expected {CODEBOOK_VERSION}, found {version}")
-    size = off + D * V * H * 8 + D * 8
-    if len(blob) != size:
-        raise ValueError(f"codebook length mismatch: header says {size} bytes, "
-                         f"file has {len(blob)}")
+    D, V, H = data.read_header(blob, _HEADER, CODEBOOK_MAGIC, CODEBOOK_VERSION,
+                               "codebook")
+    off = _HEADER.size
+    data.check_length(blob, off + D * V * H * 8 + D * 8, "codebook")
     emb = np.frombuffer(blob, dtype="<f8", count=D * V * H, offset=off).reshape(D, V, H)
     off += D * V * H * 8
     sigma = np.frombuffer(blob, dtype="<f8", count=D, offset=off)

@@ -153,8 +153,7 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
         raise ValueError(f"label {label} outside [0, {c.num_classes}]")
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     schedule = mk.parse_schedule(config.schedule)
-    basis = mog.LowRankBasis(model.params["basis.M"].data,
-                             model.params["basis.s"].data)
+    basis = model.basis
 
     t0 = time.perf_counter()
     calls_before = model.forward_calls

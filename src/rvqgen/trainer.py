@@ -1,9 +1,11 @@
 """Training loop: draw a mask ratio, build a depth-suffix mask, regress the
 masked cumulative embeddings under the MoG surrogate, step AdamW.
 
-Also houses the variational-bound diagnostics (per-step KL terms against
-the model's implied reverse kernel) and the simplified per-step loss the
-training objective specializes.
+`masked_loss` is the paper's simplified per-step loss for any batch of
+grids and masks; the trainer, the finite-difference audit and the
+acceptance checks all evaluate it. Also houses the variational-bound
+diagnostics (per-step KL terms against the model's implied reverse
+kernel).
 """
 
 from __future__ import annotations
@@ -48,6 +50,12 @@ class TrainConfig:
             raise ValueError("steps must be non-negative")
         if self.lr < 0:
             raise ValueError("learning rate must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be non-negative (0: only at the end)")
+        if self.lr_decay not in ("cosine", "none"):
+            raise ValueError(f"unknown lr_decay {self.lr_decay!r}; use cosine or none")
 
     def to_dict(self):
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -87,23 +95,21 @@ def gather_params(params: mog.MoGParams, rows):
     return mog.MoGParams(
         logits=nm.gather(nm.reshape(params.logits, (B * L, K)), idx),
         means=nm.gather(nm.reshape(params.means, (B * L, K, h)), idx),
-        log_scale=nm.gather(nm.reshape(params.log_scale, (B * L, 1)), idx),
+        log_scale=nm.gather(nm.reshape(params.log_scale, (B * L,)), idx),
         shift=nm.gather(nm.reshape(params.shift, (B * L, H)), idx),
     )
 
 
 def masked_loss(model: Backbone, book, tokens, masks, labels, ratios,
                 differentiate_q=False):
-    """Shared loss path for training, auditing, and the simplified loss.
+    """Shared loss path for training and auditing.
 
     Returns (surrogate mean Tensor, exact-NLL mean Tensor, n positions,
-    head params) for the batch; surrogate/NLL are zero Tensors when no
-    position has a masked depth.
+    head params) for a batch of (B, L, D) token grids and masks;
+    surrogate/NLL are zero Tensors when no position has a masked depth.
     """
     tokens = np.asarray(tokens)
     masks = np.asarray(masks)
-    if tokens.ndim == 2:
-        tokens, masks = tokens[None], masks[None]
     B, L, D = tokens.shape
     targets, included = masked_targets(tokens, masks, book)
     rows = np.flatnonzero(included.reshape(-1))
@@ -115,8 +121,6 @@ def masked_loss(model: Backbone, book, tokens, masks, labels, ratios,
         return zero, zero, 0, out
 
     sel = gather_params(out, rows)
-    sel = mog.MoGParams(sel.logits, sel.means,
-                        nm.reshape(sel.log_scale, (-1,)), sel.shift)
     z = targets.reshape(B * L, -1)[rows]
     sur, nll = mog.surrogate_and_nll(sel, model.basis, z, differentiate_q)
     return nm.mean_(sur), nm.mean_(nll), rows.size, out
@@ -198,11 +202,9 @@ class Trainer:
         L, D = self.grids.shape[1], self.grids.shape[2]
         idx = self.rng.integers(0, N, size=c.batch_size)
         ratios = self.rng.random(c.batch_size)
-        n_per = np.ceil(mk.gamma(self.schedule, ratios) * L * D).astype(np.int64)
-        n_per = np.clip(n_per, 0, L * D)
         k = mk.sample_counts_batch(np.full((c.batch_size, L), D, dtype=np.int64),
-                                   n_per, self.rng)
-        masks = (np.arange(D)[None, None, :] < (D - k)[:, :, None]).astype(np.int8)
+                                   mk.mask_count(self.schedule, ratios, L, D), self.rng)
+        masks = mk.suffix_masks(k, D)
         labels = self.labels[idx].copy()
         drops = self.rng.random(c.batch_size)
         labels[(labels != 0) & (drops < c.label_dropout)] = 0
@@ -330,26 +332,6 @@ def format_record(record):
 
 
 # ---------------------------------------------------------------------------
-# simplified per-step loss (the objective train_step optimizes)
-
-
-def simple_loss(tokens, model, book, t, T, schedule, rng=None, mask=None,
-                label=0):
-    """-log p(z | x_t) at diffusion time t in [1, T]; the mask is drawn from
-    the schedule unless one is supplied."""
-    if not 1 <= t <= T:
-        raise ValueError(f"t must lie in [1, {T}]")
-    tokens = np.asarray(tokens)
-    L, D = tokens.shape
-    if mask is None:
-        n = mk.mask_count(schedule, 1.0 - t / T, L, D)
-        mask = mk.binary_mask(n, L, D, rng).mask
-    sur, _, n_sel, _ = masked_loss(model, book, tokens, mask, [label],
-                                   [1.0 - t / T])
-    return float(sur.data), mask
-
-
-# ---------------------------------------------------------------------------
 # variational-bound diagnostics
 
 
@@ -365,8 +347,7 @@ def _model_reconstructions(model, book, tokens, state, label, ratio, rng, sample
     visible = mk.apply_mask(tokens, state.mask)
     params = model.forward(visible, state.mask, book, [label], [ratio],
                            grad=False).grid(0)
-    basis = mog.LowRankBasis(model.params["basis.M"].data,
-                             model.params["basis.s"].data)
+    basis = model.basis
     start = np.asarray(state.unmasked_counts)
     cands = []
     for _ in range(samples):

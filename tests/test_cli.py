@@ -3,6 +3,9 @@ precedence, and the binary-format error contracts."""
 
 import os
 import re
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -376,3 +379,94 @@ def test_no_partial_output_on_failure(tmp_path, monkeypatch):
     assert not out.exists()
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+TRAIN_SMALL = ("--width", 16, "--layers", 1, "--heads", 2, "--mixtures", 2,
+               "--mean-rank", 2)
+
+
+def _one_error(capsys):
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = out.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def test_negative_checkpoint_every_fails_fast(workspace):
+    # a negative chunk once made `train` loop forever rewriting <out>.step0;
+    # a child process bounds the run should the guard ever go missing
+    tmp, ds_path, book_path = workspace
+    out = tmp / "neg.ckpt"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rvqgen.cli", "train", "--dataset", str(ds_path),
+         "--codebook", str(book_path), "--out", str(out), "--steps", "3",
+         "--checkpoint-every", "-1", *map(str, TRAIN_SMALL)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: checkpoint_every must be non-negative (0: only at the end)"]
+    assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("neg")) == []
+
+
+def test_bad_training_options_are_errors(workspace, capsys):
+    # --checkpoint-every -1 runs only in the bounded child process above:
+    # in this process a missing guard would hang the test run
+    tmp, ds_path, book_path = workspace
+    out = tmp / "bad.ckpt"
+    for flags, reason in ((("--batch-size", 0), "batch_size must be at least 1, got 0"),
+                          (("--batch-size", -3), "batch_size must be at least 1, got -3"),
+                          (("--lr-decay", "bogus"), "unknown lr_decay 'bogus'")):
+        assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", out,
+                   "--steps", 3, *TRAIN_SMALL, *flags) == 1, flags
+        assert _one_error(capsys).startswith(f"error: {reason}")
+    assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("bad")) == []
+    # the accepted edge values still train
+    for ok in (("--lr-decay", "none"), ("--checkpoint-every", 0), ("--batch-size", 1)):
+        assert run("train", "--dataset", ds_path, "--codebook", book_path,
+                   "--out", tmp / "ok.ckpt", "--steps", 1, *TRAIN_SMALL, *ok) == 0
+
+
+def test_depth_zero_codebook_is_an_error(workspace, capsys):
+    tmp, ds_path, book_path = workspace
+    never = tmp / "d0.rvqc"
+    assert run("fit-rvq", "--dataset", ds_path, "--depth", 0, "--vocab", 4,
+               "--out", never) == 1
+    assert _one_error(capsys) == "error: depth must be at least 1"
+    assert not never.exists()
+    # a depth-0 file written by hand: valid header and an empty body
+    for D, V, H in ((0, 4, 3), (2, 0, 3), (2, 4, 0)):
+        bad = tmp / f"empty{D}{V}{H}.rvqc"
+        bad.write_bytes(struct.pack("<4sIIII", b"RVQC", 1, D, V, H)
+                        + bytes(8 * (D * V * H + D)))
+        for argv in (("inspect", bad),
+                     ("eval", "--generated", ds_path, "--reference", ds_path,
+                      "--codebook", bad),
+                     ("train", "--dataset", ds_path, "--codebook", bad,
+                      "--out", tmp / "never.ckpt", "--steps", 0)):
+            assert run(*argv) == 1, argv
+            assert _one_error(capsys).startswith(
+                f"error: {bad}: codebook needs depth, vocab and dim >= 1"), argv
+    assert not (tmp / "never.ckpt").exists()
+
+
+def test_bad_config_value_names_file_and_key(workspace, capsys):
+    tmp, ds_path, book_path = workspace
+    cfg = tmp / "train.cfg"
+    for text, message in (
+            ("steps=abc\n", "steps: invalid literal for int() with base 10: 'abc'"),
+            ("steps=1\nbatch_size=2\ndifferentiate_q=maybe\n",
+             "differentiate_q: cannot parse boolean from 'maybe'"),
+            ("lr=fast\n", "lr: could not convert string to float: 'fast'")):
+        cfg.write_text(text)
+        assert run("train", "--config", cfg, "--dataset", ds_path, "--codebook",
+                   book_path, "--out", tmp / "m.ckpt", *TRAIN_SMALL) == 1
+        assert _one_error(capsys) == f"error: {cfg}: {message}"
+    assert not (tmp / "m.ckpt").exists()
+    cfg.write_text("count=12x\n")
+    assert run("synth", "--config", cfg, "--out", tmp / "x.rgds") == 1
+    assert _one_error(capsys) == (
+        f"error: {cfg}: count: invalid literal for int() with base 10: '12x'")
+    assert not (tmp / "x.rgds").exists()

@@ -1,5 +1,6 @@
-"""Dataset container and synthetic family tests."""
+"""Dataset container, binary-file reader and synthetic family tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -53,6 +54,59 @@ def test_wrong_magic_and_version_rejected():
         data_mod.dataset_from_bytes(b"ZZZZ" + blob[4:])
     with pytest.raises(ValueError, match="version"):
         data_mod.dataset_from_bytes(blob[:4] + (9).to_bytes(4, "little") + blob[8:])
+
+
+def _format_blobs():
+    """(kind, fixed header, magic, valid file, parser) for the three formats."""
+    from rvqgen import checkpoint as ck
+    from rvqgen import rvq
+    from rvqgen.backbone import Backbone, BackboneConfig
+    from rvqgen.trainer import TrainConfig, Trainer
+
+    ds, _ = data_mod.synthesize("grid", count=3, seq_len=2, dim=2, modes=4, seed=0)
+    book = rvq.fit_codebook(ds.vectors.reshape(-1, 2), depth=2, vocab=2, seed=0)
+    model = Backbone(BackboneConfig(seq_len=2, depth=2, vocab=2, latent_dim=2, width=8,
+                                    layers=1, heads=2, mixtures=2, mean_rank=1))
+    grids = rvq.quantize(ds.vectors.reshape(-1, 2), book).reshape(3, 2, 2)
+    tr = Trainer(model, book, grids, np.zeros(3, dtype=np.int64),
+                 TrainConfig(steps=0, audit_steps=()))
+    return [
+        ("dataset", data_mod._HEADER, b"RGDS", data_mod.dataset_to_bytes(ds),
+         data_mod.dataset_from_bytes),
+        ("codebook", rvq._HEADER, b"RVQC", rvq.codebook_to_bytes(book),
+         rvq.codebook_from_bytes),
+        ("checkpoint", ck._HEADER, b"RGCK", ck.from_trainer(tr).to_bytes(),
+         ck.Checkpoint.from_bytes),
+    ]
+
+
+def test_one_reader_gives_every_format_the_same_messages(tmp_path):
+    for kind, header, magic, blob, parse in _format_blobs():
+        fields = data_mod.read_header(blob, header, magic, 1, kind)
+        assert list(fields) == list(header.unpack_from(blob)[2:])
+        data_mod.check_length(blob, len(blob), kind)
+        bad = {
+            f"^{kind} header truncated: need {header.size} bytes, file has 5$":
+                blob[:5],
+            f"^bad {kind} magic: expected {magic!r}, found b'ABCD'$":
+                b"ABCD" + blob[4:],
+            f"^unsupported {kind} version: expected 1, found 7$":
+                blob[:4] + (7).to_bytes(4, "little") + blob[8:],
+            f"^{kind} length mismatch: header says {len(blob)} bytes, "
+            f"file has {len(blob) + 1}$": blob + b"\0",
+        }
+        for message, payload in bad.items():
+            with pytest.raises(ValueError, match=message):
+                parse(payload)
+            path = tmp_path / f"bad.{kind}"
+            path.write_bytes(payload)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message[1:]}"):
+                data_mod.load_file(path, parse)
+        with pytest.raises(ValueError, match=f"^{kind} length mismatch: header says "
+                                             f"{len(blob)} bytes, file has {len(blob) - 1}$"):
+            data_mod.check_length(blob[:-1], len(blob), kind)
+        with pytest.raises(FileNotFoundError):
+            data_mod.load_file(tmp_path / "missing", parse)
 
 
 def test_ring_family_centers_on_circle():

@@ -91,6 +91,30 @@ def test_mask_count_examples():
     assert mk.mask_count(s, 1.0, 8, 16) == 0
 
 
+@pytest.mark.parametrize("spec", ["circle", "cosine", "exp", "exp:2.5"])
+def test_batched_mask_count_and_masks_match_the_trainer_reference(spec):
+    # reference: the trainer's inline counts and masks; the helpers must
+    # match them and the scalar mask_count
+    s = mk.parse_schedule(spec)
+    L, D = 5, 4
+    rng = np.random.default_rng(17)
+    edge = [0.0, 1e-12, 0.5, np.nextafter(1.0, 0.0), 1.0 - 1e-9, 1.0 - 1e-15]
+    ratios = np.concatenate([edge, rng.random(394)])
+    ref = np.clip(np.ceil(mk.gamma(s, ratios) * L * D).astype(np.int64), 0, L * D)
+    n = mk.mask_count(s, ratios, L, D)
+    assert n.dtype == np.int64 and np.array_equal(n, ref)
+    scalar = [mk.mask_count(s, float(r), L, D) for r in ratios]
+    assert scalar == n.tolist() and all(type(v) is int for v in scalar)
+    assert n[0] == L * D and mk.mask_count(s, np.array([1.0]), L, D).tolist() == [0]
+    k = mk.sample_counts_batch(np.full((len(ratios), L), D), n, rng)
+    ref_masks = (np.arange(D)[None, None, :] < (D - k)[:, :, None]).astype(np.int8)
+    masks = mk.suffix_masks(k, D)
+    assert masks.dtype == np.int8 and np.array_equal(masks, ref_masks)
+    assert np.array_equal(masks[0], mk.state_from_masked_counts(k[0], D).mask)
+    assert np.array_equal(mk.suffix_masks(k[0, 0], D), ref_masks[0, 0])
+    assert mk.suffix_masks(k.reshape(4, -1, L), D).shape == (4, len(ratios) // 4, L, D)
+
+
 # ---------------------------------------------------------------------------
 # draws
 
@@ -179,6 +203,34 @@ def test_posterior_examples():
     assert mk.posterior_logprob([2, 1], [1, 1], 2, 1) == mk.IMPOSSIBLE
 
 
+def _log_comb_ratio_oracle(tops, bottoms, total, n):
+    # reference arithmetic: stop at the first zero coefficient, else sum
+    # the terms in order and subtract the denominator
+    num = 0.0
+    for a, b in zip(tops, bottoms):
+        term = mk.log_comb(a, b)
+        if term == mk.IMPOSSIBLE:
+            return mk.IMPOSSIBLE
+        num += term
+    den = mk.log_comb(total, n)
+    return mk.IMPOSSIBLE if den == mk.IMPOSSIBLE else num - den
+
+
+def test_closed_forms_keep_their_bits():
+    L, D = 3, 3
+    for c in itertools.product(range(D + 1), repeat=L):
+        st = mk.state_from_masked_counts(list(c), D)
+        u = st.unmasked_counts
+        for k in itertools.product(range(D + 2), repeat=L):
+            assert mk.forward_step_logprob(k, st) == _log_comb_ratio_oracle(
+                u, k, u.sum(), sum(k))
+            new_c = np.array(c) + np.array(k)
+            assert mk.posterior_logprob(c, new_c, new_c.sum(), sum(k)) == \
+                _log_comb_ratio_oracle(new_c, k, new_c.sum(), sum(k))
+        assert mk.marginal_logprob(c, sum(c), L, D) == _log_comb_ratio_oracle(
+            [D] * L, c, L * D, sum(c))
+
+
 def test_composed_steps_match_marginal():
     # mask 2 then 3 more on a 3x3 grid; cumulative counts should follow the
     # one-shot marginal q(x_2 | x_0)
@@ -234,12 +286,8 @@ def test_apply_mask_hides_suffix():
     st = mk.state_from_masked_counts([1, 0], 2)
     masked = mk.apply_mask(tokens, st.mask)
     assert np.array_equal(masked, [[3, mk.MASK], [2, 2]])
-    mk.check_depth_prefix_tokens(masked)
-
-
-def test_depth_prefix_checker_rejects_holes():
-    with pytest.raises(ValueError):
-        mk.check_depth_prefix_tokens(np.array([[mk.MASK, 5]]))
+    # the tokens left visible are exactly the mask's depth prefix
+    assert np.array_equal(masked != mk.MASK, st.mask == 1)
 
 
 def test_suffix_mask_checker_names_the_fault():

@@ -2,6 +2,8 @@
 fixed points, sigma estimation, the nearest-codeword kernel against its
 broadcast oracle, and the binary codebook format."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,18 @@ def test_fit_rejects_bad_args():
         rvq.fit_codebook(np.zeros((10, 3)), depth=2, vocab=1)
     with pytest.raises(ValueError):
         rvq.fit_codebook(np.zeros((10, 3)), depth=2, vocab=4, update="annealed")
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            rvq.fit_codebook(np.zeros((10, 3)), depth=depth, vocab=4)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 3), (2, 0, 3), (2, 4, 0), (0, 0, 0)])
+def test_codebook_rejects_empty_tables(shape):
+    with pytest.raises(ValueError, match="codebook needs depth, vocab and dim >= 1"):
+        rvq.Codebook(np.zeros(shape), np.ones(shape[0]))
+    blob = struct.pack("<4sIIII", b"RVQC", 1, *shape) + bytes(8 * (np.prod(shape) + shape[0]))
+    with pytest.raises(ValueError, match="codebook needs depth, vocab and dim >= 1"):
+        rvq.codebook_from_bytes(blob)
 
 
 # ---------------------------------------------------------------------------

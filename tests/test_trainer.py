@@ -33,7 +33,7 @@ def test_empty_mask_gives_no_targets():
     mask = np.ones_like(grids[0], dtype=np.int8)
     z, included = tnr.masked_targets(grids[:1], mask[None], book)
     assert not included.any()
-    sur, nll, n_sel, _ = tnr.masked_loss(model, book, grids[0], mask, [0], [1.0])
+    sur, nll, n_sel, _ = tnr.masked_loss(model, book, grids[:1], mask[None], [0], [1.0])
     assert n_sel == 0 and float(sur.data) == 0.0
 
 
@@ -241,7 +241,7 @@ def test_no_gradient_leak_to_excluded_positions():
     # mask only position 0; positions 1..L-1 contribute nothing
     counts = np.array([D] + [0] * (L - 1))
     st = mk.state_from_masked_counts(counts, D)
-    sur, _, n_sel, out = tnr.masked_loss(model, book, grids[0], st.mask, [0], [0.5])
+    sur, _, n_sel, out = tnr.masked_loss(model, book, grids[:1], st.mask[None], [0], [0.5])
     assert n_sel == 1
     nm.backward(sur)
     assert out.logits.grad is not None
@@ -272,24 +272,10 @@ def test_nonfinite_loss_aborts_with_diagnostic():
 
 def test_simple_loss_zero_when_mask_empty():
     model, book, grids = toy_setup()
-    schedule = mk.parse_schedule("circle")
     mask = np.ones_like(grids[0], dtype=np.int8)
-    loss, _ = tnr.simple_loss(grids[0], model, book, t=1, T=8,
-                              schedule=schedule, mask=mask)
-    assert loss == 0.0
-
-
-def test_simple_loss_matches_direct_path():
-    model, book, grids = toy_setup()
-    schedule = mk.parse_schedule("circle")
-    L, D = grids[0].shape
-    st = mk.binary_mask(4, L, D, np.random.default_rng(8))
-    t, T = 3, 8
-    loss, _ = tnr.simple_loss(grids[0], model, book, t=t, T=T,
-                              schedule=schedule, mask=st.mask)
-    sur, _, _, _ = tnr.masked_loss(model, book, grids[0], st.mask, [0],
-                                   [1.0 - t / T])
-    assert loss == float(sur.data)
+    sur, nll, n_sel, _ = tnr.masked_loss(model, book, grids[:1], mask[None], [0],
+                                         [1.0 - 1 / 8])
+    assert float(sur.data) == 0.0 and float(nll.data) == 0.0 and n_sel == 0
 
 
 def test_simple_loss_monotone_in_corruption_after_training():
@@ -305,12 +291,13 @@ def test_simple_loss_monotone_in_corruption_after_training():
     heavy, light = [], []
     for i in range(60):
         g = grids[i % len(grids)]
-        h_loss, _ = tnr.simple_loss(g, model, book, t=T - 1, T=T,
-                                    schedule=schedule, rng=rng)
-        l_loss, _ = tnr.simple_loss(g, model, book, t=1, T=T,
-                                    schedule=schedule, rng=rng)
-        heavy.append(h_loss)
-        light.append(l_loss)
+        # the per-step loss at t: a schedule-drawn mask at ratio 1 - t/T
+        for t, losses in ((T - 1, heavy), (1, light)):
+            n = mk.mask_count(schedule, 1.0 - t / T, *g.shape)
+            mask = mk.binary_mask(n, *g.shape, rng).mask
+            sur, _, _, _ = tnr.masked_loss(model, book, g[None], mask[None], [0],
+                                           [1.0 - t / T])
+            losses.append(float(sur.data))
     assert np.mean(heavy) > np.mean(light) - 0.05
 
 
