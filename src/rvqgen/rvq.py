@@ -5,6 +5,11 @@ the depths, at each depth picking the nearest codeword to the running
 residual and subtracting it; dequantization sums the chosen codewords.
 Fitting runs depth by depth on the residuals left over from the previous
 depth, so the first d depths of a depth-D fit are exactly a depth-d fit.
+Each depth's k-means starts from V distinct residual rows; `_distinct_rows`
+finds them with one argsort of column 0 and falls back to np.unique's
+record sort only when that column has ties or a NaN. `quantize` scores
+every row at each depth and keeps the results of the rows whose start
+depth is shallower than it.
 
 Every nearest-codeword search (quantization, the k-means passes, and
 `data.mode_occupancy`) goes through one kernel, `_scores`: the expanded
@@ -97,8 +102,9 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
 
     `latents` (L, H) is the starting residual for depth start_depth+1 at
     each position (for a fresh encode that is the raw vector and
-    start_depth is 0). Returns an (L, D) int64 token grid; rows of `out`
-    are copied through where provided, otherwise untouched depths are MASK.
+    start_depth is 0); start_depth is (L,). Returns an (L, D) int64 token
+    grid; rows of an (L, D) `out` are copied through where provided,
+    otherwise untouched depths are MASK.
     """
     latents = np.asarray(latents, dtype=np.float64)
     L = latents.shape[0]
@@ -113,14 +119,18 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
 
     tokens = np.full((L, D), MASK, dtype=np.int64) if out is None \
         else np.array(out, dtype=np.int64)
+    if start_depth.shape != (L,) or tokens.shape != (L, D):
+        raise ValueError(f"start_depth must be ({L},) and out ({L}, {D}), got "
+                         f"{start_depth.shape} and {tokens.shape}")
     residual = latents.copy()
-    for j in range(1, D + 1):
+    # score every row at each depth and keep the active ones: a masked
+    # store costs less than gathering and scattering the active rows
+    for j in range(start_depth.min(initial=D) + 1, D + 1):
+        table = book.table(j)
+        idx = _nearest(residual, table)
         active = start_depth < j
-        if not np.any(active):
-            continue
-        idx = _nearest(residual[active], book.table(j))
-        tokens[active, j - 1] = idx + 1
-        residual[active] -= book.table(j)[idx]
+        np.copyto(tokens[:, j - 1], idx + 1, where=active)
+        np.subtract(residual, table[idx], out=residual, where=active[:, None])
     return tokens
 
 
@@ -174,10 +184,28 @@ def _cluster_sums(assign, residuals, V):
                      for col in residuals.T], axis=1)
 
 
+def _distinct_rows(rows):
+    """The distinct rows of (N, H) `rows`, equal to np.unique(rows, axis=0).
+
+    np.unique sorts the rows as records, comparing field by field. When
+    column 0 alone is strictly increasing after sorting on it, every row
+    differs from every other in that column, so the rows in that order are
+    np.unique's output, same order and same count. A tie-free column has
+    one sorting permutation, so the sort kind does not matter. Ties in
+    column 0 (integer data, repeated rows, a -0.0/0.0 pair) or a NaN break
+    the strict increase, and then the record sort is the only correct path.
+    """
+    order = np.argsort(rows[:, 0])
+    col = rows[order, 0]
+    if np.all(col[1:] > col[:-1]):
+        return rows[order]
+    return np.unique(rows, axis=0)
+
+
 def _kmeans_depth(residuals, V, update, epochs, sigma_assign, rng):
     """Fit one depth's table on the residuals entering it."""
     N = residuals.shape[0]
-    distinct = np.unique(residuals, axis=0)
+    distinct = _distinct_rows(residuals)
     if V > distinct.shape[0]:
         warnings.warn(
             f"requested {V} codewords but only {distinct.shape[0]} distinct "
@@ -218,7 +246,7 @@ def fit_codebook(vectors, depth, vocab, update="nearest", epochs=10,
     at SIGMA_FLOOR so downstream Gaussian densities stay defined.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
+    if vectors.ndim != 2 or 0 in vectors.shape:
         raise ValueError("vectors must be a non-empty (N, H) array")
     if depth < 1:
         raise ValueError("depth must be at least 1")

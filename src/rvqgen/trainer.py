@@ -56,6 +56,11 @@ class TrainConfig:
             raise ValueError("checkpoint_every must be non-negative (0: only at the end)")
         if self.lr_decay not in ("cosine", "none"):
             raise ValueError(f"unknown lr_decay {self.lr_decay!r}; use cosine or none")
+        # a negative warmup makes the warmup ramp, hence the step, negative
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be non-negative, got {self.warmup}")
+        if not 0.0 <= self.ema_decay <= 1.0:
+            raise ValueError(f"ema_decay must lie in [0, 1], got {self.ema_decay}")
 
     def to_dict(self):
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -418,13 +418,17 @@ def test_bad_training_options_are_errors(workspace, capsys):
     out = tmp / "bad.ckpt"
     for flags, reason in ((("--batch-size", 0), "batch_size must be at least 1, got 0"),
                           (("--batch-size", -3), "batch_size must be at least 1, got -3"),
-                          (("--lr-decay", "bogus"), "unknown lr_decay 'bogus'")):
+                          (("--lr-decay", "bogus"), "unknown lr_decay 'bogus'"),
+                          (("--warmup", -5), "warmup must be non-negative, got -5"),
+                          (("--ema-decay", 1.5), "ema_decay must lie in [0, 1], got 1.5"),
+                          (("--ema-decay", -0.1), "ema_decay must lie in [0, 1], got -0.1")):
         assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", out,
                    "--steps", 3, *TRAIN_SMALL, *flags) == 1, flags
         assert _one_error(capsys).startswith(f"error: {reason}")
     assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("bad")) == []
     # the accepted edge values still train
-    for ok in (("--lr-decay", "none"), ("--checkpoint-every", 0), ("--batch-size", 1)):
+    for ok in (("--lr-decay", "none"), ("--checkpoint-every", 0), ("--batch-size", 1),
+               ("--warmup", 0), ("--ema-decay", 0), ("--ema-decay", 1)):
         assert run("train", "--dataset", ds_path, "--codebook", book_path,
                    "--out", tmp / "ok.ckpt", "--steps", 1, *TRAIN_SMALL, *ok) == 0
 

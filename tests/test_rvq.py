@@ -1,7 +1,9 @@
 """Residual quantizer tests: hand-traced recurrences, telescoping, fitting
 fixed points, sigma estimation, the nearest-codeword kernel against its
-broadcast oracle, and the binary codebook format."""
+broadcast oracle, the whole-grid quantize and the distinct-row init against
+their reference forms, and the binary codebook format."""
 
+import re
 import struct
 
 import numpy as np
@@ -77,6 +79,18 @@ def test_quantize_rejects_bad_dims():
         rvq.quantize(np.zeros((3, 5)), book_2d())
     with pytest.raises(ValueError):
         rvq.quantize(np.zeros((3, 2)), book_2d(), start_depth=[0, 1, 5])
+    # a start_depth or out grid that does not fit the (L, D) grid is named,
+    # not broadcast or passed through with its own shape
+    for start, out, got in (([0, 1], None, "(2,) and (3, 2)"),
+                            ([0, 1, 2, 0], None, "(4,) and (3, 2)"),
+                            ([[0], [1], [2]], None, "(3, 1) and (3, 2)"),
+                            (0, None, "() and (3, 2)"),
+                            (None, np.ones((3, 3)), "(3,) and (3, 3)"),
+                            (None, np.ones((2, 2)), "(3,) and (2, 2)"),
+                            (None, np.ones(2), "(3,) and (2,)")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"start_depth must be (3,) and out (3, 2), got {got}")):
+            rvq.quantize(np.zeros((3, 2)), book_2d(), start_depth=start, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +150,9 @@ def test_probabilistic_cold_limit_matches_nearest():
 
 
 def test_fit_rejects_bad_args():
-    with pytest.raises(ValueError):
-        rvq.fit_codebook(np.zeros((0, 3)), depth=2, vocab=4)
+    for empty in (np.zeros((0, 3)), np.zeros((10, 0))):
+        with pytest.raises(ValueError, match="non-empty"):
+            rvq.fit_codebook(empty, depth=2, vocab=4)
     with pytest.raises(ValueError):
         rvq.fit_codebook(np.zeros((10, 3)), depth=2, vocab=1)
     with pytest.raises(ValueError):
@@ -315,6 +330,146 @@ def test_kmeans_matches_broadcast_oracle(seed):
     want = oracle_kmeans_depth(residuals, 32, "probabilistic", 10, 1.0,
                                np.random.default_rng(ss))
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid quantize and the distinct-row init against their reference forms
+
+def oracle_quantize(latents, book, start_depth=None, out=None):
+    """`rvq.quantize` as a boolean-gather loop: each depth scores only the
+    active rows and scatters their tokens and residuals back. The
+    reference the whole-grid form must reproduce token for token."""
+    latents = np.asarray(latents, dtype=np.float64)
+    L, D = latents.shape[0], book.depth
+    start_depth = (np.zeros(L, dtype=np.int64) if start_depth is None
+                   else np.asarray(start_depth, dtype=np.int64))
+    tokens = (np.full((L, D), rvq.MASK, dtype=np.int64) if out is None
+              else np.array(out, dtype=np.int64))
+    residual = latents.copy()
+    for j in range(1, D + 1):
+        active = start_depth < j
+        if not np.any(active):
+            continue
+        idx = rvq._nearest(residual[active], book.table(j))
+        tokens[active, j - 1] = idx + 1
+        residual[active] -= book.table(j)[idx]
+    return tokens
+
+
+def _draw_values(data, shape):
+    """Halves in [-2, 2], whose scores and residuals are exact in any
+    summation order, or continuous normals. The oracle scores a lone
+    active row as a matrix-vector product, which may round otherwise than
+    a row of a matrix product, and `_scores` lets codewords within
+    rounding of each other rank either way; exact values tie exactly,
+    continuous ones come that close with probability zero."""
+    if data.draw(st.booleans(), label="exact"):
+        return 0.5 * data.draw(hnp.arrays(np.int64, shape, elements=st.integers(-4, 4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    return rng.standard_normal(shape) * 10.0 ** data.draw(st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quantize_matches_boolean_gather_oracle(data):
+    L, D, H, V = (data.draw(st.integers(lo, hi), label=name) for name, lo, hi in
+                  (("L", 1, 12), ("D", 1, 5), ("H", 1, 6), ("V", 1, 8)))
+    book = rvq.Codebook(_draw_values(data, (D, V, H)), np.ones(D))
+    latents = _draw_values(data, (L, H))
+    start = data.draw(st.one_of(
+        st.none(), st.just(np.zeros(L, dtype=np.int64)), st.just(np.full(L, D)),
+        hnp.arrays(np.int64, L, elements=st.integers(0, D))), label="start_depth")
+    out = data.draw(st.one_of(
+        st.none(), hnp.arrays(np.int64, (L, D), elements=st.integers(0, V))), label="out")
+    got = rvq.quantize(latents, book, start_depth=start, out=out)
+    want = oracle_quantize(latents, book, start_depth=start, out=out)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _rows_case(data):
+    N = data.draw(st.integers(1, 40), label="N")
+    H = data.draw(st.integers(1, 5), label="H")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = data.draw(st.sampled_from(
+        ["continuous", "small-int", "signed-zero", "duplicated", "drawn"]), label="kind")
+    if kind == "small-int":  # ties in column 0 and repeated rows
+        return rng.integers(-2, 3, size=(N, H)).astype(np.float64)
+    rows = rng.standard_normal((N, H))
+    if kind == "signed-zero":  # -0.0 and 0.0 compare equal but differ in bits
+        rows[:, 0] = np.where(rng.random(N) < 0.5, -0.0, 0.0)
+    elif kind == "duplicated":
+        rows = rows[rng.integers(0, max(1, N // 3), size=N)]
+    elif kind == "drawn":
+        rows = data.draw(hnp.arrays(np.float64, (N, H), elements=st.floats()))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_distinct_rows_match_np_unique(data):
+    rows = _rows_case(data)
+    got = rvq._distinct_rows(rows)
+    want = np.unique(rows, axis=0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_distinct_rows_edge_cases():
+    for rows in (np.array([[1.5, -2.0]]), np.array([[np.nan, 0.0]]),
+                 np.array([[0.0, 1.0], [-0.0, 1.0]]), np.array([[-0.0, 1.0], [0.0, 2.0]]),
+                 np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]),
+                 np.array([[np.inf, 0.0], [-np.inf, 0.0], [2.0, 1.0]])):
+        assert rvq._distinct_rows(rows).tobytes() == np.unique(rows, axis=0).tobytes()
+
+
+def test_tie_free_fit_skips_the_record_sort(monkeypatch):
+    calls = []
+
+    def counting_unique(*args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return real_unique(*args, **kwargs)
+
+    real_unique = np.unique
+    rng = np.random.default_rng(30)
+    vectors = rng.standard_normal((2000, 8))
+    monkeypatch.setattr(np, "unique", counting_unique)
+    rvq.fit_codebook(vectors, depth=4, vocab=32, seed=31)
+    assert calls == []
+    # column-0 ties take the record sort at each depth that has them
+    rvq.fit_codebook(np.round(vectors), depth=1, vocab=4, seed=31)
+    assert calls == [0]
+
+
+def test_fit_rvq_and_eval_keep_the_reference_bits(tmp_path, monkeypatch, capsys):
+    """`fit-rvq` then `eval` through `cli.main`, once as shipped and once
+    with the np.unique init and the boolean-gather quantize patched in:
+    the codebook, the report and stdout (less wall time) are the same."""
+    from rvqgen import cli
+
+    ref, gen = tmp_path / "ref.rgds", tmp_path / "gen.rgds"
+    for path, count, seed in ((ref, 320, 41), (gen, 64, 42)):
+        assert cli.main(["synth", "--out", str(path), "--family", "grid", "--count",
+                         str(count), "--seq-len", "8", "--dim", "8", "--modes", "9",
+                         "--noise", "0.1", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+
+    def run(tag):
+        book, report = tmp_path / f"{tag}.rvqc", tmp_path / f"{tag}.txt"
+        assert cli.main(["fit-rvq", "--dataset", str(ref), "--depth", "4",
+                         "--vocab", "32", "--epochs", "10", "--seed", "43",
+                         "--out", str(book)]) == 0
+        assert cli.main(["eval", "--generated", str(gen), "--reference", str(ref),
+                         "--codebook", str(book), "--out", str(report)]) == 0
+        out = capsys.readouterr().out.replace(str(book), "BOOK")
+        kept = [line for line in out.splitlines() if not line.startswith("wall_time=")]
+        return book.read_bytes(), report.read_bytes(), kept
+
+    shipped = run("shipped")
+    monkeypatch.setattr(rvq, "_distinct_rows", lambda rows: np.unique(rows, axis=0))
+    monkeypatch.setattr(rvq, "quantize", oracle_quantize)
+    reference = run("reference")
+    assert shipped[0] == reference[0]
+    assert shipped[1] == reference[1]
+    assert shipped[2] == reference[2] and len(shipped[2]) > 8
 
 
 # ---------------------------------------------------------------------------
