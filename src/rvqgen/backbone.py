@@ -6,7 +6,9 @@ concatenated with the masked-count fraction, projected to the model width.
 Class label and mask-ratio conditioning enter as a bias added to every
 normalized activation (bias-modulated normalization); the mask ratio is a
 scalar scaling a learned direction. Output heads are zero-initialized so an
-untrained model predicts the uniform mixture with zero means.
+untrained model predicts the uniform mixture with zero means. The heads emit
+one row per grid position, (B*L, ...), the layout the loss gathers from and
+the sampler draws from.
 
 The forward is written once against an op set and a parameter mapping.
 `forward(..., grad=True)` (training) runs it with the autodiff ops of
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
+from . import rvq
 from .masking import check_depth_suffix_mask
 from .mog import LowRankBasis, MoGParams
-from .rvq import Codebook
 
 
 @dataclass
@@ -151,12 +153,14 @@ class Backbone:
             return nm, self.params
         return nm.plain, {k: p.data for k, p in self.params.items()}
 
-    def embed_input(self, tokens, mask, book: Codebook, grad=True):
+    def embed_input(self, tokens, mask, book: rvq.Codebook, grad=True):
         """(B, L, D) tokens + visibility mask -> (B, L, width) Tensor, or
         ndarray with grad=False.
 
-        Position features: sum of revealed codeword embeddings (learned
-        null vector when fully hidden) concatenated with q_i / D.
+        Position features: sum of revealed codeword embeddings
+        (`rvq.dequantize` over the revealed depths; a learned null vector
+        when fully hidden) concatenated with q_i / D. A MASK token at a
+        revealed entry raises ValueError.
         """
         c = self.config
         ops, P = self._ops(grad)
@@ -170,13 +174,7 @@ class Backbone:
             raise ValueError(f"mask shape {mask.shape} != token grid shape {tokens.shape}")
         check_depth_suffix_mask(mask.reshape(-1, c.depth))
 
-        # hidden depths contribute +0.0, which leaves every partial sum of
-        # the depth-ordered accumulation bit for bit unchanged
-        words = np.where(mask[..., None] == 1,
-                         book.embeddings[np.arange(c.depth), tokens - 1], 0.0)
-        e_sum = np.zeros((len(tokens), c.seq_len, c.latent_dim))
-        for j in range(c.depth):
-            e_sum += words[:, :, j]
+        e_sum = rvq.dequantize(tokens, book, keep=mask == 1)
         q = c.depth - mask.sum(axis=2)
         hidden = (q == c.depth)[:, :, None].astype(np.float64)   # fully masked flag
 
@@ -207,8 +205,11 @@ class Backbone:
         return ops.add(ops.matmul(out, P[prefix + "attn.ow"]), P[prefix + "attn.ob"])
 
     def predict(self, embedded, labels, r, grad=True):
-        """Embedded inputs + labels (B,) + mask ratio r (B,) -> MoGParams of
-        Tensors, or of ndarrays with grad=False."""
+        """Embedded inputs + labels (B,) + mask ratio r (B,) -> MoGParams
+        of Tensors, or of ndarrays with grad=False. The heads run on
+        (B, L, width) and are emitted as head rows, one per grid position:
+        logits (B*L, K), means (B*L, K, h), log_scale (B*L,) and shift
+        (B*L, H), grid b's positions at rows b*L .. b*L + L - 1."""
         c = self.config
         ops, P = self._ops(grad)
         B = embedded.shape[0]
@@ -235,13 +236,14 @@ class Backbone:
             x = ops.add(x, ops.add(mlp, P[p + "mlp.b2"]))
         y = ops.add(ops.layer_norm(x, P["final.g"], P["final.b"]), cond)
 
-        def head(name):
-            return ops.add(ops.matmul(y, P[f"head.{name}.w"]), P[f"head.{name}.b"])
+        def head(name, *shape):
+            out = ops.add(ops.matmul(y, P[f"head.{name}.w"]), P[f"head.{name}.b"])
+            return ops.reshape(out, (B * c.seq_len, *shape))
 
-        logits = head("logits")
-        means = ops.reshape(head("means"), (B, c.seq_len, c.mixtures, c.mean_rank))
-        log_scale = ops.reshape(head("scale"), (B, c.seq_len))
-        shift = head("shift")
+        logits = head("logits", c.mixtures)
+        means = head("means", c.mixtures, c.mean_rank)
+        log_scale = head("scale")
+        shift = head("shift", c.latent_dim)
         self.forward_calls += 1
         return MoGParams(logits, means, log_scale, shift)
 

@@ -9,6 +9,11 @@ slots grouped D per position). The marginal, per-step, and posterior count
 distributions all have closed forms in terms of binomial coefficients,
 implemented here in log space.
 
+The state is therefore the vector of masked counts q. `MaskState` holds
+it and derives the (L, D) mask from it once; each transition maps counts
+to counts. `check_depth_suffix_mask` is for masks that arrive from
+outside this module.
+
 Everything is pure given an explicit numpy Generator; callers own their
 RNG streams, so parallel use with independent streams is safe.
 """
@@ -75,36 +80,26 @@ def mask_count(schedule: Schedule, r, L, D):
 # ---------------------------------------------------------------------------
 # mask state
 
-@dataclass
 class MaskState:
-    """Binary visibility mask (1 = revealed) in depth-suffix form plus the
-    diffusion step counter."""
+    """The forward process's state: the masked counts q (L,) of a depth-D
+    grid, position i hiding its deepest q_i depths. The (L, D) visibility
+    mask in depth-suffix form (int8, 1 = revealed), the unmasked counts
+    and the masked total are derived once, here; every transition builds
+    its successor from counts."""
 
-    mask: np.ndarray  # (L, D) int8
-    step: int = 0
-
-    def __post_init__(self):
-        self.mask = np.ascontiguousarray(self.mask, dtype=np.int8)
-        if self.mask.ndim != 2:
-            raise ValueError("mask must be (L, D)")
-        check_depth_suffix_mask(self.mask)
+    def __init__(self, masked_counts, depth):
+        q = np.array(masked_counts, dtype=np.int64)
+        if q.ndim != 1 or np.any((q < 0) | (q > depth)):
+            raise ValueError(f"masked counts must be (L,) in [0, {depth}]")
+        self.masked_counts = q
+        self.depth = depth
+        self.mask = suffix_masks(q, depth)
+        self.unmasked_counts = depth - q
+        self.n_total = int(q.sum())
 
     @property
     def shape(self):
         return self.mask.shape
-
-    @property
-    def masked_counts(self):
-        """q_i: number of masked depths per position."""
-        return self.mask.shape[1] - self.mask.sum(axis=1, dtype=np.int64)
-
-    @property
-    def unmasked_counts(self):
-        return self.mask.sum(axis=1, dtype=np.int64)
-
-    @property
-    def n_total(self):
-        return int(self.masked_counts.sum())
 
 
 def check_depth_suffix_mask(mask):
@@ -121,13 +116,6 @@ def suffix_masks(q, D):
     """Depth-suffix masks (..., D) int8 from masked counts q (...): at every
     position the deepest q depths are hidden (0), the rest revealed (1)."""
     return (np.arange(D) < (D - np.asarray(q))[..., None]).astype(np.int8)
-
-
-def state_from_masked_counts(q, D, step=0):
-    q = np.asarray(q, dtype=np.int64)
-    if np.any((q < 0) | (q > D)):
-        raise ValueError("masked counts must lie in [0, D]")
-    return MaskState(suffix_masks(q, D), step)
 
 
 def apply_mask(tokens, mask):
@@ -167,11 +155,9 @@ def sample_counts(capacities, n, rng):
     return k
 
 
-def sample_counts_batch(capacities, n, rng, size=None):
-    """Vectorized `sample_counts` drawing one vector per row.
-
-    `capacities` is (L,) with `size` iid draws, or (rows, L) with per-row
-    capacities; `n` may be a scalar or per-row array.
+def sample_counts_batch(capacities, n, rng):
+    """Vectorized `sample_counts` drawing one vector per row of (rows, L)
+    `capacities`; `n` may be a scalar or per-row array.
 
     Both draws stay. The sampler and the forward chain draw one row at a
     time, where this version's array bookkeeping costs more than the
@@ -183,8 +169,6 @@ def sample_counts_batch(capacities, n, rng, size=None):
     streams agree unless zero-capacity positions are skipped.
     """
     caps = np.asarray(capacities, dtype=np.int64)
-    if caps.ndim == 1:
-        caps = np.broadcast_to(caps, (size, caps.shape[0]))
     rows, L = caps.shape
     totals = caps.sum(axis=1)
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), (rows,))
@@ -212,8 +196,7 @@ def binary_mask(n, L, D, rng) -> MaskState:
     position."""
     if not 0 <= n <= L * D:
         raise ValueError(f"n={n} outside [0, {L * D}]")
-    k = sample_counts(np.full(L, D, dtype=np.int64), n, rng)
-    return state_from_masked_counts(k, D, step=1)
+    return MaskState(sample_counts(np.full(L, D, dtype=np.int64), n, rng), D)
 
 
 def mask_more(state: MaskState, n_new, rng) -> MaskState:
@@ -222,9 +205,8 @@ def mask_more(state: MaskState, n_new, rng) -> MaskState:
     u = state.unmasked_counts
     if not 0 <= n_new <= u.sum():
         raise ValueError(f"cannot mask {n_new} more; only {u.sum()} revealed")
-    k = sample_counts(u, n_new, rng)
-    return state_from_masked_counts(state.masked_counts + k, state.shape[1],
-                                    step=state.step + 1)
+    return MaskState(state.masked_counts + sample_counts(u, n_new, rng),
+                     state.depth)
 
 
 def binary_unmask(state: MaskState, n_target, rng) -> MaskState:
@@ -234,8 +216,8 @@ def binary_unmask(state: MaskState, n_target, rng) -> MaskState:
     q = state.masked_counts
     if n_target > state.n_total:
         raise ValueError(f"n_target={n_target} exceeds masked count {state.n_total}")
-    reveal = sample_counts(q, state.n_total - n_target, rng)
-    return state_from_masked_counts(q - reveal, state.shape[1], step=state.step + 1)
+    return MaskState(q - sample_counts(q, state.n_total - n_target, rng),
+                     state.depth)
 
 
 # ---------------------------------------------------------------------------

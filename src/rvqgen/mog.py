@@ -5,7 +5,9 @@ K-component mixture over z~ with identity covariances and low-rank means
 mu = M mu~ + s. The exact negative log-likelihood and its Jensen-decomposed
 regression+classification surrogate are built on the autodiff engine; the
 sampling-side helpers (component draws, nucleus truncation, guidance
-combination) are plain numpy.
+combination) are plain numpy. Every function takes head rows, one per grid
+position, as `Backbone.predict` emits them: the loss gathers the rows it
+scores, and the sampler draws one vector per row.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class MoGParams:
-    """Per-position head outputs. Fields are Tensors from the autodiff
-    forward (training) and ndarrays from the graph-free forward (sampling,
-    VLB diagnostics); `detach` is the one conversion to ndarrays.
+    """Head rows, one per grid position. Fields are Tensors from the
+    autodiff forward (training) and ndarrays from the graph-free forward
+    (sampling, VLB diagnostics); `detach` is the one conversion to ndarrays.
 
-    logits (L, K); means (L, K, h) low-rank; log_scale (L,) with a=exp(.);
-    shift (L, H).
+    logits (N, K); means (N, K, h) low-rank; log_scale (N,) with a=exp(.);
+    shift (N, H). A forward over B grids of L positions emits N = B*L rows.
     """
 
     logits: object
@@ -38,12 +40,6 @@ class MoGParams:
         """Numpy view of the parameters (drops the graph)."""
         return MoGParams(_data(self.logits), _data(self.means),
                          _data(self.log_scale), _data(self.shift))
-
-    def grid(self, b):
-        """Head outputs of grid `b` of a batched graph-free forward
-        (ndarray fields): views (L, K), (L, K, h), (L,), (L, H)."""
-        return MoGParams(self.logits[b], self.means[b], self.log_scale[b],
-                         self.shift[b])
 
 
 @dataclass
@@ -62,11 +58,8 @@ def _tensor(x):
     return x if isinstance(x, nm.Tensor) else nm.constant(np.asarray(x, dtype=np.float64))
 
 
-def mixture_weights(logits):
-    """Softmax of the mixture logits (numpy)."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+# softmax of the mixture logits over the last axis (numpy)
+mixture_weights = nm.plain.softmax
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +176,7 @@ def nucleus(weights, top_p):
     return order, csum / csum[rows, keep][:, None]
 
 
-def sample(params, basis, rng, top_p=1.0, noise=None):
+def sample(params, basis, rng, top_p=1.0):
     """Draw z per position: nucleus-restricted component choice, then
     z = a * (mu + eps) + b with eps standard normal.
 
@@ -192,9 +185,8 @@ def sample(params, basis, rng, top_p=1.0, noise=None):
     thus draws every uniform before any normal; versions that drew position
     by position consumed the stream in another order, so the same seed
     gives other (equally distributed) draws. Only the chosen component's
-    full mean is built. `noise` overrides eps when given (used by the
-    deterministic tests). Non-finite head outputs or draws raise
-    ValueError instead of quantizing to an arbitrary token.
+    full mean is built. Non-finite head outputs or draws raise ValueError
+    instead of quantizing to an arbitrary token.
     """
     p = params.detach()
     logits, means, log_scale, b = p.logits, p.means, p.log_scale, p.shift
@@ -208,7 +200,7 @@ def sample(params, basis, rng, top_p=1.0, noise=None):
     comp = order[rows, rank]
     M = _data(basis.M)[comp]                                   # (L, H, h)
     mu = (M @ means[rows, comp][:, :, None])[:, :, 0] + _data(basis.s)[comp]
-    eps = rng.standard_normal((L, H)) if noise is None else np.asarray(noise)
+    eps = rng.standard_normal((L, H))
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         z = np.exp(log_scale).reshape(L, 1) * (mu + eps) + b
     if not np.isfinite(z).all():

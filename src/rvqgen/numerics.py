@@ -342,18 +342,6 @@ def gather(table, idx):
     return _node(out, (table,), bwd)
 
 
-def _reshape(a, shape):
-    return a.reshape(shape)
-
-
-def _transpose(a, axes):
-    return a.transpose(axes)
-
-
-def _concat(parts, axis=-1):
-    return np.concatenate(parts, axis=axis)
-
-
 def reshape(a, shape):
     a = constant(a)
     old = a.shape
@@ -361,7 +349,7 @@ def reshape(a, shape):
     def bwd(g):
         return (g.reshape(old),)
 
-    return _node(_reshape(a.data, shape), (a,), bwd)
+    return _node(a.data.reshape(shape), (a,), bwd)
 
 
 def transpose(a, axes):
@@ -371,7 +359,7 @@ def transpose(a, axes):
     def bwd(g):
         return (g.transpose(inv),)
 
-    return _node(_transpose(a.data, axes), (a,), bwd)
+    return _node(a.data.transpose(axes), (a,), bwd)
 
 
 def concat(parts, axis=-1):
@@ -382,7 +370,7 @@ def concat(parts, axis=-1):
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _node(_concat([p.data for p in parts], axis), tuple(parts), bwd)
+    return _node(np.concatenate([p.data for p in parts], axis), tuple(parts), bwd)
 
 
 def sum_(a, axis=None, keepdims=False):
@@ -431,9 +419,9 @@ plain = SimpleNamespace(
     gelu=_plain_gelu,
     softmax=_softmax,
     gather=_gather,
-    reshape=_reshape,
-    transpose=_transpose,
-    concat=_concat,
+    reshape=np.ndarray.reshape,
+    transpose=np.ndarray.transpose,
+    concat=np.concatenate,
 )
 
 

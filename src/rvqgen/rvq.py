@@ -20,8 +20,12 @@ row's argmin nor a max-subtracted softmax over it. Ties go to the lowest
 codeword index, as `np.argmin` takes the first minimum.
 
 Tokens are 1-based codeword indices; 0 is reserved as the MASK sentinel
-and never appears in quantizer output. Codebooks are immutable once
-fitted, and quantize/dequantize are pure, so concurrent readers are safe.
+and never appears in quantizer output. `codewords` is the one token ->
+codeword lookup and `dequantize` the one sum of a token subset's
+codewords: the backbone's input (the revealed depths) and the trainer's
+target (the hidden depths) are both `dequantize` with a `keep` mask.
+Codebooks are immutable once fitted, and quantize/dequantize are pure, so
+concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -134,29 +138,33 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
     return tokens
 
 
-def dequantize(tokens, book: Codebook, up_to_depth=None):
-    """Sum codeword embeddings over depths 1..up_to_depth[i] per position.
+def codewords(tokens, book: Codebook):
+    """Codeword embeddings of token grids (..., D) -> (..., D, H): token t
+    at depth j reads row t - 1 of table j. A MASK entry reads codeword V,
+    so callers must discard it (see `dequantize`)."""
+    return book.embeddings[np.arange(book.depth), np.asarray(tokens) - 1]
 
-    up_to_depth of 0 yields the zero vector. A MASK token inside the
-    requested range is an error: masked entries carry no embedding.
+
+def dequantize(tokens, book: Codebook, keep=None):
+    """Sum the codeword embeddings of token grids (..., D) over depth, in
+    depth order -> (..., H).
+
+    With a boolean `keep` (tokens' shape), only the kept entries add, and
+    the others add +0.0, which leaves every partial sum's bits unchanged. A
+    MASK token at a kept entry is an error: masked entries carry no
+    embedding.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    L, D = tokens.shape
+    D = tokens.shape[-1]
     if D != book.depth:
         raise ValueError(f"token grid depth {D} != codebook depth {book.depth}")
-    if up_to_depth is None:
-        up_to_depth = np.full(L, D, dtype=np.int64)
-    up_to_depth = np.asarray(up_to_depth, dtype=np.int64)
-
-    z = np.zeros((L, book.dim), dtype=np.float64)
-    for j in range(1, D + 1):
-        sel = up_to_depth >= j
-        if not np.any(sel):
-            continue
-        tok = tokens[sel, j - 1]
-        if np.any(tok == MASK):
-            raise ValueError(f"MASK token at depth {j} inside requested range")
-        z[sel] += book.table(j)[tok - 1]
+    keep = np.asarray(True if keep is None else keep, dtype=bool)
+    if np.any(keep & (tokens == MASK)):
+        raise ValueError("MASK token at a kept entry: masked entries carry no embedding")
+    words = np.where(keep[..., None], codewords(tokens, book), 0.0)
+    z = np.zeros(tokens.shape[:-1] + (book.dim,))
+    for j in range(D):
+        z += words[..., j, :]
     return z
 
 

@@ -102,7 +102,7 @@ def confidence_scores(z, tokens, state: mk.MaskState, book: rvq.Codebook,
     L, D = state.shape
     masked = state.mask == 0
     gumbel = rng.gumbel(size=(L, D))
-    words = book.embeddings[np.arange(D), np.asarray(tokens) - 1]   # (L, D, H)
+    words = rvq.codewords(tokens, book)                            # (L, D, H)
     words[~masked] = 0.0
     res = np.subtract.accumulate(np.concatenate([z[:, None], words], axis=1),
                                  axis=1)[:, 1:]
@@ -113,20 +113,16 @@ def confidence_scores(z, tokens, state: mk.MaskState, book: rvq.Codebook,
     return np.where(masked, cum + tau * gumbel, -np.inf)
 
 
-def select_unmask(state: mk.MaskState, n_target, scores=None, rng=None):
-    """Reveal down to n_target masked tokens.
-
-    Confidence mode (scores given): greedily reveal the highest-scoring
-    token among each position's shallowest masked depth, which preserves
-    the depth-suffix invariant by construction. A token can be revealed
-    only after every shallower masked token of its position, so the greedy
-    order ranks tokens by their running minimum score along depth; the
-    first n of a stable sort of those minima (ties to the lower position,
-    then the shallower depth) are the greedy reveals. Random mode: the
-    hypergeometric BinaryUnmask draw.
+def select_unmask(state: mk.MaskState, n_target, scores):
+    """Reveal down to n_target masked tokens by confidence: greedily reveal
+    the highest-scoring token among each position's shallowest masked
+    depth, which preserves the depth-suffix invariant by construction. A
+    token can be revealed only after every shallower masked token of its
+    position, so the greedy order ranks tokens by their running minimum
+    score along depth; the first n of a stable sort of those minima (ties
+    to the lower position, then the shallower depth) are the greedy
+    reveals.
     """
-    if scores is None:
-        return mk.binary_unmask(state, n_target, rng)
     if n_target > state.n_total:
         raise ValueError(f"n_target={n_target} exceeds masked count {state.n_total}")
     L, D = state.shape
@@ -135,8 +131,7 @@ def select_unmask(state: mk.MaskState, n_target, scores=None, rng=None):
     # revealed entries sort after every masked one, -inf scores included
     eff = np.where(masked, eff, np.nan)
     picks = np.argsort(-eff.ravel(), kind="stable")[:state.n_total - n_target]
-    q = state.masked_counts - np.bincount(picks // D, minlength=L)
-    return mk.state_from_masked_counts(q, D, step=state.step + 1)
+    return mk.MaskState(state.masked_counts - np.bincount(picks // D, minlength=L), D)
 
 
 def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
@@ -158,17 +153,17 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     t0 = time.perf_counter()
     calls_before = model.forward_calls
     tokens = np.full((c.seq_len, c.depth), rvq.MASK, dtype=np.int64)
-    state = mk.state_from_masked_counts(np.full(c.seq_len, c.depth, dtype=np.int64), c.depth)
+    state = mk.MaskState(np.full(c.seq_len, c.depth), c.depth)
     frozen = None
 
     for t in range(1, config.steps + 1):
         r_model = (t - 1) / config.steps
         visible = mk.apply_mask(tokens, state.mask)
         params = model.forward(visible, state.mask, book, [label], [r_model],
-                               grad=False).grid(0)
+                               grad=False)
         if config.use_cfg:
             uncond = model.forward(visible, state.mask, book, [0], [r_model],
-                                   grad=False).grid(0)
+                                   grad=False)
             params = mog.cfg_combine(params, uncond, cfg_weight(config, t))
 
         z = mog.sample(params, basis, rng, top_p=config.top_p)
@@ -180,9 +175,9 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
         if config.selection == "confidence":
             scores = confidence_scores(z, tokens, state, book,
                                        config.temperature, rng)
-            new_state = select_unmask(state, n_target, scores=scores)
+            new_state = select_unmask(state, n_target, scores)
         else:
-            new_state = select_unmask(state, n_target, rng=rng)
+            new_state = mk.binary_unmask(state, n_target, rng)
 
         if validate:
             mk.check_depth_suffix_mask(new_state.mask)

@@ -61,6 +61,13 @@ class TrainConfig:
             raise ValueError(f"warmup must be non-negative, got {self.warmup}")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError(f"ema_decay must lie in [0, 1], got {self.ema_decay}")
+        # a negative floor makes the cosine tail's rate negative
+        if not 0.0 <= self.min_lr_frac <= 1.0:
+            raise ValueError(f"min_lr_frac must lie in [0, 1], got {self.min_lr_frac}")
+        # beta = 1 zeroes the AdamW bias correction 1 - beta**t
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
 
     def to_dict(self):
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -82,27 +89,15 @@ def masked_targets(tokens, masks, book: rvq.Codebook):
     flags positions with at least one masked depth; only those enter the
     loss.
     """
-    B, L, D = tokens.shape
-    z = np.zeros((B, L, book.dim))
-    for j in range(D):
-        hid = masks[:, :, j] == 0
-        if hid.any():
-            z[hid] += book.table(j + 1)[tokens[:, :, j][hid] - 1]
-    return z, masks.sum(axis=2) < D
+    z = rvq.dequantize(tokens, book, keep=masks == 0)
+    return z, masks.sum(axis=2) < tokens.shape[2]
 
 
 def gather_params(params: mog.MoGParams, rows):
-    """Flatten (B, L, ...) head outputs and select the loss rows."""
-    B, L, K = params.logits.shape
-    h = params.means.shape[-1]
-    H = params.shift.shape[-1]
+    """The head rows that enter the loss."""
     idx = np.asarray(rows, dtype=np.int64)
-    return mog.MoGParams(
-        logits=nm.gather(nm.reshape(params.logits, (B * L, K)), idx),
-        means=nm.gather(nm.reshape(params.means, (B * L, K, h)), idx),
-        log_scale=nm.gather(nm.reshape(params.log_scale, (B * L,)), idx),
-        shift=nm.gather(nm.reshape(params.shift, (B * L, H)), idx),
-    )
+    return mog.MoGParams(*(nm.gather(f, idx) for f in (
+        params.logits, params.means, params.log_scale, params.shift)))
 
 
 def masked_loss(model: Backbone, book, tokens, masks, labels, ratios,
@@ -350,8 +345,7 @@ def _model_reconstructions(model, book, tokens, state, label, ratio, rng, sample
     """Draw full-grid candidates x0_hat ~ p(x0 | x_t): sample z at masked
     positions, quantize the masked depths, keep revealed tokens."""
     visible = mk.apply_mask(tokens, state.mask)
-    params = model.forward(visible, state.mask, book, [label], [ratio],
-                           grad=False).grid(0)
+    params = model.forward(visible, state.mask, book, [label], [ratio], grad=False)
     basis = model.basis
     start = np.asarray(state.unmasked_counts)
     cands = []
@@ -379,7 +373,7 @@ def vlb_diagnostic(tokens, model, book, T, schedule, rng, label=0,
     totals = _reverse_cumulative_counts(schedule, T, L, D)
 
     # forward-simulate the masking chain
-    states = [mk.state_from_masked_counts(np.zeros(L, dtype=np.int64), D)]
+    states = [mk.MaskState(np.zeros(L), D)]
     for t in range(1, T + 1):
         states.append(mk.mask_more(states[t - 1], totals[t] - totals[t - 1], rng))
 

@@ -81,7 +81,7 @@ def test_criterion_1_hypergeometric_tv():
                         break
                 for n in {0, best_n, L * D}:
                     pmf = exact_pmf(caps, n)
-                    k = mk.sample_counts_batch(np.array(caps), n, rng, size=draws)
+                    k = mk.sample_counts_batch(np.broadcast_to(caps, (draws, L)), n, rng)
                     counts = {}
                     for row in map(tuple, k):
                         counts[row] = counts.get(row, 0) + 1
@@ -112,7 +112,7 @@ def test_criterion_2_bayes_consistency():
                 if L * D > 9:
                     continue
                 for c in itertools.product(range(D + 1), repeat=L):
-                    st = mk.state_from_masked_counts(list(c), D)
+                    st = mk.MaskState(list(c), D)
                     for k in itertools.product(*(range(D - ci + 1) for ci in c)):
                         c1 = tuple(ci + ki for ci, ki in zip(c, k))
                         lhs = (mk.marginal_logprob(c, sum(c), L, D)
@@ -334,7 +334,7 @@ def test_criterion_10_confidence_limits():
             book = rvq.fit_codebook(rng.normal(size=(128, 3)), depth=D,
                                     vocab=4, seed=trial)
             q0 = rng.integers(0, D + 1, size=L)
-            state = mk.state_from_masked_counts(q0, D)
+            state = mk.MaskState(q0, D)
             if state.n_total == 0:
                 continue
             tokens = rng.integers(1, 5, size=(L, D))

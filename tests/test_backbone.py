@@ -47,7 +47,7 @@ def test_zero_init_heads_give_uniform_pi_and_zero_means():
     tokens = random_grid(cfg, book)
     st = mk.binary_mask(3, cfg.seq_len, cfg.depth, np.random.default_rng(2))
     out = model.forward(tokens, st.mask, book, labels=[1], r=[0.5])
-    pi = mixture_weights(out.logits.data[0])
+    pi = mixture_weights(out.logits.data)
     assert np.allclose(pi, 1.0 / cfg.mixtures, atol=1e-12)
     assert np.all(out.means.data == 0.0)
     assert np.all(out.log_scale.data == 0.0)
@@ -62,10 +62,18 @@ def test_output_shapes():
     masks = np.stack([mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(s)).mask
                       for s in (3, 4)])
     out = model.forward(tokens, masks, book, labels=[0, 2], r=[0.1, 0.9])
-    assert out.logits.shape == (2, cfg.seq_len, cfg.mixtures)
-    assert out.means.shape == (2, cfg.seq_len, cfg.mixtures, cfg.mean_rank)
-    assert out.log_scale.shape == (2, cfg.seq_len)
-    assert out.shift.shape == (2, cfg.seq_len, cfg.latent_dim)
+    # one head row per grid position, grid by grid
+    rows = 2 * cfg.seq_len
+    assert out.logits.shape == (rows, cfg.mixtures)
+    assert out.means.shape == (rows, cfg.mixtures, cfg.mean_rank)
+    assert out.log_scale.shape == (rows,)
+    assert out.shift.shape == (rows, cfg.latent_dim)
+    L = cfg.seq_len
+    for b in (0, 1):
+        one = model.forward(tokens[b], masks[b], book, labels=[2 * b], r=[0.1 + 0.8 * b])
+        for name in HEADS:
+            np.testing.assert_allclose(getattr(out, name).data[b * L:(b + 1) * L],
+                                       getattr(one, name).data, rtol=0, atol=1e-12)
 
 
 def test_fully_masked_positions_share_null_embedding():
@@ -85,13 +93,15 @@ def test_embedding_matches_dequantize_prefix():
     tokens = random_grid(cfg, book)
     # position 0 reveals only depth 1; others fully revealed
     q = np.array([cfg.depth - 1] + [0] * (cfg.seq_len - 1))
-    st = mk.state_from_masked_counts(q, cfg.depth)
+    st = mk.MaskState(q, cfg.depth)
     emb = model.embed_input(tokens, st.mask, book).data[0]
     w = model.params["embed.w"].data
     b = model.params["embed.b"].data
     for i in range(cfg.seq_len):
         upto = cfg.depth - q[i]
-        z = rvq.dequantize(tokens[i:i + 1], book, up_to_depth=[upto])[0]
+        z = np.zeros(cfg.latent_dim)        # the revealed prefix, depth by depth
+        for j in range(upto):
+            z = z + book.table(j + 1)[tokens[i, j] - 1]
         feat = np.concatenate([z, [q[i] / cfg.depth]])
         assert np.allclose(emb[i], feat @ w + b, atol=1e-12)
 
@@ -101,12 +111,12 @@ def test_permutation_equivariance_without_pe():
     model = Backbone(cfg, seed=3)
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
-    st = mk.state_from_masked_counts([0, 1, 2, 1], cfg.depth)
+    st = mk.MaskState([0, 1, 2, 1], cfg.depth)
     out = model.forward(tokens, st.mask, book, labels=[1], r=[0.4])
     perm = np.array([2, 0, 3, 1])
     out_p = model.forward(tokens[perm], st.mask[perm], book, labels=[1], r=[0.4])
-    assert np.allclose(out.logits.data[0][perm], out_p.logits.data[0], atol=1e-10)
-    assert np.allclose(out.shift.data[0][perm], out_p.shift.data[0], atol=1e-10)
+    assert np.allclose(out.logits.data[perm], out_p.logits.data, atol=1e-10)
+    assert np.allclose(out.shift.data[perm], out_p.shift.data, atol=1e-10)
 
 
 def test_determinism_bit_identical():
@@ -200,11 +210,11 @@ def test_plain_forward_bit_equal_to_autodiff(B, num_classes, pe):
     # in every grid position 0 is fully masked, position 1 fully revealed
     q = rng.integers(0, cfg.depth + 1, size=(B, cfg.seq_len))
     q[:, 0], q[:, 1] = cfg.depth, 0
-    masks = np.stack([mk.state_from_masked_counts(qb, cfg.depth).mask for qb in q])
+    masks = np.stack([mk.MaskState(qb, cfg.depth).mask for qb in q])
     visible = np.stack([mk.apply_mask(t, m) for t, m in zip(tokens, masks)])
     labels = rng.integers(0, num_classes + 1, size=B)
     out = assert_modes_bit_equal(model, book, visible, masks, labels, rng.random(B))
-    assert out.logits.shape == (B, cfg.seq_len, cfg.mixtures)
+    assert out.logits.shape == (B * cfg.seq_len, cfg.mixtures)
 
 
 def test_plain_forward_reads_parameters_afresh():
@@ -247,7 +257,7 @@ def test_plain_forward_bit_equal_property(case):
                         np.ones(cfg.depth))
     tokens = rng.integers(1, cfg.vocab + 1, size=(B, cfg.seq_len, cfg.depth))
     q = rng.integers(0, cfg.depth + 1, size=(B, cfg.seq_len))
-    masks = np.stack([mk.state_from_masked_counts(qb, cfg.depth).mask for qb in q])
+    masks = np.stack([mk.MaskState(qb, cfg.depth).mask for qb in q])
     visible = np.stack([mk.apply_mask(t, m) for t, m in zip(tokens, masks)])
     labels = rng.integers(0, cfg.num_classes + 1, size=B)
     assert_modes_bit_equal(model, book, visible, masks, labels, rng.random(B))
@@ -260,6 +270,7 @@ def test_plain_forward_bit_equal_property(case):
     (lambda t, m: (t, np.array([[0, 1]] * len(m), dtype=np.int8), [1]), "suffix"),
     (lambda t, m: (t, m, [3]), "labels"),
     (lambda t, m: (t, m, [-1]), "labels"),
+    (lambda t, m: (np.where(m == 1, rvq.MASK, t), m, [1]), "MASK token at a kept entry"),
 ])
 def test_both_modes_reject_malformed_inputs_alike(bad, reason):
     cfg = tiny_config()

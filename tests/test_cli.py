@@ -421,14 +421,17 @@ def test_bad_training_options_are_errors(workspace, capsys):
                           (("--lr-decay", "bogus"), "unknown lr_decay 'bogus'"),
                           (("--warmup", -5), "warmup must be non-negative, got -5"),
                           (("--ema-decay", 1.5), "ema_decay must lie in [0, 1], got 1.5"),
-                          (("--ema-decay", -0.1), "ema_decay must lie in [0, 1], got -0.1")):
+                          (("--ema-decay", -0.1), "ema_decay must lie in [0, 1], got -0.1"),
+                          (("--min-lr-frac", -1), "min_lr_frac must lie in [0, 1], got -1.0"),
+                          (("--min-lr-frac", 1.5), "min_lr_frac must lie in [0, 1], got 1.5")):
         assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", out,
                    "--steps", 3, *TRAIN_SMALL, *flags) == 1, flags
         assert _one_error(capsys).startswith(f"error: {reason}")
     assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("bad")) == []
     # the accepted edge values still train
     for ok in (("--lr-decay", "none"), ("--checkpoint-every", 0), ("--batch-size", 1),
-               ("--warmup", 0), ("--ema-decay", 0), ("--ema-decay", 1)):
+               ("--warmup", 0), ("--ema-decay", 0), ("--ema-decay", 1),
+               ("--min-lr-frac", 0), ("--min-lr-frac", 1)):
         assert run("train", "--dataset", ds_path, "--codebook", book_path,
                    "--out", tmp / "ok.ckpt", "--steps", 1, *TRAIN_SMALL, *ok) == 0
 
@@ -474,3 +477,52 @@ def test_bad_config_value_names_file_and_key(workspace, capsys):
     assert _one_error(capsys) == (
         f"error: {cfg}: count: invalid literal for int() with base 10: '12x'")
     assert not (tmp / "x.rgds").exists()
+
+
+def test_train_and_sample_keep_the_mask_first_bits(tmp_path, monkeypatch):
+    """`train` then `sample` through `cli.main`, once as shipped and once
+    with the mask-first state, the per-depth codeword loop and the
+    hand-written mixture softmax patched in: the checkpoint, the training
+    log, the generated vectors and the token dumps are the same bytes."""
+    from test_masking import MaskFirst
+    from test_rvq import subset_sum_loop
+
+    from rvqgen import masking as mk
+    from rvqgen import mog
+
+    ds, book = tmp_path / "data.rgds", tmp_path / "book.rvqc"
+    assert run("synth", "--out", ds, "--family", "classes", "--num-classes", 3,
+               "--count", 64, "--seq-len", 4, "--dim", 3, "--modes", 4, "--seed", 5) == 0
+    assert run("fit-rvq", "--dataset", ds, "--depth", 3, "--vocab", 6, "--out", book,
+               "--seed", 5) == 0
+
+    def artifacts(tag):
+        model = tmp_path / f"{tag}.ckpt"
+        assert run("train", "--dataset", ds, "--codebook", book, "--out", model,
+                   "--steps", 30, "--batch-size", 4, "--audit-steps", "0,20",
+                   "--seed", 6, *TRAIN_SMALL) == 0
+        outs = [model, tmp_path / f"{tag}.ckpt.log"]
+        for name, flags in (("guided", ("--preset", "paper-28", "--label", 2)),
+                            ("random", ("--selection", "random"))):
+            gen = tmp_path / f"{tag}-{name}.rgds"
+            assert run("sample", "--checkpoint", model, "--out", gen, "--count", 4,
+                       "--steps", 5, "--weights", "raw", "--seed", 7, *flags) == 0
+            outs += [gen, tmp_path / f"{tag}-{name}.rgds.tokens.txt"]
+        return [p.read_bytes() for p in outs]
+
+    shipped = artifacts("shipped")
+
+    def loop_dequantize(tokens, book, keep=None):
+        tokens = np.asarray(tokens)
+        keep = np.ones(tokens.shape, dtype=bool) if keep is None else np.asarray(keep)
+        return subset_sum_loop(tokens, book, keep)
+
+    def softmax(logits):
+        z = logits - logits.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    monkeypatch.setattr(mk, "MaskState", MaskFirst)
+    monkeypatch.setattr(rvq, "dequantize", loop_dequantize)
+    monkeypatch.setattr(mog, "mixture_weights", softmax)
+    assert artifacts("reference") == shipped

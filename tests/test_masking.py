@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqgen import masking as mk
 
@@ -110,7 +112,7 @@ def test_batched_mask_count_and_masks_match_the_trainer_reference(spec):
     ref_masks = (np.arange(D)[None, None, :] < (D - k)[:, :, None]).astype(np.int8)
     masks = mk.suffix_masks(k, D)
     assert masks.dtype == np.int8 and np.array_equal(masks, ref_masks)
-    assert np.array_equal(masks[0], mk.state_from_masked_counts(k[0], D).mask)
+    assert np.array_equal(masks[0], mk.MaskState(k[0], D).mask)
     assert np.array_equal(mk.suffix_masks(k[0, 0], D), ref_masks[0, 0])
     assert mk.suffix_masks(k.reshape(4, -1, L), D).shape == (4, len(ratios) // 4, L, D)
 
@@ -131,7 +133,7 @@ def test_binary_mask_2x2_distribution():
     assert pmf[(1, 1)] == Fraction(2, 3)
     assert pmf[(2, 0)] == pmf[(0, 2)] == Fraction(1, 6)
     rng = np.random.default_rng(42)
-    draws = mk.sample_counts_batch(np.array([2, 2]), 2, rng, size=100_000)
+    draws = mk.sample_counts_batch(np.broadcast_to([2, 2], (100_000, 2)), 2, rng)
     assert empirical_tv(draws, pmf) < 0.01
 
 
@@ -157,7 +159,7 @@ def test_binary_unmask_reveal_distribution():
     hits = 0
     trials = 30_000
     for _ in range(trials):
-        st = mk.state_from_masked_counts([2, 2], 2)
+        st = mk.MaskState([2, 2], 2)
         out = mk.binary_unmask(st, 2, rng)
         if tuple(out.masked_counts) == (1, 1):
             hits += 1
@@ -165,7 +167,7 @@ def test_binary_unmask_reveal_distribution():
 
 
 def test_binary_unmask_rejects_increase():
-    st = mk.state_from_masked_counts([1, 1], 2)
+    st = mk.MaskState([1, 1], 2)
     with pytest.raises(ValueError):
         mk.binary_unmask(st, 3, np.random.default_rng(0))
 
@@ -185,7 +187,7 @@ def test_unmask_terminates_on_schedule():
 # closed forms
 
 def test_forward_step_examples():
-    fresh = mk.state_from_masked_counts([0, 0], 2)
+    fresh = mk.MaskState([0, 0], 2)
     assert mk.forward_step_logprob([1, 1], fresh) == pytest.approx(math.log(2 / 3), abs=1e-12)
     assert mk.forward_step_logprob([3, 0], fresh) == mk.IMPOSSIBLE
     assert mk.forward_step_logprob([0, 0], fresh) == 0.0
@@ -219,7 +221,7 @@ def _log_comb_ratio_oracle(tops, bottoms, total, n):
 def test_closed_forms_keep_their_bits():
     L, D = 3, 3
     for c in itertools.product(range(D + 1), repeat=L):
-        st = mk.state_from_masked_counts(list(c), D)
+        st = mk.MaskState(list(c), D)
         u = st.unmasked_counts
         for k in itertools.product(range(D + 2), repeat=L):
             assert mk.forward_step_logprob(k, st) == _log_comb_ratio_oracle(
@@ -237,7 +239,7 @@ def test_composed_steps_match_marginal():
     L, D, n1, n2 = 3, 3, 2, 3
     rng = np.random.default_rng(5)
     trials = 100_000
-    first = mk.sample_counts_batch(np.full(L, D), n1, rng, size=trials)
+    first = mk.sample_counts_batch(np.full((trials, L), D), n1, rng)
     second = mk.sample_counts_batch(D - first, n2, rng)
     pmf = enumerate_pmf([D] * L, n1 + n2)
     assert empirical_tv(first + second, pmf) < 0.02
@@ -248,7 +250,7 @@ def bayes_gap(L, D):
     q(x_t|x_0) q(k|x_t) = q(x_{t+1}|x_0) q(x_t|x_{t+1}, x_0)."""
     worst = 0.0
     for c in itertools.product(range(D + 1), repeat=L):
-        st = mk.state_from_masked_counts(list(c), D)
+        st = mk.MaskState(list(c), D)
         for k in itertools.product(*(range(D - ci + 1) for ci in c)):
             c1 = tuple(ci + ki for ci, ki in zip(c, k))
             lhs = (mk.marginal_logprob(c, sum(c), L, D)
@@ -270,12 +272,18 @@ def test_bayes_consistency_small(L, D):
 # state mechanics
 
 def test_depth_suffix_enforced():
-    with pytest.raises(ValueError):
-        mk.MaskState(np.array([[0, 1], [1, 1]], dtype=np.int8))
+    # a state is its masked counts, so its mask is a depth suffix by
+    # construction; counts that name no suffix are rejected
+    for q in ([3, 0], [-1, 1], [[0, 1], [1, 1]]):
+        with pytest.raises(ValueError, match=r"masked counts must be \(L,\) in \[0, 2\]"):
+            mk.MaskState(q, 2)
+    st = mk.MaskState([2, 0, 1], 2)
+    mk.check_depth_suffix_mask(st.mask)
+    assert st.mask.dtype == np.int8 and st.mask.tolist() == [[0, 0], [1, 1], [1, 0]]
 
 
 def test_masked_counts_bookkeeping():
-    st = mk.state_from_masked_counts([0, 1, 2], 2)
+    st = mk.MaskState([0, 1, 2], 2)
     assert st.n_total == 3
     assert np.array_equal(st.masked_counts, [0, 1, 2])
     assert np.array_equal(st.unmasked_counts, [2, 1, 0])
@@ -283,7 +291,7 @@ def test_masked_counts_bookkeeping():
 
 def test_apply_mask_hides_suffix():
     tokens = np.array([[3, 1], [2, 2]])
-    st = mk.state_from_masked_counts([1, 0], 2)
+    st = mk.MaskState([1, 0], 2)
     masked = mk.apply_mask(tokens, st.mask)
     assert np.array_equal(masked, [[3, mk.MASK], [2, 2]])
     # the tokens left visible are exactly the mask's depth prefix
@@ -302,10 +310,77 @@ def test_mask_draw_distribution_matches_forward_logprob():
     # empirical pmf of draws from a partially masked state agrees with
     # forward_step_logprob
     rng = np.random.default_rng(9)
-    st = mk.state_from_masked_counts([1, 0, 2], 3)
+    st = mk.MaskState([1, 0, 2], 3)
     caps = st.unmasked_counts
-    draws = mk.sample_counts_batch(caps, 3, rng, size=50_000)
+    draws = mk.sample_counts_batch(np.broadcast_to(caps, (50_000, 3)), 3, rng)
     pmf = enumerate_pmf(list(caps), 3)
     for k, p in pmf.items():
         assert math.exp(mk.forward_step_logprob(k, st)) == pytest.approx(float(p), rel=1e-10)
     assert empirical_tv(draws, pmf) < 0.015
+
+
+# ---------------------------------------------------------------------------
+# counts-first state against the mask-first state it replaced
+
+class MaskFirst:
+    """The earlier state, kept as the oracle: the (L, D) mask is stored and
+    checked at construction, and every count is summed from it on read."""
+
+    def __init__(self, masked_counts, depth):
+        q = np.asarray(masked_counts, dtype=np.int64)
+        if np.any((q < 0) | (q > depth)):
+            raise ValueError("masked counts must lie in [0, D]")
+        self.mask = mk.suffix_masks(q, depth)
+        mk.check_depth_suffix_mask(self.mask)
+
+    shape = property(lambda self: self.mask.shape)
+    depth = property(lambda self: self.mask.shape[1])
+    masked_counts = property(
+        lambda self: self.mask.shape[1] - self.mask.sum(axis=1, dtype=np.int64))
+    unmasked_counts = property(lambda self: self.mask.sum(axis=1, dtype=np.int64))
+    n_total = property(lambda self: int(self.masked_counts.sum()))
+
+
+def mask_first_transitions(n0, n1, n2, n3, scores, L, D, rng):
+    """binary_mask, mask_more, binary_unmask and the confidence selection
+    as the mask-first code wrote them; yields each state."""
+    s = MaskFirst(mk.sample_counts(np.full(L, D, dtype=np.int64), n0, rng), D)
+    yield s
+    s = MaskFirst(s.masked_counts + mk.sample_counts(s.unmasked_counts, n1, rng), D)
+    yield s
+    q = s.masked_counts
+    s = MaskFirst(q - mk.sample_counts(q, s.n_total - n2, rng), D)
+    yield s
+    masked = s.mask == 0
+    eff = np.minimum.accumulate(np.where(masked, scores, np.inf), axis=1)
+    eff = np.where(masked, eff, np.nan)
+    picks = np.argsort(-eff.ravel(), kind="stable")[:s.n_total - n3]
+    yield MaskFirst(s.masked_counts - np.bincount(picks // D, minlength=L), D)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_transitions_match_the_mask_first_state(L, D, seed, data):
+    from rvqgen import sampler as smp
+
+    n0 = data.draw(st.integers(0, L * D))
+    n1 = data.draw(st.integers(0, L * D - n0))
+    n2 = data.draw(st.integers(0, n0 + n1))
+    n3 = data.draw(st.integers(0, n2))
+    scores = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=L * D,
+                                         max_size=L * D)), dtype=float).reshape(L, D)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    s0 = mk.binary_mask(n0, L, D, rng)
+    s1 = mk.mask_more(s0, n1, rng)
+    s2 = mk.binary_unmask(s1, n2, rng)
+    s3 = smp.select_unmask(s2, n3, scores)
+    oracle = mask_first_transitions(n0, n1, n2, n3, scores, L, D, ref_rng)
+    for got, ref in zip((s0, s1, s2, s3), oracle):
+        assert got.mask.dtype == ref.mask.dtype and np.array_equal(got.mask, ref.mask)
+        for name in ("masked_counts", "unmasked_counts"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert type(got.n_total) is int and got.n_total == ref.n_total
+        assert got.shape == ref.shape and got.depth == ref.depth
+    # the same draws in the same order: both streams end in the same state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

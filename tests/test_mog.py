@@ -278,6 +278,20 @@ def kept(cdf):
     return (cdf < 1.0).sum(axis=-1) + 1
 
 
+class NoiseFree:
+    """A generator whose standard normals are all zero, so a draw is its
+    component's mean; the uniforms come from a seeded default_rng."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
 def test_sample_topp_one_uses_full_mixture():
     w = np.array([[0.5, 0.3, 0.2]])
     order, cdf = mog.nucleus(w, 1.0)
@@ -324,8 +338,7 @@ def test_sample_draws_nucleus_members_at_renormalized_rates():
                            np.tile(np.arange(K, dtype=float)[None, :, None], (L, 1, 1)),
                            np.zeros(L), np.zeros((L, 1)))
     basis = mog.LowRankBasis(np.ones((K, 1, 1)), np.zeros((K, 1)))
-    z = mog.sample(params, basis, np.random.default_rng(5), top_p=top_p,
-                   noise=np.zeros((L, 1)))
+    z = mog.sample(params, basis, NoiseFree(5), top_p=top_p)
     comp = z[:, 0].astype(int)
     assert np.array_equal(z[:, 0], comp)
     members = nucleus_oracle(mog.mixture_weights(logits), top_p)
@@ -359,8 +372,7 @@ def test_sample_deterministic_degenerate_draw():
     mu = np.array([[[0.5, -1.0, 2.0]]])
     params = mog.MoGParams(np.zeros((1, 1)), mu, np.log(np.array([2.0])),
                            np.array([[1.0, 1.0, 1.0]]))
-    z = mog.sample(params, identity_basis(1, H), np.random.default_rng(0),
-                   noise=np.zeros((1, H)))
+    z = mog.sample(params, identity_basis(1, H), NoiseFree(0))
     assert np.allclose(z, 2.0 * mu[0] + 1.0)
 
 

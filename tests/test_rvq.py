@@ -52,7 +52,7 @@ def test_tie_breaks_to_lowest_index():
 def test_dequantize_zero_depth_is_zero():
     book = book_2d()
     tokens = rvq.quantize(np.array([[1.0, 1.0], [0.5, 0.5]]), book)
-    z = rvq.dequantize(tokens, book, up_to_depth=[0, 0])
+    z = rvq.dequantize(tokens, book, keep=np.zeros((2, 2), dtype=bool))
     assert np.array_equal(z, np.zeros((2, 2)))
 
 
@@ -60,9 +60,57 @@ def test_dequantize_rejects_mask_in_range():
     book = book_2d()
     tokens = np.array([[1, rvq.MASK]])
     with pytest.raises(ValueError, match="MASK"):
-        rvq.dequantize(tokens, book, up_to_depth=[2])
+        rvq.dequantize(tokens, book, keep=[[True, True]])
     # but excluding the masked depth is fine
-    rvq.dequantize(tokens, book, up_to_depth=[1])
+    rvq.dequantize(tokens, book, keep=[[True, False]])
+
+
+def prefix_sum_loop(tokens, book, up_to_depth):
+    """The earlier `dequantize(..., up_to_depth)`: depths 1..up_to_depth[i]
+    of each position, added depth by depth into the selected rows."""
+    z = np.zeros((tokens.shape[0], book.dim))
+    for j in range(1, book.depth + 1):
+        sel = up_to_depth >= j
+        if np.any(sel):
+            z[sel] += book.table(j)[tokens[sel, j - 1] - 1]
+    return z
+
+
+def subset_sum_loop(tokens, book, keep):
+    """The trainer's earlier target loop: per depth, a boolean gather of
+    the kept entries added into their positions."""
+    z = np.zeros(tokens.shape[:-1] + (book.dim,))
+    for j in range(book.depth):
+        sel = keep[..., j]
+        if sel.any():
+            z[sel] += book.table(j + 1)[tokens[..., j][sel] - 1]
+    return z
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 4), st.integers(1, 5),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_dequantize_keep_bit_equals_the_per_depth_loops(B, L, D, V, H, seed):
+    rng = np.random.default_rng(seed)
+    # codewords over many magnitudes, so any change in summation order shows
+    emb = rng.normal(size=(D, V, H)) * 10.0 ** rng.integers(-8, 9, size=(D, V, 1))
+    book = rvq.Codebook(emb, np.ones(D))
+    tokens = rng.integers(1, V + 1, size=(B, L, D))
+    keep = rng.random((B, L, D)) < 0.5
+    got = rvq.dequantize(tokens, book, keep=keep)
+    assert got.shape == (B, L, H)
+    assert got.tobytes() == subset_sum_loop(tokens, book, keep).tobytes()
+    upto = rng.integers(0, D + 1, size=L)
+    assert rvq.dequantize(tokens[0], book, keep=np.arange(D) < upto[:, None]).tobytes() \
+        == prefix_sum_loop(tokens[0], book, upto).tobytes()
+    assert rvq.dequantize(tokens, book).tobytes() == \
+        subset_sum_loop(tokens, book, np.ones_like(keep)).tobytes()
+    # MASK is ignored where dropped and raises where kept
+    hidden = np.where(keep, tokens, rvq.MASK)
+    assert rvq.dequantize(hidden, book, keep=keep).tobytes() == got.tobytes()
+    if not keep.all():
+        with pytest.raises(ValueError, match="MASK token at a kept entry"):
+            rvq.dequantize(hidden, book)
 
 
 def test_quantize_start_depth_keeps_shallow_tokens():
@@ -183,7 +231,7 @@ def test_residual_telescoping():
     residual = vectors.copy()
     for d in range(1, book.depth + 1):
         residual = residual - book.table(d)[tokens[:, d - 1] - 1]
-        partial = rvq.dequantize(tokens, book, up_to_depth=np.full(60, d))
+        partial = rvq.dequantize(tokens, book, keep=np.arange(book.depth) < d)
         assert np.max(np.abs(vectors - (partial + residual))) < 1e-10
 
 

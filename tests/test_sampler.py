@@ -137,7 +137,7 @@ def test_geometry_mismatch_rejected():
 def test_confidence_exact_hit_gets_max_density():
     # zero residual at depth j contributes the Gaussian mode density
     book = rvq.Codebook(np.array([[[1.0, 0.0], [0.0, 1.0]]]), np.array([0.5]))
-    state = mk.state_from_masked_counts([1], 1)
+    state = mk.MaskState([1], 1)
     tokens = np.array([[1]])
     z = np.array([[1.0, 0.0]])  # exactly codeword 1
     scores = smp.confidence_scores(z, tokens, state, book, tau=0.0,
@@ -149,7 +149,7 @@ def test_confidence_exact_hit_gets_max_density():
 def test_confidence_requires_sigma():
     book = rvq.Codebook(np.zeros((1, 2, 2)), np.array([1.0]))
     book.sigma = np.array([0.0])
-    state = mk.state_from_masked_counts([1], 1)
+    state = mk.MaskState([1], 1)
     with pytest.raises(ValueError, match="sigma"):
         smp.confidence_scores(np.zeros((1, 2)), np.ones((1, 1), dtype=int),
                               state, book, 0.0, np.random.default_rng(0))
@@ -158,7 +158,7 @@ def test_confidence_requires_sigma():
 def test_tau_zero_selection_matches_greedy_oracle():
     model, book = build(L=6, D=3, V=5)
     rng = np.random.default_rng(7)
-    state = mk.state_from_masked_counts([3, 2, 3, 1, 3, 0], 3)
+    state = mk.MaskState([3, 2, 3, 1, 3, 0], 3)
     tokens = rng.integers(1, 6, size=(6, 3))
     z = rng.normal(size=(6, book.dim))
     scores = smp.confidence_scores(z, tokens, state, book, tau=0.0, rng=rng)
@@ -221,7 +221,7 @@ def test_confidence_scores_match_loop_oracle(tau):
     model, book = build(L=7, D=4, V=5, H=3)
     rng = np.random.default_rng(31)
     for _ in range(20):
-        state = mk.state_from_masked_counts(rng.integers(0, 5, size=7), 4)
+        state = mk.MaskState(rng.integers(0, 5, size=7), 4)
         tokens = rng.integers(1, 6, size=(7, 4))
         z = rng.normal(size=(7, 3)) * 2.0
         seed = int(rng.integers(1 << 30))
@@ -242,7 +242,7 @@ def selection_cases(draw):
     L = draw(st.integers(1, 7))
     D = draw(st.integers(1, 4))
     q = draw(st.lists(st.integers(0, D), min_size=L, max_size=L))
-    state = mk.state_from_masked_counts(q, D)
+    state = mk.MaskState(q, D)
     # small integers make ties common
     scores = np.array(draw(st.lists(st.integers(-2, 2), min_size=L * D,
                                     max_size=L * D)), dtype=float).reshape(L, D)
@@ -257,13 +257,49 @@ def test_vectorized_selection_equals_greedy_loop(case):
     got = smp.select_unmask(state, n_target, scores=scores)
     assert np.array_equal(got.masked_counts,
                           greedy_select_oracle(state, n_target, scores))
-    assert got.n_total == n_target and got.step == state.step + 1
+    assert got.n_total == n_target
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 8),
+       st.sampled_from(["random", "confidence"]), st.booleans(),
+       st.sampled_from(["circle", "cosine", "exp"]), st.integers(0, 2**16))
+def test_masked_total_follows_the_schedule(L, D, T, selection, use_cfg, schedule, seed):
+    """After step t the masked total is min(mask_count(t/T), total before
+    the step), the grid ends fully revealed, and the model is called T
+    times (2T with guidance)."""
+    model, book = build(L=L, D=D, seed=seed % 7)
+    cfg = smp.SamplerConfig(steps=T, schedule=schedule, selection=selection,
+                            use_cfg=use_cfg, cfg_start=0.5, cfg_end=1.5)
+    totals = []
+
+    def recorded(transition):
+        def run(state, n_target, *args):
+            new = transition(state, n_target, *args)
+            totals.append((state.n_total, new.n_total))
+            return new
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mk, "binary_unmask", recorded(mk.binary_unmask))
+        mp.setattr(smp, "select_unmask", recorded(smp.select_unmask))
+        tokens, stats = smp.generate(model, book, 1, cfg,
+                                     rng=np.random.default_rng(seed), validate=True)
+    sched = mk.parse_schedule(schedule)
+    prev = L * D
+    assert len(totals) == T
+    for t, (before, after) in enumerate(totals, start=1):
+        assert before == prev
+        assert after == min(mk.mask_count(sched, t / T, L, D), prev)
+        prev = after
+    assert prev == 0 and np.all((tokens >= 1) & (tokens <= book.vocab))
+    assert stats["forward_passes"] == T * (2 if use_cfg else 1)
 
 
 def test_dominant_position_reveals_first():
     # one position scores strictly higher at every depth
     model, book = build(L=2, D=2)
-    state = mk.state_from_masked_counts([2, 2], 2)
+    state = mk.MaskState([2, 2], 2)
     scores = np.array([[10.0, 9.0], [1.0, 0.5]])
     out = smp.select_unmask(state, 2, scores=scores)
     assert np.array_equal(np.asarray(out.masked_counts), [0, 2])
@@ -271,7 +307,7 @@ def test_dominant_position_reveals_first():
 
 def test_select_noop_and_reject():
     model, book = build()
-    state = mk.state_from_masked_counts([2, 1, 0, 2], 2)
+    state = mk.MaskState([2, 1, 0, 2], 2)
     same = smp.select_unmask(state, state.n_total,
                              scores=np.zeros((4, 2)))
     assert np.array_equal(np.asarray(same.masked_counts),

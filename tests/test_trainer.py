@@ -50,10 +50,20 @@ def test_target_partitions_full_reconstruction():
     L, D = grids[0].shape
     st = mk.binary_mask(5, L, D, np.random.default_rng(3))
     z_masked = tnr.masked_targets(grids[:1], np.asarray(st.mask)[None], book)[0][0]
-    z_visible = rvq.dequantize(grids[0], book,
-                               up_to_depth=np.asarray(st.unmasked_counts))
+    z_visible = rvq.dequantize(grids[0], book, keep=st.mask == 1)
     full = rvq.dequantize(grids[0], book)
     assert np.max(np.abs(z_visible + z_masked - full)) < 1e-12
+
+
+def test_config_rejects_adamw_betas_outside_unit_interval():
+    # beta = 1 zeroes the bias correction 1 - beta**t that the update divides by
+    for name in ("beta1", "beta2"):
+        for bad in (1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\), got {bad}"):
+                tnr.TrainConfig(**{name: bad})
+        tnr.TrainConfig(**{name: 0.0})
+    with pytest.raises(ValueError, match="min_lr_frac"):
+        tnr.TrainConfig(min_lr_frac=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +250,14 @@ def test_no_gradient_leak_to_excluded_positions():
     L, D = grids[0].shape
     # mask only position 0; positions 1..L-1 contribute nothing
     counts = np.array([D] + [0] * (L - 1))
-    st = mk.state_from_masked_counts(counts, D)
+    st = mk.MaskState(counts, D)
     sur, _, n_sel, out = tnr.masked_loss(model, book, grids[:1], st.mask[None], [0], [0.5])
     assert n_sel == 1
     nm.backward(sur)
     assert out.logits.grad is not None
-    assert np.all(out.logits.grad[0, 1:] == 0.0)
-    assert np.any(out.logits.grad[0, 0] != 0.0)
-    assert np.all(out.means.grad[0, 1:] == 0.0)
+    assert np.all(out.logits.grad[1:] == 0.0)      # head rows of grid 0
+    assert np.any(out.logits.grad[0] != 0.0)
+    assert np.all(out.means.grad[1:] == 0.0)
 
 
 def test_audit_passes_at_init():
