@@ -1,0 +1,126 @@
+"""Alternating A/B runs of the benchmark on two checkouts.
+
+    python3 scripts/ab_pairs.py PARENT CHANGE --workload sample-random \\
+        --pairs 10 --seed 101 [--seconds 12]
+
+Pair i runs `perfbench/run.py --workload W --seed SEED+i --seconds S
+--trace 0` once in each checkout, each run in its own process with the
+checkout as working directory, the parent first in even pairs and the
+change first in odd ones. Every run's end-to-end metrics are printed as
+they arrive. The summary gives, for each metric and side, the median and
+the quartiles, the pairs the change won and lost (ties count for
+neither), the relative gap between the medians, and whether the pairs
+meet the gain rule: the change wins at least nine tenths of the pairs and
+the medians differ by more than the parent's own interquartile range.
+
+The metric names and their better direction come from the change's
+`BENCHMARK.json`. Standard library only; the benchmark itself is not
+changed or imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def quartiles(values):
+    """(q1, median, q3) with linear interpolation between order statistics."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(parent, change, better="lower"):
+    """Summary of paired readings of one metric; parent[i] and change[i]
+    come from pair i. Returns a dict of both sides' quartiles, the change's
+    wins/losses/ties, the relative gap of the medians (change vs parent)
+    and `gain`, whether the pairs meet the gain rule."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same non-zero number of readings per side")
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    pq, cq = quartiles(parent), quartiles(change)
+    gap = sign * (pq[1] - cq[1])
+    return {"parent": pq, "change": cq, "wins": wins, "losses": losses,
+            "ties": len(parent) - wins - losses,
+            "rel": (cq[1] - pq[1]) / pq[1] if pq[1] else float("nan"),
+            "gain": wins >= 0.9 * len(parent) and gap > pq[2] - pq[0]}
+
+
+def parse_result(stdout):
+    """The result JSON of a benchmark run: its last stdout line."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("benchmark printed nothing")
+    return json.loads(lines[-1])
+
+
+def run_order(pairs):
+    """The side that runs first in each pair: parent, change, parent, ..."""
+    return [("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for i in range(pairs)]
+
+
+def end_to_end(checkout):
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    return [(m["name"], m.get("better", "lower")) for m in spec["end_to_end"]]
+
+
+def run_once(checkout, workload, seed, seconds):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
+    result = parse_result(proc.stdout)
+    if not result["correct"] or result["failed"]:
+        raise RuntimeError(f"{checkout}: seed {seed}: {result['failed']} failed "
+                           "operations")
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    p.add_argument("--seconds", type=float, default=12.0)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+    dirs = {"parent": os.path.abspath(args.parent),
+            "change": os.path.abspath(args.change)}
+    metrics = end_to_end(dirs["change"])
+    runs = {"parent": [], "change": []}
+    for i, order in enumerate(run_order(args.pairs)):
+        seed = args.seed + i
+        for side in order:
+            got = run_once(dirs[side], args.workload, seed, args.seconds)
+            runs[side].append(got)
+            print(f"pair {i} seed {seed} {side}: " + " ".join(
+                f"{name}={got[name]:.6g}" for name, _ in metrics), flush=True)
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}.."
+          f"{args.seed + args.pairs - 1}, {args.seconds:g} s runs")
+    for name, better in metrics:
+        s = summarize([r[name] for r in runs["parent"]],
+                      [r[name] for r in runs["change"]], better)
+        fmt = "median {1:.6g} [q1 {0:.6g}, q3 {2:.6g}]"
+        print(f"{name} ({better} is better): parent " + fmt.format(*s["parent"])
+              + ", change " + fmt.format(*s["change"])
+              + f", change {s['rel']:+.1%}, won {s['wins']}/{args.pairs}"
+              f" (lost {s['losses']}), gain rule {'met' if s['gain'] else 'not met'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -175,7 +175,7 @@ class Backbone:
         check_depth_suffix_mask(mask.reshape(-1, c.depth))
 
         e_sum = rvq.dequantize(tokens, book, keep=mask == 1)
-        q = c.depth - mask.sum(axis=2)
+        q = c.depth - np.add.reduce(mask, axis=2)
         hidden = (q == c.depth)[:, :, None].astype(np.float64)   # fully masked flag
 
         feat = ops.add(e_sum, ops.mul(hidden, P["embed.null"]))
@@ -214,9 +214,12 @@ class Backbone:
         ops, P = self._ops(grad)
         B = embedded.shape[0]
         labels = np.asarray(labels, dtype=np.int64).reshape(B)
-        if np.any((labels < 0) | (labels > c.num_classes)):
+        if (np.minimum.reduce(labels, initial=0) < 0
+                or np.maximum.reduce(labels, initial=0) > c.num_classes):
             raise ValueError(f"labels must lie in [0, {c.num_classes}]")
-        r = np.broadcast_to(np.asarray(r, dtype=np.float64), (B,))
+        r = np.asarray(r, dtype=np.float64)
+        if r.shape != (B,):
+            r = np.broadcast_to(r, (B,))
 
         cond = ops.add(ops.gather(P["cond.classes"], labels),
                        ops.mul(r[:, None], P["cond.ratio"]))

@@ -89,13 +89,14 @@ class MaskState:
 
     def __init__(self, masked_counts, depth):
         q = np.array(masked_counts, dtype=np.int64)
-        if q.ndim != 1 or np.any((q < 0) | (q > depth)):
+        counts = q.tolist()     # at grid sizes, list min/max/sum beat numpy's
+        if q.ndim != 1 or counts and (min(counts) < 0 or max(counts) > depth):
             raise ValueError(f"masked counts must be (L,) in [0, {depth}]")
         self.masked_counts = q
         self.depth = depth
         self.mask = suffix_masks(q, depth)
         self.unmasked_counts = depth - q
-        self.n_total = int(q.sum())
+        self.n_total = sum(counts)
 
     @property
     def shape(self):
@@ -106,7 +107,8 @@ def check_depth_suffix_mask(mask):
     """Masked entries must be a depth suffix at every position."""
     m = np.asarray(mask)
     # a mask equal to the depth prefix of its own row sums holds only 0/1
-    if (m != (np.arange(m.shape[1]) < m.sum(axis=1)[:, None])).any():
+    prefix = np.arange(m.shape[1]) < np.add.reduce(m, axis=1)[:, None]
+    if (m != prefix).any():
         if ((m != 0) & (m != 1)).any():
             raise ValueError("mask entries must be 0 or 1")
         raise ValueError("mask is not in depth-suffix form")
@@ -137,22 +139,25 @@ def sample_counts(capacities, n, rng):
     on the remainder. This is the exact chain-rule factorization of the
     joint pmf, no shuffling needed.
     """
-    caps = np.asarray(capacities, dtype=np.int64)
-    total = int(caps.sum())
+    caps = np.asarray(capacities, dtype=np.int64).tolist()
+    total = sum(caps)
     if not 0 <= n <= total:
         raise ValueError(f"cannot draw {n} from capacity {total}")
-    k = np.zeros(caps.shape[0], dtype=np.int64)
+    # plain ints and one bound method: at L=8 the loop's numpy-scalar
+    # bookkeeping cost more than the draws
+    draw = rng.hypergeometric
+    k = []
     rem_n = int(n)
     rem_total = total
-    for i in range(caps.shape[0] - 1):
-        rem_total -= int(caps[i])
-        if rem_n > 0:
-            # numpy's sampler respects the support bounds
-            # max(0, rem_n - rem_total) <= k_i <= min(caps[i], rem_n)
-            k[i] = rng.hypergeometric(caps[i], rem_total, rem_n)
-            rem_n -= int(k[i])
-    k[-1] = rem_n
-    return k
+    for c in caps[:-1]:
+        rem_total -= c
+        # numpy's sampler respects the support bounds
+        # max(0, rem_n - rem_total) <= k_i <= min(c, rem_n)
+        k_i = draw(c, rem_total, rem_n) if rem_n > 0 else 0
+        k.append(k_i)
+        rem_n -= k_i
+    k.append(rem_n)
+    return np.array(k, dtype=np.int64)
 
 
 def sample_counts_batch(capacities, n, rng):

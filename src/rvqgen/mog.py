@@ -172,7 +172,8 @@ def nucleus(weights, top_p):
     order = np.argsort(-weights, axis=-1, kind="stable")
     rows = np.arange(len(weights))
     csum = np.cumsum(weights[rows[:, None], order], axis=-1)
-    keep = (csum < top_p * csum[:, -1:] - 1e-15).sum(axis=-1)
+    # add.reduce is what ndarray.sum calls, without its Python wrapper
+    keep = np.add.reduce(csum < top_p * csum[:, -1:] - 1e-15, axis=-1)
     return order, csum / csum[rows, keep][:, None]
 
 
@@ -188,14 +189,14 @@ def sample(params, basis, rng, top_p=1.0):
     full mean is built. Non-finite head outputs or draws raise ValueError
     instead of quantizing to an arbitrary token.
     """
-    p = params.detach()
-    logits, means, log_scale, b = p.logits, p.means, p.log_scale, p.shift
+    logits, means, log_scale, b = (_data(params.logits), _data(params.means),
+                                   _data(params.log_scale), _data(params.shift))
     if not (np.isfinite(logits).all() and np.isfinite(means).all()
             and np.isfinite(log_scale).all() and np.isfinite(b).all()):
         raise ValueError("mog.sample: non-finite head outputs")
     L, H = b.shape
     order, cdf = nucleus(mixture_weights(logits), top_p)
-    rank = (cdf < rng.random(L)[:, None]).sum(axis=-1)
+    rank = np.add.reduce(cdf < rng.random(L)[:, None], axis=-1)
     rows = np.arange(L)
     comp = order[rows, rank]
     M = _data(basis.M)[comp]                                   # (L, H, h)

@@ -244,8 +244,9 @@ def matmul(a, b):
 
 def _softmax(x):
     """Forward kernel of `softmax`."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # the ufunc reductions ndarray.max / .sum call, without their wrappers
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax(a):
@@ -283,10 +284,10 @@ def _layer_norm_parts(x, gain, bias, eps):
     if gain.shape != (w,) or bias.shape != (w,):
         raise ShapeError(f"layer_norm: gain/bias must be ({w},), "
                          f"got {gain.shape} and {bias.shape}")
-    # sum / w gives the bits of np.mean without its Python wrapper
-    mu = x.sum(axis=-1, keepdims=True) / w
+    # add.reduce / w gives the bits of np.mean without its Python wrappers
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / w
     xc = x - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / w
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / w
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
@@ -317,9 +318,10 @@ def layer_norm(a, gain, bias, eps=1e-6):
 def _gather(table, idx):
     """Forward kernel of `gather`."""
     idx = np.asarray(idx)
-    if not np.issubdtype(idx.dtype, np.integer):
+    if idx.dtype.kind not in "iu":              # signed or unsigned integers
         raise ShapeError("gather: indices must be integers")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    if idx.size and (np.minimum.reduce(idx, axis=None) < 0
+                     or np.maximum.reduce(idx, axis=None) >= table.shape[0]):
         raise ShapeError(f"gather: index out of range for table with "
                          f"{table.shape[0]} rows")
     return table[idx]

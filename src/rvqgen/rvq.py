@@ -17,22 +17,26 @@ squared distance ||r||^2 - 2 r.e + ||e||^2 without its ||r||^2 term, so
 one (N, H) x (H, V) matrix product replaces an (N, V, H) difference array.
 Dropping ||r||^2 shifts each row by a constant, which changes neither the
 row's argmin nor a max-subtracted softmax over it. Ties go to the lowest
-codeword index, as `np.argmin` takes the first minimum.
+codeword index, as `np.argmin` takes the first minimum. The kernel takes a
+table's codeword-only terms, `score_pair(table)` = (-2 * table, ||e||^2):
+a `Codebook` builds them once per depth, at construction, and k-means
+once per epoch, since its table changes every epoch.
 
 Tokens are 1-based codeword indices; 0 is reserved as the MASK sentinel
 and never appears in quantizer output. `codewords` is the one token ->
 codeword lookup and `dequantize` the one sum of a token subset's
 codewords: the backbone's input (the revealed depths) and the trainer's
 target (the hidden depths) are both `dequantize` with a `keep` mask.
-Codebooks are immutable once fitted, and quantize/dequantize are pure, so
-concurrent readers are safe.
+Codebooks are immutable once built (the derived scoring constants would
+go stale otherwise), and quantize/dequantize are pure, so concurrent
+readers are safe. Every token lookup refuses tokens outside [0, V].
 """
 
 from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +52,19 @@ SIGMA_FLOOR = 1e-6
 
 @dataclass
 class Codebook:
-    """Per-depth embedding tables (D, V, H) and residual scales sigma (D,)."""
+    """Per-depth embedding tables (D, V, H) and residual scales sigma (D,).
+
+    Construction also derives what the per-call paths would otherwise
+    rebuild: `score_pairs`, each depth's `score_pair` for `quantize`, and
+    the confidence scores' sigma-only terms `two_var` = 2 sigma^2 and
+    `log_norm` = -H/2 log(2 pi sigma^2), both (D,).
+    """
 
     embeddings: np.ndarray
     sigma: np.ndarray
+    score_pairs: tuple = field(init=False, repr=False, compare=False)
+    two_var: np.ndarray = field(init=False, repr=False, compare=False)
+    log_norm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.embeddings = np.ascontiguousarray(self.embeddings, dtype=np.float64)
@@ -65,6 +78,12 @@ class Codebook:
                              f"{self.embeddings.shape}")
         if not np.all(np.isfinite(self.embeddings)):
             raise ValueError("codebook embeddings must be finite")
+        self.score_pairs = tuple(score_pair(t) for t in self.embeddings)
+        s2 = self.sigma ** 2
+        self.two_var = 2 * s2
+        # a sigma <= 0 is refused where the scores are taken
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.log_norm = -0.5 * self.dim * np.log(2 * np.pi * s2)
 
     @property
     def depth(self):
@@ -83,21 +102,30 @@ class Codebook:
         return self.embeddings[j - 1]
 
 
-def _scores(rows, table):
-    """Squared distance less the row's own ||r||^2. (N,H)x(V,H)->(N,V)
+def score_pair(table):
+    """The codeword-only terms of `_scores` for a (V, H) table:
+    (-2 * table (V, H), ||e||^2 (V,))."""
+    return -2.0 * table, np.einsum("vh,vh->v", table, table)  # -2x is exact
+
+
+def _scores(rows, pair):
+    """Squared distance less the row's own ||r||^2, from a table's
+    `score_pair`. (N,H)x(V,H)->(N,V)
 
     ||e||^2 - 2 r.e ranks codewords as ||r - e||^2 does. Its rounding
     error scales with ||e||^2 + ||r||*||e||, not with the distance, so
     codewords closer together than that may rank either way.
     """
-    scores = rows @ (-2.0 * table).T  # scaling by -2 is exact
-    scores += np.einsum("vh,vh->v", table, table)
+    neg2, norms = pair
+    scores = rows @ neg2.T
+    scores += norms
     return scores
 
 
 def _nearest(rows, table):
     """Lowest-index nearest codeword per row. (N,H)x(V,H)->(N,)"""
-    return _scores(rows, table).argmin(axis=1)  # first minimum: lowest index
+    # first minimum: lowest index
+    return _scores(rows, score_pair(table)).argmin(axis=1)
 
 
 def quantize(latents, book: Codebook, start_depth=None, out=None):
@@ -118,31 +146,46 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
     if start_depth is None:
         start_depth = np.zeros(L, dtype=np.int64)
     start_depth = np.asarray(start_depth, dtype=np.int64)
-    if np.any((start_depth < 0) | (start_depth > D)):
-        raise ValueError("start_depth entries must lie in [0, D]")
-
     tokens = np.full((L, D), MASK, dtype=np.int64) if out is None \
         else np.array(out, dtype=np.int64)
     if start_depth.shape != (L,) or tokens.shape != (L, D):
         raise ValueError(f"start_depth must be ({L},) and out ({L}, {D}), got "
                          f"{start_depth.shape} and {tokens.shape}")
+    first = int(np.minimum.reduce(start_depth, initial=D))
+    last = int(np.maximum.reduce(start_depth, initial=0))
+    if first < 0 or last > D:
+        raise ValueError("start_depth entries must lie in [0, D]")
+
     residual = latents.copy()
     # score every row at each depth and keep the active ones: a masked
-    # store costs less than gathering and scattering the active rows
-    for j in range(start_depth.min(initial=D) + 1, D + 1):
-        table = book.table(j)
-        idx = _nearest(residual, table)
-        active = start_depth < j
-        np.copyto(tokens[:, j - 1], idx + 1, where=active)
-        np.subtract(residual, table[idx], out=residual, where=active[:, None])
+    # store costs less than gathering and scattering the active rows;
+    # past the deepest start depth every row is active and needs no mask
+    active = start_depth[:, None] < np.arange(1, D + 1)       # (L, D)
+    picks = np.zeros((L, D), dtype=np.int64)
+    for j in range(first + 1, D + 1):
+        table = book.embeddings[j - 1]
+        idx = _scores(residual, book.score_pairs[j - 1]).argmin(axis=1)
+        picks[:, j - 1] = idx
+        if j > last:
+            residual -= table[idx]
+        else:
+            np.subtract(residual, table[idx], out=residual,
+                        where=active[:, j - 1:j])
+    picks += 1
+    np.copyto(tokens, picks, where=active)
     return tokens
 
 
 def codewords(tokens, book: Codebook):
     """Codeword embeddings of token grids (..., D) -> (..., D, H): token t
     at depth j reads row t - 1 of table j. A MASK entry reads codeword V,
-    so callers must discard it (see `dequantize`)."""
-    return book.embeddings[np.arange(book.depth), np.asarray(tokens) - 1]
+    so callers must discard it (see `dequantize`). A token outside [0, V]
+    raises ValueError instead of wrapping around or escaping the table."""
+    tokens = np.asarray(tokens)
+    if tokens.size and (np.minimum.reduce(tokens, axis=None) < MASK
+                        or np.maximum.reduce(tokens, axis=None) > book.vocab):
+        raise ValueError(f"tokens must lie in [0, {book.vocab}] (0 is MASK)")
+    return book.embeddings[np.arange(book.depth), tokens - 1]
 
 
 def dequantize(tokens, book: Codebook, keep=None):
@@ -159,7 +202,7 @@ def dequantize(tokens, book: Codebook, keep=None):
     if D != book.depth:
         raise ValueError(f"token grid depth {D} != codebook depth {book.depth}")
     keep = np.asarray(True if keep is None else keep, dtype=bool)
-    if np.any(keep & (tokens == MASK)):
+    if (keep & (tokens == MASK)).any():
         raise ValueError("MASK token at a kept entry: masked entries carry no embedding")
     words = np.where(keep[..., None], codewords(tokens, book), 0.0)
     z = np.zeros(tokens.shape[:-1] + (book.dim,))
@@ -224,7 +267,7 @@ def _kmeans_depth(residuals, V, update, epochs, sigma_assign, rng):
         table = distinct[rng.choice(distinct.shape[0], size=V, replace=False)].copy()
 
     for _ in range(epochs):
-        scores = _scores(residuals, table)
+        scores = _scores(residuals, score_pair(table))
         if update == "nearest":
             assign = scores.argmin(axis=1)
             counts = np.bincount(assign, minlength=V).astype(np.float64)

@@ -13,9 +13,13 @@ Each model call is the backbone's graph-free forward
 arrays, with no graph recorded since no backward pass follows. It gives
 the bits of the autodiff forward, so tokens do not depend on the path.
 
-Outside the model a step works on the whole grid at once: one component
-draw and one quantization for all positions, then, in confidence mode,
-one scoring pass over (L, D, H) and one sort to pick the reveals. The
+The reveal schedule is taken before the first step, from one array call
+to `masking.mask_count` over the ratios t/T, equal bit for bit to T
+scalar calls. Outside the model a step works on the whole grid at once:
+one component draw and one quantization for all positions (against the
+codebook's precomputed scoring pairs), then, in confidence mode, one
+scoring pass over (L, D, H), with the codebook's sigma-only terms, and
+one sort to pick the reveals. The
 step's random draws come in a fixed order: the component uniforms of
 every position, then every position's normals (`mog.sample`), then the
 Gumbel noise or the hypergeometric reveal counts. Seeded runs are
@@ -25,6 +29,7 @@ the same seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -51,6 +56,10 @@ class SamplerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        # nan passes the range checks and reaches the draws as nan scores
+        for name in ("temperature", "cfg_start", "cfg_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if not 0 < self.top_p <= 1:
@@ -96,7 +105,7 @@ def confidence_scores(z, tokens, state: mk.MaskState, book: rvq.Codebook,
     the running subtraction rounds exactly as a per-depth loop from each
     position's first masked depth would.
     """
-    if book.sigma is None or not np.all(book.sigma > 0):
+    if book.sigma is None or not (book.sigma > 0).all():
         raise ValueError("codebook sigma required for confidence scores")
     z = np.asarray(z, dtype=np.float64)
     L, D = state.shape
@@ -106,9 +115,8 @@ def confidence_scores(z, tokens, state: mk.MaskState, book: rvq.Codebook,
     words[~masked] = 0.0
     res = np.subtract.accumulate(np.concatenate([z[:, None], words], axis=1),
                                  axis=1)[:, 1:]
-    s2 = book.sigma ** 2
-    log_n = (-0.5 * book.dim * np.log(2 * np.pi * s2)
-             - (res * res).sum(axis=-1) / (2 * s2))
+    # the codebook holds the sigma-only terms -H/2 log(2 pi s2) and 2 s2
+    log_n = book.log_norm - np.add.reduce(res * res, axis=-1) / book.two_var
     cum = np.cumsum(np.where(masked, log_n, 0.0), axis=1)
     return np.where(masked, cum + tau * gumbel, -np.inf)
 
@@ -147,7 +155,13 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     if not 0 <= label <= c.num_classes:
         raise ValueError(f"label {label} outside [0, {c.num_classes}]")
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    schedule = mk.parse_schedule(config.schedule)
+    T = config.steps
+    # the whole reveal schedule in one call: step t leaves targets[t - 1]
+    # tokens masked, and the model sees the mask ratio (t - 1) / T
+    targets = mk.mask_count(mk.parse_schedule(config.schedule),
+                            np.arange(1, T + 1) / T, c.seq_len, c.depth).tolist()
+    ratios = np.arange(T) / T
+    labels, null_labels = np.array([label]), np.array([0])
     basis = model.basis
 
     t0 = time.perf_counter()
@@ -156,22 +170,21 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     state = mk.MaskState(np.full(c.seq_len, c.depth), c.depth)
     frozen = None
 
-    for t in range(1, config.steps + 1):
-        r_model = (t - 1) / config.steps
+    for t in range(1, T + 1):
+        r_model = ratios[t - 1:t]
         visible = mk.apply_mask(tokens, state.mask)
-        params = model.forward(visible, state.mask, book, [label], [r_model],
+        params = model.forward(visible, state.mask, book, labels, r_model,
                                grad=False)
         if config.use_cfg:
-            uncond = model.forward(visible, state.mask, book, [0], [r_model],
-                                   grad=False)
+            uncond = model.forward(visible, state.mask, book, null_labels,
+                                   r_model, grad=False)
             params = mog.cfg_combine(params, uncond, cfg_weight(config, t))
 
         z = mog.sample(params, basis, rng, top_p=config.top_p)
         tokens = rvq.quantize(z, book, start_depth=state.unmasked_counts,
                               out=tokens)
 
-        n_target = mk.mask_count(schedule, t / config.steps, c.seq_len, c.depth)
-        n_target = min(n_target, state.n_total)
+        n_target = min(targets[t - 1], state.n_total)
         if config.selection == "confidence":
             scores = confidence_scores(z, tokens, state, book,
                                        config.temperature, rng)

@@ -11,6 +11,7 @@ kernel).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ class TrainConfig:
     audit_steps: tuple = (0, 1000)
 
     def __post_init__(self):
+        # nan passes every range check below and inf overflows the update;
+        # a nan clip_norm or label_dropout would switch its feature off
+        for name in ("lr", "eps", "weight_decay", "clip_norm", "label_dropout"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # the CLI contract allows --steps 0 (checkpoint == init) and lr 0
         # (bitwise null update), so only negatives are rejected
         if self.steps < 0:

@@ -13,6 +13,7 @@ import pytest
 from rvqgen import cli
 from rvqgen import data as data_mod
 from rvqgen import rvq
+from rvqgen.trainer import TrainConfig
 
 
 def run(*argv):
@@ -434,6 +435,50 @@ def test_bad_training_options_are_errors(workspace, capsys):
                ("--min-lr-frac", 0), ("--min-lr-frac", 1)):
         assert run("train", "--dataset", ds_path, "--codebook", book_path,
                    "--out", tmp / "ok.ckpt", "--steps", 1, *TRAIN_SMALL, *ok) == 0
+
+
+def test_non_finite_training_options_are_errors(workspace, capsys):
+    # nan passes every range check: lr/weight_decay nan once ended in a
+    # non-finite-loss traceback, a nan clip_norm or label_dropout silently
+    # switched its feature off
+    tmp, ds_path, book_path = workspace
+    out = tmp / "nf.ckpt"
+    for flag, value in (("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"),
+                        ("--clip-norm", "nan"), ("--label-dropout", "nan"),
+                        ("--clip-norm", "inf")):
+        name = flag[2:].replace("-", "_")
+        assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", out,
+                   "--steps", 2, *TRAIN_SMALL, flag, value) == 1, flag
+        assert _one_error(capsys) == f"error: {name} must be finite, got {float(value)}"
+    assert sorted(p.name for p in tmp.iterdir() if p.name.startswith("nf")) == []
+    # eps has no flag; the config refuses it alike
+    with pytest.raises(ValueError, match="eps must be finite"):
+        TrainConfig(eps=float("nan"))
+    # 0 still trains wherever it is allowed
+    for flag in ("--lr", "--weight-decay", "--clip-norm", "--label-dropout"):
+        assert run("train", "--dataset", ds_path, "--codebook", book_path,
+                   "--out", tmp / "zero.ckpt", "--steps", 1, *TRAIN_SMALL,
+                   flag, 0) == 0, flag
+
+
+def test_non_finite_sampler_options_are_errors(workspace, capsys):
+    # once reported as a masked-count or head-output fault deep in the run
+    tmp, ds_path, book_path = workspace
+    ckpt = tmp / "s.ckpt"
+    assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", ckpt,
+               "--steps", 1, *TRAIN_SMALL) == 0
+    capsys.readouterr()
+    out = tmp / "s.rgds"
+    for flags, name, value in ((("--temperature", "nan"), "temperature", "nan"),
+                               (("--temperature", "inf"), "temperature", "inf"),
+                               (("--cfg-start", "nan", "--use-cfg", "true"),
+                                "cfg_start", "nan"),
+                               (("--cfg-end", "inf", "--use-cfg", "true"),
+                                "cfg_end", "inf")):
+        assert run("sample", "--checkpoint", ckpt, "--out", out, "--count", 1,
+                   "--steps", 2, *flags) == 1, flags
+        assert _one_error(capsys) == f"error: {name} must be finite, got {float(value)}"
+        assert not out.exists()
 
 
 def test_depth_zero_codebook_is_an_error(workspace, capsys):

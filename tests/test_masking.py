@@ -117,8 +117,49 @@ def test_batched_mask_count_and_masks_match_the_trainer_reference(spec):
     assert mk.suffix_masks(k.reshape(4, -1, L), D).shape == (4, len(ratios) // 4, L, D)
 
 
+@pytest.mark.parametrize("spec", ["circle", "cosine", "exp", "exp:2.5", "exp:0.3"])
+def test_schedule_in_one_call_matches_the_per_step_calls(spec):
+    # the sampler takes all T reveal targets from one array call
+    s = mk.parse_schedule(spec)
+    for L, D in ((1, 1), (8, 4), (5, 3), (16, 16)):
+        for T in range(1, 201):
+            steps = [mk.mask_count(s, t / T, L, D) for t in range(1, T + 1)]
+            assert mk.mask_count(s, np.arange(1, T + 1) / T, L, D).tolist() == steps
+
+
 # ---------------------------------------------------------------------------
 # draws
+
+def numpy_int_counts(capacities, n, rng):
+    """The multivariate-hypergeometric chain with numpy-int bookkeeping: one
+    `rng.hypergeometric(c_i, rest, remaining)` draw per position but the
+    last, skipped once nothing remains to draw. `mk.sample_counts`
+    must match draw for draw."""
+    caps = np.asarray(capacities, dtype=np.int64)
+    k = np.zeros(caps.shape[0], dtype=np.int64)
+    rem_n, rem_total = int(n), int(caps.sum())
+    for i in range(caps.shape[0] - 1):
+        rem_total -= int(caps[i])
+        if rem_n > 0:
+            k[i] = rng.hypergeometric(caps[i], rem_total, rem_n)
+            rem_n -= int(k[i])
+    k[-1] = rem_n
+    return k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.data())
+def test_sample_counts_matches_the_numpy_int_loop(caps, data):
+    # zero-capacity positions are drawn from like any other
+    caps = np.array(caps)
+    n = data.draw(st.integers(0, int(caps.sum())))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got, want = mk.sample_counts(caps, n, rng), numpy_int_counts(caps, n, ref)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
 
 def test_binary_mask_full_and_empty():
     rng = np.random.default_rng(0)

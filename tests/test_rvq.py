@@ -65,6 +65,36 @@ def test_dequantize_rejects_mask_in_range():
     rvq.dequantize(tokens, book, keep=[[True, False]])
 
 
+def test_tokens_outside_the_vocabulary_are_refused():
+    rng = np.random.default_rng(5)
+    book = rvq.Codebook(rng.normal(size=(2, 4, 3)), np.ones(2))
+    # a negative token once wrapped around: [-1, 1] read the codewords of
+    # [3, 1]; a token above V raised a bare IndexError
+    for bad in ([[-1, 1]], [[5, 1]], [[2, 4], [1, 9]], [[[1, -3]]]):
+        with pytest.raises(ValueError, match=r"tokens must lie in \[0, 4\]"):
+            rvq.codewords(bad, book)
+        with pytest.raises(ValueError, match=r"tokens must lie in \[0, 4\]"):
+            rvq.dequantize(bad, book, keep=np.asarray(bad) != rvq.MASK)
+    # the edges of [0, V] stay readable; MASK only where it is not kept
+    assert np.array_equal(rvq.codewords([[4, 1]], book)[0],
+                          np.stack([book.table(1)[3], book.table(2)[0]]))
+    assert np.array_equal(rvq.dequantize([[4, 0]], book, keep=[[True, False]]),
+                          book.table(1)[3][None] + 0.0)
+
+
+def test_codebook_scoring_constants_are_the_per_call_terms():
+    rng = np.random.default_rng(8)
+    book = rvq.Codebook(rng.normal(size=(3, 5, 4)), np.array([0.5, 0.2, 1e-3]))
+    for j in range(1, 4):
+        neg2, norms = book.score_pairs[j - 1]
+        table = book.table(j)
+        assert np.array_equal(neg2, -2.0 * table)
+        assert np.array_equal(norms, np.einsum("vh,vh->v", table, table))
+    s2 = book.sigma ** 2
+    assert np.array_equal(book.two_var, 2 * s2)
+    assert np.array_equal(book.log_norm, -0.5 * 4 * np.log(2 * np.pi * s2))
+
+
 def prefix_sum_loop(tokens, book, up_to_depth):
     """The earlier `dequantize(..., up_to_depth)`: depths 1..up_to_depth[i]
     of each position, added depth by depth into the selected rows."""

@@ -2,16 +2,24 @@
 tau=0 greedy limit, guidance scheduling, determinism, and the graph-free
 model calls against the autodiff forward as oracle."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvqgen import masking as mk
+from rvqgen import mog
 from rvqgen import numerics as nm
 from rvqgen import rvq
 from rvqgen import sampler as smp
 from rvqgen.backbone import Backbone, BackboneConfig
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_masking import numpy_int_counts  # noqa: E402
+from test_rvq import oracle_quantize  # noqa: E402
 
 
 def build(L=4, D=2, V=4, H=3, seed=0, **over):
@@ -395,3 +403,66 @@ def test_generate_builds_no_autodiff_tensors(monkeypatch):
     st_ = mk.binary_mask(2, 5, 3, np.random.default_rng(0))
     model.forward(np.ones((5, 3), dtype=np.int64), st_.mask, book, [1], [0.5])
     assert made
+
+
+# ---------------------------------------------------------------------------
+# the lean step against a reference step built the slow way
+
+def reference_generate(model, book, label, config, rng):
+    """`generate` as per-step pieces: a scalar `mask_count` call per step,
+    the boolean-gather `oracle_quantize`, confidence scores from the
+    per-depth loop (sigma terms computed afresh), and random reveals from
+    the numpy-int hypergeometric loop. Returns the final token grid."""
+    c = model.config
+    L, D, T = c.seq_len, c.depth, config.steps
+    schedule = mk.parse_schedule(config.schedule)
+    tokens = np.full((L, D), rvq.MASK, dtype=np.int64)
+    state = mk.MaskState(np.full(L, D), D)
+    for t in range(1, T + 1):
+        visible = mk.apply_mask(tokens, state.mask)
+        params = model.forward(visible, state.mask, book, [label],
+                               [(t - 1) / T], grad=False)
+        if config.use_cfg:
+            uncond = model.forward(visible, state.mask, book, [0],
+                                   [(t - 1) / T], grad=False)
+            params = mog.cfg_combine(params, uncond, smp.cfg_weight(config, t))
+        z = mog.sample(params, model.basis, rng, top_p=config.top_p)
+        tokens = oracle_quantize(z, book, start_depth=state.unmasked_counts,
+                                 out=tokens)
+        n_target = min(mk.mask_count(schedule, t / T, L, D), state.n_total)
+        if config.selection == "confidence":
+            scores = confidence_loop_oracle(z, tokens, state, book,
+                                            config.temperature, rng, dot=False)
+            state = smp.select_unmask(state, n_target, scores)
+        else:
+            q = state.masked_counts
+            state = mk.MaskState(
+                q - numpy_int_counts(q, state.n_total - n_target, rng), D)
+    assert state.n_total == 0
+    return tokens
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(2, 6), st.integers(1, 9),
+       st.sampled_from(["random", "confidence"]), st.booleans(),
+       st.sampled_from(["circle", "cosine", "exp", "exp:2.5"]),
+       st.integers(0, 2**16))
+def test_generate_matches_the_reference_step(L, D, V, T, selection, use_cfg,
+                                             schedule, seed):
+    model, book = trained_like(L=L, D=D, V=V, seed=seed % 5)
+    cfg = smp.SamplerConfig(steps=T, schedule=schedule, selection=selection,
+                            temperature=2.0, top_p=0.9, use_cfg=use_cfg,
+                            cfg_start=0.5, cfg_end=1.5)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tokens, _ = smp.generate(model, book, 1, cfg, rng=rng)
+    want = reference_generate(model, book, 1, cfg, ref_rng)
+    assert np.array_equal(tokens, want)
+    # the same draws, in the same order, left the stream where it was
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("spec", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["temperature", "cfg_start", "cfg_end"])
+def test_config_rejects_non_finite_values(field, spec):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        smp.SamplerConfig(**{field: float(spec)})
