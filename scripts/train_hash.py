@@ -1,0 +1,101 @@
+"""SHA-256 of a seeded training run, to check that a change keeps its bits.
+
+    python3 scripts/train_hash.py [CHECKOUT [CHECKOUT]] [--steps 200]
+
+The run is criterion 9's training geometry (L=8, D=4, V=32, H=8, width 64,
+2 layers, 4 heads, 32 components, rank 8, batch 16, circle schedule) on
+1,024 synthetic grid records, for N `Trainer.step`s (default 200). The
+hash covers every step's loss and Jensen gap, then the parameters, AdamW
+moments and EMA in sorted-name order, then the bytes of the checkpoint
+taken at the end.
+
+Each checkout runs in its own process with that checkout's `src/` first
+on the import path. With no checkout the script hashes its own; with one
+it prints that checkout's hash; with two (PARENT CHANGE) it prints both
+and exits 1 when they differ. Standard library and the checkout's
+`rvqgen` only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_hash(steps):
+    """Hash of an N-step run with the `rvqgen` on the import path."""
+    from rvqgen import checkpoint, data, rvq, trainer
+    from rvqgen.backbone import Backbone, BackboneConfig
+
+    L, H, D, V = 8, 8, 4, 32
+    ds, _ = data.synthesize("grid", count=1024, seq_len=L, dim=H, modes=9,
+                            noise=0.1, seed=11)
+    book = rvq.fit_codebook(ds.vectors.reshape(-1, H), depth=D, vocab=V,
+                            epochs=5, seed=1)
+    grids = rvq.quantize(ds.vectors.reshape(-1, H), book).reshape(-1, L, D)
+    model = Backbone(BackboneConfig(seq_len=L, depth=D, vocab=V, latent_dim=H,
+                                    width=64, layers=2, heads=4, mixtures=32,
+                                    mean_rank=8), seed=0)
+    tc = trainer.TrainConfig(steps=20_000, batch_size=16, seed=0, audit_steps=())
+    tr = trainer.Trainer(model, book, grids, ds.labels, tc)
+    h = hashlib.sha256()
+    for _ in range(steps):
+        rec = tr.step()
+        h.update(f"{rec['loss'].hex()} {rec['gap'].hex()}\n".encode())
+    for group in ({k: p.data for k, p in model.params.items()},
+                  tr.opt_m, tr.opt_v, tr.ema):
+        for name in sorted(group):
+            h.update(name.encode() + group[name].tobytes())
+    h.update(checkpoint.from_trainer(tr).to_bytes())
+    return h.hexdigest()
+
+
+def hash_checkout(checkout, steps):
+    """Run `run_hash` in a fresh process on `checkout`'s `src/`."""
+    src = os.path.join(checkout, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", "--steps", str(steps)],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
+    digest, module = proc.stdout.split()
+    # the worker must have imported the checkout's package, not another one
+    if os.path.commonpath([os.path.realpath(module), os.path.realpath(src)]) \
+            != os.path.realpath(src):
+        raise RuntimeError(f"{checkout}: imported rvqgen from {module}")
+    return digest
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("checkouts", nargs="*", help="zero, one or two checkouts")
+    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.steps < 0:
+        p.error("--steps must be >= 0")
+    if args.worker:
+        import rvqgen
+        print(run_hash(args.steps), rvqgen.__file__)
+        return 0
+    if len(args.checkouts) > 2:
+        p.error("give at most two checkouts")
+    dirs = [os.path.abspath(c) for c in args.checkouts] or [HERE]
+    digests = [hash_checkout(d, args.steps) for d in dirs]
+    for d, digest in zip(dirs, digests):
+        print(f"{digest}  {d}")
+    if len(set(digests)) > 1:
+        print(f"train_hash: {args.steps}-step hashes differ", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

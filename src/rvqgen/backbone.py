@@ -153,9 +153,10 @@ class Backbone:
             return nm, self.params
         return nm.plain, {k: p.data for k, p in self.params.items()}
 
-    def embed_input(self, tokens, mask, book: rvq.Codebook, grad=True):
+    def embed_input(self, tokens, mask, book: rvq.Codebook, grad=True, *, ops=None):
         """(B, L, D) tokens + visibility mask -> (B, L, width) Tensor, or
-        ndarray with grad=False.
+        ndarray with grad=False. `ops` is the `_ops(grad)` pair when the
+        caller already built it (`forward` builds it once for both halves).
 
         Position features: sum of revealed codeword embeddings
         (`rvq.dequantize` over the revealed depths; a learned null vector
@@ -163,7 +164,7 @@ class Backbone:
         revealed entry raises ValueError.
         """
         c = self.config
-        ops, P = self._ops(grad)
+        ops, P = ops or self._ops(grad)
         tokens = np.asarray(tokens)
         mask = np.asarray(mask)
         if tokens.ndim == 2:
@@ -204,14 +205,15 @@ class Backbone:
         out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (B, c.seq_len, W))
         return ops.add(ops.matmul(out, P[prefix + "attn.ow"]), P[prefix + "attn.ob"])
 
-    def predict(self, embedded, labels, r, grad=True):
+    def predict(self, embedded, labels, r, grad=True, *, ops=None):
         """Embedded inputs + labels (B,) + mask ratio r (B,) -> MoGParams
-        of Tensors, or of ndarrays with grad=False. The heads run on
-        (B, L, width) and are emitted as head rows, one per grid position:
-        logits (B*L, K), means (B*L, K, h), log_scale (B*L,) and shift
-        (B*L, H), grid b's positions at rows b*L .. b*L + L - 1."""
+        of Tensors, or of ndarrays with grad=False; `ops` as in
+        `embed_input`. The heads run on (B, L, width) and are emitted as
+        head rows, one per grid position: logits (B*L, K), means
+        (B*L, K, h), log_scale (B*L,) and shift (B*L, H), grid b's
+        positions at rows b*L .. b*L + L - 1."""
         c = self.config
-        ops, P = self._ops(grad)
+        ops, P = ops or self._ops(grad)
         B = embedded.shape[0]
         labels = np.asarray(labels, dtype=np.int64).reshape(B)
         if (np.minimum.reduce(labels, initial=0) < 0
@@ -255,6 +257,8 @@ class Backbone:
         `params` (training); grad=False runs the same arithmetic through
         `numerics.plain` on the parameters' current arrays and returns
         ndarray head outputs with the bits of the graph's `.data`
-        (inference). Both check their inputs alike and count one call."""
-        return self.predict(self.embed_input(tokens, mask, book, grad=grad),
-                            labels, r, grad=grad)
+        (inference). Both check their inputs alike and count one call.
+        The parameter mapping is read once, for both halves."""
+        ops = self._ops(grad)
+        return self.predict(self.embed_input(tokens, mask, book, grad, ops=ops),
+                            labels, r, grad, ops=ops)

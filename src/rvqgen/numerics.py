@@ -20,6 +20,16 @@ backward, so both paths compute the same bits by construction, and the
 kernels make the same shape and index checks. A forward run through
 `plain` takes and returns ndarrays and records nothing.
 
+In-place arithmetic: the kernels and backward closures (gelu, layer norm,
+softmax, log-sum-exp, the squared-distance kernel) compute into buffers
+they allocate themselves (`out=`, `*=`), keeping the operand order of the
+closed-form expression, so the bits are those of the expression. Two
+invariants make that safe. A kernel never writes into an input: a
+parameter's array or another node's data. A backward closure never
+writes into its upstream gradient `g` nor into an array it returned
+earlier, because `backward` adopts a first gradient contribution as-is.
+A closure may return None for a parent that does not require gradients.
+
 Distinct graphs are independent and may run on distinct threads; a single
 graph is single-threaded during a forward or backward pass. The `plain`
 kernels hold no state, so graph-free forwards are as safe across threads
@@ -92,12 +102,15 @@ def _node(data, parents, bwd):
 
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    # np.add.reduce is what ndarray.sum calls, without its Python wrapper
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad
 
 
@@ -107,18 +120,22 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     a, b = constant(a), constant(b)
+    ga, gb = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if ga else None,
+                _unbroadcast(g, b.shape) if gb else None)
 
     return _node(np.add(a.data, b.data), (a, b), bwd)
 
 
 def sub(a, b):
     a, b = constant(a), constant(b)
+    ga, gb = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if ga else None,
+                _unbroadcast(-g, b.shape) if gb else None)
 
     return _node(a.data - b.data, (a, b), bwd)
 
@@ -126,9 +143,11 @@ def sub(a, b):
 def mul(a, b):
     a, b = constant(a), constant(b)
     ad, bd = a.data, b.data
+    ga, gb = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return (_unbroadcast(g * bd, a.shape) if ga else None,
+                _unbroadcast(g * ad, b.shape) if gb else None)
 
     return _node(np.multiply(ad, bd), (a, b), bwd)
 
@@ -176,23 +195,43 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
 def _gelu_parts(x):
-    """Forward kernel of `gelu`: (out, x^2, tanh term); the backward reuses
-    the last two."""
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    return 0.5 * x * (1.0 + t), x2, t
+    """Forward kernel of `gelu`: (out, tanh term); the backward reuses the
+    tanh term. 0.5*x*(1 + tanh(C*(x + 0.044715*x^3))), each op rounding as
+    in that expression, in the buffers made here."""
+    tmp = x * x
+    t = tmp * x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=tmp)
+    out = np.multiply(x, 0.5)
+    out *= tmp
+    return out, t
 
 
 def gelu(a):
     """Tanh-approximation GELU; derivative is exact for this approximation."""
     a = constant(a)
     x = a.data
-    out, x2, t = _gelu_parts(x)
+    out, t = _gelu_parts(x)
 
     def bwd(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * dx,)
+        # g * (0.5*(1 + t) + 0.5*x*(1 - t^2) * C*(1 + 3*0.044715*x^2))
+        d = x * x
+        d *= 3 * 0.044715
+        d += 1.0
+        d *= _GELU_C
+        u = np.multiply(t, t)
+        np.subtract(1.0, u, out=u)
+        v = np.multiply(x, 0.5)
+        v *= u
+        v *= d
+        np.add(t, 1.0, out=u)
+        u *= 0.5
+        v += u
+        v *= g
+        return (v,)
 
     return _node(out, (a,), bwd)
 
@@ -245,8 +284,10 @@ def matmul(a, b):
 def _softmax(x):
     """Forward kernel of `softmax`."""
     # the ufunc reductions ndarray.max / .sum call, without their wrappers
-    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def softmax(a):
@@ -255,8 +296,12 @@ def softmax(a):
     out = _softmax(a.data)
 
     def bwd(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        # out * (g - sum(g * out))
+        t = g * out
+        dot = np.add.reduce(t, axis=-1, keepdims=True)
+        np.subtract(g, dot, out=t)
+        t *= out
+        return (t,)
 
     return _node(out, (a,), bwd)
 
@@ -264,11 +309,12 @@ def softmax(a):
 def logsumexp(a, keepdims=False):
     """log-sum-exp over the last axis with max subtraction."""
     a = constant(a)
-    m = a.data.max(axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=-1, keepdims=True)
+    m = np.maximum.reduce(a.data, axis=-1, keepdims=True)
+    soft = a.data - m
+    np.exp(soft, out=soft)
+    s = np.add.reduce(soft, axis=-1, keepdims=True)
     out = m + np.log(s)
-    soft = e / s
+    soft /= s
 
     def bwd(g):
         gk = g if keepdims else np.expand_dims(g, -1)
@@ -285,12 +331,19 @@ def _layer_norm_parts(x, gain, bias, eps):
         raise ShapeError(f"layer_norm: gain/bias must be ({w},), "
                          f"got {gain.shape} and {bias.shape}")
     # add.reduce / w gives the bits of np.mean without its Python wrappers
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / w
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / w
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= w
+    xhat = x - mu
+    out = xhat * xhat
+    inv = np.add.reduce(out, axis=-1, keepdims=True)
+    inv /= w
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, xhat, inv
 
 
 def layer_norm(a, gain, bias, eps=1e-6):
@@ -300,12 +353,21 @@ def layer_norm(a, gain, bias, eps=1e-6):
     out, xhat, inv = _layer_norm_parts(a.data, gain.data, bias.data, eps)
 
     def bwd(g):
-        ggain = (g * xhat).reshape(-1, w).sum(axis=0)
-        gbias = g.reshape(-1, w).sum(axis=0)
-        gx_hat = g * gain.data
-        gx = inv * (gx_hat
-                    - gx_hat.sum(axis=-1, keepdims=True) / w
-                    - xhat * ((gx_hat * xhat).sum(axis=-1, keepdims=True) / w))
+        # gx = inv * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)),
+        # gx_hat = g * gain, with the means taken over the last axis
+        gx = g * xhat
+        ggain = np.add.reduce(gx.reshape(-1, w), axis=0)
+        gbias = np.add.reduce(g.reshape(-1, w), axis=0)
+        np.multiply(g, gain.data, out=gx)
+        s1 = np.add.reduce(gx, axis=-1, keepdims=True)
+        s1 /= w
+        tmp = gx * xhat
+        s2 = np.add.reduce(tmp, axis=-1, keepdims=True)
+        s2 /= w
+        np.multiply(xhat, s2, out=tmp)
+        gx -= s1
+        gx -= tmp
+        gx *= inv
         return gx, ggain, gbias
 
     return _node(out, (a, gain, bias), bwd)
@@ -458,21 +520,33 @@ def lowrank_sqdist(z, mu, M, s):
     Mtz = (zd @ Md.transpose(1, 0, 2).reshape(H, K * h)).reshape(N, K, h)
     zz = (zd * zd).sum(axis=1)                         # (N,)
     ss = (sd * sd).sum(axis=1)                         # (K,)
-    quad = ((mud.transpose(1, 0, 2) @ MtM).transpose(1, 0, 2) * mud).sum(axis=2)
-    out = (zz[:, None] + quad + ss[None, :]
-           - 2.0 * (Mtz * mud).sum(axis=2)
-           - 2.0 * zd @ sd.T
-           + 2.0 * (mud * Mts[None]).sum(axis=2))
+    prod = (mud.transpose(1, 0, 2) @ MtM).transpose(1, 0, 2) * mud
+    # zz + quad + ss - 2 mu.Mtz - 2 z.s + 2 mu.Mts, left to right, in the
+    # buffers made here
+    out = np.add.reduce(prod, axis=2)                  # quad
+    out += zz[:, None]
+    out += ss[None, :]
+    Mtz *= mud
+    t = np.add.reduce(Mtz, axis=2)
+    t *= 2.0
+    out -= t
+    out -= 2.0 * zd @ sd.T
+    np.multiply(mud, Mts[None], out=prod)
+    t = np.add.reduce(prod, axis=2)
+    t *= 2.0
+    out += t
 
     def bwd(g):
-        full_mu = (Md @ mud.transpose(1, 2, 0)).transpose(2, 0, 1) + sd[None]
+        full_mu = (Md @ mud.transpose(1, 2, 0)).transpose(2, 0, 1)
+        full_mu += sd[None]
         diff = zd[:, None, :] - full_mu                # (N, K, H)
         gd = g[:, :, None] * diff
         gz = 2.0 * gd.sum(axis=1)
-        gmu = -2.0 * (Mt @ gd.transpose(1, 2, 0)).transpose(2, 0, 1)
+        gmu = Mt @ gd.transpose(1, 2, 0)
+        gmu *= -2.0
         gM = -2.0 * gd.transpose(1, 2, 0) @ mud.transpose(1, 0, 2)
         gs = -2.0 * gd.sum(axis=0)
-        return gz, gmu, gM, gs
+        return gz, gmu.transpose(2, 0, 1), gM, gs
 
     return _node(out, (z, mu, M, s), bwd)
 
@@ -482,20 +556,31 @@ def lowrank_sqdist(z, mu, M, s):
 
 
 def topo_order(root):
-    """Iterative post-order DFS; each node appears exactly once."""
-    order, visited, stack = [], set(), [(root, False)]
+    """The nodes `root` reaches through parents that require gradients,
+    each once and after its parents: an iterative post-order DFS that
+    explores a node's parents last-first. `backward` walks it in reverse,
+    so it also fixes the order, hence the rounding, in which a node's
+    gradient contributions are summed. Constants are skipped and leaves
+    are placed without a second visit; neither moves another node. A
+    None on the stack marks that the node under it is finished."""
+    order, visited, stack = [], set(), [root]
+    push, pop, seen, append = stack.append, stack.pop, visited.add, order.append
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node = pop()
+        if node is None:
+            append(pop())
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
+        seen(node)
+        if not node._parents:
+            append(node)
+            continue
+        push(node)
+        push(None)
         for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
+            if p.requires_grad and p not in visited:
+                push(p)
     return order
 
 
@@ -512,7 +597,7 @@ def backward(loss):
             continue
         for parent, g in zip(node._parents, node._bwd(node.grad)):
             if not parent.requires_grad:
-                continue
+                continue            # g may be None: the closure skipped it
             # first contribution is adopted as-is (backward closures never
             # mutate what they return), later ones allocate a fresh sum
             parent.grad = g if parent.grad is None else parent.grad + g

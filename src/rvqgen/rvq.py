@@ -50,14 +50,16 @@ CODEBOOK_VERSION = 1
 SIGMA_FLOOR = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class Codebook:
     """Per-depth embedding tables (D, V, H) and residual scales sigma (D,).
 
-    Construction also derives what the per-call paths would otherwise
-    rebuild: `score_pairs`, each depth's `score_pair` for `quantize`, and
-    the confidence scores' sigma-only terms `two_var` = 2 sigma^2 and
-    `log_norm` = -H/2 log(2 pi sigma^2), both (D,).
+    Frozen: assigning a field raises, and the arrays are read-only copies,
+    so the derived terms below cannot go stale. Construction also derives
+    what the per-call paths would otherwise rebuild: `score_pairs`, each
+    depth's `score_pair` for `quantize`, and the confidence scores'
+    sigma-only terms `two_var` = 2 sigma^2 and `log_norm` =
+    -H/2 log(2 pi sigma^2), both (D,).
     """
 
     embeddings: np.ndarray
@@ -67,8 +69,13 @@ class Codebook:
     log_norm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.embeddings = np.ascontiguousarray(self.embeddings, dtype=np.float64)
-        self.sigma = np.ascontiguousarray(self.sigma, dtype=np.float64)
+        def put(name, value):
+            value = np.array(value, dtype=np.float64, order="C")
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+        put("embeddings", self.embeddings)
+        put("sigma", self.sigma)
         if self.embeddings.ndim != 3:
             raise ValueError(f"embeddings must be (D, V, H), got {self.embeddings.shape}")
         if self.sigma.shape != (self.embeddings.shape[0],):
@@ -78,12 +85,13 @@ class Codebook:
                              f"{self.embeddings.shape}")
         if not np.all(np.isfinite(self.embeddings)):
             raise ValueError("codebook embeddings must be finite")
-        self.score_pairs = tuple(score_pair(t) for t in self.embeddings)
+        object.__setattr__(self, "score_pairs",
+                           tuple(score_pair(t) for t in self.embeddings))
         s2 = self.sigma ** 2
-        self.two_var = 2 * s2
+        put("two_var", 2 * s2)
         # a sigma <= 0 is refused where the scores are taken
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.log_norm = -0.5 * self.dim * np.log(2 * np.pi * s2)
+            put("log_norm", -0.5 * self.dim * np.log(2 * np.pi * s2))
 
     @property
     def depth(self):

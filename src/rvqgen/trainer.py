@@ -132,6 +132,11 @@ def masked_loss(model: Backbone, book, tokens, masks, labels, ratios,
     return nm.mean_(sur), nm.mean_(nll), rows.size, out
 
 
+# elements per chunk of the optimizer update: the seven 128 KB slices it
+# touches stay in cache between its ops
+_CHUNK = 1 << 14
+
+
 class Trainer:
     """Owns optimizer/EMA state and the training RNG stream.
 
@@ -139,17 +144,21 @@ class Trainer:
     dropout) flows from the single `rng`, so checkpointing its state makes
     resumed runs bit-identical to straight runs.
 
-    The AdamW moments and the EMA each live in one flat float64 buffer laid
-    out in sorted parameter-name order. A step flattens the gradients and
-    the parameters once, updates the buffers in place with whole-buffer ops
-    (the elementwise arithmetic of a per-tensor loop, hence its bits) and
-    points every `p.data` at its slice of the new parameter vector.
+    The parameters, the AdamW moments and the EMA each live in one flat
+    float64 buffer laid out in sorted parameter-name order. At construction
+    every `p.data` becomes a view of its slice of the parameter buffer, and
+    a step updates that buffer in place with elementwise ops over the flat
+    buffers (the arithmetic of a per-tensor loop, hence its bits). So a
+    `p.data` reference held across a step sees the update; take
+    `model.parameter_arrays()` for a snapshot. The gradients are copied
+    into a flat buffer of their own.
 
     Outside writers: `opt_m`, `opt_v` and `ema` read as {name: view into the
     buffer}, so later steps show through them (copy to keep a snapshot),
-    and accept {name: array} assignments, which are copied in. A step reads
-    every `p.data` afresh, so parameters rebound between steps (checkpoint
-    restore, tests) are the ones it updates.
+    and accept {name: array} assignments, which are copied in. Rebinding is
+    still honoured: a step first copies in every parameter whose `p.data`
+    is no longer its view (checkpoint restore, `Backbone.load_arrays`,
+    tests) and points it back at the view.
     """
 
     def __init__(self, model: Backbone, book: rvq.Codebook, grids, labels,
@@ -166,13 +175,18 @@ class Trainer:
         for name, p in sorted(model.params.items()):
             self._layout.append((name, end, end + p.data.size, p.shape))
             end += p.data.size
-        self._ema = self._flat_params()
-        self._m = np.zeros_like(self._ema)
-        self._v = np.zeros_like(self._ema)
-        # scratch for the whole-buffer ops: fresh 1 MB temporaries cost
-        # more than the arithmetic
-        self._a = np.empty_like(self._ema)
-        self._b = np.empty_like(self._ema)
+        self._p = np.empty(end)
+        self._views = self._split(self._p)
+        self._bind_params()
+        self._g = np.empty_like(self._p)
+        self._gviews = self._split(self._g)
+        self._ema = self._p.copy()
+        self._m = np.zeros_like(self._p)
+        self._v = np.zeros_like(self._p)
+        # scratch for the update's ops: fresh temporaries cost more than
+        # the arithmetic
+        self._a = np.empty_like(self._p)
+        self._b = np.empty_like(self._p)
 
     # -- flat state ----------------------------------------------------------
 
@@ -190,8 +204,18 @@ class Trainer:
         """Flat vector -> {name: view of its slice}."""
         return {name: flat[a:b].reshape(shape) for name, a, b, shape in self._layout}
 
-    def _flat_params(self):
-        return self._join({k: p.data for k, p in self.model.params.items()})
+    def _bind_params(self):
+        """Copy in every parameter rebound since the last step and point it
+        back at its view of the parameter buffer."""
+        params = self.model.params
+        for name, view in self._views.items():
+            p = params[name]
+            if p.data is not view:
+                if p.data.shape != view.shape:
+                    raise ValueError(f"{name}: shape {p.data.shape}, "
+                                     f"parameter has {view.shape}")
+                view[...] = p.data
+                p.data = view
 
     opt_m = property(lambda self: self._split(self._m),
                      lambda self, arrays: setattr(self, "_m", self._join(arrays)))
@@ -218,6 +242,7 @@ class Trainer:
 
     def step(self):
         c = self.config
+        self._bind_params()
         idx, ratios, masks, labels = self._draw_batch()
         sur, nll, n_sel, _ = masked_loss(
             self.model, self.book, self.grids[idx], masks, labels, ratios,
@@ -231,20 +256,19 @@ class Trainer:
         if gap < -1e-9:
             raise RuntimeError(f"Jensen gap violated at step {self.step_count}: {gap}")
 
+        scale = None                    # None: no gradient step
         if n_sel > 0:
             g = nm.grads(sur, self.model.params)
-            flat_g = self._join(g)
+            for name, view in self._gviews.items():
+                view[...] = g[name]
+            scale = 1.0
             if c.clip_norm > 0:
                 # per-tensor sums in model order: a flat g @ g rounds otherwise
                 total = np.sqrt(sum(float((gk * gk).sum()) for gk in g.values()))
                 if total > c.clip_norm:
-                    flat_g *= c.clip_norm / total
-            params = self._adamw(flat_g)
-        else:
-            params = self._flat_params()
+                    scale = c.clip_norm / total
+        self._update(scale)
         self.step_count += 1
-        self._ema *= c.ema_decay
-        self._ema += np.multiply(params, 1.0 - c.ema_decay, out=self._a)
         return {"step": self.step_count, "loss": loss, "gap": gap,
                 "positions": n_sel}
 
@@ -257,36 +281,44 @@ class Trainer:
             lr = lo + 0.5 * (c.lr - lo) * (1.0 + np.cos(np.pi * frac))
         return lr
 
-    def _adamw(self, g):
-        """One AdamW update from the flat gradient; returns the flat
-        parameter vector after it. Every op rounds as in the per-tensor
-        form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-        upd = (m/bc1) / (sqrt(v/bc2) + eps) + wd*p, p = p - lr*upd."""
+    def _update(self, scale):
+        """Clip by `scale` and apply AdamW (unless `scale` is None, a step
+        without gradient), then the EMA, over the flat buffers in chunks
+        small enough to stay in cache. Every element sees the op sequence of
+        the per-tensor form, so every op rounds as there:
+        g = scale*g, m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        upd = (m/bc1) / (sqrt(v/bc2) + eps) + wd*p, p = p - lr*upd,
+        ema = d*ema + (1-d)*p."""
         c = self.config
         t = self.step_count + 1
         lr = self._learning_rate(t)
         bc1 = 1.0 - c.beta1**t
         bc2 = 1.0 - c.beta2**t
-        m, v, a, b = self._m, self._v, self._a, self._b
-        m *= c.beta1
-        m += np.multiply(g, 1 - c.beta1, out=a)
-        v *= c.beta2
-        np.multiply(g, g, out=a)
-        a *= 1 - c.beta2
-        v += a
-        p = self._flat_params()
-        if lr == 0.0:
-            return p  # bitwise null update; moments still advance
-        upd = np.divide(m, bc1, out=a)
-        den = np.sqrt(np.divide(v, bc2, out=b), out=b)
-        den += c.eps
-        upd /= den
-        if c.weight_decay:
-            upd += np.multiply(p, c.weight_decay, out=b)
-        p -= np.multiply(upd, lr, out=a)
-        for name, view in self._split(p).items():
-            self.model.params[name].data = view
-        return p
+        for lo in range(0, self._p.size, _CHUNK):
+            p, g, m, v, ema, a, b = (x[lo:lo + _CHUNK] for x in (
+                self._p, self._g, self._m, self._v, self._ema, self._a, self._b))
+            if scale is not None:
+                if scale != 1.0:
+                    g *= scale
+                m *= c.beta1
+                m += np.multiply(g, 1 - c.beta1, out=a)
+                v *= c.beta2
+                np.multiply(g, g, out=a)
+                a *= 1 - c.beta2
+                v += a
+                # lr = 0: a bitwise null update; the moments still advance
+                if lr != 0.0:
+                    den = np.sqrt(np.divide(v, bc2, out=b), out=b)
+                    den += c.eps
+                    # once beta1**t is below half an ulp of 1, bc1 is 1.0
+                    # and m / bc1 is m itself
+                    upd = np.divide(m if bc1 == 1.0 else np.divide(m, bc1, out=a),
+                                    den, out=a)
+                    if c.weight_decay:
+                        upd += np.multiply(p, c.weight_decay, out=b)
+                    p -= np.multiply(upd, lr, out=a)
+            ema *= c.ema_decay
+            ema += np.multiply(p, 1.0 - c.ema_decay, out=a)
 
     def run(self, steps, log_fn=None):
         for _ in range(steps):

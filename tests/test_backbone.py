@@ -298,3 +298,26 @@ def test_forward_counter_counts_both_modes():
     model.forward(tokens, st_.mask, book, labels=[1], r=[0.5])
     model.forward(tokens, st_.mask, book, labels=[1], r=[0.5], grad=False)
     assert model.forward_calls == 3
+
+
+def test_forward_reads_the_parameter_mapping_once(monkeypatch):
+    cfg = tiny_config()
+    model = Backbone(cfg, seed=0)
+    book = tiny_book(cfg)
+    tokens = random_grid(cfg, book)
+    st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
+    ref = model.forward(tokens, st_.mask, book, [1], [0.5], grad=False)
+    built = []
+    ops = Backbone._ops
+    monkeypatch.setattr(Backbone, "_ops", lambda self, grad: built.append(grad)
+                        or ops(self, grad))
+    for grad in (False, True):
+        out = model.forward(tokens, st_.mask, book, [1], [0.5], grad=grad)
+        assert built == [grad]
+        built.clear()
+        assert mixture_weights(out.detach().logits).tobytes() == \
+            mixture_weights(ref.logits).tobytes()
+    # the halves called on their own still build their own
+    emb = model.embed_input(tokens, st_.mask, book, grad=False)
+    model.predict(emb, [1], [0.5], grad=False)
+    assert built == [False, False]

@@ -442,3 +442,101 @@ def test_plain_kernel_checks_like_its_op(name, args, message):
         with pytest.raises(nm.ShapeError) as info:
             fn(*args)
         assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels: the bits of the closed-form expressions, and no writes
+# into inputs, the upstream gradient or arrays returned earlier
+
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+W = 64
+
+
+@pytest.mark.parametrize("shape", [(16, 8, W), (16, 8, 4 * W)], ids=["W", "4W"])
+def test_gelu_kernels_bit_equal_to_closed_form(shape):
+    rng = np.random.default_rng(shape[-1])
+    for scale in (0.1, 1.0, 4.0, 30.0):
+        x = scale * rng.normal(size=shape)
+        g = rng.normal(size=shape)
+        x2 = x * x
+        t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
+        out, got_t = nm._gelu_parts(x)
+        assert out.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
+        assert got_t.tobytes() == t.tobytes()
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
+        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+        (gx,) = nm.gelu(nm.parameter(x))._bwd(g)
+        assert gx.tobytes() == (g * dx).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(16, 8, W), (16, 8, 4 * W)], ids=["W", "4W"])
+def test_layer_norm_kernels_bit_equal_to_closed_form(shape):
+    rng = np.random.default_rng(shape[-1] + 1)
+    w = shape[-1]
+    for scale, eps in ((1.0, 1e-6), (50.0, 1e-6), (1e-3, 1e-3)):
+        x = scale * rng.normal(size=shape) + 0.5
+        gain, bias = rng.normal(size=w), rng.normal(size=w)
+        g = rng.normal(size=shape)
+        mu = np.add.reduce(x, axis=-1, keepdims=True) / w
+        xc = x - mu
+        var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / w
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = xc * inv
+        out, got_xhat, got_inv = nm._layer_norm_parts(x, gain, bias, eps)
+        assert out.tobytes() == (xhat * gain + bias).tobytes()
+        assert got_xhat.tobytes() == xhat.tobytes() and got_inv.tobytes() == inv.tobytes()
+        node = nm.layer_norm(nm.parameter(x), nm.parameter(gain), nm.parameter(bias), eps)
+        gx, ggain, gbias = node._bwd(g)
+        gx_hat = g * gain
+        ref = inv * (gx_hat - gx_hat.sum(axis=-1, keepdims=True) / w
+                     - xhat * ((gx_hat * xhat).sum(axis=-1, keepdims=True) / w))
+        assert gx.tobytes() == ref.tobytes()
+        assert ggain.tobytes() == (g * xhat).reshape(-1, w).sum(axis=0).tobytes()
+        assert gbias.tobytes() == g.reshape(-1, w).sum(axis=0).tobytes()
+
+
+INPLACE_CASES = {
+    **OP_CASES,
+    "gelu_W": lambda rng: (nm.gelu, [3.0 * _r(rng, 16, 8, W)]),
+    "gelu_4W": lambda rng: (nm.gelu, [3.0 * _r(rng, 16, 8, 4 * W)]),
+    "layer_norm_W": lambda rng: (nm.layer_norm, [_r(rng, 16, 8, W), _r(rng, W), _r(rng, W)]),
+    "softmax_scores": lambda rng: (nm.softmax, [10.0 * _r(rng, 8, 8, 8)]),
+    "lowrank_sqdist_head": lambda rng: (
+        nm.lowrank_sqdist, [_r(rng, 40, 8), _r(rng, 40, 6, 4), _r(rng, 6, 8, 4), _r(rng, 6, 8)]),
+}
+
+
+@pytest.mark.parametrize("opname", sorted(INPLACE_CASES))
+def test_ops_write_into_no_input_gradient_or_earlier_result(opname):
+    # `backward` adopts a first gradient contribution as-is, so a closure
+    # that wrote into g or into an array it returned before would corrupt
+    # another node's gradient
+    rng = np.random.default_rng(zlib.crc32(opname.encode()) + 5)
+    build, arrays = INPLACE_CASES[opname](rng)
+    params = [nm.parameter(a) for a in arrays]
+    out = build(*params)
+    data = out.data.copy()
+    g = rng.normal(size=out.shape)
+    g_before = g.copy()
+    first = out._bwd(g)
+    first_copy = [a.copy() for a in first]
+    second = out._bwd(g)
+    for a, b, c in zip(first, first_copy, second):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    assert g.tobytes() == g_before.tobytes()
+    assert out.data.tobytes() == data.tobytes()
+    for p, a in zip(params, arrays):
+        assert p.data.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("name, args", PLAIN_CASES,
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(PLAIN_CASES)])
+def test_plain_kernels_write_into_no_input(name, args):
+    copies = [[a.copy() for a in x] if isinstance(x, list) else
+              (x.copy() if isinstance(x, np.ndarray) else x) for x in args]
+    getattr(nm.plain, name)(*args)
+    for x, c in zip(args, copies):
+        if isinstance(x, list):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(x, c))
+        elif isinstance(x, np.ndarray):
+            assert x.tobytes() == c.tobytes()

@@ -3,6 +3,7 @@ fixed points, sigma estimation, the nearest-codeword kernel against its
 broadcast oracle, the whole-grid quantize and the distinct-row init against
 their reference forms, and the binary codebook format."""
 
+import dataclasses
 import re
 import struct
 
@@ -93,6 +94,26 @@ def test_codebook_scoring_constants_are_the_per_call_terms():
     s2 = book.sigma ** 2
     assert np.array_equal(book.two_var, 2 * s2)
     assert np.array_equal(book.log_norm, -0.5 * 4 * np.log(2 * np.pi * s2))
+
+
+def test_codebook_fields_cannot_be_reassigned():
+    # the scoring constants above are derived once; a new sigma or table
+    # assigned afterwards would leave them describing the old values
+    book = rvq.Codebook(np.ones((2, 3, 2)), np.array([0.5, 0.25]))
+    for name, value in (("sigma", np.array([1.0, 1.0])),
+                        ("embeddings", np.zeros((2, 3, 2))),
+                        ("two_var", np.ones(2))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(book, name, value)
+    # nor written in place, and the caller's arrays are not the book's
+    sigma = np.array([0.5, 0.25])
+    book = rvq.Codebook(np.ones((2, 3, 2)), sigma)
+    for arr in (book.sigma, book.embeddings, book.two_var, book.log_norm):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    sigma[0] = 7.0
+    assert np.array_equal(book.sigma, [0.5, 0.25])
+    assert np.array_equal(book.two_var, 2 * np.array([0.5, 0.25]) ** 2)
 
 
 def prefix_sum_loop(tokens, book, up_to_depth):

@@ -155,8 +155,8 @@ def test_confidence_exact_hit_gets_max_density():
 
 
 def test_confidence_requires_sigma():
-    book = rvq.Codebook(np.zeros((1, 2, 2)), np.array([1.0]))
-    book.sigma = np.array([0.0])
+    # the codebook takes sigma = 0; the confidence scores refuse it
+    book = rvq.Codebook(np.zeros((1, 2, 2)), np.array([0.0]))
     state = mk.MaskState([1], 1)
     with pytest.raises(ValueError, match="sigma"):
         smp.confidence_scores(np.zeros((1, 2)), np.ones((1, 1), dtype=int),

@@ -1,0 +1,31 @@
+"""scripts/train_hash.py: the seeded training hash is the same in two
+processes on one checkout, and a difference between checkouts fails."""
+
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_PATH = os.path.join(ROOT, "scripts", "train_hash.py")
+_spec = importlib.util.spec_from_file_location("train_hash", _PATH)
+th = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(th)
+
+
+def test_two_runs_on_one_checkout_hash_alike():
+    proc = subprocess.run([sys.executable, _PATH, ROOT, ROOT, "--steps", "3"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split("\n")[:2]
+    digests = [line.split()[0] for line in lines]
+    assert digests[0] == digests[1]
+    assert re.fullmatch("[0-9a-f]{64}", digests[0])
+
+
+def test_differing_hashes_exit_one(monkeypatch, capsys):
+    monkeypatch.setattr(th, "hash_checkout", lambda checkout, steps: checkout)
+    assert th.main(["parent", "change", "--steps", "1"]) == 1
+    assert "differ" in capsys.readouterr().err
+    assert th.main(["same", "same", "--steps", "1"]) == 0

@@ -120,19 +120,21 @@ def _same(a, b):
     return sorted(a) == sorted(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
+def oracle_trainer(**over):
+    model, book, grids = toy_setup(seed=21)
+    cfg = tnr.TrainConfig(steps=30, batch_size=4, warmup=5, seed=21,
+                          audit_steps=(), **over)
+    return tnr.Trainer(model, book, grids, np.zeros(len(grids), dtype=np.int64), cfg)
+
+
 @pytest.mark.parametrize("over", [
     dict(weight_decay=0.01, clip_norm=0.05, lr=3e-3),   # clipping every step
     dict(weight_decay=0.01, clip_norm=3.0, lr=3e-3),    # clipping now and then
     dict(lr=0.0),
-    dict(clip_norm=0.0, lr=1e-2, differentiate_q=True)])
+    dict(clip_norm=0.0, lr=1e-2, differentiate_q=True),
+    dict(beta1=0.1, lr=3e-3)])           # 1 - beta1**t rounds to 1.0 from step 17
 def test_flat_state_matches_per_tensor_oracle(over):
-    def make():
-        model, book, grids = toy_setup(seed=21)
-        cfg = tnr.TrainConfig(steps=30, batch_size=4, warmup=5, seed=21,
-                              audit_steps=(), **over)
-        return tnr.Trainer(model, book, grids, np.zeros(len(grids), dtype=np.int64), cfg)
-
-    tr, ref_tr = make(), make()
+    tr, ref_tr = oracle_trainer(**over), oracle_trainer(**over)
     ref = PerTensorOracle(ref_tr)
     init = tr.model.parameter_arrays()
     noise = np.random.default_rng(22)
@@ -158,6 +160,57 @@ def test_flat_state_matches_per_tensor_oracle(over):
         if over.get("lr") == 0.0 and i < 20:   # bitwise null update
             assert _same(tr.model.parameter_arrays(), init), i
     assert tr.rng.bit_generator.state == ref_tr.rng.bit_generator.state
+
+
+def test_parameters_stay_views_of_the_flat_buffer_across_steps():
+    tr = oracle_trainer(weight_decay=0.01, lr=3e-3)
+    held = {k: p.data for k, p in tr.model.params.items()}
+    snap = tr.model.parameter_arrays()
+    for _ in range(5):
+        tr.step()
+        # updated in place: no parameter is re-pointed by a step
+        assert all(tr.model.params[k].data is held[k] for k in held)
+    assert all(np.shares_memory(a, tr._p) for a in held.values())
+    # a reference held across the steps sees the update; a snapshot does not
+    assert not _same(held, snap)
+    assert _same(held, tr.model.parameter_arrays())
+
+
+@pytest.mark.parametrize("rebind", ["load_arrays", "non_contiguous"])
+def test_rebound_parameters_are_copied_in_and_match_the_oracle(rebind):
+    over = dict(weight_decay=0.01, clip_norm=0.05, lr=3e-3)
+    tr, ref_tr = oracle_trainer(**over), oracle_trainer(**over)
+    ref = PerTensorOracle(ref_tr)
+    noise = np.random.default_rng(23)
+    for i in range(12):
+        if i in (4, 9):
+            new = {k: p.data + 1e-3 * noise.normal(size=p.shape)
+                   for k, p in sorted(tr.model.params.items())}
+            if rebind == "load_arrays":
+                tr.model.load_arrays(new)
+            else:
+                for k, p in tr.model.params.items():
+                    wide = np.zeros(p.shape + (2,))
+                    wide[..., 0] = new[k]
+                    p.data = wide[..., 0]        # strided view of the values
+                assert not tr.model.params["embed.w"].data.flags.c_contiguous
+            ref_tr.model.load_arrays(new)
+        rec = tr.step()
+        loss, gap = ref.step()
+        assert (rec["loss"], rec["gap"]) == (loss, gap), i
+        assert _same(tr.model.parameter_arrays(), ref_tr.model.parameter_arrays()), i
+        assert _same(tr.opt_m, ref.m) and _same(tr.opt_v, ref.v), i
+        assert _same(tr.ema, ref.ema), i
+        # the step pointed every parameter back at its view
+        assert all(np.shares_memory(p.data, tr._p) for p in tr.model.params.values())
+
+
+def test_rebinding_to_a_wrong_shape_is_refused():
+    tr = oracle_trainer()
+    tr.step()
+    tr.model.params["embed.b"].data = np.zeros(3)
+    with pytest.raises(ValueError, match="embed.b: shape"):
+        tr.step()
 
 
 def test_optimizer_state_rejects_wrong_shapes():
