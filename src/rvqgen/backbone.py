@@ -36,20 +36,19 @@ class BackboneConfig:
     depth: int            # quantization stages per position
     vocab: int            # codewords per stage
     latent_dim: int       # vector dimension the codebook lives in
-    width: int = 128
-    layers: int = 4
+    width: int = 64       # the five model sizes: `rvqgen train`'s defaults
+    layers: int = 2
     heads: int = 4
-    mixtures: int = 64    # MoG components
+    mixtures: int = 32    # MoG components
     mean_rank: int = 8    # low-rank mean dimension
     num_classes: int = 0  # 0 = unconditional; label 0 is the null label
     positional_encoding: bool = True
 
     def __post_init__(self):
-        counts = (self.seq_len, self.depth, self.vocab, self.latent_dim,
-                  self.width, self.layers, self.heads, self.mixtures,
-                  self.mean_rank)
-        if any(c < 1 for c in counts):
-            raise ValueError("all size fields must be >= 1")
+        for name in ("seq_len", "depth", "vocab", "latent_dim", "width",
+                     "layers", "heads", "mixtures", "mean_rank"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.width % self.heads:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
 

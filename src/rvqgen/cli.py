@@ -1,13 +1,20 @@
 """Command-line surface: synth | fit-rvq | train | sample | eval | inspect.
 
-Options resolve in three layers: built-in defaults, then a key=value config
+Options are read off the library code that consumes them (the keywords of
+`data.synthesize` and `rvq.fit_codebook`, the fields of `TrainConfig`,
+`BackboneConfig` and `SamplerConfig`), which owns their defaults and checks.
+Values resolve in three layers: those defaults, then a key=value config
 file (--config), then explicit command-line flags. Every command that takes
 --seed is end-to-end reproducible; binary outputs are written atomically.
+An error a command raises leaves `main` as one `error: ...` line and exit
+code 1; argparse's usage errors exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import os
 import sys
 import time
@@ -26,7 +33,11 @@ SEED_ENV = "RVQGEN_SEED"
 
 
 def env_seed():
-    return int(os.environ.get(SEED_ENV, "0"))
+    """The default of every `seed` option: $RVQGEN_SEED, else 0."""
+    try:
+        return int(os.environ.get(SEED_ENV, "0"))
+    except ValueError as e:
+        raise ValueError(f"{SEED_ENV}: {e}") from None
 
 
 def parse_config_file(path):
@@ -44,80 +55,84 @@ def parse_config_file(path):
     return out
 
 
-def _coerce(value, kind):
+def _bool(value):
+    low = str(value).lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"cannot parse boolean from {value!r}")
+
+
+def _convert(value, kind):
+    """A flag's or config line's value as `kind`; flags arrive converted,
+    except tuples (of integers, comma-separated), which argparse keeps as
+    text so that a bad one is reported with its field."""
+    if isinstance(value, kind):
+        return value
     if kind is bool:
-        if isinstance(value, bool):
-            return value
-        low = str(value).lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean from {value!r}")
+        return _bool(value)
+    if kind is tuple:
+        return tuple(int(s) for s in value.split(",") if s.strip())
     return kind(value)
 
 
-class Opts:
-    """Default < config-file < CLI flag resolution."""
+def _keywords(fn, skip=()):
+    """{keyword: (type, default)} of a library function's (or config
+    dataclass's) keywords that have a default, less `skip`."""
+    return {name: (type(p.default), p.default)
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty and name not in skip}
 
-    def __init__(self, args, table):
-        self.table = table
-        self.cli = vars(args)
-        self.path = getattr(args, "config", None)
-        self.file = parse_config_file(self.path) if self.path else {}
 
-    def __getattr__(self, name):
-        if name not in self.table:
-            raise AttributeError(name)
-        kind, default = self.table[name]
-        if self.cli.get(name) is not None:
-            return self.cli[name]
-        if name in self.file:
-            try:
-                return _coerce(self.file[name], kind)
-            except ValueError as e:
-                raise ValueError(f"{self.path}: {name}: {e}") from None
-        if callable(default):
-            return default()
-        return default
+def _pick(opts, cls):
+    return {k: v for k, v in opts.items() if k in cls.__dataclass_fields__}
 
 
 def add_opts(parser, table):
     parser.add_argument("--config", help="key=value config file")
     for name, (kind, default) in table.items():
-        flag = "--" + name.replace("_", "-")
-        shown = default() if callable(default) else default
-        if kind is bool:
-            parser.add_argument(flag, default=None, type=lambda v: _coerce(v, bool),
-                                metavar="BOOL", help=f"(default {shown})")
-        else:
-            parser.add_argument(flag, default=None, type=kind,
-                                help=f"(default {shown})")
+        shown = f"${SEED_ENV}, else 0" if name == "seed" else default
+        parser.add_argument("--" + name.replace("_", "-"), default=None,
+                            type={bool: _bool, tuple: str}.get(kind, kind),
+                            metavar="BOOL" if kind is bool else None,
+                            help=f"(default {shown})")
+    parser.set_defaults(opts=table)
+
+
+def resolve(args):
+    """{option: value} of a parsed command: each option's flag, else its
+    config-file line, else its default (`seed`'s is `env_seed()`). A value
+    that does not convert names its field (and file); so does a file key
+    that the command does not take."""
+    path = args.config
+    lines = parse_config_file(path) if path else {}
+    for key in lines:
+        if key not in args.opts:
+            raise ValueError(f"{path}: {key}: not an option of {args.command}")
+    out = {}
+    for name, (kind, default) in args.opts.items():
+        value, where = getattr(args, name), name
+        if value is None and name in lines:
+            value, where = lines[name], f"{path}: {name}"
+        if value is None:
+            out[name] = env_seed() if name == "seed" else default
+            continue
+        try:
+            out[name] = _convert(value, kind)
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
 # synth
 
-SYNTH_OPTS = {
-    "family": (str, "grid"),
-    "count": (int, 10000),
-    "seq_len": (int, 8),
-    "dim": (int, 8),
-    "modes": (int, 9),
-    "noise": (float, 0.1),
-    "spread": (float, 2.0),
-    "num_classes": (int, 0),
-    "class_shift": (float, 1.0),
-    "seed": (int, env_seed),
-}
+SYNTH_OPTS = _keywords(data_mod.synthesize)
 
 
 def cmd_synth(args):
-    o = Opts(args, SYNTH_OPTS)
-    ds, meta = data_mod.synthesize(
-        o.family, o.count, o.seq_len, o.dim, modes=o.modes, noise=o.noise,
-        spread=o.spread, num_classes=o.num_classes, class_shift=o.class_shift,
-        seed=o.seed)
+    ds, meta = data_mod.synthesize(**resolve(args))
     data_mod.save_dataset(ds, args.out, meta=meta)
     print(f"wrote {args.out}: {ds.count} records of {ds.seq_len}x{ds.dim}, "
           f"num_classes={ds.num_classes}")
@@ -127,23 +142,14 @@ def cmd_synth(args):
 # ---------------------------------------------------------------------------
 # fit-rvq
 
-FIT_OPTS = {
-    "depth": (int, 4),
-    "vocab": (int, 32),
-    "update": (str, "nearest"),
-    "epochs": (int, 10),
-    "sigma_assign": (float, 1.0),
-    "seed": (int, env_seed),
-}
+FIT_OPTS = _keywords(rvq.fit_codebook)
 
 
 def cmd_fit_rvq(args):
-    o = Opts(args, FIT_OPTS)
+    o = resolve(args)
     ds = data_mod.load_dataset(args.dataset)
     flat = ds.vectors.reshape(-1, ds.dim)
-    book = rvq.fit_codebook(flat, depth=o.depth, vocab=o.vocab, update=o.update,
-                            epochs=o.epochs, sigma_assign=o.sigma_assign,
-                            seed=o.seed)
+    book = rvq.fit_codebook(flat, **o)
     rvq.save_codebook(book, args.out)
     tokens = rvq.quantize(flat, book)
     mse = rvq.reconstruction_mse_by_depth(flat, book, tokens)
@@ -158,28 +164,11 @@ def cmd_fit_rvq(args):
 # ---------------------------------------------------------------------------
 # train
 
-TRAIN_OPTS = {
-    "steps": (int, 1000),
-    "batch_size": (int, 16),
-    "lr": (float, 3e-4),
-    "schedule": (str, "circle"),
-    "label_dropout": (float, 0.1),
-    "warmup": (int, 100),
-    "lr_decay": (str, "cosine"),
-    "min_lr_frac": (float, 0.1),
-    "clip_norm": (float, 1.0),
-    "weight_decay": (float, 0.0),
-    "ema_decay": (float, 0.999),
-    "checkpoint_every": (int, 0),
-    "differentiate_q": (bool, False),
-    "audit_steps": (str, ""),
-    "seed": (int, env_seed),
-    "width": (int, 64),
-    "layers": (int, 2),
-    "heads": (int, 4),
-    "mixtures": (int, 32),
-    "mean_rank": (int, 8),
-}
+# AdamW's betas and eps are set in code; the grid and codebook shapes
+# (no defaults) and the class count come from the data, and the positional
+# encoding is always on
+TRAIN_OPTS = {**_keywords(TrainConfig, skip=("beta1", "beta2", "eps")),
+              **_keywords(BackboneConfig, skip=("num_classes", "positional_encoding"))}
 
 
 def _tokenize(ds, book):
@@ -189,39 +178,29 @@ def _tokenize(ds, book):
 
 
 def cmd_train(args):
-    o = Opts(args, TRAIN_OPTS)
-    ds = data_mod.load_dataset(args.dataset)
-
+    o = resolve(args)
     if not args.resume and not args.codebook:
-        raise SystemExit("error: train needs --codebook (or --resume)")
+        raise ValueError("train needs --codebook (or --resume)")
+    # checked before any work, also with --resume, which keeps the checkpoint's
+    tc = TrainConfig(**_pick(o, TrainConfig))
+    ds = data_mod.load_dataset(args.dataset)
     if args.resume:
         ckpt = ckpt_mod.load_checkpoint(args.resume)
         book = ckpt.codebook
         if book.dim != ds.dim or ckpt.backbone_config.seq_len != ds.seq_len:
-            raise SystemExit("error: resume checkpoint disagrees with dataset shapes")
+            raise ValueError("resume checkpoint disagrees with dataset shapes")
         grids = _tokenize(ds, book)
         trainer = ckpt_mod.restore_trainer(ckpt, grids, ds.labels.astype(np.int64))
         print(f"resumed at step {trainer.step_count}")
     else:
         book = rvq.load_codebook(args.codebook)
         if book.dim != ds.dim:
-            raise SystemExit(
-                f"error: codebook dim {book.dim} != dataset dim {ds.dim}")
-        audit = tuple(int(s) for s in o.audit_steps.split(",") if s != "")
-        tc = TrainConfig(
-            steps=o.steps, batch_size=o.batch_size, lr=o.lr, schedule=o.schedule,
-            label_dropout=o.label_dropout, warmup=o.warmup, lr_decay=o.lr_decay,
-            min_lr_frac=o.min_lr_frac, clip_norm=o.clip_norm,
-            weight_decay=o.weight_decay, ema_decay=o.ema_decay, seed=o.seed,
-            checkpoint_every=o.checkpoint_every,
-            differentiate_q=o.differentiate_q, audit_steps=audit)
-        bc = BackboneConfig(
-            seq_len=ds.seq_len, depth=book.depth, vocab=book.vocab,
-            latent_dim=book.dim, width=o.width, layers=o.layers, heads=o.heads,
-            mixtures=o.mixtures, mean_rank=o.mean_rank,
-            num_classes=ds.num_classes)
+            raise ValueError(f"codebook dim {book.dim} != dataset dim {ds.dim}")
+        bc = BackboneConfig(seq_len=ds.seq_len, depth=book.depth, vocab=book.vocab,
+                            latent_dim=book.dim, num_classes=ds.num_classes,
+                            **_pick(o, BackboneConfig))
         grids = _tokenize(ds, book)
-        model = Backbone(bc, seed=o.seed)
+        model = Backbone(bc, seed=tc.seed)
         trainer = Trainer(model, book, grids, ds.labels.astype(np.int64), tc)
 
     log_path = args.log or str(args.out) + ".log"
@@ -245,60 +224,44 @@ def cmd_train(args):
 # ---------------------------------------------------------------------------
 # sample
 
-SAMPLE_OPTS = {
-    "count": (int, 64),
-    "label": (int, 0),
-    "weights": (str, "ema"),
-    "preset": (str, ""),
-    "steps": (int, None),
-    "schedule": (str, None),
-    "selection": (str, None),
-    "temperature": (float, None),
-    "top_p": (float, None),
-    "cfg_start": (float, None),
-    "cfg_end": (float, None),
-    "use_cfg": (bool, None),
-    "seed": (int, env_seed),
-}
+# the sampler fields default to the preset's (SamplerConfig's without one)
+SAMPLE_OPTS = {"count": (int, 64), "label": (int, 0),
+               **_keywords(ckpt_mod.model_from_checkpoint), "preset": (str, ""),
+               **{name: (kind, None) for name, (kind, _) in _keywords(SamplerConfig).items()}}
+
+
+def sampler_config(o):
+    """The SamplerConfig of resolved `sample` options: the preset's fields
+    overlaid with the options given (and the seed)."""
+    base = preset(o["preset"]) if o["preset"] else SamplerConfig()
+    return dataclasses.replace(base, **{k: v for k, v in _pick(o, SamplerConfig).items()
+                                        if v is not None})
 
 
 def cmd_sample(args):
-    o = Opts(args, SAMPLE_OPTS)
+    o = resolve(args)
+    config = sampler_config(o)
     ckpt = ckpt_mod.load_checkpoint(args.checkpoint)
-    model = ckpt_mod.model_from_checkpoint(ckpt, weights=o.weights)
+    model = ckpt_mod.model_from_checkpoint(ckpt, weights=o["weights"])
     book = ckpt.codebook
+    count, L = o["count"], model.config.seq_len
 
-    base = preset(o.preset) if o.preset else SamplerConfig()
-    fields = {}
-    for name in ("steps", "schedule", "selection", "temperature", "top_p",
-                 "cfg_start", "cfg_end", "use_cfg"):
-        value = getattr(o, name)
-        if value is not None:
-            fields[name] = value
-    fields["seed"] = o.seed
-    config = SamplerConfig(**{**base.__dict__, **fields})
-
-    if not 0 <= o.label <= model.config.num_classes:
-        raise SystemExit(f"error: label {o.label} outside "
-                         f"[0, {model.config.num_classes}]")
-
-    labels = np.full(o.count, o.label, dtype=np.uint32)
     t0 = time.perf_counter()
     flat, grids, passes = ev.generate_vectors(
-        model, book, config, o.count, labels, np.random.default_rng(config.seed))
+        model, book, config, count, o["label"], np.random.default_rng(config.seed))
     wall = time.perf_counter() - t0
-    vectors = flat.reshape(o.count, model.config.seq_len, book.dim)
-    data_mod.save_dataset(data_mod.Dataset(vectors, labels,
+    labels = np.full(count, o["label"], dtype=np.uint32)
+    data_mod.save_dataset(data_mod.Dataset(flat.reshape(count, L, book.dim), labels,
                                            num_classes=model.config.num_classes),
                           args.out)
 
-    dump = [f"# forward_passes={passes} steps={config.steps} grids={o.count} "
-            f"seq_len={model.config.seq_len} depth={model.config.depth}"]
+    dump = [f"# forward_passes={passes} steps={config.steps} grids={count} "
+            f"seq_len={L} depth={model.config.depth}"]
     for g in grids:
         dump.append(" ".join(str(int(v)) for v in g.T.reshape(-1)))
     data_mod.atomic_write(str(args.out) + ".tokens.txt",
                           ("\n".join(dump) + "\n").encode())
-    print(f"wrote {args.out} (+.tokens.txt): {o.count} grids, "
+    print(f"wrote {args.out} (+.tokens.txt): {count} grids, "
           f"forward_passes={passes}, wall_time={wall:.3f}s")
     return 0
 
@@ -356,12 +319,15 @@ def cmd_eval(args):
     gen = data_mod.load_dataset(args.generated)
     ref = data_mod.load_dataset(args.reference)
     if gen.dim != ref.dim:
-        raise SystemExit(f"error: dimension mismatch: generated {gen.dim} "
+        raise ValueError(f"dimension mismatch: generated {gen.dim} "
                          f"vs reference {ref.dim}")
     gen_flat = gen.vectors.reshape(-1, gen.dim)
     ref_flat = ref.vectors.reshape(-1, ref.dim)
-    fd = ev.frechet_distance(gen_flat, ref_flat)
-    baseline = ev.self_distance(ref_flat, rng=np.random.default_rng(0))
+    try:  # a set too small for its moments, or the reference for its halves
+        fd = ev.frechet_distance(gen_flat, ref_flat)
+        baseline = ev.self_distance(ref_flat, rng=np.random.default_rng(0))
+    except ValueError as e:
+        raise ValueError(f"{args.generated} vs {args.reference}: {e}") from None
 
     recon_curve = []
     entropy = []
@@ -370,7 +336,7 @@ def cmd_eval(args):
     if args.codebook:
         book = rvq.load_codebook(args.codebook)
         if book.dim != gen.dim:
-            raise SystemExit(f"error: codebook dim {book.dim} != data dim {gen.dim}")
+            raise ValueError(f"codebook dim {book.dim} != data dim {gen.dim}")
         recon_curve = rvq.reconstruction_mse_by_depth(ref_flat, book).tolist()
         if args.tokens:
             header, grids = _load_token_dump(args.tokens, book)
@@ -433,7 +399,7 @@ def cmd_inspect(args):
               f"schedule={ck.train_config.schedule} seed={ck.train_config.seed}")
         print(f"arrays={len(ck.params)} ema={len(ck.ema)}")
     else:
-        raise SystemExit(f"error: {args.path}: unknown magic {magic!r}")
+        raise ValueError(f"{args.path}: unknown magic {magic!r}")
     return 0
 
 
@@ -443,40 +409,22 @@ def build_parser():
     p = argparse.ArgumentParser(prog="rvqgen",
                                 description="RVQ masked-diffusion toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_opts(sp, SYNTH_OPTS)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_synth)
-
-    sp = sub.add_parser("fit-rvq", help="fit a residual codebook")
-    add_opts(sp, FIT_OPTS)
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_fit_rvq)
-
-    sp = sub.add_parser("train", help="train the masked-prediction model")
-    add_opts(sp, TRAIN_OPTS)
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--codebook")
-    sp.add_argument("--resume")
-    sp.add_argument("--log")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_train)
-
-    sp = sub.add_parser("sample", help="generate token grids from a checkpoint")
-    add_opts(sp, SAMPLE_OPTS)
-    sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("eval", help="score generated data against a reference")
-    sp.add_argument("--generated", required=True)
-    sp.add_argument("--reference", required=True)
-    sp.add_argument("--codebook")
-    sp.add_argument("--tokens")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_eval)
+    # each command's options, then its files ("!": required)
+    for name, text, func, table, files in (
+            ("synth", "generate a synthetic dataset", cmd_synth, SYNTH_OPTS, "out!"),
+            ("fit-rvq", "fit a residual codebook", cmd_fit_rvq, FIT_OPTS, "dataset! out!"),
+            ("train", "train the masked-prediction model", cmd_train, TRAIN_OPTS,
+             "dataset! codebook resume log out!"),
+            ("sample", "generate token grids from a checkpoint", cmd_sample, SAMPLE_OPTS,
+             "checkpoint! out!"),
+            ("eval", "score generated data against a reference", cmd_eval, None,
+             "generated! reference! codebook tokens out")):
+        sp = sub.add_parser(name, help=text)
+        if table is not None:
+            add_opts(sp, table)
+        for f in files.split():
+            sp.add_argument("--" + f.rstrip("!"), required=f.endswith("!"))
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("inspect", help="describe any artifact file")
     sp.add_argument("path")

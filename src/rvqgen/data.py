@@ -154,12 +154,13 @@ def grid_centers(modes, dim, spread=2.0):
     """Mode centers on a sqrt(modes) x sqrt(modes) lattice in the first two dims."""
     side = int(round(np.sqrt(modes)))
     if side * side != modes:
-        raise ValueError(f"grid family needs a square mode count, got {modes}")
+        raise ValueError(f"modes must be a square for the grid family, got {modes}")
     axis = np.linspace(-spread, spread, side) if side > 1 else np.zeros(1)
     centers = np.zeros((modes, dim))
     for m in range(modes):
         centers[m, 0] = axis[m % side]
-        centers[m, 1] = axis[m // side] if dim > 1 else 0.0
+        if dim > 1:
+            centers[m, 1] = axis[m // side]
     return centers
 
 
@@ -172,16 +173,28 @@ def ring_centers(modes, dim, radius=2.0):
     return centers
 
 
-def synthesize(family, count, seq_len, dim, modes=9, noise=0.1, spread=2.0,
-               num_classes=0, class_shift=1.0, seed=0):
+def synthesize(family="grid", count=10000, seq_len=8, dim=8, modes=9, noise=0.1,
+               spread=2.0, num_classes=0, class_shift=1.0, seed=0):
     """Draw a dataset whose positions are iid mixture samples.
 
     Families: "grid" (lattice of Gaussians), "ring" (circle of Gaussians),
     "classes" (grid mixture shifted per class label along the last dim).
     Returns (Dataset, meta) where meta records the ground-truth parameters.
+    These keyword defaults are `rvqgen synth`'s; every argument is checked
+    here, before any draw, and an error names the argument.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    for name, value, low in (("count", count, 1), ("seq_len", seq_len, 1),
+                             ("dim", dim, 1), ("modes", modes, 1),
+                             ("num_classes", num_classes, 0), ("seed", seed, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    # nan or inf reach the vectors, which the Dataset then refuses unnamed
+    for name, value in (("noise", noise), ("spread", spread),
+                        ("class_shift", class_shift)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if noise < 0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     if family == "grid":
         centers = grid_centers(modes, dim, spread)

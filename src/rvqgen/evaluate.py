@@ -116,9 +116,15 @@ def codebook_usage_entropy(tokens, vocab):
 
 def generate_vectors(model, book, config: SamplerConfig, count, labels, rng):
     """Generate `count` grids and return (stacked position vectors, grids,
-    total forward passes)."""
+    total forward passes). `labels` is one class label per grid, or one
+    for all; each must lie in [0, num_classes], checked before any work."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    labels = np.broadcast_to(labels, (count,))
+    bad = (labels < 0) | (labels > model.config.num_classes)
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} outside "
+                         f"[0, {model.config.num_classes}]")
     grids = []
     passes = 0
     for i in range(count):

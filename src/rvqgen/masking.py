@@ -39,16 +39,21 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("circle", "cosine", "exp"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "exp" and self.lam <= 0:
-            raise ValueError("exponential schedule needs lam > 0")
+        # a nan rate passes lam <= 0 and turns every mask count into nan
+        if self.kind == "exp" and not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"exponential schedule needs a finite lam > 0, got {self.lam}")
 
 
 def parse_schedule(spec: str) -> Schedule:
-    """Parse "circle" | "cosine" | "exp" | "exp:<lam>"."""
-    if spec.startswith("exp"):
-        _, _, lam = spec.partition(":")
-        return Schedule("exp", float(lam) if lam else 6.0)
-    return Schedule(spec)
+    """Parse "circle" | "cosine" | "exp" | "exp:<lam>"; a malformed spec
+    raises ValueError naming the schedule."""
+    kind, colon, rate = spec.partition(":")
+    try:
+        if colon and kind != "exp":
+            raise ValueError("only exp takes a rate")
+        return Schedule(kind, float(rate)) if colon else Schedule(kind)
+    except ValueError as e:
+        raise ValueError(f"schedule {spec!r}: {e}") from None
 
 
 def gamma(schedule: Schedule, r):

@@ -295,14 +295,16 @@ def _kmeans_depth(residuals, V, update, epochs, sigma_assign, rng):
     return table
 
 
-def fit_codebook(vectors, depth, vocab, update="nearest", epochs=10,
+def fit_codebook(vectors, depth=4, vocab=32, update="nearest", epochs=10,
                  sigma_assign=1.0, seed=0):
     """Fit a residual codebook depth by depth.
 
     `vectors` is (N, H): every position of every training sequence,
     flattened. sigma[j] is the per-dimension RMS magnitude of the residuals
     entering depth j (the scale the confidence scores divide by), floored
-    at SIGMA_FLOOR so downstream Gaussian densities stay defined.
+    at SIGMA_FLOOR so downstream Gaussian densities stay defined. The
+    keyword defaults are `rvqgen fit-rvq`'s; every argument is checked
+    before any fitting, and an error names the argument.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or 0 in vectors.shape:
@@ -313,6 +315,13 @@ def fit_codebook(vectors, depth, vocab, update="nearest", epochs=10,
         raise ValueError("vocab must be at least 2")
     if update not in ("nearest", "probabilistic"):
         raise ValueError(f"unknown update mode {update!r}")
+    for name, value in (("epochs", epochs), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    # checked for either update: a nan was once accepted by "nearest", and
+    # 0 made "probabilistic" divide by zero and then blame the embeddings
+    if not (np.isfinite(sigma_assign) and sigma_assign > 0):
+        raise ValueError(f"sigma_assign must be finite and > 0, got {sigma_assign}")
 
     H = vectors.shape[1]
     seeds = np.random.SeedSequence(seed).spawn(depth)

@@ -66,6 +66,9 @@ class SamplerConfig:
             raise ValueError("top_p must lie in (0, 1]")
         if self.selection not in ("confidence", "random"):
             raise ValueError(f"unknown selection mode {self.selection!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        mk.parse_schedule(self.schedule)  # refuses a bad spec before any work
 
 
 # Named presets: step count, guidance ramp, nucleus threshold, and choice

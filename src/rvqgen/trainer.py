@@ -42,7 +42,7 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 0      # 0: only at the end
     differentiate_q: bool = False  # backprop through q in the KL term
-    audit_steps: tuple = (0, 1000)
+    audit_steps: tuple = ()
 
     def __post_init__(self):
         # nan passes every range check below and inf overflows the update;
@@ -51,25 +51,24 @@ class TrainConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # the CLI contract allows --steps 0 (checkpoint == init) and lr 0
-        # (bitwise null update), so only negatives are rejected
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
+        # (bitwise null update), so only negatives are rejected; a negative
+        # warmup makes the warmup ramp, hence the step, negative
+        for name in ("steps", "lr", "warmup", "weight_decay", "clip_norm", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if any(s < 0 for s in self.audit_steps):
+            raise ValueError(f"audit_steps must be non-negative, got {self.audit_steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative (0: only at the end)")
         if self.lr_decay not in ("cosine", "none"):
             raise ValueError(f"unknown lr_decay {self.lr_decay!r}; use cosine or none")
-        # a negative warmup makes the warmup ramp, hence the step, negative
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be non-negative, got {self.warmup}")
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise ValueError(f"ema_decay must lie in [0, 1], got {self.ema_decay}")
-        # a negative floor makes the cosine tail's rate negative
-        if not 0.0 <= self.min_lr_frac <= 1.0:
-            raise ValueError(f"min_lr_frac must lie in [0, 1], got {self.min_lr_frac}")
+        mk.parse_schedule(self.schedule)  # refuses a bad spec before any work
+        # a negative floor (min_lr_frac) makes the cosine tail's rate negative
+        for name in ("label_dropout", "ema_decay", "min_lr_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         # beta = 1 zeroes the AdamW bias correction 1 - beta**t
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:

@@ -1,11 +1,14 @@
 """End-to-end CLI tests: every subcommand, reproducibility, config-file
 precedence, and the binary-format error contracts."""
 
+import argparse
+import dataclasses
 import os
 import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,13 +193,14 @@ def test_eval_identical_sets_near_zero(workspace, capsys):
     assert fd < 1e-6
 
 
-def test_eval_dim_mismatch_rejected(workspace, tmp_path):
+def test_eval_dim_mismatch_rejected(workspace, tmp_path, capsys):
     _, ds_path, _ = workspace
     other = tmp_path / "other.rgds"
     run("synth", "--out", other, "--count", 30, "--seq-len", 3, "--dim", 5,
         "--modes", 4, "--seed", 0)
-    with pytest.raises(SystemExit, match="mismatch"):
-        run("eval", "--generated", other, "--reference", ds_path)
+    capsys.readouterr()
+    assert run("eval", "--generated", other, "--reference", ds_path) == 1
+    assert _one_error(capsys) == "error: dimension mismatch: generated 5 vs reference 3"
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -366,11 +370,11 @@ def test_sample_zero_count_is_an_error(workspace, capsys):
     assert not (tmp / "z.rgds").exists()
 
 
-def test_inspect_rejects_unknown_magic(tmp_path):
+def test_inspect_rejects_unknown_magic(tmp_path, capsys):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"JUNKJUNKJUNK")
-    with pytest.raises(SystemExit, match="magic"):
-        run("inspect", path)
+    assert run("inspect", path) == 1
+    assert _one_error(capsys) == f"error: {path}: unknown magic b'JUNK'"
 
 
 def test_no_partial_output_on_failure(tmp_path, monkeypatch):
@@ -522,6 +526,121 @@ def test_bad_config_value_names_file_and_key(workspace, capsys):
     assert _one_error(capsys) == (
         f"error: {cfg}: count: invalid literal for int() with base 10: '12x'")
     assert not (tmp / "x.rgds").exists()
+    # a key the command does not take once trained silently on the defaults
+    for text, command in (("bogus=1\n", "train"), ("steps=1\nbeta1=0.5\n", "train"),
+                          ("out=elsewhere\n", "synth")):
+        cfg.write_text(text)
+        argv = (["train", "--dataset", ds_path, "--codebook", book_path,
+                 "--out", tmp / "m.ckpt", *TRAIN_SMALL] if command == "train"
+                else ["synth", "--out", tmp / "x.rgds"])
+        assert run(*argv, "--config", cfg) == 1
+        key = text.splitlines()[-1].partition("=")[0]
+        assert _one_error(capsys) == f"error: {cfg}: {key}: not an option of {command}"
+    assert not (tmp / "m.ckpt").exists() and not (tmp / "x.rgds").exists()
+
+
+# each once failed with a traceback, numpy's words, a warning, or not at all
+FINDINGS = [
+    (("synth", "--dim", 0), "dim must be >= 1, got 0"),
+    (("synth", "--seq-len", 0), "seq_len must be >= 1, got 0"),
+    (("synth", "--modes", 0), "modes must be >= 1, got 0"),
+    (("synth", "--modes", 0, "--family", "ring"), "modes must be >= 1, got 0"),
+    (("fit-rvq", "--epochs", -1), "epochs must be >= 0, got -1"),
+    (("fit-rvq", "--sigma-assign", "nan"), "sigma_assign must be finite and > 0, got nan"),
+    (("fit-rvq", "--update", "probabilistic", "--sigma-assign", 0),
+     "sigma_assign must be finite and > 0, got 0.0"),
+    (("train", "--audit-steps", "x"),
+     "audit_steps: invalid literal for int() with base 10: 'x'"),
+    (("train", "--width", 0), "width must be >= 1, got 0"),
+    (("train", "--schedule", "exp:nan"),
+     "schedule 'exp:nan': exponential schedule needs a finite lam > 0, got nan"),
+    (("sample", "--count", -1), "count must be >= 1, got -1"),
+    (("sample", "--schedule", "exp:abc"),
+     "schedule 'exp:abc': could not convert string to float: 'abc'"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", FINDINGS)
+def test_bad_options_fail_with_one_named_error(workspace, capsys, argv, reason):
+    tmp, ds_path, book_path = workspace
+    command, *flags = argv
+    inputs = {"synth": [], "fit-rvq": ["--dataset", ds_path],
+              "train": ["--dataset", ds_path, "--codebook", book_path,
+                        "--steps", 1, *TRAIN_SMALL],
+              "sample": ["--checkpoint", tmp / "m.ckpt", "--steps", 2, "--count", 1]}
+    if command == "sample":
+        assert run("train", *inputs["train"], "--out", tmp / "m.ckpt") == 0
+    out_dir = tmp / "out"
+    out_dir.mkdir()
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(command, *inputs[command], "--out", out_dir / "x", *flags) == 1
+    assert _one_error(capsys) == f"error: {reason}"
+    assert [str(w.message) for w in caught] == []
+    assert list(out_dir.iterdir()) == []
+
+
+def test_seed_env_garbage_is_named(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.SEED_ENV, "x")
+    assert run("synth", "--out", tmp_path / "x.rgds", "--count", 2) == 1
+    assert _one_error(capsys) == (
+        f"error: {cli.SEED_ENV}: invalid literal for int() with base 10: 'x'")
+    assert run("synth", "--out", tmp_path / "x.rgds", "--count", 2, "--seed", 1) == 0
+
+
+REQUIRED = "required"
+
+# every subcommand's flags and what each resolves to when neither a flag
+# nor a config line sets it, as they were before the options were derived
+# from the library; sample's sampler fields are those of SamplerConfig()
+SURFACE = {
+    "synth": dict(config=None, family="grid", count=10000, seq_len=8, dim=8, modes=9,
+                  noise=0.1, spread=2.0, num_classes=0, class_shift=1.0, seed=0,
+                  out=REQUIRED),
+    "fit-rvq": dict(config=None, depth=4, vocab=32, update="nearest", epochs=10,
+                    sigma_assign=1.0, seed=0, dataset=REQUIRED, out=REQUIRED),
+    "train": dict(config=None, steps=1000, batch_size=16, lr=3e-4, schedule="circle",
+                  label_dropout=0.1, warmup=100, lr_decay="cosine", min_lr_frac=0.1,
+                  clip_norm=1.0, weight_decay=0.0, ema_decay=0.999, checkpoint_every=0,
+                  differentiate_q=False, audit_steps=(), seed=0, width=64, layers=2,
+                  heads=4, mixtures=32, mean_rank=8, dataset=REQUIRED, codebook=None,
+                  resume=None, log=None, out=REQUIRED),
+    "sample": dict(config=None, count=64, label=0, weights="ema", preset="", steps=63,
+                   schedule="circle", selection="confidence", temperature=1.0, top_p=1.0,
+                   cfg_start=0.0, cfg_end=0.0, use_cfg=False, seed=0,
+                   checkpoint=REQUIRED, out=REQUIRED),
+    "eval": dict(generated=REQUIRED, reference=REQUIRED, codebook=None, tokens=None,
+                 out=None),
+    "inspect": dict(path=REQUIRED),
+}
+
+
+def test_option_surface_is_pinned(monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == sorted(SURFACE)
+    for command, expected in SURFACE.items():
+        actions = [a for a in commands[command]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        flags = {a.dest: a.option_strings for a in actions}
+        assert flags == {name: ["--" + name.replace("_", "-")] if name != "path" else []
+                         for name in expected}, command
+        required = [a.dest for a in actions if a.required]
+        assert required == [k for k, v in expected.items() if v == REQUIRED], command
+        argv = [command] + [x for a in actions if a.required
+                            for x in (a.option_strings[:1] + ["p"])]
+        args = parser.parse_args(argv)
+        resolved = dict(vars(args))
+        if command in ("synth", "fit-rvq", "train", "sample"):
+            resolved.update(cli.resolve(args))
+        if command == "sample":
+            resolved.update(dataclasses.asdict(cli.sampler_config(resolved)))
+        got = {k: REQUIRED if k in required else resolved[k] for k in expected}
+        assert got == expected, command
+        assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
 
 
 def test_train_and_sample_keep_the_mask_first_bits(tmp_path, monkeypatch):

@@ -141,6 +141,15 @@ def test_grid_requires_square_mode_count():
         data_mod.synthesize("grid", count=10, seq_len=2, dim=2, modes=5)
 
 
+def test_one_dim_grid_keeps_the_first_axis():
+    # the second lattice axis was once stored into a 1-dim center: IndexError
+    for family in ("grid", "ring", "classes"):
+        ds, meta = data_mod.synthesize(family, count=4, seq_len=2, dim=1, num_classes=2)
+        centers = np.array(meta["centers"])
+        assert ds.dim == 1 and centers.shape == (9, 1), family
+    assert sorted(set(np.array(data_mod.grid_centers(9, 1))[:, 0])) == [-2.0, 0.0, 2.0]
+
+
 def test_label_bounds_enforced():
     with pytest.raises(ValueError, match="label"):
         data_mod.Dataset(np.zeros((2, 1, 1)), np.array([1, 4], dtype=np.uint32),

@@ -86,6 +86,23 @@ def test_unknown_schedule_rejected():
         mk.Schedule("linear")
 
 
+@pytest.mark.parametrize("spec, reason", [
+    ("exp:nan", "exponential schedule needs a finite lam > 0, got nan"),
+    ("exp:inf", "exponential schedule needs a finite lam > 0, got inf"),
+    ("exp:-1", "exponential schedule needs a finite lam > 0, got -1.0"),
+    ("exp:abc", "could not convert string to float: 'abc'"),
+    ("exp:", "could not convert string to float: ''"),
+    ("circle:2", "only exp takes a rate"),
+    ("expo", "unknown schedule kind 'expo'")])
+def test_malformed_schedule_spec_names_the_spec(spec, reason):
+    # exp:nan once passed lam <= 0, warned in mask_count and was then
+    # blamed on the draw counts (train) or the masked counts (sample);
+    # "expo" was once read as exp
+    with pytest.raises(ValueError) as err:
+        mk.parse_schedule(spec)
+    assert str(err.value) == f"schedule {spec!r}: {reason}"
+
+
 def test_mask_count_examples():
     s = mk.Schedule("circle")
     assert mk.mask_count(s, 0.0, 8, 16) == 128
