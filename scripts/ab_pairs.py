@@ -7,11 +7,15 @@ Pair i runs `perfbench/run.py --workload W --seed SEED+i --seconds S
 --trace 0` once in each checkout, each run in its own process with the
 checkout as working directory, the parent first in even pairs and the
 change first in odd ones. Every run's end-to-end metrics are printed as
-they arrive. The summary gives, for each metric and side, the median and
-the quartiles, the pairs the change won and lost (ties count for
-neither), the relative gap between the medians, and whether the pairs
-meet the gain rule: the change wins at least nine tenths of the pairs and
-the medians differ by more than the parent's own interquartile range.
+they arrive, and beside them its raw `op_ms.p50` and the host-speed probe
+`probe_ms` that `op_rel.p50` divides it by, read off the report lines the
+run prints before its result; a gain in `op_rel.p50` can then be read
+against raw time and against a moving divisor. The summary gives, for
+each of these and side, the median and the quartiles, the pairs the
+change won and lost (ties count for neither), the relative gap between
+the medians, and whether the pairs meet the gain rule: the change wins at
+least nine tenths of the pairs and the medians differ by more than the
+parent's own interquartile range.
 
 The metric names and their better direction come from the change's
 `BENCHMARK.json`. Standard library only; the benchmark itself is not
@@ -62,6 +66,23 @@ def parse_result(stdout):
     return json.loads(lines[-1])
 
 
+# report lines shown beside the gated metrics: raw op time and its divisor
+REPORTED = ("op_ms.p50", "probe_ms")
+
+
+def parse_report(stdout):
+    """{name: value} of a run's `name = value unit` lines named in REPORTED."""
+    found = {}
+    for line in stdout.splitlines():
+        name, sep, rest = line.partition(" = ")
+        if sep and name in REPORTED:
+            found[name] = float(rest.split()[0])
+    missing = [name for name in REPORTED if name not in found]
+    if missing:
+        raise ValueError(f"benchmark printed no {', '.join(missing)} line")
+    return found
+
+
 def run_order(pairs):
     """The side that runs first in each pair: parent, change, parent, ..."""
     return [("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -84,7 +105,8 @@ def run_once(checkout, workload, seed, seconds):
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{checkout}: seed {seed}: {result['failed']} failed "
                            "operations")
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    return {**{k: v["value"] for k, v in result["metrics"].items()},
+            **parse_report(proc.stdout)}
 
 
 def main(argv=None):
@@ -101,6 +123,7 @@ def main(argv=None):
     dirs = {"parent": os.path.abspath(args.parent),
             "change": os.path.abspath(args.change)}
     metrics = end_to_end(dirs["change"])
+    shown = metrics + [(name, "lower") for name in REPORTED]
     runs = {"parent": [], "change": []}
     for i, order in enumerate(run_order(args.pairs)):
         seed = args.seed + i
@@ -108,14 +131,15 @@ def main(argv=None):
             got = run_once(dirs[side], args.workload, seed, args.seconds)
             runs[side].append(got)
             print(f"pair {i} seed {seed} {side}: " + " ".join(
-                f"{name}={got[name]:.6g}" for name, _ in metrics), flush=True)
+                f"{name}={got[name]:.6g}" for name, _ in shown), flush=True)
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}.."
           f"{args.seed + args.pairs - 1}, {args.seconds:g} s runs")
-    for name, better in metrics:
+    for name, better in shown:
         s = summarize([r[name] for r in runs["parent"]],
                       [r[name] for r in runs["change"]], better)
         fmt = "median {1:.6g} [q1 {0:.6g}, q3 {2:.6g}]"
-        print(f"{name} ({better} is better): parent " + fmt.format(*s["parent"])
+        kind = "reported" if name in REPORTED else f"{better} is better"
+        print(f"{name} ({kind}): parent " + fmt.format(*s["parent"])
               + ", change " + fmt.format(*s["change"])
               + f", change {s['rel']:+.1%}, won {s['wins']}/{args.pairs}"
               f" (lost {s['losses']}), gain rule {'met' if s['gain'] else 'not met'}")

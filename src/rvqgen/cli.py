@@ -436,8 +436,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e.filename}: not found", file=sys.stderr)
+    except OSError as e:
+        # a missing file, a directory, a permission: the path the user gave
+        where = "" if e.filename is None else f"{e.filename}: "
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -7,7 +7,8 @@ keep their ground-truth parameters in a JSON sidecar so evaluation can
 score generated samples against the true distribution. All three binary
 formats (RGDS here, RVQC, RGCK) check their fixed header with
 `read_header` and their exact size with `check_length`, and load through
-`load_file`.
+`load_file`; RGDS and RVQC pack theirs with `pack_header`, which bounds
+each field by its u32.
 """
 
 from __future__ import annotations
@@ -27,18 +28,36 @@ DATASET_VERSION = 1
 
 
 def atomic_write(path, payload: bytes):
-    """Write via a temp file + rename so failures never leave partial output."""
+    """Write via a temp file + rename so failures never leave partial
+    output. An OSError names `path`, not the temp file."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
+
+
+U32_MAX = 2**32 - 1
+
+
+def pack_header(header: struct.Struct, magic, version, kind, fields):
+    """A binary file's fixed header from ((name, value), ...) in header
+    order. The fields are u32, the bound of every size they record: a value
+    outside [0, U32_MAX] raises ValueError naming the field."""
+    for name, value in fields:
+        if not 0 <= value <= U32_MAX:
+            raise ValueError(f"{name} must lie in [0, {U32_MAX}] (a u32 field of "
+                             f"the {kind} header), got {value}")
+    return header.pack(magic, version, *(value for _, value in fields))
 
 
 def read_header(blob, header: struct.Struct, magic, version, kind):
@@ -114,11 +133,13 @@ def _record_dtype(L, H):
 
 def dataset_to_bytes(ds: Dataset) -> bytes:
     n, L, H = ds.vectors.shape
+    header = pack_header(_HEADER, DATASET_MAGIC, DATASET_VERSION, "dataset",
+                         (("count", n), ("seq_len", L), ("dim", H),
+                          ("num_classes", ds.num_classes)))
     records = np.empty(n, dtype=_record_dtype(L, H))
     records["label"] = ds.labels
     records["vec"] = ds.vectors
-    return _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, n, L, H,
-                        ds.num_classes) + records.tobytes()
+    return header + records.tobytes()
 
 
 def dataset_from_bytes(blob: bytes) -> Dataset:

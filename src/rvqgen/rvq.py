@@ -11,16 +11,26 @@ record sort only when that column has ties or a NaN. `quantize` scores
 every row at each depth and keeps the results of the rows whose start
 depth is shallower than it.
 
-Every nearest-codeword search (quantization, the k-means passes, and
-`data.mode_occupancy`) goes through one kernel, `_scores`: the expanded
-squared distance ||r||^2 - 2 r.e + ||e||^2 without its ||r||^2 term, so
-one (N, H) x (H, V) matrix product replaces an (N, V, H) difference array.
+Every score goes through one kernel, `_scores`: the expanded squared
+distance ||r||^2 - 2 r.e + ||e||^2 without its ||r||^2 term, so one
+(N, H) x (H, V) matrix product replaces an (N, V, H) difference array.
 Dropping ||r||^2 shifts each row by a constant, which changes neither the
-row's argmin nor a max-subtracted softmax over it. Ties go to the lowest
-codeword index, as `np.argmin` takes the first minimum. The kernel takes a
+row's argmin nor a max-subtracted softmax over it. The kernel takes a
 table's codeword-only terms, `score_pair(table)` = (-2 * table, ||e||^2):
 a `Codebook` builds them once per depth, at construction, and k-means
 once per epoch, since its table changes every epoch.
+
+Every nearest-codeword search (each quantization depth, each epoch of the
+"nearest" k-means update, the fit's per-depth residual pass, and
+`data.mode_occupancy`) goes through `_nearest_rows`, which scores BLOCK
+rows at a time into one reused (BLOCK + 1, V) buffer and takes each
+block's argmin while it is still in cache, in place of an (N, V) matrix
+that falls out of cache between the product, the `+= norms` and the
+argmin. Ties go to the lowest codeword index, as `np.argmin` takes the
+first minimum. No block is one row: numpy hands a one-row product to
+gemv, which may round otherwise than gemm, so a lone last row joins the
+block before it, and the picks are those of one whole `_scores` call.
+Up to BLOCK + 1 rows (the sampler's per-step calls) take that one call.
 
 Tokens are 1-based codeword indices; 0 is reserved as the MASK sentinel
 and never appears in quantizer output. `codewords` is the one token ->
@@ -48,6 +58,10 @@ CODEBOOK_MAGIC = b"RVQC"
 CODEBOOK_VERSION = 1
 
 SIGMA_FLOOR = 1e-6
+
+# rows per score block of the nearest-codeword search: a (BLOCK, V) float64
+# block stays in cache between its product, its += norms and its argmin
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -116,24 +130,46 @@ def score_pair(table):
     return -2.0 * table, np.einsum("vh,vh->v", table, table)  # -2x is exact
 
 
-def _scores(rows, pair):
+def _scores(rows, pair, out=None):
     """Squared distance less the row's own ||r||^2, from a table's
-    `score_pair`. (N,H)x(V,H)->(N,V)
+    `score_pair`, into `out` when given. (N,H)x(V,H)->(N,V)
 
     ||e||^2 - 2 r.e ranks codewords as ||r - e||^2 does. Its rounding
     error scales with ||e||^2 + ||r||*||e||, not with the distance, so
     codewords closer together than that may rank either way.
     """
     neg2, norms = pair
-    scores = rows @ neg2.T
+    scores = np.matmul(rows, neg2.T, out=out)
     scores += norms
     return scores
 
 
+def _nearest_rows(rows, pair):
+    """Lowest-index nearest codeword per row, from a table's `score_pair`,
+    scored BLOCK rows at a time into one reused buffer. (N,H)x(V,H)->(N,)
+
+    A block's scores are the bits of those rows of one whole `_scores`
+    call, so the picks are too. No block is one row: a lone last row joins
+    the block before it, since numpy hands a one-row product to gemv, which
+    may round otherwise than gemm.
+    """
+    N = rows.shape[0]
+    if N <= BLOCK + 1:
+        # first minimum: lowest index
+        return _scores(rows, pair).argmin(axis=1)
+    edges = list(range(0, N, BLOCK)) + [N]
+    if N - edges[-2] == 1:
+        del edges[-2]
+    picks = np.empty(N, dtype=np.intp)
+    buf = np.empty((BLOCK + 1, pair[1].shape[0]))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        _scores(rows[lo:hi], pair, out=buf[:hi - lo]).argmin(axis=1, out=picks[lo:hi])
+    return picks
+
+
 def _nearest(rows, table):
     """Lowest-index nearest codeword per row. (N,H)x(V,H)->(N,)"""
-    # first minimum: lowest index
-    return _scores(rows, score_pair(table)).argmin(axis=1)
+    return _nearest_rows(rows, score_pair(table))
 
 
 def quantize(latents, book: Codebook, start_depth=None, out=None):
@@ -172,7 +208,7 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
     picks = np.zeros((L, D), dtype=np.int64)
     for j in range(first + 1, D + 1):
         table = book.embeddings[j - 1]
-        idx = _scores(residual, book.score_pairs[j - 1]).argmin(axis=1)
+        idx = _nearest_rows(residual, book.score_pairs[j - 1])
         picks[:, j - 1] = idx
         if j > last:
             residual -= table[idx]
@@ -236,11 +272,13 @@ def reconstruction_mse_by_depth(vectors, book: Codebook, tokens=None):
     return mse
 
 
-def _cluster_sums(assign, residuals, V):
-    """Per-cluster sums of residual rows, (V, H). bincount adds each column
-    in input order, as np.add.at does, so the sums are the same bits."""
+def _cluster_sums(assign, columns, V):
+    """Per-cluster sums of residual rows, (V, H), from the residuals'
+    contiguous (H, N) transpose (bincount copies a strided column first).
+    bincount adds each column in input order, as np.add.at does, so the
+    sums are the same bits."""
     return np.stack([np.bincount(assign, weights=col, minlength=V)
-                     for col in residuals.T], axis=1)
+                     for col in columns], axis=1)
 
 
 def _distinct_rows(rows):
@@ -274,13 +312,15 @@ def _kmeans_depth(residuals, V, update, epochs, sigma_assign, rng):
         # init from distinct rows so separable data converges immediately
         table = distinct[rng.choice(distinct.shape[0], size=V, replace=False)].copy()
 
+    if update == "nearest":
+        columns = np.ascontiguousarray(residuals.T)
     for _ in range(epochs):
-        scores = _scores(residuals, score_pair(table))
         if update == "nearest":
-            assign = scores.argmin(axis=1)
+            assign = _nearest_rows(residuals, score_pair(table))
             counts = np.bincount(assign, minlength=V).astype(np.float64)
-            sums = _cluster_sums(assign, residuals, V)
+            sums = _cluster_sums(assign, columns, V)
         else:  # probabilistic: soft assignment by Gaussian affinity
+            scores = _scores(residuals, score_pair(table))
             logits = -scores / (2.0 * sigma_assign**2)
             logits -= logits.max(axis=1, keepdims=True)
             w = np.exp(logits)
@@ -332,8 +372,8 @@ def fit_codebook(vectors, depth=4, vocab=32, update="nearest", epochs=10,
         sigma[j] = max(np.sqrt((residual**2).mean()), SIGMA_FLOOR)
         tables[j] = _kmeans_depth(residual, vocab, update, epochs,
                                   sigma_assign, np.random.default_rng(seeds[j]))
-        idx = _nearest(residual, tables[j])
-        residual -= tables[j][idx]
+        if j < depth - 1:  # the last depth's residual has no reader
+            residual -= tables[j][_nearest(residual, tables[j])]
     return Codebook(tables, sigma)
 
 
@@ -353,8 +393,9 @@ def load_codebook(path):
 
 
 def codebook_to_bytes(book: Codebook):
-    return (_HEADER.pack(CODEBOOK_MAGIC, CODEBOOK_VERSION,
-                         book.depth, book.vocab, book.dim)
+    return (data.pack_header(_HEADER, CODEBOOK_MAGIC, CODEBOOK_VERSION, "codebook",
+                             (("depth", book.depth), ("vocab", book.vocab),
+                              ("dim", book.dim)))
             + np.ascontiguousarray(book.embeddings, dtype="<f8").tobytes()
             + np.ascontiguousarray(book.sigma, dtype="<f8").tobytes())
 

@@ -2,6 +2,7 @@
 numbers. No test here launches the benchmark."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -65,3 +66,46 @@ def test_result_is_the_last_stdout_line_and_sides_alternate():
         ab.parse_result("")
     assert ab.run_order(3) == [("parent", "change"), ("change", "parent"),
                                ("parent", "change")]
+
+
+RUN_STDOUT = """provenance {"workload": "fit"}
+error_rate = 0 ratio
+op_ms.p50 = 469.25 ms
+op_ms.tail = 512 ms
+op_rel.p50 = 4.34 x
+probe_ms = 108.1 ms
+{"correct": true, "failed": 0, "metrics": {}}
+"""
+
+
+def test_report_lines_give_raw_time_and_the_divisor():
+    assert ab.parse_report(RUN_STDOUT) == {"op_ms.p50": 469.25, "probe_ms": 108.1}
+    with pytest.raises(ValueError, match="no probe_ms line"):
+        ab.parse_report(RUN_STDOUT.replace("probe_ms", "probe"))
+
+
+def test_raw_time_and_probe_are_shown_and_summarized(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "op_rel.p50", "better": "lower"}]}))
+
+    def fake_run(checkout, workload, seed, seconds):
+        # the change's raw time is 10% lower and its probe 5% higher
+        change = checkout.endswith("change")
+        op, probe = 100.0 + seed - (10.0 if change else 0.0), 20.0 * (1.05 if change else 1.0)
+        return {"op_rel.p50": op / probe, "op_ms.p50": op, "probe_ms": probe}
+
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                    "--workload", "fit", "--pairs", "2", "--seed", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "pair 0 seed 0 parent: op_rel.p50=5 op_ms.p50=100 probe_ms=20"
+    assert out[1] == "pair 0 seed 0 change: op_rel.p50=4.28571 op_ms.p50=90 probe_ms=21"
+    assert out[2].startswith("pair 1 seed 1 change: ")
+    summary = {line.split(" (")[0]: line for line in out[5:]}
+    assert list(summary) == ["op_rel.p50", "op_ms.p50", "probe_ms"]
+    assert summary["op_rel.p50"].startswith("op_rel.p50 (lower is better): parent median 5.025")
+    assert "(reported): parent median 100.5" in summary["op_ms.p50"]
+    assert "change -10.0%, won 2/2 (lost 0)" in summary["op_ms.p50"]
+    assert "change +5.0%, won 0/2 (lost 2)" in summary["probe_ms"]

@@ -386,6 +386,31 @@ def test_no_partial_output_on_failure(tmp_path, monkeypatch):
     assert leftovers == []
 
 
+def test_file_system_errors_name_the_users_path(tmp_path, capsys):
+    # each once ended in an OSError traceback, or named the temp file
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    small = ("--count", 2, "--seq-len", 1, "--dim", 2)
+    for argv, path, reason in (
+            (("--config", folder, "--out", tmp_path / "x.rgds"), folder, "Is a directory"),
+            (("--out", folder), folder, "Is a directory"),
+            (("--out", tmp_path / "missing" / "x.rgds"), tmp_path / "missing" / "x.rgds",
+             "No such file or directory")):
+        assert run("synth", *argv, *small) == 1
+        assert _one_error(capsys) == f"error: {path}: {reason}"
+    assert sorted(os.listdir(tmp_path)) == ["folder"]
+    assert os.listdir(folder) == []
+
+
+def test_header_overflow_is_one_named_error(tmp_path, capsys):
+    out = tmp_path / "x.rgds"
+    assert run("synth", "--family", "classes", "--num-classes", 2**32, "--count", 2,
+               "--seq-len", 1, "--dim", 2, "--modes", 1, "--out", out) == 1
+    assert _one_error(capsys) == ("error: num_classes must lie in [0, 4294967295] "
+                                  "(a u32 field of the dataset header), got 4294967296")
+    assert os.listdir(tmp_path) == []
+
+
 TRAIN_SMALL = ("--width", 16, "--layers", 1, "--heads", 2, "--mixtures", 2,
                "--mean-rank", 2)
 

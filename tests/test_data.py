@@ -56,6 +56,24 @@ def test_wrong_magic_and_version_rejected():
         data_mod.dataset_from_bytes(blob[:4] + (9).to_bytes(4, "little") + blob[8:])
 
 
+def test_header_fields_are_bounded_by_their_u32():
+    # a num_classes past 2**32 - 1 once ended in a struct.error traceback
+    ds = data_mod.Dataset(np.zeros((2, 1, 2)), np.array([1, 2], dtype=np.uint32))
+    for bad in (2**32, 2**40, -1):
+        ds.num_classes = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"num_classes must lie in [0, 4294967295] (a u32 field of the "
+                f"dataset header), got {bad}")):
+            data_mod.dataset_to_bytes(ds)
+    ds.num_classes = 2**32 - 1          # the largest value the field holds
+    assert data_mod.dataset_from_bytes(data_mod.dataset_to_bytes(ds)).num_classes == 2**32 - 1
+    header = struct.Struct("<4sIII")
+    assert data_mod.pack_header(header, b"ABCD", 1, "test", (("a", 0), ("b", 2**32 - 1))) \
+        == header.pack(b"ABCD", 1, 0, 2**32 - 1)
+    with pytest.raises(ValueError, match=r"^b must lie in .* of the test header\), got 4294967296$"):
+        data_mod.pack_header(header, b"ABCD", 1, "test", (("a", 0), ("b", 2**32)))
+
+
 def _format_blobs():
     """(kind, fixed header, magic, valid file, parser) for the three formats."""
     from rvqgen import checkpoint as ck

@@ -1,11 +1,13 @@
 """Residual quantizer tests: hand-traced recurrences, telescoping, fitting
 fixed points, sigma estimation, the nearest-codeword kernel against its
-broadcast oracle, the whole-grid quantize and the distinct-row init against
+broadcast oracle, the blocked search against one whole-array call,
+the whole-grid quantize and the distinct-row init against
 their reference forms, and the binary codebook format."""
 
 import dataclasses
 import re
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -409,7 +411,56 @@ def test_cluster_sums_match_add_at_bit_for_bit():
         assign = rng.integers(0, V - 1, size=N)  # cluster V-1 stays empty
         want = np.zeros((V, H))
         np.add.at(want, assign, residuals)
-        assert rvq._cluster_sums(assign, residuals, V).tobytes() == want.tobytes()
+        columns = np.ascontiguousarray(residuals.T)   # k-means' (H, N) layout
+        assert rvq._cluster_sums(assign, columns, V).tobytes() == want.tobytes()
+
+
+B = rvq.BLOCK
+
+
+def unblocked_nearest(rows, pair):
+    """The nearest-codeword search as one whole-array `_scores` call and
+    argmin: the reference the blocked kernel must reproduce."""
+    return rvq._scores(rows, pair).argmin(axis=1)
+
+
+@pytest.mark.parametrize("N", [1, 2, B - 1, B, B + 1, B + 2, 2 * B - 1, 2 * B,
+                               2 * B + 1, 3 * B + 1])
+def test_blocked_nearest_is_the_whole_array_argmin(N, monkeypatch):
+    rng = np.random.default_rng(N)
+    V, H = 32, 8
+    pair = rvq.score_pair(rng.standard_normal((V, H)))
+    sizes = []
+    real = rvq._scores
+
+    def spy(rows, pair, out=None):
+        sizes.append(rows.shape[0])
+        return real(rows, pair, out=out)
+
+    monkeypatch.setattr(rvq, "_scores", spy)
+    for rows in (rng.standard_normal((N, H)),
+                 # small integers: exact scores with exact ties everywhere
+                 rng.integers(-2, 3, size=(N, H)).astype(np.float64)):
+        for p in (pair, rvq.score_pair(rng.integers(-2, 3, size=(V, H)) / 1.0)):
+            want = unblocked_nearest(rows, p)
+            sizes.clear()
+            got = rvq._nearest_rows(rows, p)
+            assert got.dtype == np.intp and np.array_equal(got, want)
+            assert sum(sizes) == N
+            if N <= B + 1:
+                assert sizes == [N]
+            else:  # blocks of BLOCK rows, then one of 2 to BLOCK + 1, never 1
+                assert sizes[:-1] == [B] * (len(sizes) - 1) and 2 <= sizes[-1] <= B + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4 * rvq.BLOCK + 3), st.integers(1, 40), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+def test_blocked_nearest_matches_at_random_sizes(N, V, H, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((N, H)) * 10.0 ** rng.integers(-3, 4)
+    pair = rvq.score_pair(rng.standard_normal((V, H)))
+    assert np.array_equal(rvq._nearest_rows(rows, pair), unblocked_nearest(rows, pair))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -449,7 +500,7 @@ def oracle_quantize(latents, book, start_depth=None, out=None):
         active = start_depth < j
         if not np.any(active):
             continue
-        idx = rvq._nearest(residual[active], book.table(j))
+        idx = unblocked_nearest(residual[active], rvq.score_pair(book.table(j)))
         tokens[active, j - 1] = idx + 1
         residual[active] -= book.table(j)[idx]
     return tokens
@@ -540,15 +591,18 @@ def test_tie_free_fit_skips_the_record_sort(monkeypatch):
 
 def test_fit_rvq_and_eval_keep_the_reference_bits(tmp_path, monkeypatch, capsys):
     """`fit-rvq` then `eval` through `cli.main`, once as shipped and once
-    with the np.unique init and the boolean-gather quantize patched in:
-    the codebook, the report and stdout (less wall time) are the same."""
+    with the np.unique init, the boolean-gather quantize and the unblocked
+    nearest-codeword search patched in: the codebook, the report and
+    stdout (less wall time) are the same. The reference set has 2·BLOCK + 1
+    vectors, so the blocked search runs two blocks, the second with the
+    lone last row joined to it."""
     from rvqgen import cli
 
     ref, gen = tmp_path / "ref.rgds", tmp_path / "gen.rgds"
-    for path, count, seed in ((ref, 320, 41), (gen, 64, 42)):
+    for path, count, seq_len, seed in ((ref, 2 * rvq.BLOCK + 1, 1, 41), (gen, 64, 8, 42)):
         assert cli.main(["synth", "--out", str(path), "--family", "grid", "--count",
-                         str(count), "--seq-len", "8", "--dim", "8", "--modes", "9",
-                         "--noise", "0.1", "--seed", str(seed)]) == 0
+                         str(count), "--seq-len", str(seq_len), "--dim", "8", "--modes",
+                         "9", "--noise", "0.1", "--seed", str(seed)]) == 0
     capsys.readouterr()
 
     def run(tag):
@@ -565,6 +619,7 @@ def test_fit_rvq_and_eval_keep_the_reference_bits(tmp_path, monkeypatch, capsys)
     shipped = run("shipped")
     monkeypatch.setattr(rvq, "_distinct_rows", lambda rows: np.unique(rows, axis=0))
     monkeypatch.setattr(rvq, "quantize", oracle_quantize)
+    monkeypatch.setattr(rvq, "_nearest_rows", unblocked_nearest)
     reference = run("reference")
     assert shipped[0] == reference[0]
     assert shipped[1] == reference[1]
@@ -603,6 +658,17 @@ def test_codebook_rejects_short_header_truncation_and_trailing_bytes():
         rvq.codebook_from_bytes(blob[:-1])
     with pytest.raises(ValueError, match="length mismatch"):
         rvq.codebook_from_bytes(blob + b"\0")
+
+
+def test_codebook_header_fields_are_bounded_by_their_u32():
+    # a table too large to build: the writer checks the header before the body
+    for name in ("depth", "vocab", "dim"):
+        sizes = {"depth": 1, "vocab": 2, "dim": 1, name: 2**32}
+        book = types.SimpleNamespace(embeddings=None, sigma=None, **sizes)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must lie in [0, 4294967295] (a u32 field of the codebook "
+                f"header), got {2**32}")):
+            rvq.codebook_to_bytes(book)
 
 
 def test_load_codebook_names_the_path(tmp_path):
