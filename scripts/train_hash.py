@@ -1,35 +1,47 @@
-"""SHA-256 of a seeded training run, to check that a change keeps its bits.
+"""SHA-256 digests of seeded runs, to check that a change keeps its bits.
 
     python3 scripts/train_hash.py [CHECKOUT [CHECKOUT]] [--steps 200]
 
-The run is criterion 9's training geometry (L=8, D=4, V=32, H=8, width 64,
-2 layers, 4 heads, 32 components, rank 8, batch 16, circle schedule) on
-1,024 synthetic grid records, for N `Trainer.step`s (default 200). The
-hash covers every step's loss and Jensen gap, then the parameters, AdamW
-moments and EMA in sorted-name order, then the bytes of the checkpoint
-taken at the end.
+Four digests, in this order on each output line:
+- training: criterion 9's training geometry (L=8, D=4, V=32, H=8, width
+  64, 2 layers, 4 heads, 32 components, rank 8, batch 16, circle
+  schedule) on 1,024 synthetic grid records, for N `Trainer.step`s
+  (default 200). It covers every step's loss and Jensen gap, then the
+  parameters, AdamW moments and EMA in sorted-name order, then the bytes
+  of the checkpoint taken at the end.
+- random-mode and `paper-28` sampling: `evaluate.generate_vectors` of 4
+  grids from that run's EMA weights, seeded as `rvqgen sample` seeds it
+  (T=32 random reveals; the preset's 28 guided steps); it covers the
+  vectors, the token grids and the model-call count.
+- fitting: `rvqgen synth`, `fit-rvq` and `eval` through `cli.main` in a
+  scratch directory; it covers every file they write and their stdout,
+  less eval's wall-time line.
 
 Each checkout runs in its own process with that checkout's `src/` first
 on the import path. With no checkout the script hashes its own; with one
-it prints that checkout's hash; with two (PARENT CHANGE) it prints both
-and exits 1 when they differ. Standard library and the checkout's
-`rvqgen` only.
+it prints that checkout's digests; with two (PARENT CHANGE) it prints both
+and exits 1 when any digest differs. Standard library, numpy and the
+checkout's `rvqgen` only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_hash(steps):
-    """Hash of an N-step run with the `rvqgen` on the import path."""
-    from rvqgen import checkpoint, data, rvq, trainer
+    """The four digests with the `rvqgen` on the import path."""
+    import numpy as np
+    from rvqgen import checkpoint, data, evaluate, rvq, sampler, trainer
     from rvqgen.backbone import Backbone, BackboneConfig
 
     L, H, D, V = 8, 8, 4, 32
@@ -38,9 +50,9 @@ def run_hash(steps):
     book = rvq.fit_codebook(ds.vectors.reshape(-1, H), depth=D, vocab=V,
                             epochs=5, seed=1)
     grids = rvq.quantize(ds.vectors.reshape(-1, H), book).reshape(-1, L, D)
-    model = Backbone(BackboneConfig(seq_len=L, depth=D, vocab=V, latent_dim=H,
-                                    width=64, layers=2, heads=4, mixtures=32,
-                                    mean_rank=8), seed=0)
+    config = BackboneConfig(seq_len=L, depth=D, vocab=V, latent_dim=H, width=64,
+                            layers=2, heads=4, mixtures=32, mean_rank=8)
+    model = Backbone(config, seed=0)
     tc = trainer.TrainConfig(steps=20_000, batch_size=16, seed=0, audit_steps=())
     tr = trainer.Trainer(model, book, grids, ds.labels, tc)
     h = hashlib.sha256()
@@ -52,11 +64,53 @@ def run_hash(steps):
         for name in sorted(group):
             h.update(name.encode() + group[name].tobytes())
     h.update(checkpoint.from_trainer(tr).to_bytes())
+    digests = [h.hexdigest()]
+
+    ema = Backbone(config, seed=0)
+    ema.load_arrays(tr.ema)
+    for sc in (sampler.SamplerConfig(steps=32, selection="random"),
+               sampler.preset("paper-28")):
+        flat, tokens, passes = evaluate.generate_vectors(
+            ema, book, sc, 4, 0, np.random.default_rng(sc.seed))
+        digests.append(hashlib.sha256(flat.tobytes() + tokens.tobytes()
+                                      + str(passes).encode()).hexdigest())
+    digests.append(fit_eval_hash())
+    return digests
+
+
+def fit_eval_hash():
+    """Digest of synth, fit-rvq and eval through `cli.main` in a scratch
+    directory: the files written, then stdout less eval's wall time."""
+    from rvqgen import cli
+
+    h = hashlib.sha256()
+    out = io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)   # relative paths keep stdout free of the directory
+        try:
+            with contextlib.redirect_stdout(out):
+                for argv in (
+                        "synth --out ref.rgds --count 512 --seed 11",
+                        "synth --out gen.rgds --count 512 --seed 12",
+                        "fit-rvq --dataset ref.rgds --out book.rvqc --seed 1",
+                        "eval --generated gen.rgds --reference ref.rgds "
+                        "--codebook book.rvqc --out report.txt"):
+                    if cli.main(argv.split()) != 0:
+                        raise RuntimeError(f"rvqgen {argv}: nonzero exit")
+            for name in sorted(os.listdir()):
+                with open(name, "rb") as fh:
+                    h.update(name.encode() + fh.read())
+        finally:
+            os.chdir(home)
+    h.update("".join(line for line in out.getvalue().splitlines(True)
+                     if not line.startswith("wall_time=")).encode())
     return h.hexdigest()
 
 
 def hash_checkout(checkout, steps):
-    """Run `run_hash` in a fresh process on `checkout`'s `src/`."""
+    """Run `run_hash` in a fresh process on `checkout`'s `src/`; its
+    digests as one space-separated string."""
     src = os.path.join(checkout, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -65,12 +119,12 @@ def hash_checkout(checkout, steps):
         cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
-    digest, module = proc.stdout.split()
+    *digests, module = proc.stdout.split()
     # the worker must have imported the checkout's package, not another one
     if os.path.commonpath([os.path.realpath(module), os.path.realpath(src)]) \
             != os.path.realpath(src):
         raise RuntimeError(f"{checkout}: imported rvqgen from {module}")
-    return digest
+    return " ".join(digests)
 
 
 def main(argv=None):
@@ -83,7 +137,7 @@ def main(argv=None):
         p.error("--steps must be >= 0")
     if args.worker:
         import rvqgen
-        print(run_hash(args.steps), rvqgen.__file__)
+        print(*run_hash(args.steps), rvqgen.__file__)
         return 0
     if len(args.checkouts) > 2:
         p.error("give at most two checkouts")
@@ -92,7 +146,7 @@ def main(argv=None):
     for d, digest in zip(dirs, digests):
         print(f"{digest}  {d}")
     if len(set(digests)) > 1:
-        print(f"train_hash: {args.steps}-step hashes differ", file=sys.stderr)
+        print(f"train_hash: {args.steps}-step digests differ", file=sys.stderr)
         return 1
     return 0
 

@@ -71,6 +71,35 @@ def sinusoidal_encoding(L, width):
     return pe
 
 
+def parameter_specs(c: BackboneConfig):
+    """(name, shape, init) of every parameter, in creation order, without
+    building an array. init is "lin" (standard normal / sqrt(fan_in), the
+    fan-in being shape[0]), "zeros", "ones", or a float s (s * standard
+    normal)."""
+    W, H, K, h = c.width, c.latent_dim, c.mixtures, c.mean_rank
+    specs = [("embed.w", (H + 1, W), "lin"), ("embed.b", (W,), "zeros"),
+             ("embed.null", (H,), 0.02), ("cond.classes", (c.num_classes + 1, W), 0.02),
+             ("cond.ratio", (W,), 0.02)]
+    for i in range(c.layers):
+        p = f"block{i}."
+        specs += [(p + "ln1.g", (W,), "ones"), (p + "ln1.b", (W,), "zeros")]
+        for proj in ("q", "k", "v"):
+            specs.append((p + f"attn.{proj}w", (W, W), "lin"))
+            if proj != "k":
+                # a key bias shifts every attention row uniformly and
+                # cancels in the softmax; it would be a dead direction
+                specs.append((p + f"attn.{proj}b", (W,), "zeros"))
+        specs += [(p + "attn.ow", (W, W), "lin"), (p + "attn.ob", (W,), "zeros"),
+                  (p + "ln2.g", (W,), "ones"), (p + "ln2.b", (W,), "zeros"),
+                  (p + "mlp.w1", (W, 4 * W), "lin"), (p + "mlp.b1", (4 * W,), "zeros"),
+                  (p + "mlp.w2", (4 * W, W), "lin"), (p + "mlp.b2", (W,), "zeros")]
+    specs += [("final.g", (W,), "ones"), ("final.b", (W,), "zeros")]
+    # zero-init heads: untrained model emits uniform pi, zero means
+    for head, n in (("logits", K), ("means", K * h), ("scale", 1), ("shift", H)):
+        specs += [(f"head.{head}.w", (W, n), "zeros"), (f"head.{head}.b", (n,), "zeros")]
+    return specs + [("basis.M", (K, H, h), 0.1), ("basis.s", (K, H), "zeros")]
+
+
 class Backbone:
     """Owns the parameter store; autodiff forward passes build fresh
     graphs, graph-free ones (grad=False) build none."""
@@ -84,52 +113,15 @@ class Backbone:
 
     # -- parameters -------------------------------------------------------
 
-    def _add(self, name, value):
-        self.params[name] = nm.parameter(value, name=name)
-
     def _init_params(self, rng):
-        c = self.config
-        W = c.width
-
-        def lin(fan_in, *shape):
-            return rng.normal(size=shape) / np.sqrt(fan_in)
-
-        self._add("embed.w", lin(c.latent_dim + 1, c.latent_dim + 1, W))
-        self._add("embed.b", np.zeros(W))
-        self._add("embed.null", 0.02 * rng.normal(size=c.latent_dim))
-        self._add("cond.classes", 0.02 * rng.normal(size=(c.num_classes + 1, W)))
-        self._add("cond.ratio", 0.02 * rng.normal(size=W))
-        for i in range(c.layers):
-            p = f"block{i}."
-            self._add(p + "ln1.g", np.ones(W))
-            self._add(p + "ln1.b", np.zeros(W))
-            for proj in ("q", "k", "v"):
-                self._add(p + f"attn.{proj}w", lin(W, W, W))
-                if proj != "k":
-                    # a key bias shifts every attention row uniformly and
-                    # cancels in the softmax; it would be a dead direction
-                    self._add(p + f"attn.{proj}b", np.zeros(W))
-            self._add(p + "attn.ow", lin(W, W, W))
-            self._add(p + "attn.ob", np.zeros(W))
-            self._add(p + "ln2.g", np.ones(W))
-            self._add(p + "ln2.b", np.zeros(W))
-            self._add(p + "mlp.w1", lin(W, W, 4 * W))
-            self._add(p + "mlp.b1", np.zeros(4 * W))
-            self._add(p + "mlp.w2", lin(4 * W, 4 * W, W))
-            self._add(p + "mlp.b2", np.zeros(W))
-        self._add("final.g", np.ones(W))
-        self._add("final.b", np.zeros(W))
-        # zero-init heads: untrained model emits uniform pi, zero means
-        self._add("head.logits.w", np.zeros((W, c.mixtures)))
-        self._add("head.logits.b", np.zeros(c.mixtures))
-        self._add("head.means.w", np.zeros((W, c.mixtures * c.mean_rank)))
-        self._add("head.means.b", np.zeros(c.mixtures * c.mean_rank))
-        self._add("head.scale.w", np.zeros((W, 1)))
-        self._add("head.scale.b", np.zeros(1))
-        self._add("head.shift.w", np.zeros((W, c.latent_dim)))
-        self._add("head.shift.b", np.zeros(c.latent_dim))
-        self._add("basis.M", 0.1 * rng.normal(size=(c.mixtures, c.latent_dim, c.mean_rank)))
-        self._add("basis.s", np.zeros((c.mixtures, c.latent_dim)))
+        for name, shape, init in parameter_specs(self.config):
+            if init == "lin":
+                value = rng.normal(size=shape) / np.sqrt(shape[0])
+            elif init in ("zeros", "ones"):
+                value = np.zeros(shape) if init == "zeros" else np.ones(shape)
+            else:
+                value = init * rng.normal(size=shape)
+            self.params[name] = nm.parameter(value, name=name)
 
     def parameter_arrays(self):
         return {k: v.data.copy() for k, v in sorted(self.params.items())}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rvq
-from .backbone import Backbone, BackboneConfig
+from .backbone import Backbone, BackboneConfig, parameter_specs
 from .data import atomic_write, check_length, load_file, read_header
 from .trainer import TrainConfig, Trainer
 
@@ -83,6 +83,12 @@ class Checkpoint:
                 step=int(head["step"]), rng_state=head["rng_state"])
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise ValueError(f"checkpoint JSON header malformed: {e!r}") from None
+        if fields["step"] < 0:
+            raise ValueError(f"checkpoint step must be >= 0, got {fields['step']}")
+        try:
+            np.random.PCG64(0).state = fields["rng_state"]
+        except (ValueError, KeyError, TypeError, OverflowError) as e:
+            raise ValueError(f"checkpoint rng_state is not a PCG64 state: {e!r}") from None
         off += hlen
         if len(blob) < off + book_len:
             raise ValueError(f"checkpoint codebook truncated: header says {book_len} "
@@ -96,6 +102,19 @@ class Checkpoint:
             arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
             groups[group][name] = arr.reshape(shape).copy()
             off += size * 8
+        # each group holds exactly the backbone's parameters, in their shapes
+        shapes = {name: shape for name, shape, _ in
+                  parameter_specs(fields["backbone_config"])}
+        for group in _GROUPS:
+            for name in sorted(shapes.keys() | groups[group].keys()):
+                found = groups[group].get(name)
+                if found is None:
+                    raise ValueError(f"checkpoint {group}.{name}: missing")
+                if name not in shapes:
+                    raise ValueError(f"checkpoint {group}.{name}: not a backbone parameter")
+                if found.shape != shapes[name]:
+                    raise ValueError(f"checkpoint {group}.{name}: shape {found.shape}, "
+                                     f"the parameter has {shapes[name]}")
         return cls(codebook=book, params=groups["params"], ema=groups["ema"],
                    opt_m=groups["opt_m"], opt_v=groups["opt_v"], **fields)
 

@@ -6,7 +6,8 @@ Options are read off the library code that consumes them (the keywords of
 Values resolve in three layers: those defaults, then a key=value config
 file (--config), then explicit command-line flags. Every command that takes
 --seed is end-to-end reproducible; binary outputs are written atomically.
-An error a command raises leaves `main` as one `error: ...` line and exit
+An error a command raises (a bad input, a file it cannot read or write, a
+diverging training run) leaves `main` as one `error: ...` line and exit
 code 1; argparse's usage errors exit 2.
 """
 
@@ -27,7 +28,7 @@ from . import evaluate as ev
 from . import rvq
 from .backbone import Backbone, BackboneConfig
 from .sampler import SamplerConfig, preset
-from .trainer import TrainConfig, Trainer
+from .trainer import TrainConfig, Trainer, TrainingError
 
 SEED_ENV = "RVQGEN_SEED"
 
@@ -210,7 +211,10 @@ def cmd_train(args):
     while trainer.step_count < total:
         chunk = total - trainer.step_count if every == 0 \
             else min(every, total - trainer.step_count)
-        trainer.run(chunk, log_fn=log_lines.append)
+        # a diverging run is reported by the trainer's non-finite-loss
+        # error, not by numpy's overflow warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            trainer.run(chunk, log_fn=log_lines.append)
         if trainer.step_count < total:
             ckpt_mod.save_checkpoint(ckpt_mod.from_trainer(trainer),
                                      f"{args.out}.step{trainer.step_count}")
@@ -441,7 +445,7 @@ def main(argv=None):
         where = "" if e.filename is None else f"{e.filename}: "
         print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (ValueError, TrainingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

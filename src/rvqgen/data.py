@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rvq
-
 DATASET_MAGIC = b"RGDS"
 DATASET_VERSION = 1
 
@@ -251,11 +249,3 @@ def synthesize(family="grid", count=10000, seq_len=8, dim=8, modes=9, noise=0.1,
         "seed": seed,
     }
     return Dataset(vectors, labels, num_classes), meta
-
-
-def mode_occupancy(vectors, centers):
-    """Fraction of (flattened) vectors nearest to each ground-truth center."""
-    flat = np.asarray(vectors, dtype=np.float64).reshape(-1, np.shape(centers)[1])
-    centers = np.asarray(centers, dtype=np.float64)
-    nearest = rvq._nearest(flat, centers)
-    return np.bincount(nearest, minlength=centers.shape[0]) / flat.shape[0]

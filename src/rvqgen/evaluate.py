@@ -1,7 +1,7 @@
-"""Desk-scale evaluation: Gaussian Fréchet distance on raw vectors, the
-`eval` report (reconstruction-vs-depth curve, codebook usage entropy),
-many-grid generation for `sample`, and the training-by-sampling schedule
-cross-grid.
+"""Desk-scale evaluation: Gaussian Fréchet distance on raw vectors, mode
+occupancy against a synthetic family's centers, the `eval` report
+(reconstruction-vs-depth curve, codebook usage entropy), and many-grid
+generation for `sample`.
 
 The Fréchet distance stands in for feature-space FID: the synthetic data
 distributions are known, so raw-vector moments are a meaningful
@@ -11,14 +11,12 @@ training stochasticity makes exact values non-contractual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rvq
-from .backbone import Backbone, BackboneConfig
 from .sampler import SamplerConfig, generate
-from .trainer import TrainConfig, Trainer
 
 
 @dataclass
@@ -98,6 +96,14 @@ def self_distance(X, rng=None):
     return frechet_distance(X[idx[:half]], X[idx[half:2 * half]])
 
 
+def mode_occupancy(vectors, centers):
+    """Fraction of (flattened) vectors nearest to each ground-truth center."""
+    centers = np.asarray(centers, dtype=np.float64)
+    flat = np.asarray(vectors, dtype=np.float64).reshape(-1, centers.shape[1])
+    nearest = rvq.nearest(flat, centers)
+    return np.bincount(nearest, minlength=centers.shape[0]) / flat.shape[0]
+
+
 def codebook_usage_entropy(tokens, vocab):
     """Per-depth entropy (nats) of the codeword histogram; in [0, log V]."""
     tokens = np.asarray(tokens).reshape(-1, np.asarray(tokens).shape[-1])
@@ -132,63 +138,4 @@ def generate_vectors(model, book, config: SamplerConfig, count, labels, rng):
         grids.append(tokens)
         passes += stats["forward_passes"]
     grids = np.stack(grids)
-    flat = np.concatenate([rvq.dequantize(g, book) for g in grids], axis=0)
-    return flat, grids, passes
-
-
-def train_small(vectors, labels, book, backbone_cfg: BackboneConfig,
-                train_cfg: TrainConfig):
-    """Tokenize, train, and return (trainer, EMA-weight model)."""
-    N, L, H = np.shape(vectors)
-    grids = rvq.quantize(np.reshape(vectors, (N * L, H)), book).reshape(N, L, book.depth)
-    model = Backbone(backbone_cfg, seed=train_cfg.seed)
-    trainer = Trainer(model, book, grids, labels, train_cfg)
-    trainer.run(train_cfg.steps)
-    ema_model = Backbone(backbone_cfg, seed=0)
-    ema_model.load_arrays(trainer.ema)
-    return trainer, ema_model
-
-
-def schedule_grid(vectors, labels, book, backbone_cfg, train_cfg,
-                  sampler_cfg, reference, eval_labels,
-                  train_schedules=("circle", "cosine", "exp"),
-                  sample_schedules=("circle", "cosine", "exp"),
-                  cfg_weights=(0.0, 1.5), eval_seed=0):
-    """Train one model per training schedule, evaluate under every sampling
-    schedule with guidance off and on (EMA weights). Returns matrix rows."""
-    rows = []
-    for tr_s in train_schedules:
-        cfg_t = replace(train_cfg, schedule=tr_s)
-        _, model = train_small(vectors, labels, book, backbone_cfg, cfg_t)
-        for sm_s in sample_schedules:
-            for w in cfg_weights:
-                sc = replace(sampler_cfg, schedule=sm_s, use_cfg=w > 0,
-                             cfg_start=0.02 if w > 0 else 0.0, cfg_end=w)
-                rng = np.random.default_rng(eval_seed)
-                flat, _, _ = generate_vectors(model, book, sc,
-                                              len(eval_labels), eval_labels, rng)
-                rows.append({"train": tr_s, "sample": sm_s,
-                             "cfg": w > 0,
-                             "fd": frechet_distance(flat, reference)})
-    return rows
-
-
-def rows_to_csv(rows):
-    """Comma-separated table with a union-of-keys header."""
-    keys = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(k, "")) for k in keys))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_cell(v):
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    if isinstance(v, list):
-        return ";".join(f"{x:.10g}" for x in v)
-    return str(v)
+    return rvq.dequantize(grids, book).reshape(-1, book.dim), grids, passes

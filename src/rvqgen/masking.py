@@ -14,6 +14,11 @@ it and derives the (L, D) mask from it once; each transition maps counts
 to counts. `check_depth_suffix_mask` is for masks that arrive from
 outside this module.
 
+Every split is one rule, conditional hypergeometric draws position by
+position: `sample_counts` on one row, `sample_counts_batch` on many at
+once, equal draw for draw on one row. The closed forms are the reference
+the tests hold the draws to.
+
 Everything is pure given an explicit numpy Generator; callers own their
 RNG streams, so parallel use with independent streams is safe.
 """
@@ -169,14 +174,15 @@ def sample_counts_batch(capacities, n, rng):
     """Vectorized `sample_counts` drawing one vector per row of (rows, L)
     `capacities`; `n` may be a scalar or per-row array.
 
-    Both draws stay. The sampler and the forward chain draw one row at a
-    time, where this version's array bookkeeping costs more than the
-    scalar loop (one row at L=8, D=4: about 15-20 us there against
-    220-310 us here, some 7-9 ms of a ~30 ms T=32 grid). The trainer
-    draws 16 rows position by position, which costs about as much as 16
-    scalar draws, but a row-by-row loop would consume the stream in
-    another order and so change every training run. On a single row the
-    streams agree unless zero-capacity positions are skipped.
+    Position by position, one array draw covers every row. A draw of 0
+    items consumes no random numbers, so a one-row batch equals
+    `sample_counts` draw for draw, zero capacities included. Both
+    functions stay for speed. At one row (L=8, D=4) this draw's array
+    bookkeeping costs about 240 us against 11-22 us for the scalar loop,
+    which the sampler and the forward chain run once per step (32 times
+    per T=32 grid). At many rows the scalar loop is the slow one: row by
+    row, criterion 1's 100,000 draws on its L=12 grid alone take about
+    4 s of its 30 s budget, against 0.2 s here.
     """
     caps = np.asarray(capacities, dtype=np.int64)
     rows, L = caps.shape
@@ -184,18 +190,13 @@ def sample_counts_batch(capacities, n, rng):
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), (rows,))
     if np.any((n < 0) | (n > totals)):
         raise ValueError("draw count outside [0, capacity] for some row")
-    k = np.zeros((rows, L), dtype=np.int64)
+    k = np.empty((rows, L), dtype=np.int64)
     rem_n = n.copy()
     rem_total = totals.copy()
     for i in range(L - 1):
         rem_total -= caps[:, i]
-        live = (rem_n > 0) & (caps[:, i] > 0)
-        if live.any():
-            draw = np.zeros(rows, dtype=np.int64)
-            draw[live] = rng.hypergeometric(caps[live, i], rem_total[live],
-                                            rem_n[live])
-            k[:, i] = draw
-            rem_n -= draw
+        k[:, i] = rng.hypergeometric(caps[:, i], rem_total, rem_n)
+        rem_n -= k[:, i]
     k[:, -1] = rem_n
     return k
 

@@ -25,7 +25,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class MoGParams:
     """Head rows, one per grid position. Fields are Tensors from the
     autodiff forward (training) and ndarrays from the graph-free forward
-    (sampling, VLB diagnostics); `detach` is the one conversion to ndarrays.
+    (sampling, VLB diagnostics); the losses take either.
 
     logits (N, K); means (N, K, h) low-rank; log_scale (N,) with a=exp(.);
     shift (N, H). A forward over B grids of L positions emits N = B*L rows.
@@ -35,11 +35,6 @@ class MoGParams:
     means: object
     log_scale: object
     shift: object
-
-    def detach(self):
-        """Numpy view of the parameters (drops the graph)."""
-        return MoGParams(_data(self.logits), _data(self.means),
-                         _data(self.log_scale), _data(self.shift))
 
 
 @dataclass
@@ -54,10 +49,6 @@ def _data(x):
     return x.data if isinstance(x, nm.Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _tensor(x):
-    return x if isinstance(x, nm.Tensor) else nm.constant(np.asarray(x, dtype=np.float64))
-
-
 # softmax of the mixture logits over the last axis (numpy)
 mixture_weights = nm.plain.softmax
 
@@ -70,21 +61,20 @@ def _log_terms(params, basis, z):
     """The nodes both loss flavors share, built once: the Jacobian term
     H*log a, log pi (L, K) and log N(z~; mu_k, I) (L, K), where
     z~ = (z - b) / a with a = exp(log_scale)."""
-    logits = _tensor(params.logits)
-    log_scale = _tensor(params.log_scale)
-    z = _tensor(z)
-    if np.any(_data(log_scale) == -np.inf):
+    logits = nm.constant(params.logits)
+    log_scale = nm.constant(params.log_scale)
+    if np.any(log_scale.data == -np.inf):
         raise ValueError("scale a must be positive")
     inv_a = nm.exp(nm.neg(log_scale))                      # (L,)
-    zt = nm.mul(nm.sub(z, _tensor(params.shift)), nm.reshape(inv_a, (-1, 1)))
+    zt = nm.mul(nm.sub(z, params.shift), nm.reshape(inv_a, (-1, 1)))
     log_pi = nm.sub(logits, nm.logsumexp(logits, keepdims=True))
-    log_n = component_log_density(zt, _tensor(params.means), basis)
-    return nm.mul(log_scale, float(z.shape[-1])), log_pi, log_n
+    log_n = component_log_density(zt, params.means, basis)
+    return nm.mul(log_scale, float(zt.shape[-1])), log_pi, log_n
 
 
 def component_log_density(zt, means, basis):
     """log N(z~; M mu~ + s, I) per component -> (L, K) Tensor."""
-    d2 = nm.lowrank_sqdist(zt, means, _tensor(basis.M), _tensor(basis.s))
+    d2 = nm.lowrank_sqdist(zt, means, basis.M, basis.s)
     H = zt.shape[-1]
     return nm.add(nm.mul(d2, -0.5), nm.constant(-0.5 * H * LOG_2PI))
 
@@ -98,8 +88,7 @@ def _decomposed(log_pi, log_n, differentiate_q):
         log_q = nm.sub(log_n, nm.logsumexp(log_n, keepdims=True))
         q = nm.softmax(log_n)
     else:
-        ld = _data(log_n)
-        lq = ld - _logsumexp_np(ld)
+        lq = log_n.data - nm.logsumexp(log_n.data, keepdims=True).data
         log_q = nm.constant(lq)
         q = nm.constant(np.exp(lq))
     regression = nm.neg(nm.sum_(nm.mul(q, log_n), axis=-1))
@@ -146,11 +135,6 @@ def decomposed_loss(params, basis, z, differentiate_q=False):
 def surrogate_loss(params, basis, z, differentiate_q=False):
     """H*log a + regression + classification, per position -> (L,) Tensor."""
     return _surrogate(*_log_terms(params, basis, z), differentiate_q)
-
-
-def _logsumexp_np(x):
-    m = x.max(axis=-1, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +199,13 @@ def cfg_combine(cond: MoGParams, uncond: MoGParams, w: float) -> MoGParams:
     conditional prediction; scale and shift come from the conditional.
 
     Written as cond + w*(cond - uncond) so w=0 and cond==uncond are exact.
+    Both take the graph-free forward's ndarrays.
     """
-    c, u = cond.detach(), uncond.detach()
-    if c.logits.shape != u.logits.shape or c.means.shape != u.means.shape:
-        raise ValueError(f"cfg_combine: shape mismatch {c.logits.shape} vs {u.logits.shape}")
+    if cond.logits.shape != uncond.logits.shape or cond.means.shape != uncond.means.shape:
+        raise ValueError(f"cfg_combine: shape mismatch {cond.logits.shape} "
+                         f"vs {uncond.logits.shape}")
     if w == 0.0:
-        return MoGParams(c.logits, c.means, c.log_scale, c.shift)
-    return MoGParams(c.logits + w * (c.logits - u.logits),
-                     c.means + w * (c.means - u.means),
-                     c.log_scale, c.shift)
+        return cond
+    return MoGParams(cond.logits + w * (cond.logits - uncond.logits),
+                     cond.means + w * (cond.means - uncond.means),
+                     cond.log_scale, cond.shift)

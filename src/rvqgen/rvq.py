@@ -21,16 +21,17 @@ a `Codebook` builds them once per depth, at construction, and k-means
 once per epoch, since its table changes every epoch.
 
 Every nearest-codeword search (each quantization depth, each epoch of the
-"nearest" k-means update, the fit's per-depth residual pass, and
-`data.mode_occupancy`) goes through `_nearest_rows`, which scores BLOCK
-rows at a time into one reused (BLOCK + 1, V) buffer and takes each
-block's argmin while it is still in cache, in place of an (N, V) matrix
-that falls out of cache between the product, the `+= norms` and the
-argmin. Ties go to the lowest codeword index, as `np.argmin` takes the
-first minimum. No block is one row: numpy hands a one-row product to
-gemv, which may round otherwise than gemm, so a lone last row joins the
-block before it, and the picks are those of one whole `_scores` call.
-Up to BLOCK + 1 rows (the sampler's per-step calls) take that one call.
+"nearest" k-means update, the fit's per-depth residual pass, and the
+public `nearest`, which `evaluate.mode_occupancy` calls) goes through
+`_nearest_rows`, which scores BLOCK rows at a time into one reused
+(BLOCK + 1, V) buffer and takes each block's argmin while it is still in
+cache, in place of an (N, V) matrix that falls out of cache between the
+product, the `+= norms` and the argmin. Ties go to the lowest codeword
+index, as `np.argmin` takes the first minimum. No block is one row: numpy
+hands a one-row product to gemv, which may round otherwise than gemm, so
+a lone last row joins the block before it, and the picks are those of
+one whole `_scores` call. Up to BLOCK + 1 rows (the sampler's per-step
+calls) take that one call.
 
 Tokens are 1-based codeword indices; 0 is reserved as the MASK sentinel
 and never appears in quantizer output. `codewords` is the one token ->
@@ -167,7 +168,7 @@ def _nearest_rows(rows, pair):
     return picks
 
 
-def _nearest(rows, table):
+def nearest(rows, table):
     """Lowest-index nearest codeword per row. (N,H)x(V,H)->(N,)"""
     return _nearest_rows(rows, score_pair(table))
 
@@ -225,11 +226,17 @@ def codewords(tokens, book: Codebook):
     at depth j reads row t - 1 of table j. A MASK entry reads codeword V,
     so callers must discard it (see `dequantize`). A token outside [0, V]
     raises ValueError instead of wrapping around or escaping the table."""
-    tokens = np.asarray(tokens)
-    if tokens.size and (np.minimum.reduce(tokens, axis=None) < MASK
-                        or np.maximum.reduce(tokens, axis=None) > book.vocab):
-        raise ValueError(f"tokens must lie in [0, {book.vocab}] (0 is MASK)")
+    tokens = _checked(tokens, MASK, book.vocab)
     return book.embeddings[np.arange(book.depth), tokens - 1]
+
+
+def _checked(tokens, low, vocab):
+    """`tokens` as an array; an entry outside [low, vocab] raises ValueError."""
+    tokens = np.asarray(tokens)
+    if tokens.size and (np.minimum.reduce(tokens, axis=None) < low
+                        or np.maximum.reduce(tokens, axis=None) > vocab):
+        raise ValueError(f"tokens must lie in [{low}, {vocab}] (0 is MASK)")
+    return tokens
 
 
 def dequantize(tokens, book: Codebook, keep=None):
@@ -259,11 +266,11 @@ def reconstruction_mse_by_depth(vectors, book: Codebook, tokens=None):
     """Mean squared reconstruction error using depth prefixes 1..D.
 
     `tokens` may pass in `quantize(vectors, book)` when the caller already
-    holds it.
+    holds it; a token outside [1, V] (MASK included) raises ValueError.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    if tokens is None:
-        tokens = quantize(vectors, book)
+    tokens = quantize(vectors, book) if tokens is None \
+        else _checked(tokens, MASK + 1, book.vocab)
     mse = np.empty(book.depth)
     z = np.zeros_like(vectors)
     for j in range(1, book.depth + 1):
@@ -373,7 +380,7 @@ def fit_codebook(vectors, depth=4, vocab=32, update="nearest", epochs=10,
         tables[j] = _kmeans_depth(residual, vocab, update, epochs,
                                   sigma_assign, np.random.default_rng(seeds[j]))
         if j < depth - 1:  # the last depth's residual has no reader
-            residual -= tables[j][_nearest(residual, tables[j])]
+            residual -= tables[j][nearest(residual, tables[j])]
     return Codebook(tables, sigma)
 
 

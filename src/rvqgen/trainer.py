@@ -86,6 +86,11 @@ class TrainConfig:
         return cls(**d)
 
 
+class TrainingError(RuntimeError):
+    """A step that cannot go on: a non-finite loss (a diverging run) or a
+    negative Jensen gap."""
+
+
 def masked_targets(tokens, masks, book: rvq.Codebook):
     """Masked-embedding regression targets of (B, L, D) token grids.
 
@@ -248,12 +253,12 @@ class Trainer:
             differentiate_q=c.differentiate_q)
         loss = float(sur.data)
         if not np.isfinite(loss):
-            raise RuntimeError(
+            raise TrainingError(
                 f"non-finite loss at step {self.step_count}: loss={loss}, "
                 f"batch indices {idx.tolist()}, ratios {np.round(ratios, 4).tolist()}")
         gap = float(sur.data - nll.data)
         if gap < -1e-9:
-            raise RuntimeError(f"Jensen gap violated at step {self.step_count}: {gap}")
+            raise TrainingError(f"Jensen gap violated at step {self.step_count}: {gap}")
 
         scale = None                    # None: no gradient step
         if n_sel > 0:
@@ -372,24 +377,17 @@ def format_record(record):
 # variational-bound diagnostics
 
 
-def _reverse_cumulative_counts(schedule, T, L, D):
-    """Masked totals N_t visited by the forward chain aligned with the
-    reverse schedule: N_0 = 0 (clean), N_T = L*D (fully masked)."""
-    return [mk.mask_count(schedule, (T - t) / T, L, D) for t in range(T + 1)]
-
-
 def _model_reconstructions(model, book, tokens, state, label, ratio, rng, samples):
-    """Draw full-grid candidates x0_hat ~ p(x0 | x_t): sample z at masked
-    positions, quantize the masked depths, keep revealed tokens."""
+    """Draw full-grid candidates x0_hat ~ p(x0 | x_t), (samples, L, D):
+    sample z at masked positions, quantize the masked depths, keep
+    revealed tokens."""
     visible = mk.apply_mask(tokens, state.mask)
     params = model.forward(visible, state.mask, book, [label], [ratio], grad=False)
     basis = model.basis
     start = np.asarray(state.unmasked_counts)
-    cands = []
-    for _ in range(samples):
-        z = mog.sample(params, basis, rng)
-        cands.append(rvq.quantize(z, book, start_depth=start, out=tokens))
-    return cands
+    return np.stack([rvq.quantize(mog.sample(params, basis, rng), book,
+                                  start_depth=start, out=tokens)
+                     for _ in range(samples)])
 
 
 def vlb_diagnostic(tokens, model, book, T, schedule, rng, label=0,
@@ -407,7 +405,9 @@ def vlb_diagnostic(tokens, model, book, T, schedule, rng, label=0,
     L, D = tokens.shape
     if (D + 1) ** L > max_states:
         raise ValueError("grid too large for exhaustive VLB enumeration")
-    totals = _reverse_cumulative_counts(schedule, T, L, D)
+    # masked totals N_t of the forward chain aligned with the reverse
+    # schedule: N_0 = 0 (clean), N_T = L*D (fully masked)
+    totals = mk.mask_count(schedule, (T - np.arange(T + 1)) / T, L, D).tolist()
 
     # forward-simulate the masking chain
     states = [mk.MaskState(np.zeros(L), D)]
@@ -421,32 +421,22 @@ def vlb_diagnostic(tokens, model, book, T, schedule, rng, label=0,
         n_step = totals[t + 1] - totals[t]
         cands = _model_reconstructions(model, book, tokens, st1, label,
                                        (T - (t + 1)) / T, rng, model_samples)
+        # x_t reveals, relative to x_{t+1}, the shallowest k_i masked depths
+        # with the TRUE tokens; a candidate x0_hat supports k iff its run of
+        # correct tokens from each position's shallowest masked depth is
+        # at least k_i long
+        lo = D - c1
+        wrong = (cands != tokens) & (np.arange(D) >= lo[:, None])
+        runs = np.where(wrong.any(axis=2), wrong.argmax(axis=2), D) - lo
         kl = 0.0
         for k in itertools.product(*(range(min(ci, n_step) + 1) for ci in c1)):
             if sum(k) != n_step:
                 continue
-            ct = c1 - np.array(k)
-            logq = mk.posterior_logprob(ct, c1, int(c1.sum()), n_step)
+            logq = mk.posterior_logprob(c1 - np.array(k), c1, int(c1.sum()), n_step)
             if logq == mk.IMPOSSIBLE:
                 continue
-            # x_t reveals, relative to x_{t+1}, the shallowest k_i masked
-            # depths with the TRUE tokens; a candidate x0_hat contributes
-            # iff it matches those entries
-            p_hat = 0.0
-            for cand in cands:
-                ok = True
-                for i in range(L):
-                    lo = D - c1[i]
-                    for j in range(lo, lo + k[i]):
-                        if cand[i, j] != tokens[i, j]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    p_hat += np.exp(logq)
-            p_hat /= len(cands)
             q = np.exp(logq)
+            p_hat = (runs >= k).all(axis=1).sum() * q / len(cands)
             kl += q * (logq - np.log(p_hat)) if p_hat > 0 else np.inf
         terms["L_t"].append(kl)
 
@@ -454,6 +444,6 @@ def vlb_diagnostic(tokens, model, book, T, schedule, rng, label=0,
     st1 = states[1]
     cands = _model_reconstructions(model, book, tokens, st1, label,
                                    (T - 1) / T, rng, model_samples)
-    hits = sum(1 for cand in cands if np.array_equal(cand, tokens))
+    hits = (cands == tokens).all(axis=(1, 2)).sum()
     terms["L_0"] = -np.log(hits / len(cands)) if hits else np.inf
     return terms

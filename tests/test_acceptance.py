@@ -9,6 +9,7 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -315,7 +316,7 @@ def test_criterion_9_end_to_end_generation():
 
         baseline = ev.self_distance(held, rng=np.random.default_rng(0))
         fd = ev.frechet_distance(flat, held)
-        occupancy = data_mod.mode_occupancy(flat, np.array(meta["centers"]))
+        occupancy = ev.mode_occupancy(flat, np.array(meta["centers"]))
         elapsed = time.perf_counter() - start
         print(f"  [fd={fd:.5f} baseline={baseline:.5f} "
               f"ratio={fd / baseline:.2f} min_mode={occupancy.min():.3f} "
@@ -405,6 +406,43 @@ def test_criterion_11_reproducibility(tmp_path):
         assert a[2] == b[2], "eval reports differ"
 
 
+def train_small(vectors, labels, book, backbone_cfg, train_cfg):
+    """Tokenize, train, and return (trainer, EMA-weight model)."""
+    N, L, H = np.shape(vectors)
+    grids = rvq.quantize(np.reshape(vectors, (N * L, H)), book).reshape(N, L, book.depth)
+    model = Backbone(backbone_cfg, seed=train_cfg.seed)
+    trainer = tnr.Trainer(model, book, grids, labels, train_cfg)
+    trainer.run(train_cfg.steps)
+    ema_model = Backbone(backbone_cfg, seed=0)
+    ema_model.load_arrays(trainer.ema)
+    return trainer, ema_model
+
+
+def schedule_grid(vectors, labels, book, backbone_cfg, train_cfg,
+                  sampler_cfg, reference, eval_labels,
+                  train_schedules=("circle", "cosine", "exp"),
+                  sample_schedules=("circle", "cosine", "exp"),
+                  cfg_weights=(0.0, 1.5), eval_seed=0):
+    """Criterion 12's harness: train one model per training schedule,
+    evaluate under every sampling schedule with guidance off and on (EMA
+    weights). Returns matrix rows."""
+    rows = []
+    for tr_s in train_schedules:
+        cfg_t = replace(train_cfg, schedule=tr_s)
+        _, model = train_small(vectors, labels, book, backbone_cfg, cfg_t)
+        for sm_s in sample_schedules:
+            for w in cfg_weights:
+                sc = replace(sampler_cfg, schedule=sm_s, use_cfg=w > 0,
+                             cfg_start=0.02 if w > 0 else 0.0, cfg_end=w)
+                rng = np.random.default_rng(eval_seed)
+                flat, _, _ = ev.generate_vectors(model, book, sc,
+                                                 len(eval_labels), eval_labels, rng)
+                rows.append({"train": tr_s, "sample": sm_s,
+                             "cfg": w > 0,
+                             "fd": ev.frechet_distance(flat, reference)})
+    return rows
+
+
 def test_criterion_12_schedule_cross_grid():
     with criterion(12, "3x3 train/sample schedule matrix with CFG on/off "
                        "completes and is reported"):
@@ -419,14 +457,13 @@ def test_criterion_12_schedule_cross_grid():
         tc = tnr.TrainConfig(steps=250, batch_size=8, seed=12, audit_steps=())
         sc = smp.SamplerConfig(steps=6, selection="random")
         eval_labels = np.tile([1, 2, 3], 16)
-        rows = ev.schedule_grid(ds.vectors, ds.labels.astype(np.int64), book,
-                                bb, tc, sc, reference=flat,
-                                eval_labels=eval_labels)
+        rows = schedule_grid(ds.vectors, ds.labels.astype(np.int64), book,
+                             bb, tc, sc, reference=flat, eval_labels=eval_labels)
         assert len(rows) == 3 * 3 * 2
         cells = {(r["train"], r["sample"], r["cfg"]) for r in rows}
         assert len(cells) == 18
         assert all(np.isfinite(r["fd"]) for r in rows)
-        table = ev.rows_to_csv(rows)
         print("  schedule grid (fd per cell):")
-        for line in table.splitlines():
-            print("   ", line)
+        print("    train,sample,cfg,fd")
+        for r in rows:
+            print(f"    {r['train']},{r['sample']},{r['cfg']},{r['fd']:.10g}")

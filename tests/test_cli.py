@@ -13,8 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
+from rvqgen import checkpoint as ckpt_mod
 from rvqgen import cli
 from rvqgen import data as data_mod
+from rvqgen import evaluate as ev
 from rvqgen import rvq
 from rvqgen.trainer import TrainConfig
 
@@ -55,7 +57,7 @@ def test_synth_mode_occupancy(tmp_path):
     run("synth", "--out", path, "--count", 2000, "--seq-len", 4, "--dim", 4,
         "--modes", 9, "--seed", 5)
     ds = data_mod.load_dataset(path)
-    occ = data_mod.mode_occupancy(ds.vectors, data_mod.load_meta(path)["centers"])
+    occ = ev.mode_occupancy(ds.vectors, data_mod.load_meta(path)["centers"])
     # multinomial concentration: |p - 1/9| within ~4 sigma
     sigma = np.sqrt((1 / 9) * (8 / 9) / (2000 * 4))
     assert np.all(np.abs(occ - 1 / 9) < 4 * sigma)
@@ -303,6 +305,76 @@ def test_truncated_or_padded_checkpoint_reports_path(workspace, capsys):
             err = out.err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: {bad}: checkpoint "), err
     assert not (tmp / "never.rgds").exists() and not (tmp / "never.ckpt").exists()
+
+
+def _drop(group, name):
+    def edit(c):
+        del getattr(c, group)[name]
+    return edit
+
+
+def _reshape(group, name):
+    def edit(c):
+        getattr(c, group)[name] = getattr(c, group)[name].reshape(-1)[:-1]
+    return edit
+
+
+def _set(field, value):
+    return lambda c: setattr(c, field, value)
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (_drop("params", "basis.M"), r"params\.basis\.M: missing"),
+    (_drop("ema", "head.shift.b"), r"ema\.head\.shift\.b: missing"),
+    (_reshape("opt_v", "embed.w"), r"opt_v\.embed\.w: shape \(63,\), the parameter has \(4, 16\)"),
+    (lambda c: c.opt_m.update(extra=np.zeros(2)), r"opt_m\.extra: not a backbone parameter"),
+    (_set("rng_state", "x"), "rng_state is not a PCG64 state"),
+    (_set("rng_state", {"bit_generator": "MT19937", "state": {"key": [0] * 624, "pos": 624}}),
+     "rng_state is not a PCG64 state"),
+    (_set("step", -1), "step must be >= 0"),
+], ids=["no-param", "no-ema", "bad-shape", "extra-array", "rng-not-a-dict",
+        "rng-foreign", "negative-step"])
+def test_tampered_checkpoint_contents_report_path(workspace, capsys, edit, reason):
+    # each once ended in a traceback (KeyError, TypeError) or an unnamed
+    # error, or resumed at a negative step
+    tmp, ds_path, book_path = workspace
+    ckpt = tmp / "good.ckpt"
+    assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", ckpt,
+               "--steps", 2, "--batch-size", 2, "--width", 16, "--layers", 1,
+               "--heads", 2, "--mixtures", 2, "--mean-rank", 2) == 0
+    capsys.readouterr()
+    tampered = ckpt_mod.load_checkpoint(ckpt)
+    edit(tampered)
+    bad = tmp / "bad.ckpt"
+    bad.write_bytes(tampered.to_bytes())
+    for argv in (("inspect", bad),
+                 ("sample", "--checkpoint", bad, "--out", tmp / "never.rgds",
+                  "--count", 1, "--steps", 2),
+                 ("train", "--dataset", ds_path, "--resume", bad,
+                  "--out", tmp / "never.ckpt")):
+        assert run(*argv) == 1, argv[0]
+        out = capsys.readouterr()
+        err = out.err.splitlines()
+        assert out.out == "" and len(err) == 1, (argv[0], out)
+        assert err[0].startswith(f"error: {bad}: checkpoint "), err
+        assert re.search(reason, err[0]), err
+    assert not (tmp / "never.rgds").exists() and not (tmp / "never.ckpt").exists()
+
+
+def test_diverging_training_run_is_one_error_line(workspace, capsys):
+    # the trainer's non-finite-loss error once left main as a traceback,
+    # after numpy's overflow warnings
+    tmp, ds_path, book_path = workspace
+    out = tmp / "never.ckpt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", out,
+                   "--steps", 20, "--batch-size", 4, "--width", 16, "--layers", 1,
+                   "--heads", 2, "--mixtures", 2, "--mean-rank", 2,
+                   "--lr", 1e200, "--warmup", 0) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite loss at step "), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dump,reason", [

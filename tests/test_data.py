@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rvqgen import data as data_mod
+from rvqgen import evaluate as ev
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -134,7 +135,7 @@ def test_ring_family_centers_on_circle():
     radii = np.linalg.norm(centers[:, :2], axis=1)
     assert np.allclose(radii, 2.0)
     assert np.all(centers[:, 2] == 0)
-    occ = data_mod.mode_occupancy(ds.vectors, centers)
+    occ = ev.mode_occupancy(ds.vectors, centers)
     assert occ.min() > 0.05
 
 
@@ -189,5 +190,5 @@ def test_mode_occupancy_matches_broadcast_oracle():
         flat = ds.vectors.reshape(-1, 3)
         d2 = ((flat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         want = np.bincount(d2.argmin(axis=1), minlength=9) / len(flat)
-        got = data_mod.mode_occupancy(ds.vectors, meta["centers"])
+        got = ev.mode_occupancy(ds.vectors, meta["centers"])
         assert np.array_equal(got, want), family

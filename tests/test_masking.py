@@ -178,6 +178,52 @@ def test_sample_counts_matches_the_numpy_int_loop(caps, data):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.data())
+def test_one_row_batch_matches_sample_counts(caps, data):
+    # a draw of 0 items takes no random numbers, so one rule serves both
+    # functions, zero capacities included
+    caps = np.array(caps)
+    n = data.draw(st.integers(0, int(caps.sum())))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got, want = mk.sample_counts_batch(caps[None], n, rng), mk.sample_counts(caps, n, ref)
+        assert np.array_equal(got, want[None])
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def live_masked_counts_batch(caps, n, rng):
+    """The batch draw that skipped rows with nothing left to draw or no
+    capacity at a position: what the trainer's stream was made with."""
+    rows, L = caps.shape
+    k = np.zeros((rows, L), dtype=np.int64)
+    rem_n = np.broadcast_to(np.asarray(n, dtype=np.int64), (rows,)).copy()
+    rem_total = caps.sum(axis=1)
+    for i in range(L - 1):
+        rem_total -= caps[:, i]
+        live = (rem_n > 0) & (caps[:, i] > 0)
+        if live.any():
+            k[live, i] = rng.hypergeometric(caps[live, i], rem_total[live], rem_n[live])
+            rem_n -= k[:, i]
+    k[:, -1] = rem_n
+    return k
+
+
+@pytest.mark.parametrize("L, D", [(8, 4), (1, 3), (5, 1), (12, 2)])
+def test_batch_draw_keeps_the_trainer_stream(L, D):
+    # the trainer's capacities are never 0: drawing every row gives the
+    # stream of the draw that skipped the rows with nothing left to draw
+    for seed in range(100):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        caps = np.full((16, L), D)
+        n = mk.mask_count(mk.Schedule("circle"), rng.random(16), L, D)
+        ref.random(16)
+        got, want = mk.sample_counts_batch(caps, n, rng), live_masked_counts_batch(caps, n, ref)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_binary_mask_full_and_empty():
     rng = np.random.default_rng(0)
     full = mk.binary_mask(6, 3, 2, rng)

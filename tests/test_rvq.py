@@ -85,6 +85,25 @@ def test_tokens_outside_the_vocabulary_are_refused():
                           book.table(1)[3][None] + 0.0)
 
 
+def test_reconstruction_curve_refuses_tokens_outside_the_vocabulary():
+    # a MASK token once read codeword V silently (the curve came out not
+    # monotone) and a token above V raised a bare IndexError
+    rng = np.random.default_rng(6)
+    vectors = rng.normal(size=(40, 3))
+    book = rvq.fit_codebook(vectors, depth=3, vocab=4, seed=0)
+    tokens = rvq.quantize(vectors, book)
+    want = rvq.reconstruction_mse_by_depth(vectors, book)
+    assert np.array_equal(rvq.reconstruction_mse_by_depth(vectors, book, tokens), want)
+    for j, bad in ((1, rvq.MASK), (2, 5), (0, -1), (2, 99)):
+        t = tokens.copy()
+        t[7, j] = bad
+        with pytest.raises(ValueError, match=r"tokens must lie in \[1, 4\]"):
+            rvq.reconstruction_mse_by_depth(vectors, book, t)
+    edges = tokens.copy()
+    edges[0], edges[1] = 1, 4
+    rvq.reconstruction_mse_by_depth(vectors, book, edges)
+
+
 def test_codebook_scoring_constants_are_the_per_call_terms():
     rng = np.random.default_rng(8)
     book = rvq.Codebook(rng.normal(size=(3, 5, 4)), np.array([0.5, 0.2, 1e-3]))
@@ -359,7 +378,7 @@ def test_duplicate_codewords_resolve_to_lowest_index():
             table = base.copy()
             table[hi] = table[lo]
             rows = table[lo] + 1e-3 * rng.standard_normal((64, 8))
-            assert np.all(rvq._nearest(rows, table) == lo), (V, lo, hi)
+            assert np.all(rvq.nearest(rows, table) == lo), (V, lo, hi)
             book = rvq.Codebook(table[None], np.ones(1))
             assert np.all(rvq.quantize(rows, book) == lo + 1)
 
@@ -374,7 +393,7 @@ def test_small_integer_grid_ties_match_oracle():
     rows = np.array([[x, y] for x in half for y in half])
     for _ in range(5):
         table = np.concatenate([grid, grid])[rng.permutation(50)]
-        got = rvq._nearest(rows, table)
+        got = rvq.nearest(rows, table)
         assert np.array_equal(got, oracle_d2(rows, table).argmin(axis=1))
 
 
@@ -390,7 +409,7 @@ def test_nearest_matches_broadcast_oracle(data):
     table = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 12)), H),
                                  elements=FINITE))
     d2 = oracle_d2(rows, table)
-    got = rvq._nearest(rows, table)
+    got = rvq.nearest(rows, table)
     # the kernel's rounding error scales with ||r||^2 + ||e||^2; below
     # 1e-300 squares underflow and lose their precision altogether
     scale = (rows**2).sum(axis=1) + (table**2).sum(axis=1).max()

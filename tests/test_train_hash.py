@@ -1,5 +1,6 @@
-"""scripts/train_hash.py: the seeded training hash is the same in two
-processes on one checkout, and a difference between checkouts fails."""
+"""scripts/train_hash.py: the seeded digests (training, sampling in two
+modes, fitting) are the same in two processes on one checkout, and a
+difference between checkouts fails."""
 
 import importlib.util
 import os
@@ -22,6 +23,10 @@ def test_two_runs_on_one_checkout_hash_alike():
     digests = [line.split()[0] for line in lines]
     assert digests[0] == digests[1]
     assert re.fullmatch("[0-9a-f]{64}", digests[0])
+    # training, random-mode and paper-28 sampling, fit-rvq + eval
+    runs = [line.split()[:-1] for line in lines]
+    assert runs[0] == runs[1] and len(runs[0]) == 4 and len(set(runs[0])) == 4
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in runs[0])
 
 
 def test_differing_hashes_exit_one(monkeypatch, capsys):
@@ -29,3 +34,8 @@ def test_differing_hashes_exit_one(monkeypatch, capsys):
     assert th.main(["parent", "change", "--steps", "1"]) == 1
     assert "differ" in capsys.readouterr().err
     assert th.main(["same", "same", "--steps", "1"]) == 0
+    # any one digest differing fails
+    runs = {"parent": "t s1 s2 f", "change": "t s1 s3 f"}
+    monkeypatch.setattr(th, "hash_checkout", lambda checkout, steps: runs[os.path.basename(checkout)])
+    assert th.main(["parent", "change", "--steps", "1"]) == 1
+    assert th.main(["parent", "parent", "--steps", "1"]) == 0

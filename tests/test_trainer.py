@@ -2,6 +2,8 @@
 against a per-tensor oracle, null updates, convergence on a degenerate
 dataset, gradient hygiene, and the VLB diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -409,8 +411,8 @@ def autodiff_reconstructions(model, book, tokens, state, label, ratio, rng, samp
                            flat.log_scale.data.reshape(-1), flat.shift.data)
     basis = mog.LowRankBasis(model.params["basis.M"].data, model.params["basis.s"].data)
     start = np.asarray(state.unmasked_counts)
-    return [rvq.quantize(mog.sample(params, basis, rng), book, start_depth=start,
-                         out=tokens) for _ in range(samples)]
+    return np.stack([rvq.quantize(mog.sample(params, basis, rng), book,
+                                  start_depth=start, out=tokens) for _ in range(samples)])
 
 
 def test_vlb_terms_match_autodiff_forward_oracle(monkeypatch):
@@ -430,6 +432,60 @@ def test_vlb_terms_match_autodiff_forward_oracle(monkeypatch):
     assert all(np.isfinite(t["L_t"]).all() for t in plain)
     monkeypatch.setattr(tnr, "_model_reconstructions", autodiff_reconstructions)
     assert [terms_at(seed) for seed in (11, 12)] == plain
+
+
+def vlb_loop_oracle(tokens, model, book, T, schedule, rng, label=0, model_samples=8):
+    """`vlb_diagnostic` with per-step mask totals and a candidate-by-
+    candidate, entry-by-entry match of every count vector k."""
+    L, D = tokens.shape
+    totals = [mk.mask_count(schedule, (T - t) / T, L, D) for t in range(T + 1)]
+    states = [mk.MaskState(np.zeros(L), D)]
+    for t in range(1, T + 1):
+        states.append(mk.mask_more(states[t - 1], totals[t] - totals[t - 1], rng))
+    terms = {"L_T": 0.0, "L_t": [], "L_0": None}
+    for t in range(1, T):
+        c1 = states[t + 1].masked_counts
+        n_step = totals[t + 1] - totals[t]
+        cands = tnr._model_reconstructions(model, book, tokens, states[t + 1], label,
+                                           (T - (t + 1)) / T, rng, model_samples)
+        kl = 0.0
+        for k in itertools.product(*(range(min(ci, n_step) + 1) for ci in c1)):
+            logq = mk.posterior_logprob(c1 - np.array(k), c1, int(c1.sum()), n_step)
+            if sum(k) != n_step or logq == mk.IMPOSSIBLE:
+                continue
+            p_hat = 0.0
+            for cand in cands:
+                if all(cand[i, j] == tokens[i, j]
+                       for i in range(L) for j in range(D - c1[i], D - c1[i] + k[i])):
+                    p_hat += np.exp(logq)
+            p_hat /= len(cands)
+            q = np.exp(logq)
+            kl += q * (logq - np.log(p_hat)) if p_hat > 0 else np.inf
+        terms["L_t"].append(kl)
+    cands = tnr._model_reconstructions(model, book, tokens, states[1], label,
+                                       (T - 1) / T, rng, model_samples)
+    hits = sum(1 for cand in cands if np.array_equal(cand, tokens))
+    terms["L_0"] = -np.log(hits / len(cands)) if hits else np.inf
+    return terms
+
+
+@pytest.mark.parametrize("spec", ["circle", "cosine", "exp"])
+def test_vlb_terms_match_the_candidate_loop_oracle(spec):
+    # one comparison per candidate (its run of correct tokens from each
+    # position's shallowest masked depth) against the entry-by-entry match
+    model, book, grids = toy_setup()
+    rng = np.random.default_rng(22)
+    for p in model.params.values():
+        p.data = p.data + 0.3 * rng.normal(size=p.data.shape)
+    schedule = mk.parse_schedule(spec)
+    for seed in range(6):
+        for T in (3, 4, 6):
+            args = (grids[seed], model, book, T, schedule)
+            got = tnr.vlb_diagnostic(*args, np.random.default_rng(seed), model_samples=32)
+            want = vlb_loop_oracle(*args, np.random.default_rng(seed), model_samples=32)
+            assert got["L_T"] == want["L_T"] and got["L_0"] == want["L_0"]
+            assert np.allclose(got["L_t"], want["L_t"], rtol=0, atol=1e-12)
+            assert np.isinf(got["L_t"]).tolist() == np.isinf(want["L_t"]).tolist()
 
 
 def test_vlb_rejects_huge_grids():
