@@ -7,8 +7,9 @@ Four digests, in this order on each output line:
   64, 2 layers, 4 heads, 32 components, rank 8, batch 16, circle
   schedule) on 1,024 synthetic grid records, for N `Trainer.step`s
   (default 200). It covers every step's loss and Jensen gap, then the
-  parameters, AdamW moments and EMA in sorted-name order, then the bytes
-  of the checkpoint taken at the end.
+  parameters, AdamW moments and EMA in sorted-name order, then the
+  checkpoint file that `checkpoint.save_checkpoint` writes at the end, as
+  read back from a scratch directory.
 - random-mode and `paper-28` sampling: `evaluate.generate_vectors` of 4
   grids from that run's EMA weights, seeded as `rvqgen sample` seeds it
   (T=32 random reveals; the preset's 28 guided steps); it covers the
@@ -63,7 +64,11 @@ def run_hash(steps):
                   tr.opt_m, tr.opt_v, tr.ema):
         for name in sorted(group):
             h.update(name.encode() + group[name].tobytes())
-    h.update(checkpoint.from_trainer(tr).to_bytes())
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "train.ckpt")
+        checkpoint.save_checkpoint(checkpoint.from_trainer(tr), path)
+        with open(path, "rb") as fh:
+            h.update(fh.read())
     digests = [h.hexdigest()]
 
     ema = Backbone(config, seed=0)

@@ -172,7 +172,7 @@ class Backbone:
 
         feat = ops.add(e_sum, ops.mul(hidden, P["embed.null"]))
         x = ops.concat([feat, (q / c.depth)[:, :, None]], axis=-1)
-        return ops.add(ops.matmul(x, P["embed.w"]), P["embed.b"])
+        return ops.linear(x, P["embed.w"], P["embed.b"])
 
     def _attention(self, ops, P, x, prefix, B):
         c = self.config
@@ -184,17 +184,14 @@ class Backbone:
             t = ops.transpose(t, (0, 2, 1, 3))
             return ops.reshape(t, (B * nh, c.seq_len, hd))
 
-        def proj(name):
-            out = ops.matmul(x, P[prefix + f"attn.{name}w"])
-            bias = P.get(prefix + f"attn.{name}b")
-            return out if bias is None else ops.add(out, bias)
-
-        q, k, v = (split_heads(proj(n)) for n in ("q", "k", "v"))
+        q, k, v = (split_heads(ops.linear(x, P[prefix + f"attn.{n}w"],
+                                          P.get(prefix + f"attn.{n}b")))
+                   for n in ("q", "k", "v"))
         scores = ops.mul(ops.matmul(q, ops.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(hd))
         out = ops.matmul(ops.softmax(scores), v)
         out = ops.reshape(out, (B, nh, c.seq_len, hd))
         out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (B, c.seq_len, W))
-        return ops.add(ops.matmul(out, P[prefix + "attn.ow"]), P[prefix + "attn.ob"])
+        return ops.linear(out, P[prefix + "attn.ow"], P[prefix + "attn.ob"])
 
     def predict(self, embedded, labels, r, grad=True, *, ops=None):
         """Embedded inputs + labels (B,) + mask ratio r (B,) -> MoGParams
@@ -226,14 +223,12 @@ class Backbone:
             h1 = ops.add(ops.layer_norm(x, P[p + "ln1.g"], P[p + "ln1.b"]), cond)
             x = ops.add(x, self._attention(ops, P, h1, p, B))
             h2 = ops.add(ops.layer_norm(x, P[p + "ln2.g"], P[p + "ln2.b"]), cond)
-            mlp = ops.matmul(ops.gelu(ops.add(ops.matmul(h2, P[p + "mlp.w1"]),
-                                              P[p + "mlp.b1"])),
-                             P[p + "mlp.w2"])
-            x = ops.add(x, ops.add(mlp, P[p + "mlp.b2"]))
+            mlp = ops.gelu(ops.linear(h2, P[p + "mlp.w1"], P[p + "mlp.b1"]))
+            x = ops.add(x, ops.linear(mlp, P[p + "mlp.w2"], P[p + "mlp.b2"]))
         y = ops.add(ops.layer_norm(x, P["final.g"], P["final.b"]), cond)
 
         def head(name, *shape):
-            out = ops.add(ops.matmul(y, P[f"head.{name}.w"]), P[f"head.{name}.b"])
+            out = ops.linear(y, P[f"head.{name}.w"], P[f"head.{name}.b"])
             return ops.reshape(out, (B * c.seq_len, *shape))
 
         logits = head("logits", c.mixtures)

@@ -3,10 +3,15 @@ one self-describing binary file, bit-exact across save/load cycles.
 
 Layout: magic "RGCK", version u32, u64 header length, JSON header, inline
 codebook blob, then the raw float64 little-endian arrays in header order.
+`Checkpoint.parts` is the one writer of that layout. A save streams the
+parts into the file one by one and a load reads the file once, each array
+straight into its own ndarray, so neither holds the file a second time in
+memory.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -16,7 +21,7 @@ import numpy as np
 
 from . import rvq
 from .backbone import Backbone, BackboneConfig, parameter_specs
-from .data import atomic_write, check_length, load_file, read_header
+from .data import atomic_write, check_length, open_named, read_header
 from .trainer import TrainConfig, Trainer
 
 CHECKPOINT_MAGIC = b"RGCK"
@@ -38,17 +43,20 @@ class Checkpoint:
     opt_m: dict
     opt_v: dict
 
-    def to_bytes(self) -> bytes:
+    def parts(self):
+        """The RGCK file as bytes-like parts in file order: the fixed
+        header, the JSON header, the codebook blob, then each array as a
+        C-contiguous `<f8` ndarray. `to_bytes` joins them and
+        `save_checkpoint` streams them, so the layout lives here only."""
         groups = {"params": self.params, "ema": self.ema,
                   "opt_m": self.opt_m, "opt_v": self.opt_v}
-        manifest = []
-        raw = bytearray()
+        manifest, arrays = [], []
         for group in _GROUPS:
             for name in sorted(groups[group]):
                 arr = np.ascontiguousarray(groups[group][name], dtype="<f8")
                 manifest.append({"group": group, "name": name,
                                  "shape": list(arr.shape)})
-                raw += arr.tobytes()
+                arrays.append(arr)
         book_blob = rvq.codebook_to_bytes(self.codebook)
         header = json.dumps({
             "backbone_config": self.backbone_config.to_dict(),
@@ -58,31 +66,45 @@ class Checkpoint:
             "codebook_bytes": len(book_blob),
             "arrays": manifest,
         }, sort_keys=True).encode()
-        return (_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header))
-                + header + book_blob + bytes(raw))
+        return [_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header)),
+                header, book_blob, *arrays]
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self.parts())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
-        (hlen,) = read_header(blob, _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                              "checkpoint")
+        return cls.read(io.BytesIO(blob))
+
+    @classmethod
+    def read(cls, fh) -> "Checkpoint":
+        """Parse the RGCK file open in binary `fh` from its start. Each
+        section's size is checked against the file's before it is read,
+        and each array is read straight into its own new ndarray."""
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        (hlen,) = read_header(fh.read(_HEADER.size), _HEADER, CHECKPOINT_MAGIC,
+                              CHECKPOINT_VERSION, "checkpoint")
         off = _HEADER.size
-        if len(blob) < off + hlen:
+        if size < off + hlen:
             raise ValueError(f"checkpoint JSON header truncated: header says {hlen} "
-                             f"bytes, file has {len(blob) - off} after the fixed header")
+                             f"bytes, file has {size - off} after the fixed header")
         try:
-            head = json.loads(blob[off:off + hlen])
-            book_len = int(head["codebook_bytes"])
-            manifest = [(item["group"], item["name"], [int(d) for d in item["shape"]])
+            head = json.loads(fh.read(hlen))
+            book_len = _count(head["codebook_bytes"], "codebook_bytes")
+            manifest = [(item["group"], item["name"],
+                         [_count(d, "array dimension") for d in item["shape"]])
                         for item in head["arrays"]]
-            if any(group not in _GROUPS or min(shape, default=0) < 0
-                   for group, _, shape in manifest):
-                raise ValueError("bad array group or shape")
+            if any(group not in _GROUPS for group, _, _ in manifest):
+                raise ValueError("bad array group")
             fields = dict(
                 backbone_config=BackboneConfig.from_dict(head["backbone_config"]),
                 train_config=TrainConfig.from_dict(head["train_config"]),
-                step=int(head["step"]), rng_state=head["rng_state"])
+                step=head["step"], rng_state=head["rng_state"])
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise ValueError(f"checkpoint JSON header malformed: {e!r}") from None
+        if type(fields["step"]) is not int:
+            raise ValueError(f"checkpoint step must be an integer, got {fields['step']!r}")
         if fields["step"] < 0:
             raise ValueError(f"checkpoint step must be >= 0, got {fields['step']}")
         try:
@@ -90,18 +112,18 @@ class Checkpoint:
         except (ValueError, KeyError, TypeError, OverflowError) as e:
             raise ValueError(f"checkpoint rng_state is not a PCG64 state: {e!r}") from None
         off += hlen
-        if len(blob) < off + book_len:
+        if size < off + book_len:
             raise ValueError(f"checkpoint codebook truncated: header says {book_len} "
-                             f"bytes, file has {max(len(blob) - off, 0)}")
-        book = rvq.codebook_from_bytes(blob[off:off + book_len])
+                             f"bytes, file has {max(size - off, 0)}")
+        book = rvq.codebook_from_bytes(fh.read(book_len))
         off += book_len
         sizes = [math.prod(shape) for _, _, shape in manifest]
-        check_length(blob, off + 8 * sum(sizes), "checkpoint")
+        check_length(size, off + 8 * sum(sizes), "checkpoint")
         groups = {g: {} for g in _GROUPS}
-        for (group, name, shape), size in zip(manifest, sizes):
-            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
-            groups[group][name] = arr.reshape(shape).copy()
-            off += size * 8
+        for (group, name, shape), n in zip(manifest, sizes):
+            arr = groups[group][name] = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != 8 * n:
+                raise ValueError(f"checkpoint {group}.{name}: file ended while reading")
         # each group holds exactly the backbone's parameters, in their shapes
         shapes = {name: shape for name, shape, _ in
                   parameter_specs(fields["backbone_config"])}
@@ -117,6 +139,13 @@ class Checkpoint:
                                      f"the parameter has {shapes[name]}")
         return cls(codebook=book, params=groups["params"], ema=groups["ema"],
                    opt_m=groups["opt_m"], opt_v=groups["opt_v"], **fields)
+
+
+def _count(value, what):
+    """A JSON integer >= 0; a float, a bool or a negative raises ValueError."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+    return value
 
 
 def from_trainer(trainer: Trainer) -> Checkpoint:
@@ -155,8 +184,9 @@ def model_from_checkpoint(ckpt: Checkpoint, weights="ema") -> Backbone:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    atomic_write(path, ckpt.to_bytes())
+    atomic_write(path, *ckpt.parts())
 
 
 def load_checkpoint(path) -> Checkpoint:
-    return load_file(path, Checkpoint.from_bytes)
+    with open_named(path) as fh:
+        return Checkpoint.read(fh)

@@ -6,13 +6,15 @@ float64 vectors), little-endian, with a fixed header. Synthetic families
 keep their ground-truth parameters in a JSON sidecar so evaluation can
 score generated samples against the true distribution. All three binary
 formats (RGDS here, RVQC, RGCK) check their fixed header with
-`read_header` and their exact size with `check_length`, and load through
-`load_file`; RGDS and RVQC pack theirs with `pack_header`, which bounds
-each field by its u32.
+`read_header` and their exact size with `check_length`, and name their
+path in a load error through `open_named` (RGDS and RVQC, which parse
+the whole file as one blob, through `load_file`); RGDS and RVQC pack
+their headers with `pack_header`, which bounds each field by its u32.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -25,16 +27,19 @@ DATASET_MAGIC = b"RGDS"
 DATASET_VERSION = 1
 
 
-def atomic_write(path, payload: bytes):
-    """Write via a temp file + rename so failures never leave partial
-    output. An OSError names `path`, not the temp file."""
+def atomic_write(path, *parts):
+    """Write the bytes-like `parts` (bytes, C-contiguous arrays) in order
+    via a temp file + rename, so failures never leave partial output and
+    the parts are never joined in memory. An OSError names `path`, not the
+    temp file."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
+                for part in parts:
+                    fh.write(part)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -73,21 +78,29 @@ def read_header(blob, header: struct.Struct, magic, version, kind):
     return fields
 
 
-def check_length(blob, size, kind):
-    """A body cut short or with trailing bytes raises ValueError."""
-    if len(blob) != size:
+def check_length(found, size, kind):
+    """A file of `found` bytes, cut short or with trailing bytes against the
+    `size` its header gives, raises ValueError."""
+    if found != size:
         raise ValueError(f"{kind} length mismatch: header says {size} bytes, "
-                         f"file has {len(blob)}")
+                         f"file has {found}")
+
+
+@contextlib.contextmanager
+def open_named(path):
+    """The binary file at `path`, open for reading; a ValueError raised
+    while it is open gets the path as its prefix."""
+    with open(path, "rb") as fh:
+        try:
+            yield fh
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def load_file(path, from_bytes):
     """Parse a whole binary file; errors name the path."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return from_bytes(blob)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    with open_named(path) as fh:
+        return from_bytes(fh.read())
 
 
 @dataclass
@@ -143,7 +156,7 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
 def dataset_from_bytes(blob: bytes) -> Dataset:
     n, L, H, num_classes = read_header(blob, _HEADER, DATASET_MAGIC,
                                        DATASET_VERSION, "dataset")
-    check_length(blob, _HEADER.size + n * (4 + L * H * 8), "dataset")
+    check_length(len(blob), _HEADER.size + n * (4 + L * H * 8), "dataset")
     records = np.frombuffer(blob, dtype=_record_dtype(L, H), count=n,
                             offset=_HEADER.size)
     return Dataset(records["vec"], records["label"], num_classes)

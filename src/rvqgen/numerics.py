@@ -13,20 +13,21 @@ no fancy broadcasting beyond what numpy does (gradients are un-broadcast
 by summing over the expanded axes).
 
 Graph-free inference: every op the backbone uses (add, mul, matmul,
-layer_norm, gelu, softmax, gather, reshape, transpose, concat) has a
-plain-array forward kernel, collected in `plain` under the op's name with
-the op's signature. The autodiff op calls that kernel and then records its
-backward, so both paths compute the same bits by construction, and the
-kernels make the same shape and index checks. A forward run through
-`plain` takes and returns ndarrays and records nothing.
+linear, layer_norm, gelu, softmax, gather, reshape, transpose, concat)
+has a plain-array forward kernel, collected in `plain` under the op's
+name with the op's signature. The autodiff op calls that kernel and then
+records its backward, so both paths compute the same bits by
+construction, and the kernels make the same shape and index checks. A
+forward run through `plain` takes and returns ndarrays and records
+nothing.
 
 In-place arithmetic: the kernels and backward closures (gelu, layer norm,
-softmax, log-sum-exp, the squared-distance kernel) compute into buffers
-they allocate themselves (`out=`, `*=`), keeping the operand order of the
-closed-form expression, so the bits are those of the expression. Two
-invariants make that safe. A kernel never writes into an input: a
-parameter's array or another node's data. A backward closure never
-writes into its upstream gradient `g` nor into an array it returned
+softmax, log-sum-exp, linear's bias add, the squared-distance kernel)
+compute into buffers they allocate themselves (`out=`, `*=`), keeping the
+operand order of the closed-form expression, so the bits are those of the
+expression. Two invariants make that safe. A kernel never writes into an
+input: a parameter's array or another node's data. A backward closure
+never writes into its upstream gradient `g` nor into an array it returned
 earlier, because `backward` adopts a first gradient contribution as-is.
 A closure may return None for a parent that does not require gradients.
 
@@ -254,6 +255,22 @@ def _matmul(ad, bd):
     return ad @ bd
 
 
+def _matmul_grads(ad, bd, g):
+    """Gradients of `ad @ bd` for upstream `g`: (grad of ad, grad of bd)."""
+    if ad.ndim == 2 and bd.ndim == 2:
+        return g @ bd.T, ad.T @ g
+    if ad.ndim == 3 and bd.ndim == 3:
+        return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
+    if ad.ndim == 3 and bd.ndim == 2:
+        m, p = bd.shape
+        ga = g @ bd.T
+        gb = ad.reshape(-1, m).T @ g.reshape(-1, p)
+        return ga, gb
+    # 2D @ 3D
+    ga = (g @ bd.transpose(0, 2, 1)).sum(axis=0)
+    return ga, ad.T @ g
+
+
 def matmul(a, b):
     """2D@2D, 3D@3D (batched), or 3D@2D (linear map on the last axis)."""
     a, b = constant(a), constant(b)
@@ -261,20 +278,46 @@ def matmul(a, b):
     out = _matmul(ad, bd)
 
     def bwd(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 3 and bd.ndim == 3:
-            return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
-        if ad.ndim == 3 and bd.ndim == 2:
-            m, p = bd.shape
-            ga = g @ bd.T
-            gb = ad.reshape(-1, m).T @ g.reshape(-1, p)
-            return ga, gb
-        # 2D @ 3D
-        ga = (g @ bd.transpose(0, 2, 1)).sum(axis=0)
-        return ga, ad.T @ g
+        return _matmul_grads(ad, bd, g)
 
     return _node(out, (a, b), bwd)
+
+
+def _linear(xd, wd, bd=None):
+    """Forward kernel of `linear`: `_matmul`'s checked product, with the
+    bias added into that fresh product (the bits of np.add). The bias may
+    broadcast as in `add`, so long as the sum keeps the product's shape."""
+    out = _matmul(xd, wd)
+    if bd is not None:
+        try:
+            np.add(out, bd, out=out)
+        except ValueError:
+            raise ShapeError(f"linear: bias {bd.shape} does not broadcast to the "
+                             f"product {out.shape}") from None
+    return out
+
+
+def linear(x, w, b=None):
+    """`add(matmul(x, w), b)` as one node, so the graph holds one array of
+    the product's size instead of two. The backward returns what that
+    pair's backwards return: matmul's gradients for x and w, and add's
+    un-broadcast gradient for the bias."""
+    x, w = constant(x), constant(w)
+    xd, wd = x.data, w.data
+    if b is None:
+        parents, bd = (x, w), None
+    else:
+        b = constant(b)
+        parents, bd = (x, w, b), b.data
+    out = _linear(xd, wd, bd)
+
+    def bwd(g):
+        gx, gw = _matmul_grads(xd, wd, g)
+        if b is None:
+            return gx, gw
+        return gx, gw, _unbroadcast(g, bd.shape) if b.requires_grad else None
+
+    return _node(out, parents, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +522,7 @@ plain = SimpleNamespace(
     add=np.add,
     mul=np.multiply,
     matmul=_matmul,
+    linear=_linear,
     layer_norm=_plain_layer_norm,
     gelu=_plain_gelu,
     softmax=_softmax,

@@ -266,11 +266,17 @@ def reconstruction_mse_by_depth(vectors, book: Codebook, tokens=None):
     """Mean squared reconstruction error using depth prefixes 1..D.
 
     `tokens` may pass in `quantize(vectors, book)` when the caller already
-    holds it; a token outside [1, V] (MASK included) raises ValueError.
+    holds it; tokens not shaped (len(vectors), D) or outside [1, V] (MASK
+    included) raise ValueError.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    tokens = quantize(vectors, book) if tokens is None \
-        else _checked(tokens, MASK + 1, book.vocab)
+    if tokens is None:
+        tokens = quantize(vectors, book)
+    else:
+        tokens = _checked(tokens, MASK + 1, book.vocab)
+        if tokens.shape != (len(vectors), book.depth):
+            raise ValueError(f"tokens must be (len(vectors), D) = "
+                             f"{(len(vectors), book.depth)}, got {tokens.shape}")
     mse = np.empty(book.depth)
     z = np.zeros_like(vectors)
     for j in range(1, book.depth + 1):
@@ -411,7 +417,7 @@ def codebook_from_bytes(blob):
     D, V, H = data.read_header(blob, _HEADER, CODEBOOK_MAGIC, CODEBOOK_VERSION,
                                "codebook")
     off = _HEADER.size
-    data.check_length(blob, off + D * V * H * 8 + D * 8, "codebook")
+    data.check_length(len(blob), off + D * V * H * 8 + D * 8, "codebook")
     emb = np.frombuffer(blob, dtype="<f8", count=D * V * H, offset=off).reshape(D, V, H)
     off += D * V * H * 8
     sigma = np.frombuffer(blob, dtype="<f8", count=D, offset=off)

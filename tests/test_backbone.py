@@ -300,6 +300,33 @@ def test_forward_counter_counts_both_modes():
     assert model.forward_calls == 3
 
 
+def test_each_projection_is_one_graph_node():
+    # x @ w + b as one `linear` node keeps one product-sized array in the
+    # graph per projection, where a matmul node and an add node kept two
+    cfg = tiny_config()
+    model = Backbone(cfg, seed=0)
+    book = tiny_book(cfg)
+    tokens = random_grid(cfg, book)
+    st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
+    out = model.forward(tokens, st_.mask, book, [1], [0.5])
+    loss = nm.add(nm.add(nm.sum_(out.logits), nm.sum_(out.means)),
+                  nm.add(nm.sum_(out.log_scale), nm.sum_(out.shift)))
+    consumers = {}
+    for node in nm.topo_order(loss):
+        for parent in node._parents:
+            consumers.setdefault(id(parent), []).append(node)
+    P = model.params
+    weights = [n for n in P if n.endswith(("w", "w1", "w2"))]
+    # embed; q, k, v, out and the two MLP layers per block; four heads
+    assert len(weights) == 1 + 6 * cfg.layers + 4
+    for name in weights:
+        i = name.rindex("w")
+        bias = P.get(name[:i] + "b" + name[i + 1:])   # attn.kw has none
+        (node,) = consumers[id(P[name])]
+        assert node._parents[1] is P[name], name
+        assert node._parents[2:] == (() if bias is None else (bias,)), name
+
+
 def test_forward_reads_the_parameter_mapping_once(monkeypatch):
     cfg = tiny_config()
     model = Backbone(cfg, seed=0)

@@ -2,6 +2,7 @@
 resume-equals-straight-run determinism, and truncated or padded files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,10 +118,11 @@ def test_truncated_or_padded_checkpoint_names_path(tmp_path):
     assert ck.load_checkpoint(bad).to_bytes() == blob
 
 
-def test_checkpoint_errors_name_the_section():
+def test_checkpoint_errors_name_the_section(tmp_path):
     tr, _ = small_trainer()
     blob = ck.from_trainer(tr).to_bytes()
     fixed, json_end, book_end = _sections(blob)
+    bad = tmp_path / "bad.ckpt"
     for payload, reason in ((blob[:10], "header truncated"),
                             (blob[:json_end - 1], "JSON header truncated"),
                             (blob[:book_end - 1], "codebook truncated"),
@@ -128,6 +130,11 @@ def test_checkpoint_errors_name_the_section():
                             (blob + b"\0", "length mismatch")):
         with pytest.raises(ValueError, match=reason):
             ck.Checkpoint.from_bytes(payload)
+        # the file reader, which never holds the whole file, says the same
+        bad.write_bytes(payload)
+        with pytest.raises(ValueError) as info:
+            ck.load_checkpoint(bad)
+        assert str(info.value).startswith(f"{bad}: checkpoint {reason}")
     # a JSON header that parses but lacks a field
     head = json.loads(blob[fixed:json_end])
     del head["arrays"]
@@ -135,3 +142,47 @@ def test_checkpoint_errors_name_the_section():
     broken = blob[:8] + len(text).to_bytes(8, "little") + text + blob[json_end:]
     with pytest.raises(ValueError, match="JSON header malformed"):
         ck.Checkpoint.from_bytes(broken)
+
+
+# ---------------------------------------------------------------------------
+# memory: a save streams the file's parts, a load reads the file once
+
+
+def criterion_9_checkpoint():
+    """A checkpoint of criterion 9's model (L=8, D=4, V=32, H=8, width 64,
+    2 layers, 4 heads, 32 components, rank 8) after one training step."""
+    rng = np.random.default_rng(9)
+    vectors = rng.normal(size=(64, 8, 8))
+    book = rvq.fit_codebook(vectors.reshape(-1, 8), depth=4, vocab=32, epochs=1, seed=0)
+    grids = rvq.quantize(vectors.reshape(-1, 8), book).reshape(-1, 8, 4)
+    model = Backbone(BackboneConfig(seq_len=8, depth=4, vocab=32, latent_dim=8), seed=0)
+    tr = Trainer(model, book, grids, np.zeros(64, dtype=np.int64),
+                 TrainConfig(steps=10, batch_size=16, seed=0, audit_steps=()))
+    tr.step()
+    return ck.from_trainer(tr)
+
+
+def test_save_streams_the_file_and_load_reads_it_once(tmp_path):
+    # the save once built the file three more times in memory (a bytearray
+    # of the arrays, its bytes copy, the concatenation) and the load held
+    # the file's bytes beside a copy of every array
+    ckpt = criterion_9_checkpoint()
+    blob = ckpt.to_bytes()
+    size = len(blob)
+    path = tmp_path / "c9.ckpt"
+    tracemalloc.start()
+    try:
+        ck.save_checkpoint(ckpt, path)
+        before, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loaded = ck.load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 0.5 * size, (save_peak, size)
+    assert load_peak < 1.5 * size, (load_peak, size)
+    assert path.read_bytes() == blob
+    assert loaded.to_bytes() == blob
+    assert all(a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+               for group in (loaded.params, loaded.ema, loaded.opt_m, loaded.opt_v)
+               for a in group.values())

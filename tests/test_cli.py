@@ -3,6 +3,7 @@ precedence, and the binary-format error contracts."""
 
 import argparse
 import dataclasses
+import json
 import os
 import re
 import struct
@@ -332,8 +333,10 @@ def _set(field, value):
     (_set("rng_state", {"bit_generator": "MT19937", "state": {"key": [0] * 624, "pos": 624}}),
      "rng_state is not a PCG64 state"),
     (_set("step", -1), "step must be >= 0"),
+    (_set("step", 2.7), r"step must be an integer, got 2\.7"),
+    (_set("step", True), "step must be an integer, got True"),
 ], ids=["no-param", "no-ema", "bad-shape", "extra-array", "rng-not-a-dict",
-        "rng-foreign", "negative-step"])
+        "rng-foreign", "negative-step", "float-step", "bool-step"])
 def test_tampered_checkpoint_contents_report_path(workspace, capsys, edit, reason):
     # each once ended in a traceback (KeyError, TypeError) or an unnamed
     # error, or resumed at a negative step
@@ -359,6 +362,42 @@ def test_tampered_checkpoint_contents_report_path(workspace, capsys, edit, reaso
         assert err[0].startswith(f"error: {bad}: checkpoint "), err
         assert re.search(reason, err[0]), err
     assert not (tmp / "never.rgds").exists() and not (tmp / "never.ckpt").exists()
+
+
+def _edit_header(blob, edit):
+    """An RGCK blob with its JSON header passed through `edit`."""
+    hlen = int.from_bytes(blob[8:16], "little")
+    head = json.loads(blob[16:16 + hlen])
+    edit(head)
+    text = json.dumps(head).encode()
+    return blob[:8] + len(text).to_bytes(8, "little") + text + blob[16 + hlen:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["arrays"][0]["shape"].__setitem__(0, float(h["arrays"][0]["shape"][0])),
+    lambda h: h["arrays"][3]["shape"].__setitem__(0, True),
+    lambda h: h.__setitem__("codebook_bytes", float(h["codebook_bytes"])),
+], ids=["float-dimension", "bool-dimension", "float-codebook-bytes"])
+def test_checkpoint_header_counts_must_be_json_integers(workspace, capsys, edit):
+    # a float or bool equal to the count once loaded as that count
+    tmp, ds_path, book_path = workspace
+    ckpt = tmp / "good.ckpt"
+    assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", ckpt,
+               "--steps", 2, "--batch-size", 2, "--width", 16, "--layers", 1,
+               "--heads", 2, "--mixtures", 2, "--mean-rank", 2) == 0
+    capsys.readouterr()
+    bad = tmp / "bad.ckpt"
+    bad.write_bytes(_edit_header(ckpt.read_bytes(), edit))
+    for argv in (("inspect", bad),
+                 ("sample", "--checkpoint", bad, "--out", tmp / "never.rgds",
+                  "--count", 1, "--steps", 2)):
+        assert run(*argv) == 1, argv[0]
+        out = capsys.readouterr()
+        err = out.err.splitlines()
+        assert out.out == "" and len(err) == 1, (argv[0], out)
+        assert err[0].startswith(f"error: {bad}: checkpoint JSON header malformed: "), err
+        assert "must be an integer >= 0" in err[0], err
+    assert not (tmp / "never.rgds").exists()
 
 
 def test_diverging_training_run_is_one_error_line(workspace, capsys):

@@ -103,7 +103,7 @@ def test_one_reader_gives_every_format_the_same_messages(tmp_path):
     for kind, header, magic, blob, parse in _format_blobs():
         fields = data_mod.read_header(blob, header, magic, 1, kind)
         assert list(fields) == list(header.unpack_from(blob)[2:])
-        data_mod.check_length(blob, len(blob), kind)
+        data_mod.check_length(len(blob), len(blob), kind)
         bad = {
             f"^{kind} header truncated: need {header.size} bytes, file has 5$":
                 blob[:5],
@@ -123,7 +123,7 @@ def test_one_reader_gives_every_format_the_same_messages(tmp_path):
                 data_mod.load_file(path, parse)
         with pytest.raises(ValueError, match=f"^{kind} length mismatch: header says "
                                              f"{len(blob)} bytes, file has {len(blob) - 1}$"):
-            data_mod.check_length(blob[:-1], len(blob), kind)
+            data_mod.check_length(len(blob) - 1, len(blob), kind)
         with pytest.raises(FileNotFoundError):
             data_mod.load_file(tmp_path / "missing", parse)
 

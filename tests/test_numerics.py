@@ -182,6 +182,12 @@ OP_CASES = {
     "matmul33": lambda rng: (nm.matmul, [_r(rng, 2, 3, 4), _r(rng, 2, 4, 2)]),
     "matmul32": lambda rng: (nm.matmul, [_r(rng, 2, 3, 4), _r(rng, 4, 2)]),
     "matmul23": lambda rng: (nm.matmul, [_r(rng, 3, 4), _r(rng, 2, 4, 2)]),
+    "linear2": lambda rng: (nm.linear, [_r(rng, 3, 4), _r(rng, 4, 2)]),
+    "linear2_bias": lambda rng: (nm.linear, [_r(rng, 3, 4), _r(rng, 4, 2), _r(rng, 2)]),
+    "linear3": lambda rng: (nm.linear, [_r(rng, 2, 3, 4), _r(rng, 4, 2)]),
+    "linear3_bias": lambda rng: (nm.linear, [_r(rng, 2, 3, 4), _r(rng, 4, 2), _r(rng, 2)]),
+    "linear3_bias_rows": lambda rng: (
+        nm.linear, [_r(rng, 2, 3, 4), _r(rng, 4, 2), _r(rng, 3, 2)]),
     "softmax": lambda rng: (nm.softmax, [_r(rng, 3, 5)]),
     "logsumexp": lambda rng: (nm.logsumexp, [_r(rng, 3, 5)]),
     "logsumexp_keep": lambda rng: (lambda a: nm.logsumexp(a, keepdims=True), [_r(rng, 3, 5)]),
@@ -250,6 +256,16 @@ def _ones(*shape):
      "matmul: inner dims disagree: (2, 3) @ (2, 3)"),
     (lambda: nm.matmul(_ones(2, 3, 4), _ones(3, 4, 5)),
      "matmul: batch dims disagree: (2, 3, 4) @ (3, 4, 5)"),
+    (lambda: nm.linear(_ones(3), _ones(3, 2), _ones(2)),
+     "matmul: operands must be 2D or 3D, got 1D and 2D"),
+    (lambda: nm.linear(_ones(2, 3), _ones(2, 3)),
+     "matmul: inner dims disagree: (2, 3) @ (2, 3)"),
+    (lambda: nm.linear(_ones(2, 3, 4), _ones(3, 4, 5), _ones(5)),
+     "matmul: batch dims disagree: (2, 3, 4) @ (3, 4, 5)"),
+    (lambda: nm.linear(_ones(2, 3), _ones(3, 4), _ones(5)),
+     "linear: bias (5,) does not broadcast to the product (2, 4)"),
+    (lambda: nm.linear(_ones(2, 3), _ones(3, 4), _ones(3, 2, 4)),
+     "linear: bias (3, 2, 4) does not broadcast to the product (2, 4)"),
     (lambda: nm.layer_norm(_ones(2, 3), _ones(4), _ones(3)),
      "layer_norm: gain/bias must be (3,), got (4,) and (3,)"),
     (lambda: nm.gather(_ones(3, 2), np.array([0.0, 1.0])),
@@ -300,7 +316,7 @@ def test_diamond_graph_visited_once():
 
 def test_required_op_set_is_closed():
     # everything the backbone and MoG head need exists under these names
-    required = ("matmul", "add", "mul", "layer_norm", "softmax", "logsumexp",
+    required = ("matmul", "linear", "add", "mul", "layer_norm", "softmax", "logsumexp",
                 "gelu", "tanh", "gather", "sum_", "mean_", "lowrank_sqdist")
     for name in required:
         assert callable(getattr(nm, name)), name
@@ -373,8 +389,8 @@ def test_gather_backward_matches_add_at_property(data):
 # ---------------------------------------------------------------------------
 # graph-free forward kernels (`nm.plain`)
 
-PLAIN_OPS = ("add", "mul", "matmul", "layer_norm", "gelu", "softmax", "gather",
-             "reshape", "transpose", "concat")
+PLAIN_OPS = ("add", "mul", "matmul", "linear", "layer_norm", "gelu", "softmax",
+             "gather", "reshape", "transpose", "concat")
 
 
 def _plain_cases(rng):
@@ -400,6 +416,11 @@ def _plain_cases(rng):
         ("transpose", (rng.normal(size=(2, 3, 4, 5)), (0, 2, 1, 3))),
         ("concat", ([x, rng.normal(size=(3, 5, 1))], -1)),
         ("concat", ([rng.normal(size=(2, 3)), rng.normal(size=(4, 3))], 0)),
+        ("linear", (rng.normal(size=(4, 7)), rng.normal(size=(7, 3)))),
+        ("linear", (rng.normal(size=(4, 7)), rng.normal(size=(7, 3)), rng.normal(size=3))),
+        ("linear", (x, rng.normal(size=(48, 20)))),
+        ("linear", (x, rng.normal(size=(48, 20)), rng.normal(size=20))),
+        ("linear", (x, rng.normal(size=(48, 20)), rng.normal(size=(5, 20)))),
     ]
 
 
@@ -421,6 +442,30 @@ def test_plain_kernel_bit_equal_to_autodiff_op(name, args):
     assert got.tobytes() == ref.data.tobytes()
 
 
+@pytest.mark.parametrize("shapes", [((3, 4), (4, 2)), ((5, 8, 48), (48, 20))],
+                         ids=["2D", "3D"])
+def test_linear_is_the_matmul_add_pair_bit_for_bit(shapes):
+    # one node in place of two: the same output and the same gradients
+    rng = np.random.default_rng(shapes[0][-1])
+    xs, ws = shapes
+    x, w = nm.parameter(rng.normal(size=xs)), nm.parameter(rng.normal(size=ws))
+    b = nm.parameter(rng.normal(size=ws[-1]))
+    g = rng.normal(size=xs[:-1] + ws[-1:])
+    prod = nm.matmul(x, w)
+    pair = nm.add(prod, b)
+    gp, gb = pair._bwd(g)
+    gx, gw = prod._bwd(gp)
+    for bias, want in ((b, (gx, gw, gb)), (None, (gx, gw))):
+        node = nm.linear(x, w, bias)
+        ref = pair.data if bias is not None else prod.data
+        assert node.data.tobytes() == ref.tobytes()
+        got = node._bwd(g)
+        assert len(got) == len(want) == len(node._parents)
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(got, want))
+    # a constant bias gets no gradient
+    assert nm.linear(x, w, b.data)._bwd(g)[2] is None
+
+
 @pytest.mark.parametrize("name, args, message", [
     ("matmul", (np.ones(3), np.ones((3, 2))),
      "matmul: operands must be 2D or 3D, got 1D and 2D"),
@@ -436,6 +481,16 @@ def test_plain_kernel_bit_equal_to_autodiff_op(name, args):
      "gather: index out of range for table with 3 rows"),
     ("gather", (np.ones((3, 2)), np.array([-1])),
      "gather: index out of range for table with 3 rows"),
+    ("linear", (np.ones(3), np.ones((3, 2)), np.ones(2)),
+     "matmul: operands must be 2D or 3D, got 1D and 2D"),
+    ("linear", (np.ones((2, 3)), np.ones((2, 3))),
+     "matmul: inner dims disagree: (2, 3) @ (2, 3)"),
+    ("linear", (np.ones((2, 3, 4)), np.ones((3, 4, 5)), np.ones(5)),
+     "matmul: batch dims disagree: (2, 3, 4) @ (3, 4, 5)"),
+    ("linear", (np.ones((2, 3)), np.ones((3, 4)), np.ones(5)),
+     "linear: bias (5,) does not broadcast to the product (2, 4)"),
+    ("linear", (np.ones((2, 3)), np.ones((3, 4)), np.ones((3, 2, 4))),
+     "linear: bias (3, 2, 4) does not broadcast to the product (2, 4)"),
 ])
 def test_plain_kernel_checks_like_its_op(name, args, message):
     for fn in (getattr(nm.plain, name), getattr(nm, name)):

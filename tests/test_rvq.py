@@ -104,6 +104,19 @@ def test_reconstruction_curve_refuses_tokens_outside_the_vocabulary():
     rvq.reconstruction_mse_by_depth(vectors, book, edges)
 
 
+def test_reconstruction_curve_refuses_tokens_of_another_shape():
+    # (N, D-1) tokens once raised a bare IndexError, and tokens for fewer
+    # vectors a broadcast error that named no argument
+    rng = np.random.default_rng(7)
+    vectors = rng.normal(size=(50, 3))
+    book = rvq.fit_codebook(vectors, depth=3, vocab=4, seed=0)
+    tokens = rvq.quantize(vectors, book)
+    for bad in (tokens[:, :2], tokens[:40], tokens[None], tokens[:, 0]):
+        with pytest.raises(ValueError, match=r"^tokens must be \(len\(vectors\), D\) "
+                                             r"= \(50, 3\), got "):
+            rvq.reconstruction_mse_by_depth(vectors, book, bad)
+
+
 def test_codebook_scoring_constants_are_the_per_call_terms():
     rng = np.random.default_rng(8)
     book = rvq.Codebook(rng.normal(size=(3, 5, 4)), np.array([0.5, 0.2, 1e-3]))
