@@ -2,7 +2,7 @@
 
     python3 scripts/train_hash.py [CHECKOUT [CHECKOUT]] [--steps 200]
 
-Four digests, in this order on each output line:
+Five digests, in this order on each output line:
 - training: criterion 9's training geometry (L=8, D=4, V=32, H=8, width
   64, 2 layers, 4 heads, 32 components, rank 8, batch 16, circle
   schedule) on 1,024 synthetic grid records, for N `Trainer.step`s
@@ -17,6 +17,10 @@ Four digests, in this order on each output line:
 - fitting: `rvqgen synth`, `fit-rvq` and `eval` through `cli.main` in a
   scratch directory; it covers every file they write and their stdout,
   less eval's wall-time line.
+- diagnostics: one `Trainer.audit()` value of the trained model, then the
+  terms of `trainer.vlb_diagnostic` (T=4, 64 model samples per term) on
+  an L=4, D=3, V=2 grid of the same data, under a seeded model with
+  random weights.
 
 Each checkout runs in its own process with that checkout's `src/` first
 on the import path. With no checkout the script hashes its own; with one
@@ -40,7 +44,7 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_hash(steps):
-    """The four digests with the `rvqgen` on the import path."""
+    """The five digests with the `rvqgen` on the import path."""
     import numpy as np
     from rvqgen import checkpoint, data, evaluate, rvq, sampler, trainer
     from rvqgen.backbone import Backbone, BackboneConfig
@@ -80,7 +84,29 @@ def run_hash(steps):
         digests.append(hashlib.sha256(flat.tobytes() + tokens.tobytes()
                                       + str(passes).encode()).hexdigest())
     digests.append(fit_eval_hash())
+    digests.append(diagnostics_hash(tr, ds.vectors.reshape(-1, H)))
     return digests
+
+
+def diagnostics_hash(tr, vectors):
+    """Digest of `tr.audit()` and of the variational-bound terms of a small
+    grid, whose (D + 1)**L mask states the diagnostic enumerates."""
+    import numpy as np
+    from rvqgen import masking, rvq, trainer
+    from rvqgen.backbone import Backbone, BackboneConfig
+
+    L, D, V, H = 4, 3, 2, vectors.shape[1]
+    book = rvq.fit_codebook(vectors, depth=D, vocab=V, epochs=3, seed=2)
+    model = Backbone(BackboneConfig(seq_len=L, depth=D, vocab=V, latent_dim=H, width=16,
+                                    layers=1, heads=2, mixtures=4, mean_rank=2), seed=3)
+    rng = np.random.default_rng(5)
+    # random heads too, so the model's output depends on its input
+    model.load_arrays({k: 0.3 * rng.normal(size=p.shape)
+                       for k, p in sorted(model.params.items())})
+    terms = trainer.vlb_diagnostic(rvq.quantize(vectors[:L], book), model, book, 4,
+                                   masking.parse_schedule("circle"), rng, model_samples=64)
+    values = [tr.audit(), terms["L_T"], *terms["L_t"], terms["L_0"]]
+    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
 
 
 def fit_eval_hash():

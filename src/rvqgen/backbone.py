@@ -1,8 +1,8 @@
 """Backbone: partially masked token grid -> per-position MoG parameters.
 
-A small pre-norm transformer. Each position embeds the sum of its revealed
-codeword embeddings (a learned null vector when everything is hidden)
-concatenated with the masked-count fraction, projected to the model width.
+A small pre-norm transformer. The masking state enters as masked counts q.
+Position i embeds the sum of its revealed codeword embeddings (a learned null
+vector when all is hidden) concatenated with q_i / D, projected to the width.
 Class label and mask-ratio conditioning enter as a bias added to every
 normalized activation (bias-modulated normalization); the mask ratio is a
 scalar scaling a learned direction. Output heads are zero-initialized so an
@@ -26,8 +26,18 @@ import numpy as np
 
 from . import numerics as nm
 from . import rvq
-from .masking import check_depth_suffix_mask
+from .masking import checked_counts, suffix_masks
 from .mog import LowRankBasis, MoGParams
+
+
+def check_integers(config):
+    """Every `int` field of a config dataclass, and every entry of a `tuple`
+    one, must be an integer: a float or a bool raises ValueError naming it."""
+    for name, f in config.__dataclass_fields__.items():
+        field = getattr(config, name)
+        for value in field if f.type == "tuple" else (field,) if f.type == "int" else ():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name}: {value!r} is not an integer")
 
 
 @dataclass
@@ -45,6 +55,7 @@ class BackboneConfig:
     positional_encoding: bool = True
 
     def __post_init__(self):
+        check_integers(self)
         for name in ("seq_len", "depth", "vocab", "latent_dim", "width",
                      "layers", "heads", "mixtures", "mean_rank"):
             if getattr(self, name) < 1:
@@ -144,30 +155,26 @@ class Backbone:
             return nm, self.params
         return nm.plain, {k: p.data for k, p in self.params.items()}
 
-    def embed_input(self, tokens, mask, book: rvq.Codebook, grad=True, *, ops=None):
-        """(B, L, D) tokens + visibility mask -> (B, L, width) Tensor, or
-        ndarray with grad=False. `ops` is the `_ops(grad)` pair when the
-        caller already built it (`forward` builds it once for both halves).
+    def embed_input(self, tokens, masked_counts, book: rvq.Codebook, grad=True, *, ops=None):
+        """(B, L, D) tokens + (B, L) masked counts q, or (L, D) + (L,) -> (B, L,
+        width) Tensor, or ndarray with grad=False; `ops` is the `_ops(grad)`
+        pair when the caller already built it (`forward` builds it once).
 
-        Position features: sum of revealed codeword embeddings
-        (`rvq.dequantize` over the revealed depths; a learned null vector
-        when fully hidden) concatenated with q_i / D. A MASK token at a
-        revealed entry raises ValueError.
+        Position i hides its deepest q_i depths. Its features: the sum of
+        its revealed codeword embeddings (hidden tokens are never read; a
+        learned null vector when fully hidden) concatenated with q_i / D.
+        A MASK token at a revealed entry raises ValueError.
         """
         c = self.config
         ops, P = ops or self._ops(grad)
-        tokens = np.asarray(tokens)
-        mask = np.asarray(mask)
+        tokens, q = np.asarray(tokens), np.asarray(masked_counts)
         if tokens.ndim == 2:
-            tokens, mask = tokens[None], mask[None]
+            tokens, q = tokens[None], q[None]
         if tokens.shape[1:] != (c.seq_len, c.depth):
             raise ValueError(f"token grid must be (B, {c.seq_len}, {c.depth}), got {tokens.shape}")
-        if mask.shape != tokens.shape:
-            raise ValueError(f"mask shape {mask.shape} != token grid shape {tokens.shape}")
-        check_depth_suffix_mask(mask.reshape(-1, c.depth))
+        q = checked_counts(q, tokens.shape[:2], c.depth)
 
-        e_sum = rvq.dequantize(tokens, book, keep=mask == 1)
-        q = c.depth - np.add.reduce(mask, axis=2)
+        e_sum = rvq.dequantize(tokens, book, keep=suffix_masks(q, c.depth) == 1)
         hidden = (q == c.depth)[:, :, None].astype(np.float64)   # fully masked flag
 
         feat = ops.add(e_sum, ops.mul(hidden, P["embed.null"]))
@@ -238,13 +245,13 @@ class Backbone:
         self.forward_calls += 1
         return MoGParams(logits, means, log_scale, shift)
 
-    def forward(self, tokens, mask, book, labels, r, grad=True):
-        """One model call. grad=True builds the autodiff graph over
-        `params` (training); grad=False runs the same arithmetic through
-        `numerics.plain` on the parameters' current arrays and returns
-        ndarray head outputs with the bits of the graph's `.data`
-        (inference). Both check their inputs alike and count one call.
-        The parameter mapping is read once, for both halves."""
+    def forward(self, tokens, masked_counts, book, labels, r, grad=True):
+        """One model call, on the inputs of `embed_input`. grad=True builds
+        the autodiff graph over `params` (training); grad=False runs the
+        same arithmetic through `numerics.plain` on the parameters' current
+        arrays and returns ndarray head outputs with the bits of the
+        graph's `.data` (inference). Both check their inputs alike and
+        count one call. The parameter mapping is read once, for both halves."""
         ops = self._ops(grad)
-        return self.predict(self.embed_input(tokens, mask, book, grad, ops=ops),
+        return self.predict(self.embed_input(tokens, masked_counts, book, grad, ops=ops),
                             labels, r, grad, ops=ops)

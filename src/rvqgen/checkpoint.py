@@ -116,6 +116,11 @@ class Checkpoint:
             raise ValueError(f"checkpoint codebook truncated: header says {book_len} "
                              f"bytes, file has {max(size - off, 0)}")
         book = rvq.codebook_from_bytes(fh.read(book_len))
+        bc = fields["backbone_config"]
+        for name, have in (("depth", book.depth), ("vocab", book.vocab), ("latent_dim", book.dim)):
+            if have != getattr(bc, name):
+                raise ValueError(f"checkpoint codebook has {name} {have}, "
+                                 f"backbone_config {getattr(bc, name)}")
         off += book_len
         sizes = [math.prod(shape) for _, _, shape in manifest]
         check_length(size, off + 8 * sum(sizes), "checkpoint")

@@ -11,8 +11,8 @@ implemented here in log space.
 
 The state is therefore the vector of masked counts q. `MaskState` holds
 it and derives the (L, D) mask from it once; each transition maps counts
-to counts. `check_depth_suffix_mask` is for masks that arrive from
-outside this module.
+to counts. The counts are also the model's and the loss's only masking
+input, checked there by `checked_counts`.
 
 Every split is one rule, conditional hypergeometric draws position by
 position: `sample_counts` on one row, `sample_counts_batch` on many at
@@ -113,15 +113,14 @@ class MaskState:
         return self.mask.shape
 
 
-def check_depth_suffix_mask(mask):
-    """Masked entries must be a depth suffix at every position."""
-    m = np.asarray(mask)
-    # a mask equal to the depth prefix of its own row sums holds only 0/1
-    prefix = np.arange(m.shape[1]) < np.add.reduce(m, axis=1)[:, None]
-    if (m != prefix).any():
-        if ((m != 0) & (m != 1)).any():
-            raise ValueError("mask entries must be 0 or 1")
-        raise ValueError("mask is not in depth-suffix form")
+def checked_counts(q, shape, D):
+    """Masked counts q as an array; ValueError unless `shape` ints in [0, D]."""
+    q = np.asarray(q)
+    if q.shape != shape or q.dtype.kind not in "iu" or q.size and not (
+            np.minimum.reduce(q, axis=None) >= 0 and np.maximum.reduce(q, axis=None) <= D):
+        raise ValueError(f"masked counts must be {shape} integers in [0, {D}], "
+                         f"got {q.dtype} {q.shape}")
+    return q
 
 
 def suffix_masks(q, D):

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data
+from . import numerics as nm
 
 MASK = 0  # sentinel token value; codewords occupy 1..V
 
@@ -334,10 +335,7 @@ def _kmeans_depth(residuals, V, update, epochs, sigma_assign, rng):
             sums = _cluster_sums(assign, columns, V)
         else:  # probabilistic: soft assignment by Gaussian affinity
             scores = _scores(residuals, score_pair(table))
-            logits = -scores / (2.0 * sigma_assign**2)
-            logits -= logits.max(axis=1, keepdims=True)
-            w = np.exp(logits)
-            w /= w.sum(axis=1, keepdims=True)
+            w = nm.plain.softmax(-scores / (2.0 * sigma_assign**2))
             counts = w.sum(axis=0)
             sums = w.T @ residuals
         dead = counts < 1e-12

@@ -8,10 +8,10 @@ Revealed tokens are frozen: later steps only re-predict what is still
 hidden, so the model is invoked exactly T times (2T with guidance) no
 matter how long or deep the grid is.
 
-Each model call is the backbone's graph-free forward
-(`Backbone.forward(..., grad=False)`): the autodiff arithmetic on plain
-arrays, with no graph recorded since no backward pass follows. It gives
-the bits of the autodiff forward, so tokens do not depend on the path.
+Each model call is the backbone's graph-free forward on the grid and its
+masked counts (`Backbone.forward(tokens, q, ..., grad=False)`). It records
+no graph, since no backward pass follows, and gives the bits of the
+autodiff forward, so tokens do not depend on the path.
 
 The reveal schedule is taken before the first step, from one array call
 to `masking.mask_count` over the ratios t/T, equal bit for bit to T
@@ -171,16 +171,14 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     calls_before = model.forward_calls
     tokens = np.full((c.seq_len, c.depth), rvq.MASK, dtype=np.int64)
     state = mk.MaskState(np.full(c.seq_len, c.depth), c.depth)
-    frozen = None
+    frozen = tokens.copy()      # the revealed tokens, for `validate`
 
     for t in range(1, T + 1):
         r_model = ratios[t - 1:t]
-        visible = mk.apply_mask(tokens, state.mask)
-        params = model.forward(visible, state.mask, book, labels, r_model,
-                               grad=False)
+        q = state.masked_counts
+        params = model.forward(tokens, q, book, labels, r_model, grad=False)
         if config.use_cfg:
-            uncond = model.forward(visible, state.mask, book, null_labels,
-                                   r_model, grad=False)
+            uncond = model.forward(tokens, q, book, null_labels, r_model, grad=False)
             params = mog.cfg_combine(params, uncond, cfg_weight(config, t))
 
         z = mog.sample(params, basis, rng, top_p=config.top_p)
@@ -196,11 +194,9 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
             new_state = mk.binary_unmask(state, n_target, rng)
 
         if validate:
-            mk.check_depth_suffix_mask(new_state.mask)
-            if frozen is not None:
-                prev = state.mask == 1
-                if not np.array_equal(tokens[prev], frozen[prev]):
-                    raise AssertionError("revealed token changed after reveal")
+            prev = state.mask == 1
+            if not np.array_equal(tokens[prev], frozen[prev]):
+                raise AssertionError("revealed token changed after reveal")
             frozen = tokens.copy()
         state = new_state
 

@@ -1,8 +1,8 @@
-"""Training loop: draw a mask ratio, build a depth-suffix mask, regress the
-masked cumulative embeddings under the MoG surrogate, step AdamW.
+"""Training loop: draw a mask ratio and depth-suffix masked counts, regress
+the masked cumulative embeddings under the MoG surrogate, step AdamW.
 
 `masked_loss` is the paper's simplified per-step loss for any batch of
-grids and masks; the trainer, the finite-difference audit and the
+grids and masked counts; the trainer, the finite-difference audit and the
 acceptance checks all evaluate it. Also houses the variational-bound
 diagnostics (per-step KL terms against the model's implied reverse
 kernel).
@@ -20,7 +20,7 @@ from . import masking as mk
 from . import mog
 from . import numerics as nm
 from . import rvq
-from .backbone import Backbone
+from .backbone import Backbone, check_integers
 
 
 @dataclass
@@ -45,6 +45,7 @@ class TrainConfig:
     audit_steps: tuple = ()
 
     def __post_init__(self):
+        check_integers(self)
         # nan passes every range check below and inf overflows the update;
         # a nan clip_norm or label_dropout would switch its feature off
         for name in ("lr", "eps", "weight_decay", "clip_norm", "label_dropout"):
@@ -91,16 +92,16 @@ class TrainingError(RuntimeError):
     negative Jensen gap."""
 
 
-def masked_targets(tokens, masks, book: rvq.Codebook):
+def masked_targets(tokens, masked_counts, book: rvq.Codebook):
     """Masked-embedding regression targets of (B, L, D) token grids.
 
-    z[b, i] = sum of the codeword embeddings at the masked depths of
-    position i (ground-truth tokens), shape (B, L, H); `included` (B, L)
-    flags positions with at least one masked depth; only those enter the
-    loss.
+    z[b, i] = sum of the codeword embeddings at the deepest q[b, i] depths
+    of position i, q the (B, L) masked counts, shape (B, L, H); `included`
+    (B, L) flags positions with a masked depth; only those enter the loss.
     """
-    z = rvq.dequantize(tokens, book, keep=masks == 0)
-    return z, masks.sum(axis=2) < tokens.shape[2]
+    q = mk.checked_counts(masked_counts, np.shape(tokens)[:-1], book.depth)
+    z = rvq.dequantize(tokens, book, keep=mk.suffix_masks(q, book.depth) == 0)
+    return z, q > 0
 
 
 def gather_params(params: mog.MoGParams, rows):
@@ -110,28 +111,24 @@ def gather_params(params: mog.MoGParams, rows):
         params.logits, params.means, params.log_scale, params.shift)))
 
 
-def masked_loss(model: Backbone, book, tokens, masks, labels, ratios,
+def masked_loss(model: Backbone, book, tokens, masked_counts, labels, ratios,
                 differentiate_q=False):
     """Shared loss path for training and auditing.
 
     Returns (surrogate mean Tensor, exact-NLL mean Tensor, n positions,
-    head params) for a batch of (B, L, D) token grids and masks;
+    head params) for (B, L, D) token grids and (B, L) masked counts;
     surrogate/NLL are zero Tensors when no position has a masked depth.
     """
-    tokens = np.asarray(tokens)
-    masks = np.asarray(masks)
-    B, L, D = tokens.shape
-    targets, included = masked_targets(tokens, masks, book)
+    targets, included = masked_targets(tokens, masked_counts, book)
     rows = np.flatnonzero(included.reshape(-1))
 
-    visible = mk.apply_mask(tokens, masks)
-    out = model.forward(visible, masks, book, labels, ratios)
+    out = model.forward(tokens, masked_counts, book, labels, ratios)
     if rows.size == 0:
         zero = nm.constant(0.0)
         return zero, zero, 0, out
 
     sel = gather_params(out, rows)
-    z = targets.reshape(B * L, -1)[rows]
+    z = targets.reshape(-1, book.dim)[rows]
     sur, nll = mog.surrogate_and_nll(sel, model.basis, z, differentiate_q)
     return nm.mean_(sur), nm.mean_(nll), rows.size, out
 
@@ -232,24 +229,22 @@ class Trainer:
 
     def _draw_batch(self):
         c = self.config
-        N = self.grids.shape[0]
-        L, D = self.grids.shape[1], self.grids.shape[2]
+        N, L, D = self.grids.shape
         idx = self.rng.integers(0, N, size=c.batch_size)
         ratios = self.rng.random(c.batch_size)
-        k = mk.sample_counts_batch(np.full((c.batch_size, L), D, dtype=np.int64),
+        q = mk.sample_counts_batch(np.full((c.batch_size, L), D, dtype=np.int64),
                                    mk.mask_count(self.schedule, ratios, L, D), self.rng)
-        masks = mk.suffix_masks(k, D)
         labels = self.labels[idx].copy()
         drops = self.rng.random(c.batch_size)
         labels[(labels != 0) & (drops < c.label_dropout)] = 0
-        return idx, ratios, masks, labels
+        return idx, ratios, q, labels
 
     def step(self):
         c = self.config
         self._bind_params()
-        idx, ratios, masks, labels = self._draw_batch()
+        idx, ratios, q, labels = self._draw_batch()
         sur, nll, n_sel, _ = masked_loss(
-            self.model, self.book, self.grids[idx], masks, labels, ratios,
+            self.model, self.book, self.grids[idx], q, labels, ratios,
             differentiate_q=c.differentiate_q)
         loss = float(sur.data)
         if not np.isfinite(loss):
@@ -348,14 +343,14 @@ class Trainer:
         L, D = self.grids.shape[1], self.grids.shape[2]
         take = min(2, self.grids.shape[0])
         tokens = self.grids[:take]
-        masks = np.stack([
-            mk.binary_mask(mk.mask_count(self.schedule, 0.4, L, D), L, D, arng).mask
+        q = np.stack([
+            mk.binary_mask(mk.mask_count(self.schedule, 0.4, L, D), L, D, arng).masked_counts
             for _ in range(take)])
         labels = self.labels[:take]
         ratios = np.full(take, 0.4)
 
         def loss():
-            _, nll, _, _ = masked_loss(self.model, self.book, tokens, masks,
+            _, nll, _, _ = masked_loss(self.model, self.book, tokens, q,
                                        labels, ratios)
             return nll
 
@@ -381,8 +376,7 @@ def _model_reconstructions(model, book, tokens, state, label, ratio, rng, sample
     """Draw full-grid candidates x0_hat ~ p(x0 | x_t), (samples, L, D):
     sample z at masked positions, quantize the masked depths, keep
     revealed tokens."""
-    visible = mk.apply_mask(tokens, state.mask)
-    params = model.forward(visible, state.mask, book, [label], [ratio], grad=False)
+    params = model.forward(tokens, state.masked_counts, book, [label], [ratio], grad=False)
     basis = model.basis
     start = np.asarray(state.unmasked_counts)
     return np.stack([rvq.quantize(mog.sample(params, basis, rng), book,

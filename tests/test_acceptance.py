@@ -171,11 +171,11 @@ def _tiny_model_and_batch(rng):
     book = rvq.fit_codebook(vectors.reshape(-1, 3), depth=2, vocab=4,
                             seed=int(rng.integers(1 << 31)))
     tokens = np.stack([rvq.quantize(v, book) for v in vectors])
-    masks = np.stack([mk.binary_mask(int(rng.integers(1, 8)), 4, 2,
-                                     rng).mask for _ in range(3)])
+    q = np.stack([mk.binary_mask(int(rng.integers(1, 8)), 4, 2,
+                                 rng).masked_counts for _ in range(3)])
     labels = rng.integers(0, 3, size=3)
     ratios = rng.random(3)
-    return model, book, tokens, masks, labels, ratios
+    return model, book, tokens, q, labels, ratios
 
 
 def test_criterion_5_gradient_integrity():
@@ -184,10 +184,10 @@ def test_criterion_5_gradient_integrity():
         rng = np.random.default_rng(5)
         h = 1e-5
         for point in range(20):
-            model, book, tokens, masks, labels, ratios = _tiny_model_and_batch(rng)
+            model, book, tokens, q, labels, ratios = _tiny_model_and_batch(rng)
 
             def loss():
-                _, nll, _, _ = tnr.masked_loss(model, book, tokens, masks,
+                _, nll, _, _ = tnr.masked_loss(model, book, tokens, q,
                                                labels, ratios)
                 return nll
 

@@ -40,13 +40,24 @@ def test_config_validation():
         tiny_config(layers=0)
 
 
+@pytest.mark.parametrize("name", ["seq_len", "depth", "vocab", "latent_dim", "width",
+                                  "layers", "heads", "mixtures", "mean_rank", "num_classes"])
+def test_config_sizes_must_be_integers(name):
+    # a float width once passed `inspect` and ended later in a TypeError
+    good = tiny_config()
+    for bad in (float(getattr(good, name)), True):
+        with pytest.raises(ValueError, match=rf"^{name}: {bad!r} is not an integer$"):
+            tiny_config(**{name: bad})
+    assert getattr(tiny_config(**{name: np.int64(2)}), name) == 2
+
+
 def test_zero_init_heads_give_uniform_pi_and_zero_means():
     cfg = tiny_config()
     model = Backbone(cfg, seed=0)
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st = mk.binary_mask(3, cfg.seq_len, cfg.depth, np.random.default_rng(2))
-    out = model.forward(tokens, st.mask, book, labels=[1], r=[0.5])
+    out = model.forward(tokens, st.masked_counts, book, labels=[1], r=[0.5])
     pi = mixture_weights(out.logits.data)
     assert np.allclose(pi, 1.0 / cfg.mixtures, atol=1e-12)
     assert np.all(out.means.data == 0.0)
@@ -59,9 +70,9 @@ def test_output_shapes():
     model = Backbone(cfg, seed=0)
     book = tiny_book(cfg)
     tokens = np.stack([random_grid(cfg, book, s) for s in (1, 2)])
-    masks = np.stack([mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(s)).mask
-                      for s in (3, 4)])
-    out = model.forward(tokens, masks, book, labels=[0, 2], r=[0.1, 0.9])
+    q = np.stack([mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(s)).masked_counts
+                  for s in (3, 4)])
+    out = model.forward(tokens, q, book, labels=[0, 2], r=[0.1, 0.9])
     # one head row per grid position, grid by grid
     rows = 2 * cfg.seq_len
     assert out.logits.shape == (rows, cfg.mixtures)
@@ -70,7 +81,7 @@ def test_output_shapes():
     assert out.shift.shape == (rows, cfg.latent_dim)
     L = cfg.seq_len
     for b in (0, 1):
-        one = model.forward(tokens[b], masks[b], book, labels=[2 * b], r=[0.1 + 0.8 * b])
+        one = model.forward(tokens[b], q[b], book, labels=[2 * b], r=[0.1 + 0.8 * b])
         for name in HEADS:
             np.testing.assert_allclose(getattr(out, name).data[b * L:(b + 1) * L],
                                        getattr(one, name).data, rtol=0, atol=1e-12)
@@ -81,8 +92,8 @@ def test_fully_masked_positions_share_null_embedding():
     model = Backbone(cfg, seed=0)
     book = tiny_book(cfg)
     tokens = np.full((cfg.seq_len, cfg.depth), rvq.MASK, dtype=np.int64)
-    mask = np.zeros((cfg.seq_len, cfg.depth), dtype=np.int8)
-    emb = model.embed_input(tokens, mask, book).data[0]
+    q = np.full(cfg.seq_len, cfg.depth)
+    emb = model.embed_input(tokens, q, book).data[0]
     assert np.all(emb == emb[0])
 
 
@@ -93,8 +104,7 @@ def test_embedding_matches_dequantize_prefix():
     tokens = random_grid(cfg, book)
     # position 0 reveals only depth 1; others fully revealed
     q = np.array([cfg.depth - 1] + [0] * (cfg.seq_len - 1))
-    st = mk.MaskState(q, cfg.depth)
-    emb = model.embed_input(tokens, st.mask, book).data[0]
+    emb = model.embed_input(tokens, q, book).data[0]
     w = model.params["embed.w"].data
     b = model.params["embed.b"].data
     for i in range(cfg.seq_len):
@@ -112,9 +122,9 @@ def test_permutation_equivariance_without_pe():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st = mk.MaskState([0, 1, 2, 1], cfg.depth)
-    out = model.forward(tokens, st.mask, book, labels=[1], r=[0.4])
+    out = model.forward(tokens, st.masked_counts, book, labels=[1], r=[0.4])
     perm = np.array([2, 0, 3, 1])
-    out_p = model.forward(tokens[perm], st.mask[perm], book, labels=[1], r=[0.4])
+    out_p = model.forward(tokens[perm], st.masked_counts[perm], book, labels=[1], r=[0.4])
     assert np.allclose(out.logits.data[perm], out_p.logits.data, atol=1e-10)
     assert np.allclose(out.shift.data[perm], out_p.shift.data, atol=1e-10)
 
@@ -127,7 +137,7 @@ def test_determinism_bit_identical():
 
     def run():
         model = Backbone(cfg, seed=7)
-        return model.forward(tokens, st.mask, book, labels=[2], r=[0.3])
+        return model.forward(tokens, st.masked_counts, book, labels=[2], r=[0.3])
 
     a, b = run(), run()
     assert np.array_equal(a.logits.data, b.logits.data)
@@ -142,8 +152,8 @@ def test_null_label_output_is_label_free():
     # grids drawn from two different "classes": with the null label the
     # prediction for the same visible tokens must be identical
     tokens = random_grid(cfg, book, seed=9)
-    a = model.forward(tokens, st.mask, book, labels=[0], r=[0.2])
-    b = model.forward(tokens, st.mask, book, labels=[0], r=[0.2])
+    a = model.forward(tokens, st.masked_counts, book, labels=[0], r=[0.2])
+    b = model.forward(tokens, st.masked_counts, book, labels=[0], r=[0.2])
     assert np.array_equal(a.logits.data, b.logits.data)
 
 
@@ -154,9 +164,9 @@ def test_rejects_bad_label_and_bad_mask():
     tokens = random_grid(cfg, book)
     st = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
     with pytest.raises(ValueError, match="labels"):
-        model.forward(tokens, st.mask, book, labels=[5], r=[0.5])
-    bad = np.array([[0, 1]] * cfg.seq_len, dtype=np.int8)  # masked below revealed
-    with pytest.raises(ValueError, match="suffix"):
+        model.forward(tokens, st.masked_counts, book, labels=[5], r=[0.5])
+    bad = np.full(cfg.seq_len, cfg.depth + 1)  # more hidden depths than there are
+    with pytest.raises(ValueError, match="masked counts"):
         model.forward(tokens, bad, book, labels=[1], r=[0.5])
 
 
@@ -167,8 +177,8 @@ def test_forward_counter_increments():
     tokens = random_grid(cfg, book)
     st = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
     assert model.forward_calls == 0
-    model.forward(tokens, st.mask, book, labels=[1], r=[0.5])
-    model.forward(tokens, st.mask, book, labels=[1], r=[0.5])
+    model.forward(tokens, st.masked_counts, book, labels=[1], r=[0.5])
+    model.forward(tokens, st.masked_counts, book, labels=[1], r=[0.5])
     assert model.forward_calls == 2
 
 
@@ -187,9 +197,9 @@ def perturb(model, seed, scale=0.3):
     return model
 
 
-def assert_modes_bit_equal(model, book, tokens, masks, labels, r):
-    ref = model.forward(tokens, masks, book, labels, r)
-    got = model.forward(tokens, masks, book, labels, r, grad=False)
+def assert_modes_bit_equal(model, book, tokens, q, labels, r):
+    ref = model.forward(tokens, q, book, labels, r)
+    got = model.forward(tokens, q, book, labels, r, grad=False)
     for name in HEADS:
         a, b = getattr(got, name), getattr(ref, name)
         assert isinstance(a, np.ndarray) and isinstance(b, nm.Tensor), name
@@ -213,7 +223,7 @@ def test_plain_forward_bit_equal_to_autodiff(B, num_classes, pe):
     masks = np.stack([mk.MaskState(qb, cfg.depth).mask for qb in q])
     visible = np.stack([mk.apply_mask(t, m) for t, m in zip(tokens, masks)])
     labels = rng.integers(0, num_classes + 1, size=B)
-    out = assert_modes_bit_equal(model, book, visible, masks, labels, rng.random(B))
+    out = assert_modes_bit_equal(model, book, visible, q, labels, rng.random(B))
     assert out.logits.shape == (B * cfg.seq_len, cfg.mixtures)
 
 
@@ -223,11 +233,11 @@ def test_plain_forward_reads_parameters_afresh():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(3, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    before = model.forward(tokens, st_.mask, book, [1], [0.5], grad=False)
+    before = model.forward(tokens, st_.masked_counts, book, [1], [0.5], grad=False)
     # rebinding and in-place edits both show in the next call
     model.params["head.logits.b"].data = model.params["head.logits.b"].data + 1.0
     model.params["head.shift.w"].data[0, 0] += 0.25
-    after = assert_modes_bit_equal(model, book, tokens, st_.mask, [1], [0.5])
+    after = assert_modes_bit_equal(model, book, tokens, st_.masked_counts, [1], [0.5])
     assert not np.array_equal(before.logits, after.logits)
     assert not np.array_equal(before.shift, after.shift)
 
@@ -260,30 +270,79 @@ def test_plain_forward_bit_equal_property(case):
     masks = np.stack([mk.MaskState(qb, cfg.depth).mask for qb in q])
     visible = np.stack([mk.apply_mask(t, m) for t, m in zip(tokens, masks)])
     labels = rng.integers(0, cfg.num_classes + 1, size=B)
-    assert_modes_bit_equal(model, book, visible, masks, labels, rng.random(B))
+    assert_modes_bit_equal(model, book, visible, q, labels, rng.random(B))
 
 
 @pytest.mark.parametrize("bad, reason", [
-    (lambda t, m: (t[:, :1], m[:, :1], [1]), "token grid must be"),
-    (lambda t, m: (t[:-1], m[:-1], [1]), "token grid must be"),
-    (lambda t, m: (t, np.stack([m, m]), [1]), "mask shape"),
-    (lambda t, m: (t, np.array([[0, 1]] * len(m), dtype=np.int8), [1]), "suffix"),
-    (lambda t, m: (t, m, [3]), "labels"),
-    (lambda t, m: (t, m, [-1]), "labels"),
-    (lambda t, m: (np.where(m == 1, rvq.MASK, t), m, [1]), "MASK token at a kept entry"),
+    (lambda t, q: (t[:, :1], q, [1]), "token grid must be"),
+    (lambda t, q: (t[:-1], q[:-1], [1]), "token grid must be"),
+    (lambda t, q: (t, np.stack([q, q]), [1]), "masked counts"),
+    (lambda t, q: (t, q - 1, [1]), "masked counts"),       # a count below 0
+    (lambda t, q: (t, q + 2, [1]), "masked counts"),       # a count above D = 2
+    (lambda t, q: (t, q, [3]), "labels"),
+    (lambda t, q: (t, q, [-1]), "labels"),
+    (lambda t, q: (np.where(mk.suffix_masks(q, 2) == 1, rvq.MASK, t), q, [1]),
+     "MASK token at a kept entry"),
 ])
 def test_both_modes_reject_malformed_inputs_alike(bad, reason):
     cfg = tiny_config()
     model = Backbone(cfg, seed=0)
     book = tiny_book(cfg)
-    good = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0)).mask
-    tokens, mask, labels = bad(random_grid(cfg, book), good)
+    good = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0)).masked_counts
+    tokens, q, labels = bad(random_grid(cfg, book), good)
     messages = []
     for grad in (True, False):
         with pytest.raises(ValueError, match=reason) as info:
-            model.forward(tokens, mask, book, labels, [0.5], grad=grad)
+            model.forward(tokens, q, book, labels, [0.5], grad=grad)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+    assert model.forward_calls == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(forward_cases())
+def test_tokens_at_hidden_entries_are_never_read(case):
+    # the masked counts alone say what is hidden: any in-range tokens
+    # there give the bits of MASK, in both modes
+    cfg, B, seed = case
+    rng = np.random.default_rng(seed)
+    model = perturb(Backbone(cfg, seed=seed), seed=seed + 1)
+    book = rvq.Codebook(rng.normal(size=(cfg.depth, cfg.vocab, cfg.latent_dim)),
+                        np.ones(cfg.depth))
+    tokens = rng.integers(1, cfg.vocab + 1, size=(B, cfg.seq_len, cfg.depth))
+    q = rng.integers(0, cfg.depth + 1, size=(B, cfg.seq_len))
+    hidden = mk.suffix_masks(q, cfg.depth) == 0
+    masked = np.where(hidden, rvq.MASK, tokens)
+    noise = np.where(hidden, rng.integers(0, cfg.vocab + 1, size=tokens.shape), tokens)
+    labels = rng.integers(0, cfg.num_classes + 1, size=B)
+    r = rng.random(B)
+    for grad in (True, False):
+        ref, got = (model.forward(t, q, book, labels, r, grad=grad) for t in (masked, noise))
+        for name in HEADS:
+            a, b = (nm.constant(getattr(o, name)).data for o in (ref, got))
+            assert a.tobytes() == b.tobytes(), (grad, name)
+
+
+@pytest.mark.parametrize("q, why", [
+    (np.zeros((4, 2), dtype=np.int64), "a (L, D) mask's shape"),
+    (np.zeros(3, dtype=np.int64), "too few positions"),
+    (np.array([0, -1, 0, 0]), "below 0"),
+    (np.array([0, 3, 0, 0]), "above D"),
+    (np.zeros(4), "not integers"),
+])
+def test_bad_masked_counts_are_named(q, why):
+    cfg = tiny_config()
+    model = Backbone(cfg, seed=0)
+    book = tiny_book(cfg)
+    tokens = random_grid(cfg, book)
+    for call in (lambda: model.embed_input(tokens, q, book),
+                 lambda: model.embed_input(tokens, q, book, grad=False),
+                 lambda: model.forward(tokens, q, book, [1], [0.5]),
+                 lambda: model.forward(tokens, q, book, [1], [0.5], grad=False),
+                 lambda: model.forward(tokens[None], q[None], book, [1], [0.5])):
+        with pytest.raises(ValueError, match="masked counts must be") as info:
+            call()
+        assert "[0, 2]" in str(info.value), why
     assert model.forward_calls == 0
 
 
@@ -293,10 +352,10 @@ def test_forward_counter_counts_both_modes():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    model.forward(tokens, st_.mask, book, labels=[1], r=[0.5], grad=False)
+    model.forward(tokens, st_.masked_counts, book, labels=[1], r=[0.5], grad=False)
     assert model.forward_calls == 1
-    model.forward(tokens, st_.mask, book, labels=[1], r=[0.5])
-    model.forward(tokens, st_.mask, book, labels=[1], r=[0.5], grad=False)
+    model.forward(tokens, st_.masked_counts, book, labels=[1], r=[0.5])
+    model.forward(tokens, st_.masked_counts, book, labels=[1], r=[0.5], grad=False)
     assert model.forward_calls == 3
 
 
@@ -308,7 +367,7 @@ def test_each_projection_is_one_graph_node():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    out = model.forward(tokens, st_.mask, book, [1], [0.5])
+    out = model.forward(tokens, st_.masked_counts, book, [1], [0.5])
     loss = nm.add(nm.add(nm.sum_(out.logits), nm.sum_(out.means)),
                   nm.add(nm.sum_(out.log_scale), nm.sum_(out.shift)))
     consumers = {}
@@ -333,18 +392,18 @@ def test_forward_reads_the_parameter_mapping_once(monkeypatch):
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    ref = model.forward(tokens, st_.mask, book, [1], [0.5], grad=False)
+    ref = model.forward(tokens, st_.masked_counts, book, [1], [0.5], grad=False)
     built = []
     ops = Backbone._ops
     monkeypatch.setattr(Backbone, "_ops", lambda self, grad: built.append(grad)
                         or ops(self, grad))
     for grad in (False, True):
-        out = model.forward(tokens, st_.mask, book, [1], [0.5], grad=grad)
+        out = model.forward(tokens, st_.masked_counts, book, [1], [0.5], grad=grad)
         assert built == [grad]
         built.clear()
         assert mixture_weights(nm.constant(out.logits).data).tobytes() == \
             mixture_weights(ref.logits).tobytes()
     # the halves called on their own still build their own
-    emb = model.embed_input(tokens, st_.mask, book, grad=False)
+    emb = model.embed_input(tokens, st_.masked_counts, book, grad=False)
     model.predict(emb, [1], [0.5], grad=False)
     assert built == [False, False]

@@ -324,6 +324,10 @@ def _set(field, value):
     return lambda c: setattr(c, field, value)
 
 
+def _set_config(config, field, value):
+    return lambda c: setattr(getattr(c, config), field, value)
+
+
 @pytest.mark.parametrize("edit,reason", [
     (_drop("params", "basis.M"), r"params\.basis\.M: missing"),
     (_drop("ema", "head.shift.b"), r"ema\.head\.shift\.b: missing"),
@@ -335,8 +339,21 @@ def _set(field, value):
     (_set("step", -1), "step must be >= 0"),
     (_set("step", 2.7), r"step must be an integer, got 2\.7"),
     (_set("step", True), "step must be an integer, got True"),
+    # these once passed `inspect`; width ended `sample` and `train
+    # --resume` in a TypeError, steps and batch_size ended `train --resume`
+    (_set_config("backbone_config", "width", 16.0),
+     r"JSON header malformed: .*width: 16\.0 is not an integer"),
+    (_set_config("backbone_config", "num_classes", False),
+     "JSON header malformed: .*num_classes: False is not an integer"),
+    (_set_config("train_config", "steps", 4.5),
+     r"JSON header malformed: .*steps: 4\.5 is not an integer"),
+    (_set_config("train_config", "batch_size", 2.0),
+     r"JSON header malformed: .*batch_size: 2\.0 is not an integer"),
+    (_set_config("train_config", "audit_steps", (0, 1.5)),
+     r"JSON header malformed: .*audit_steps: 1\.5 is not an integer"),
 ], ids=["no-param", "no-ema", "bad-shape", "extra-array", "rng-not-a-dict",
-        "rng-foreign", "negative-step", "float-step", "bool-step"])
+        "rng-foreign", "negative-step", "float-step", "bool-step", "float-width",
+        "bool-num-classes", "float-steps", "float-batch-size", "float-audit-step"])
 def test_tampered_checkpoint_contents_report_path(workspace, capsys, edit, reason):
     # each once ended in a traceback (KeyError, TypeError) or an unnamed
     # error, or resumed at a negative step
@@ -361,6 +378,35 @@ def test_tampered_checkpoint_contents_report_path(workspace, capsys, edit, reaso
         assert out.out == "" and len(err) == 1, (argv[0], out)
         assert err[0].startswith(f"error: {bad}: checkpoint "), err
         assert re.search(reason, err[0]), err
+    assert not (tmp / "never.rgds").exists() and not (tmp / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("field, value, book_value", [
+    ("depth", 1, 2), ("depth", 3, 2), ("vocab", 99, 4), ("latent_dim", 4, 3)])
+def test_checkpoint_geometry_must_match_its_codebook(workspace, capsys, field, value,
+                                                     book_value):
+    # depth once passed `inspect` and failed later without the path; vocab
+    # 99 beside a 4-word codebook passed every command
+    tmp, ds_path, book_path = workspace
+    ckpt = tmp / "good.ckpt"
+    assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", ckpt,
+               "--steps", 2, "--batch-size", 2, "--width", 16, "--layers", 1,
+               "--heads", 2, "--mixtures", 2, "--mean-rank", 2) == 0
+    capsys.readouterr()
+    tampered = ckpt_mod.load_checkpoint(ckpt)
+    setattr(tampered.backbone_config, field, value)
+    bad = tmp / "bad.ckpt"
+    bad.write_bytes(tampered.to_bytes())
+    for argv in (("inspect", bad),
+                 ("sample", "--checkpoint", bad, "--out", tmp / "never.rgds",
+                  "--count", 1, "--steps", 2),
+                 ("train", "--dataset", ds_path, "--resume", bad,
+                  "--out", tmp / "never.ckpt")):
+        assert run(*argv) == 1, argv[0]
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.splitlines() == [
+            f"error: {bad}: checkpoint codebook has {field} {book_value}, "
+            f"backbone_config {value}"], (argv[0], out)
     assert not (tmp / "never.rgds").exists() and not (tmp / "never.ckpt").exists()
 
 

@@ -32,6 +32,13 @@ def enumerate_pmf(capacities, n):
     return pmf
 
 
+def assert_depth_suffix(mask):
+    """Every row of an (L, D) mask holds only 0/1 and hides a depth suffix:
+    its revealed entries (1) come before its hidden ones (0)."""
+    m = np.asarray(mask)
+    assert np.isin(m, (0, 1)).all() and (np.diff(m, axis=1) <= 0).all(), m
+
+
 def empirical_tv(draws, pmf):
     """Total variation between empirical draw frequencies and an exact pmf."""
     counts = {}
@@ -283,7 +290,7 @@ def test_unmask_terminates_on_schedule():
     st = mk.binary_mask(L * D, L, D, rng)
     for t in range(1, T + 1):
         st = mk.binary_unmask(st, mk.mask_count(s, t / T, L, D), rng)
-        mk.check_depth_suffix_mask(st.mask)
+        assert_depth_suffix(st.mask)
         assert (st.n_total == 0) == (t == T)
 
 
@@ -382,7 +389,7 @@ def test_depth_suffix_enforced():
         with pytest.raises(ValueError, match=r"masked counts must be \(L,\) in \[0, 2\]"):
             mk.MaskState(q, 2)
     st = mk.MaskState([2, 0, 1], 2)
-    mk.check_depth_suffix_mask(st.mask)
+    assert_depth_suffix(st.mask)
     assert st.mask.dtype == np.int8 and st.mask.tolist() == [[0, 0], [1, 1], [1, 0]]
 
 
@@ -402,12 +409,15 @@ def test_apply_mask_hides_suffix():
     assert np.array_equal(masked != mk.MASK, st.mask == 1)
 
 
-def test_suffix_mask_checker_names_the_fault():
-    mk.check_depth_suffix_mask(np.array([[1, 0], [0, 0], [1, 1]]))
-    with pytest.raises(ValueError, match="0 or 1"):
-        mk.check_depth_suffix_mask(np.array([[1, 0], [2, -1]]))
-    with pytest.raises(ValueError, match="suffix"):
-        mk.check_depth_suffix_mask(np.array([[1, 0], [0, 1]]))
+def test_checked_counts_names_the_masked_counts():
+    # the one check of the counts that reach the model and the loss
+    q = mk.checked_counts([[0, 2], [1, 0]], (2, 2), 2)
+    assert isinstance(q, np.ndarray) and q.tolist() == [[0, 2], [1, 0]]
+    assert mk.checked_counts(np.zeros((0, 3), dtype=np.uint8), (0, 3), 2).shape == (0, 3)
+    for bad, shape in (([0, 3], (2,)), ([-1, 0], (2,)), ([0, 1], (1, 2)),
+                       ([[0, 1]], (2,)), ([0.0, 1.0], (2,)), ([True, False], (2,))):
+        with pytest.raises(ValueError, match=r"masked counts must be \(.*\) integers in \[0, 2\]"):
+            mk.checked_counts(np.array(bad), shape, 2)
 
 
 def test_mask_draw_distribution_matches_forward_logprob():
@@ -435,7 +445,7 @@ class MaskFirst:
         if np.any((q < 0) | (q > depth)):
             raise ValueError("masked counts must lie in [0, D]")
         self.mask = mk.suffix_masks(q, depth)
-        mk.check_depth_suffix_mask(self.mask)
+        assert_depth_suffix(self.mask)
 
     shape = property(lambda self: self.mask.shape)
     depth = property(lambda self: self.mask.shape[1])

@@ -402,7 +402,7 @@ def test_generate_builds_no_autodiff_tensors(monkeypatch):
     assert made == []
     # the guard is live: an autodiff forward does construct Tensors
     st_ = mk.binary_mask(2, 5, 3, np.random.default_rng(0))
-    model.forward(np.ones((5, 3), dtype=np.int64), st_.mask, book, [1], [0.5])
+    model.forward(np.ones((5, 3), dtype=np.int64), st_.masked_counts, book, [1], [0.5])
     assert made
 
 
@@ -420,11 +420,12 @@ def reference_generate(model, book, label, config, rng):
     tokens = np.full((L, D), rvq.MASK, dtype=np.int64)
     state = mk.MaskState(np.full(L, D), D)
     for t in range(1, T + 1):
+        # MASK at the hidden entries, which the model must not read anyway
         visible = mk.apply_mask(tokens, state.mask)
-        params = model.forward(visible, state.mask, book, [label],
+        params = model.forward(visible, state.masked_counts, book, [label],
                                [(t - 1) / T], grad=False)
         if config.use_cfg:
-            uncond = model.forward(visible, state.mask, book, [0],
+            uncond = model.forward(visible, state.masked_counts, book, [0],
                                    [(t - 1) / T], grad=False)
             params = mog.cfg_combine(params, uncond, smp.cfg_weight(config, t))
         z = mog.sample(params, model.basis, rng, top_p=config.top_p)

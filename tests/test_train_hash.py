@@ -1,5 +1,5 @@
 """scripts/train_hash.py: the seeded digests (training, sampling in two
-modes, fitting) are the same in two processes on one checkout, and a
+modes, fitting, audit and VLB diagnostics) are the same in two processes on one checkout, and a
 difference between checkouts fails."""
 
 import importlib.util
@@ -23,9 +23,9 @@ def test_two_runs_on_one_checkout_hash_alike():
     digests = [line.split()[0] for line in lines]
     assert digests[0] == digests[1]
     assert re.fullmatch("[0-9a-f]{64}", digests[0])
-    # training, random-mode and paper-28 sampling, fit-rvq + eval
+    # training, random-mode and paper-28 sampling, fit-rvq + eval, audit + VLB
     runs = [line.split()[:-1] for line in lines]
-    assert runs[0] == runs[1] and len(runs[0]) == 4 and len(set(runs[0])) == 4
+    assert runs[0] == runs[1] and len(runs[0]) == 5 and len(set(runs[0])) == 5
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in runs[0])
 
 

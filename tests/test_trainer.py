@@ -32,17 +32,17 @@ def toy_setup(seed=0, n=64, L=4, D=2, V=4, H=3, **model_over):
 
 def test_empty_mask_gives_no_targets():
     model, book, grids = toy_setup()
-    mask = np.ones_like(grids[0], dtype=np.int8)
-    z, included = tnr.masked_targets(grids[:1], mask[None], book)
+    q = np.zeros(grids.shape[1], dtype=np.int64)
+    z, included = tnr.masked_targets(grids[:1], q[None], book)
     assert not included.any()
-    sur, nll, n_sel, _ = tnr.masked_loss(model, book, grids[:1], mask[None], [0], [1.0])
+    sur, nll, n_sel, _ = tnr.masked_loss(model, book, grids[:1], q[None], [0], [1.0])
     assert n_sel == 0 and float(sur.data) == 0.0
 
 
 def test_fully_masked_target_is_reconstruction():
     model, book, grids = toy_setup()
-    mask = np.zeros_like(grids[0], dtype=np.int8)
-    z, included = tnr.masked_targets(grids[:1], mask[None], book)
+    q = np.full(grids.shape[1], grids.shape[2])
+    z, included = tnr.masked_targets(grids[:1], q[None], book)
     assert included.all()
     assert np.allclose(z[0], rvq.dequantize(grids[0], book), atol=1e-12)
 
@@ -51,10 +51,37 @@ def test_target_partitions_full_reconstruction():
     model, book, grids = toy_setup()
     L, D = grids[0].shape
     st = mk.binary_mask(5, L, D, np.random.default_rng(3))
-    z_masked = tnr.masked_targets(grids[:1], np.asarray(st.mask)[None], book)[0][0]
+    z_masked = tnr.masked_targets(grids[:1], st.masked_counts[None], book)[0][0]
     z_visible = rvq.dequantize(grids[0], book, keep=st.mask == 1)
     full = rvq.dequantize(grids[0], book)
     assert np.max(np.abs(z_visible + z_masked - full)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", ["mask", "too few positions", "below 0", "above D"])
+def test_bad_masked_counts_are_named_by_the_loss(bad):
+    # a (B, L, D) mask once ended in an unnamed numpy broadcast error here
+    model, book, grids = toy_setup()
+    B, L, D = 2, grids.shape[1], grids.shape[2]
+    q = {"mask": np.ones((B, L, D), dtype=np.int8),
+         "too few positions": np.zeros((B, L - 1), dtype=np.int64),
+         "below 0": np.full((B, L), -1), "above D": np.full((B, L), D + 1)}[bad]
+    for call in (lambda: tnr.masked_targets(grids[:B], q, book),
+                 lambda: tnr.masked_loss(model, book, grids[:B], q, [0] * B, [0.5] * B)):
+        with pytest.raises(ValueError, match=rf"masked counts must be .* in \[0, {D}\]"):
+            call()
+    assert model.forward_calls == 0
+
+
+def test_config_counts_must_be_integers():
+    # steps 4.5 or batch_size 2.0 once ended in a TypeError mid-run
+    for name in ("steps", "batch_size", "warmup", "seed", "checkpoint_every"):
+        for bad in (2.0, 4.5, True):
+            with pytest.raises(ValueError, match=rf"^{name}: {bad!r} is not an integer$"):
+                tnr.TrainConfig(**{name: bad})
+    for bad in ((1, 2.0), (False,)):
+        with pytest.raises(ValueError, match=r"^audit_steps: .* is not an integer$"):
+            tnr.TrainConfig(audit_steps=bad)
+    assert tnr.TrainConfig(steps=np.int64(3), audit_steps=[0, 2]).steps == 3
 
 
 def test_config_rejects_adamw_betas_outside_unit_interval():
@@ -86,8 +113,8 @@ class PerTensorOracle:
 
     def step(self):
         tr, c = self.tr, self.tr.config
-        idx, ratios, masks, labels = tr._draw_batch()
-        sur, nll, n_sel, _ = tnr.masked_loss(tr.model, tr.book, tr.grids[idx], masks,
+        idx, ratios, q, labels = tr._draw_batch()
+        sur, nll, n_sel, _ = tnr.masked_loss(tr.model, tr.book, tr.grids[idx], q,
                                              labels, ratios, c.differentiate_q)
         if n_sel > 0:
             g = nm.grads(sur, tr.model.params)
@@ -306,7 +333,8 @@ def test_no_gradient_leak_to_excluded_positions():
     # mask only position 0; positions 1..L-1 contribute nothing
     counts = np.array([D] + [0] * (L - 1))
     st = mk.MaskState(counts, D)
-    sur, _, n_sel, out = tnr.masked_loss(model, book, grids[:1], st.mask[None], [0], [0.5])
+    sur, _, n_sel, out = tnr.masked_loss(model, book, grids[:1], st.masked_counts[None], [0],
+                                         [0.5])
     assert n_sel == 1
     nm.backward(sur)
     assert out.logits.grad is not None
@@ -337,8 +365,8 @@ def test_nonfinite_loss_aborts_with_diagnostic():
 
 def test_simple_loss_zero_when_mask_empty():
     model, book, grids = toy_setup()
-    mask = np.ones_like(grids[0], dtype=np.int8)
-    sur, nll, n_sel, _ = tnr.masked_loss(model, book, grids[:1], mask[None], [0],
+    q = np.zeros(grids.shape[1], dtype=np.int64)
+    sur, nll, n_sel, _ = tnr.masked_loss(model, book, grids[:1], q[None], [0],
                                          [1.0 - 1 / 8])
     assert float(sur.data) == 0.0 and float(nll.data) == 0.0 and n_sel == 0
 
@@ -359,8 +387,8 @@ def test_simple_loss_monotone_in_corruption_after_training():
         # the per-step loss at t: a schedule-drawn mask at ratio 1 - t/T
         for t, losses in ((T - 1, heavy), (1, light)):
             n = mk.mask_count(schedule, 1.0 - t / T, *g.shape)
-            mask = mk.binary_mask(n, *g.shape, rng).mask
-            sur, _, _, _ = tnr.masked_loss(model, book, g[None], mask[None], [0],
+            q = mk.binary_mask(n, *g.shape, rng).masked_counts
+            sur, _, _, _ = tnr.masked_loss(model, book, g[None], q[None], [0],
                                            [1.0 - t / T])
             losses.append(float(sur.data))
     assert np.mean(heavy) > np.mean(light) - 0.05
@@ -404,8 +432,7 @@ def test_vlb_perfect_model_reconstruction_term_zero():
 def autodiff_reconstructions(model, book, tokens, state, label, ratio, rng, samples):
     """`_model_reconstructions` on the autodiff forward, flattening the head
     outputs through `gather_params` as the loss path does."""
-    visible = mk.apply_mask(tokens, state.mask)
-    out = model.forward(visible, state.mask, book, [label], [ratio])
+    out = model.forward(tokens, state.masked_counts, book, [label], [ratio])
     flat = tnr.gather_params(out, np.arange(tokens.shape[0]))
     params = mog.MoGParams(flat.logits.data, flat.means.data,
                            flat.log_scale.data.reshape(-1), flat.shift.data)
