@@ -17,6 +17,12 @@ the medians, and whether the pairs meet the gain rule: the change wins at
 least nine tenths of the pairs and the medians differ by more than the
 parent's own interquartile range.
 
+The summary's first line also gives each side's `cpu_affinity` (the CPUs
+the run may use) and `blas_threads`, read off each run's `provenance`
+line, and a warning goes to stderr when the two sides differ in them or
+when a run had fewer than 2 CPUs: a gain from a second thread cannot
+show there, and times from unlike hosts do not compare.
+
 The metric names and their better direction come from the change's
 `BENCHMARK.json`. Standard library only; the benchmark itself is not
 changed or imported.
@@ -83,6 +89,39 @@ def parse_report(stdout):
     return found
 
 
+# provenance fields of each run shown in the summary
+HOST = ("cpu_affinity", "blas_threads")
+
+
+def parse_provenance(stdout):
+    """{name: value} of the HOST fields on a run's `provenance {json}` line;
+    a field the line lacks is None."""
+    for line in stdout.splitlines():
+        if line.startswith("provenance "):
+            prov = json.loads(line[len("provenance "):])
+            return {name: prov.get(name) for name in HOST}
+    raise ValueError("benchmark printed no provenance line")
+
+
+def hosts(runs):
+    """({side: "name=value ..."}, warnings) of each side's HOST fields; a
+    field that varied across a side's runs shows every value, '/'-joined."""
+    seen = {side: {name: sorted({r.get(name) for r in rs}, key=str) for name in HOST}
+            for side, rs in runs.items()}
+    shown = {side: " ".join(f"{name}={'/'.join(map(str, values[name]))}"
+                            for name in HOST)
+             for side, values in seen.items()}
+    warnings = []
+    if shown["parent"] != shown["change"]:
+        warnings.append("the two sides ran with different " + " and ".join(HOST)
+                        + "; their times do not compare")
+    if any(c is not None and c < 2 for values in seen.values()
+           for c in values["cpu_affinity"]):
+        warnings.append("a run had fewer than 2 CPUs; a gain from a second "
+                        "thread cannot show")
+    return shown, warnings
+
+
 def run_order(pairs):
     """The side that runs first in each pair: parent, change, parent, ..."""
     return [("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -106,7 +145,7 @@ def run_once(checkout, workload, seed, seconds):
         raise RuntimeError(f"{checkout}: seed {seed}: {result['failed']} failed "
                            "operations")
     return {**{k: v["value"] for k, v in result["metrics"].items()},
-            **parse_report(proc.stdout)}
+            **parse_report(proc.stdout), **parse_provenance(proc.stdout)}
 
 
 def main(argv=None):
@@ -132,8 +171,12 @@ def main(argv=None):
             runs[side].append(got)
             print(f"pair {i} seed {seed} {side}: " + " ".join(
                 f"{name}={got[name]:.6g}" for name, _ in shown), flush=True)
+    shown_hosts, warnings = hosts(runs)
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}.."
-          f"{args.seed + args.pairs - 1}, {args.seconds:g} s runs")
+          f"{args.seed + args.pairs - 1}, {args.seconds:g} s runs; "
+          + ", ".join(f"{side} {shown_hosts[side]}" for side in runs))
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     for name, better in shown:
         s = summarize([r[name] for r in runs["parent"]],
                       [r[name] for r in runs["change"]], better)

@@ -23,7 +23,7 @@ once per epoch, since its table changes every epoch.
 Every nearest-codeword search (each quantization depth, each epoch of the
 "nearest" k-means update, the fit's per-depth residual pass, and the
 public `nearest`, which `evaluate.mode_occupancy` calls) goes through
-`_nearest_rows`, which scores BLOCK rows at a time into one reused
+`_nearest_rows`, which scores BLOCK rows at a time into a reused
 (BLOCK + 1, V) buffer and takes each block's argmin while it is still in
 cache, in place of an (N, V) matrix that falls out of cache between the
 product, the `+= norms` and the argmin. Ties go to the lowest codeword
@@ -33,6 +33,21 @@ a lone last row joins the block before it, and the picks are those of
 one whole `_scores` call. Up to BLOCK + 1 rows (the sampler's per-step
 calls) take that one call.
 
+A search of more rows splits its block list into two contiguous halves:
+the caller scores the first while one worker thread scores the second,
+each half into its own buffer and its own slice of the picks. k-means'
+per-cluster sums split their per-column bincounts the same way. The
+blocks and columns are the ones a serial pass would take, each with the
+same calls (`_scores` and argmin, bincount adding in input order), so the
+bits do not depend on the split. The worker is one persistent thread of
+the module, started by the first large search, never at import; a child
+process forgets it at fork and starts its own. Concurrent callers queue
+their second halves on that one thread. The search stays serial when the
+process may run on fewer than 2 CPUs, and calls of up to BLOCK + 1 rows
+never reach the worker. Only numpy's product, argmin and bincount run
+there. The second thread costs about 1 MB of peak RSS, mostly the BLAS
+library's buffers for a second calling thread.
+
 Tokens are 1-based codeword indices; 0 is reserved as the MASK sentinel
 and never appears in quantizer output. `codewords` is the one token ->
 codeword lookup and `dequantize` the one sum of a token subset's
@@ -40,13 +55,17 @@ codewords: the backbone's input (the revealed depths) and the trainer's
 target (the hidden depths) are both `dequantize` with a `keep` mask.
 Codebooks are immutable once built (the derived scoring constants would
 go stale otherwise), and quantize/dequantize are pure, so concurrent
-readers are safe. Every token lookup refuses tokens outside [0, V].
+readers are safe. Every token lookup refuses tokens outside [0, V]; the
+entries that `dequantize` drops are never looked up.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,14 +165,61 @@ def _scores(rows, pair, out=None):
     return scores
 
 
+# the one worker thread of the split searches: a one-thread pool, made by
+# the first large search and forgotten by a forked child
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker():
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):     # no fork, nothing to forget
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _halves(first, second):
+    """Run first() here while the worker thread runs second(), and return
+    once both are done. first()'s exception wins; else second()'s is
+    raised here. Serial when this process may use fewer than 2 CPUs."""
+    global _worker
+    if _cpus() < 2:
+        first()
+        second()
+        return
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="rvq-search")
+        done = _worker.submit(second)
+    try:
+        first()
+    finally:
+        # wait even when first() failed: second() writes the caller's arrays
+        exc = done.exception()
+    if exc is not None:
+        raise exc
+
+
 def _nearest_rows(rows, pair):
     """Lowest-index nearest codeword per row, from a table's `score_pair`,
-    scored BLOCK rows at a time into one reused buffer. (N,H)x(V,H)->(N,)
+    scored BLOCK rows at a time. (N,H)x(V,H)->(N,)
 
     A block's scores are the bits of those rows of one whole `_scores`
     call, so the picks are too. No block is one row: a lone last row joins
     the block before it, since numpy hands a one-row product to gemv, which
-    may round otherwise than gemm.
+    may round otherwise than gemm. Past BLOCK + 1 rows the block list
+    splits in two halves for `_halves`, each with its own reused buffer.
     """
     N = rows.shape[0]
     if N <= BLOCK + 1:
@@ -163,9 +229,15 @@ def _nearest_rows(rows, pair):
     if N - edges[-2] == 1:
         del edges[-2]
     picks = np.empty(N, dtype=np.intp)
-    buf = np.empty((BLOCK + 1, pair[1].shape[0]))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        _scores(rows[lo:hi], pair, out=buf[:hi - lo]).argmin(axis=1, out=picks[lo:hi])
+    V = pair[1].shape[0]
+
+    def blocks(edges):
+        buf = np.empty((BLOCK + 1, V))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            _scores(rows[lo:hi], pair, out=buf[:hi - lo]).argmin(axis=1, out=picks[lo:hi])
+
+    mid = len(edges) // 2
+    _halves(lambda: blocks(edges[:mid + 1]), lambda: blocks(edges[mid:]))
     return picks
 
 
@@ -245,16 +317,19 @@ def dequantize(tokens, book: Codebook, keep=None):
     depth order -> (..., H).
 
     With a boolean `keep` (tokens' shape), only the kept entries add, and
-    the others add +0.0, which leaves every partial sum's bits unchanged. A
-    MASK token at a kept entry is an error: masked entries carry no
-    embedding.
+    the others add +0.0, which leaves every partial sum's bits unchanged.
+    The others are never read either, so any value there is fine. A MASK
+    token at a kept entry is an error: masked entries carry no embedding.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     D = tokens.shape[-1]
     if D != book.depth:
         raise ValueError(f"token grid depth {D} != codebook depth {book.depth}")
     keep = np.asarray(True if keep is None else keep, dtype=bool)
-    if (keep & (tokens == MASK)).any():
+    # a dropped entry reads as token 1, which is checked and gathered in
+    # its place and then replaced by +0.0
+    tokens = np.where(keep, tokens, MASK + 1)
+    if (tokens == MASK).any():
         raise ValueError("MASK token at a kept entry: masked entries carry no embedding")
     words = np.where(keep[..., None], codewords(tokens, book), 0.0)
     z = np.zeros(tokens.shape[:-1] + (book.dim,))
@@ -290,9 +365,21 @@ def _cluster_sums(assign, columns, V):
     """Per-cluster sums of residual rows, (V, H), from the residuals'
     contiguous (H, N) transpose (bincount copies a strided column first).
     bincount adds each column in input order, as np.add.at does, so the
-    sums are the same bits."""
-    return np.stack([np.bincount(assign, weights=col, minlength=V)
-                     for col in columns], axis=1)
+    sums are the same bits. Past BLOCK + 1 rows the columns split in two
+    halves for `_halves`."""
+    H = columns.shape[0]
+    sums = np.empty((V, H))
+
+    def sum_columns(lo, hi):
+        for h in range(lo, hi):
+            sums[:, h] = np.bincount(assign, weights=columns[h], minlength=V)
+
+    mid = (H + 1) // 2
+    if H < 2 or assign.shape[0] <= BLOCK + 1:
+        sum_columns(0, H)
+    else:
+        _halves(lambda: sum_columns(0, mid), lambda: sum_columns(mid, H))
+    return sums
 
 
 def _distinct_rows(rows):

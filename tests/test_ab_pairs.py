@@ -109,3 +109,55 @@ def test_raw_time_and_probe_are_shown_and_summarized(tmp_path, monkeypatch, caps
     assert "(reported): parent median 100.5" in summary["op_ms.p50"]
     assert "change -10.0%, won 2/2 (lost 0)" in summary["op_ms.p50"]
     assert "change +5.0%, won 0/2 (lost 2)" in summary["probe_ms"]
+
+
+def test_provenance_gives_the_cpus_and_blas_threads():
+    out = RUN_STDOUT.replace('{"workload": "fit"}',
+                             '{"blas_threads": 2, "cpu_affinity": 2, "nproc": 4}')
+    assert ab.parse_provenance(out) == {"cpu_affinity": 2, "blas_threads": 2}
+    assert ab.parse_provenance(RUN_STDOUT) == {"cpu_affinity": None, "blas_threads": None}
+    with pytest.raises(ValueError, match="no provenance line"):
+        ab.parse_provenance("op_ms.p50 = 3 ms\n")
+
+
+@pytest.mark.parametrize("parent, change, warned", [
+    ((2, 2), (2, 2), []),
+    ((2, 2), (2, 1), ["different cpu_affinity and blas_threads"]),
+    ((1, 1), (1, 1), ["fewer than 2 CPUs"]),
+    ((2, 2), (1, 2), ["different", "fewer than 2 CPUs"]),
+])
+def test_summary_shows_the_hosts_and_warns_when_they_cannot_show_a_gain(
+        parent, change, warned, tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "op_rel.p50", "better": "lower"}]}))
+    host = {"parent": parent, "change": change}
+
+    def fake_run(checkout, workload, seed, seconds):
+        cpus, threads = host["change" if checkout.endswith("change") else "parent"]
+        return {"op_rel.p50": 5.0, "op_ms.p50": 100.0, "probe_ms": 20.0,
+                "cpu_affinity": cpus, "blas_threads": threads}
+
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                    "--workload", "fit", "--pairs", "2", "--seed", "0"]) == 0
+    got = capsys.readouterr()
+    assert got.out.splitlines()[4] == (
+        "fit: 2 pairs, seeds 0..1, 12 s runs; "
+        f"parent cpu_affinity={parent[0]} blas_threads={parent[1]}, "
+        f"change cpu_affinity={change[0]} blas_threads={change[1]}")
+    lines = got.err.splitlines()
+    assert len(lines) == len(warned)
+    for line, part in zip(lines, warned):
+        assert line.startswith("warning: ") and part in line
+
+
+def test_a_host_setting_that_varies_within_a_side_shows_each_value():
+    runs = {"parent": [{"cpu_affinity": 2, "blas_threads": 2}] * 2,
+            "change": [{"cpu_affinity": 2, "blas_threads": 2},
+                       {"cpu_affinity": 1, "blas_threads": 2}]}
+    shown, warnings = ab.hosts(runs)
+    assert shown == {"parent": "cpu_affinity=2 blas_threads=2",
+                     "change": "cpu_affinity=1/2 blas_threads=2"}
+    assert len(warnings) == 2

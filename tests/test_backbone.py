@@ -302,8 +302,9 @@ def test_both_modes_reject_malformed_inputs_alike(bad, reason):
 @settings(max_examples=40, deadline=None)
 @given(forward_cases())
 def test_tokens_at_hidden_entries_are_never_read(case):
-    # the masked counts alone say what is hidden: any in-range tokens
-    # there give the bits of MASK, in both modes
+    # the masked counts alone say what is hidden: any tokens there, in
+    # range or not (-1 and V + 1 once raised), give the bits of MASK, in
+    # both modes
     cfg, B, seed = case
     rng = np.random.default_rng(seed)
     model = perturb(Backbone(cfg, seed=seed), seed=seed + 1)
@@ -313,14 +314,33 @@ def test_tokens_at_hidden_entries_are_never_read(case):
     q = rng.integers(0, cfg.depth + 1, size=(B, cfg.seq_len))
     hidden = mk.suffix_masks(q, cfg.depth) == 0
     masked = np.where(hidden, rvq.MASK, tokens)
-    noise = np.where(hidden, rng.integers(0, cfg.vocab + 1, size=tokens.shape), tokens)
+    in_range = np.where(hidden, rng.integers(0, cfg.vocab + 1, size=tokens.shape), tokens)
+    outside = np.where(hidden, rng.choice([-1, cfg.vocab + 1, -2**62, 2**62],
+                                          size=tokens.shape), tokens)
     labels = rng.integers(0, cfg.num_classes + 1, size=B)
     r = rng.random(B)
     for grad in (True, False):
-        ref, got = (model.forward(t, q, book, labels, r, grad=grad) for t in (masked, noise))
-        for name in HEADS:
-            a, b = (nm.constant(getattr(o, name)).data for o in (ref, got))
-            assert a.tobytes() == b.tobytes(), (grad, name)
+        ref = model.forward(masked, q, book, labels, r, grad=grad)
+        for noise in (in_range, outside):
+            got = model.forward(noise, q, book, labels, r, grad=grad)
+            for name in HEADS:
+                a, b = (nm.constant(getattr(o, name)).data for o in (ref, got))
+                assert a.tobytes() == b.tobytes(), (grad, name)
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 2**62])
+def test_a_kept_token_outside_the_vocabulary_still_raises(bad):
+    cfg = tiny_config()
+    model = Backbone(cfg, seed=0)
+    book = tiny_book(cfg)
+    tokens = random_grid(cfg, book)
+    q = np.array([0, 1, 2, 1])
+    tokens[1, 0] = bad            # position 1 keeps depth 1 and hides depth 2
+    for grad in (True, False):
+        with pytest.raises(ValueError, match=r"tokens must lie in \[0, 4\]"):
+            model.embed_input(tokens, q, book, grad=grad)
+    tokens[1, 0], tokens[1, 1] = 1, bad
+    model.embed_input(tokens, q, book)     # the hidden entry is not read
 
 
 @pytest.mark.parametrize("q, why", [

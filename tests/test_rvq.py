@@ -1,12 +1,19 @@
 """Residual quantizer tests: hand-traced recurrences, telescoping, fitting
 fixed points, sigma estimation, the nearest-codeword kernel against its
-broadcast oracle, the blocked search against one whole-array call,
+broadcast oracle, the blocked search against one whole-array call, its
+two-thread split against the serial pass and the split's worker thread,
 the whole-grid quantize and the distinct-row init against
 their reference forms, and the binary codebook format."""
 
 import dataclasses
+import os
 import re
+import signal
 import struct
+import subprocess
+import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -436,9 +443,11 @@ def test_nearest_matches_broadcast_oracle(data):
     assert np.all(d2[np.arange(len(rows)), got] - best <= tol)
 
 
-def test_cluster_sums_match_add_at_bit_for_bit():
+def test_cluster_sums_match_add_at_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(rvq, "_cpus", lambda: 2)    # split past BLOCK + 1 rows
     rng = np.random.default_rng(21)
-    for N, V, H in ((1, 3, 2), (257, 8, 5), (5000, 32, 8)):
+    for N, V, H in ((1, 3, 2), (257, 8, 5), (5000, 32, 8), (5000, 32, 1),
+                    (3 * rvq.BLOCK + 5, 32, 3)):
         residuals = rng.standard_normal((N, H)) * 10.0 ** rng.integers(-8, 9, size=(N, 1))
         assign = rng.integers(0, V - 1, size=N)  # cluster V-1 stays empty
         want = np.zeros((V, H))
@@ -481,8 +490,183 @@ def test_blocked_nearest_is_the_whole_array_argmin(N, monkeypatch):
             assert sum(sizes) == N
             if N <= B + 1:
                 assert sizes == [N]
-            else:  # blocks of BLOCK rows, then one of 2 to BLOCK + 1, never 1
-                assert sizes[:-1] == [B] * (len(sizes) - 1) and 2 <= sizes[-1] <= B + 1
+            else:
+                # blocks of BLOCK rows and one of 2 to BLOCK + 1, never 1; as
+                # a multiset, since two threads append them
+                other = [s for s in sizes if s != B]
+                assert len(other) <= 1 and all(2 <= s <= B + 1 for s in other)
+
+
+def serial_halves(first, second):
+    first()
+    second()
+
+
+def spy_threads(monkeypatch):
+    """The thread idents that run `_scores`, one per call."""
+    idents = []
+    real = rvq._scores
+
+    def spy(rows, pair, out=None):
+        idents.append(threading.get_ident())
+        return real(rows, pair, out=out)
+
+    monkeypatch.setattr(rvq, "_scores", spy)
+    return idents
+
+
+@pytest.mark.parametrize("N", [2 * B, 2 * B + 1, 3 * B + 1, 4 * B + 3, 40_960])
+def test_split_nearest_is_the_serial_and_the_whole_array_argmin(N, monkeypatch):
+    rng = np.random.default_rng(N)
+    V, H = 32, 8
+    monkeypatch.setattr(rvq, "_cpus", lambda: 2)     # split on any host
+    idents = spy_threads(monkeypatch)
+    cases = [(rng.standard_normal((N, H)), rvq.score_pair(rng.standard_normal((V, H))))]
+    # small integers: exact ties everywhere, the lowest index must win
+    grid = rng.integers(-2, 3, size=(N, H)).astype(np.float64)
+    cases.append((grid, rvq.score_pair(rng.integers(-2, 3, size=(V, H)) / 1.0)))
+    # NaN rows score NaN everywhere; argmin takes the first NaN, index 0
+    nan_rows = grid.copy()
+    nan_rows[rng.choice(N, size=N // 7, replace=False), rng.integers(0, H)] = np.nan
+    cases.append((nan_rows, cases[1][1]))
+    for rows, pair in cases:
+        want = unblocked_nearest(rows, pair)
+        idents.clear()
+        split = rvq._nearest_rows(rows, pair)
+        assert len(set(idents)) == 2        # the worker took its half
+        with monkeypatch.context() as m:
+            m.setattr(rvq, "_halves", serial_halves)
+            serial = rvq._nearest_rows(rows, pair)
+        assert split.dtype == serial.dtype == np.intp
+        assert np.array_equal(split, want) and np.array_equal(serial, want)
+    assert np.all(want[np.isnan(nan_rows).any(axis=1)] == 0)
+
+
+def test_an_error_in_the_workers_half_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(rvq, "_cpus", lambda: 2)
+    caller = threading.get_ident()
+    err = FloatingPointError("raised on the worker")
+    real = rvq._scores
+
+    def scores(rows, pair, out=None):
+        if threading.get_ident() != caller:
+            raise err
+        return real(rows, pair, out=out)
+
+    rng = np.random.default_rng(4)
+    rows, pair = rng.standard_normal((4 * B, 8)), rvq.score_pair(rng.standard_normal((32, 8)))
+    monkeypatch.setattr(rvq, "_scores", scores)
+    with pytest.raises(FloatingPointError) as info:
+        rvq._nearest_rows(rows, pair)
+    assert info.value is err
+    # the caller's own error wins, once the worker's half is done
+    mine, ran = KeyError("caller"), []
+
+    def first():
+        raise mine
+
+    with pytest.raises(KeyError) as info:
+        rvq._halves(first, lambda: ran.append(1))
+    assert info.value is mine and ran == [1]
+    # and the worker stays usable
+    monkeypatch.setattr(rvq, "_scores", real)
+    assert np.array_equal(rvq._nearest_rows(rows, pair), unblocked_nearest(rows, pair))
+
+
+# ---------------------------------------------------------------------------
+# the worker thread: started lazily, one per process, skipped on one CPU
+
+
+def test_importing_the_package_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(rvq.__file__))
+    code = ("import threading, pkgutil, importlib, rvqgen\n"
+            "for m in pkgutil.iter_modules(rvqgen.__path__):\n"
+            "    importlib.import_module('rvqgen.' + m.name)\n"
+            "print(threading.active_count())")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "1"
+
+
+def test_repeated_fits_start_at_most_one_thread(monkeypatch):
+    monkeypatch.setattr(rvq, "_cpus", lambda: 2)
+    before = threading.active_count()
+    vectors = np.random.default_rng(8).standard_normal((3 * B, 4))
+    for seed in range(4):
+        rvq.fit_codebook(vectors, depth=2, vocab=8, epochs=2, seed=seed)
+        assert threading.active_count() <= before + 1
+
+
+def test_one_cpu_keeps_the_search_serial(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert rvq._cpus() == 1
+    rng = np.random.default_rng(9)
+    rows, pair = rng.standard_normal((5 * B, 8)), rvq.score_pair(rng.standard_normal((32, 8)))
+    want = unblocked_nearest(rows, pair)
+    idents = spy_threads(monkeypatch)
+    assert np.array_equal(rvq._nearest_rows(rows, pair), want)
+    assert idents == [threading.get_ident()] * 5
+
+
+def test_concurrent_callers_queue_on_one_worker(monkeypatch):
+    # more callers than cores, switching often, and the first searches
+    # racing to start the worker: every pick right, one thread added
+    monkeypatch.setattr(rvq, "_cpus", lambda: 2)
+    monkeypatch.setattr(rvq, "_worker", None)
+    rng = np.random.default_rng(12)
+    cases = [(rng.standard_normal((3 * B + k, 8)), rvq.score_pair(rng.standard_normal((32, 8))))
+             for k in range(6)]
+    wants = [unblocked_nearest(rows, pair) for rows, pair in cases]
+    wrong, before = [], threading.active_count()
+
+    def search(i):
+        for _ in range(5):
+            if not np.array_equal(rvq._nearest_rows(*cases[i]), wants[i]):
+                wrong.append(i)
+
+    callers = [threading.Thread(target=search, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        worker = rvq._worker
+    assert not any(t.is_alive() for t in callers) and wrong == []
+    assert threading.active_count() == before + 1
+    worker.shutdown(wait=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_starts_its_own_worker(monkeypatch):
+    monkeypatch.setattr(rvq, "_cpus", lambda: 2)
+    rng = np.random.default_rng(10)
+    rows, table = rng.standard_normal((4 * B, 8)), rng.standard_normal((32, 8))
+    want = unblocked_nearest(rows, rvq.score_pair(table))
+    assert np.array_equal(rvq.nearest(rows, table), want)   # the worker exists
+    assert rvq._worker is not None
+    pid = os.fork()
+    if pid == 0:                        # child: never return into pytest
+        code = 1
+        try:
+            code = 0 if np.array_equal(rvq.nearest(rows, table), want) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+            return
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child's search did not finish within 30 s")
 
 
 @settings(max_examples=25, deadline=None)
