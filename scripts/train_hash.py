@@ -25,8 +25,9 @@ Five digests, in this order on each output line:
 Each checkout runs in its own process with that checkout's `src/` first
 on the import path. With no checkout the script hashes its own; with one
 it prints that checkout's digests; with two (PARENT CHANGE) it prints both
-and exits 1 when any digest differs. Standard library, numpy and the
-checkout's `rvqgen` only.
+and, when any digest differs, names on stderr the ones that do (training,
+sample-random, sample-paper-28, fit, diagnostics) and exits 1. Standard
+library, numpy and the checkout's `rvqgen` only.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the five digests' names, in output order
+DIGESTS = ("training", "sample-random", "sample-paper-28", "fit", "diagnostics")
 
 
 def run_hash(steps):
@@ -177,7 +181,10 @@ def main(argv=None):
     for d, digest in zip(dirs, digests):
         print(f"{digest}  {d}")
     if len(set(digests)) > 1:
-        print(f"train_hash: {args.steps}-step digests differ", file=sys.stderr)
+        moved = [name for name, a, b in zip(DIGESTS, *(d.split() for d in digests))
+                 if a != b]
+        print(f"train_hash: {args.steps}-step digests differ: {', '.join(moved)}",
+              file=sys.stderr)
         return 1
     return 0
 

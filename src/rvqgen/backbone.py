@@ -6,9 +6,10 @@ vector when all is hidden) concatenated with q_i / D, projected to the width.
 Class label and mask-ratio conditioning enter as a bias added to every
 normalized activation (bias-modulated normalization); the mask ratio is a
 scalar scaling a learned direction. Output heads are zero-initialized so an
-untrained model predicts the uniform mixture with zero means. The heads emit
-one row per grid position, (B*L, ...), the layout the loss gathers from and
-the sampler draws from.
+untrained model predicts the uniform mixture with zero means. The blocks
+carry the residual stream as one row per grid position, (B*L, width), so
+each projection is one 2D product, and the heads emit those rows,
+(B*L, ...), the layout the loss gathers from and the sampler draws from.
 
 The forward is written once against an op set and a parameter mapping.
 `forward(..., grad=True)` (training) runs it with the autodiff ops of
@@ -186,7 +187,7 @@ class Backbone:
         W, nh = c.width, c.heads
         hd = W // nh
 
-        def split_heads(t):
+        def split_heads(t):                       # rows -> (B*heads, L, hd)
             t = ops.reshape(t, (B, c.seq_len, nh, hd))
             t = ops.transpose(t, (0, 2, 1, 3))
             return ops.reshape(t, (B * nh, c.seq_len, hd))
@@ -197,16 +198,16 @@ class Backbone:
         scores = ops.mul(ops.matmul(q, ops.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(hd))
         out = ops.matmul(ops.softmax(scores), v)
         out = ops.reshape(out, (B, nh, c.seq_len, hd))
-        out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (B, c.seq_len, W))
+        out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (B * c.seq_len, W))
         return ops.linear(out, P[prefix + "attn.ow"], P[prefix + "attn.ob"])
 
     def predict(self, embedded, labels, r, grad=True, *, ops=None):
         """Embedded inputs + labels (B,) + mask ratio r (B,) -> MoGParams
         of Tensors, or of ndarrays with grad=False; `ops` as in
-        `embed_input`. The heads run on (B, L, width) and are emitted as
-        head rows, one per grid position: logits (B*L, K), means
-        (B*L, K, h), log_scale (B*L,) and shift (B*L, H), grid b's
-        positions at rows b*L .. b*L + L - 1."""
+        `embed_input`. The blocks and heads run on (B*L, width) rows, one
+        per grid position, and the heads are emitted as those rows: logits
+        (B*L, K), means (B*L, K, h), log_scale (B*L,) and shift (B*L, H),
+        grid b's positions at rows b*L .. b*L + L - 1."""
         c = self.config
         ops, P = ops or self._ops(grad)
         B = embedded.shape[0]
@@ -218,13 +219,15 @@ class Backbone:
         if r.shape != (B,):
             r = np.broadcast_to(r, (B,))
 
-        cond = ops.add(ops.gather(P["cond.classes"], labels),
-                       ops.mul(r[:, None], P["cond.ratio"]))
-        cond = ops.reshape(cond, (B, 1, c.width))
+        # one conditioning row per grid position, as the residual stream
+        L = c.seq_len
+        cond = ops.add(ops.gather(P["cond.classes"], np.repeat(labels, L)),
+                       ops.mul(np.repeat(r, L)[:, None], P["cond.ratio"]))
 
         x = embedded
         if c.positional_encoding:
             x = ops.add(x, self._pe[None])
+        x = ops.reshape(x, (B * L, c.width))
         for i in range(c.layers):
             p = f"block{i}."
             h1 = ops.add(ops.layer_norm(x, P[p + "ln1.g"], P[p + "ln1.b"]), cond)
@@ -234,14 +237,13 @@ class Backbone:
             x = ops.add(x, ops.linear(mlp, P[p + "mlp.w2"], P[p + "mlp.b2"]))
         y = ops.add(ops.layer_norm(x, P["final.g"], P["final.b"]), cond)
 
-        def head(name, *shape):
-            out = ops.linear(y, P[f"head.{name}.w"], P[f"head.{name}.b"])
-            return ops.reshape(out, (B * c.seq_len, *shape))
+        def head(name):
+            return ops.linear(y, P[f"head.{name}.w"], P[f"head.{name}.b"])
 
-        logits = head("logits", c.mixtures)
-        means = head("means", c.mixtures, c.mean_rank)
-        log_scale = head("scale")
-        shift = head("shift", c.latent_dim)
+        logits = head("logits")
+        means = ops.reshape(head("means"), (B * L, c.mixtures, c.mean_rank))
+        log_scale = ops.reshape(head("scale"), (B * L,))
+        shift = head("shift")
         self.forward_calls += 1
         return MoGParams(logits, means, log_scale, shift)
 

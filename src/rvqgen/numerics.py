@@ -4,7 +4,16 @@ Everything is float64. Ops execute eagerly on numpy arrays and record a
 backward closure, so the computation graph is the implicit DAG of Tensor
 nodes built during the forward pass. `backward(loss)` topologically sorts
 that DAG and visits each node exactly once, accumulating gradients into
-`Tensor.grad`.
+`Tensor.grad`; it keeps the graph, so every reachable tensor ends with its
+gradient. `grads(loss, params)`, the training path, frees the graph as it
+walks: once a node has passed its gradient to its parents, its gradient,
+closure and parent links go, so the arrays only it held are freed before
+the walk ends. Leaves keep their gradients; the spent graph cannot be
+walked again.
+
+Products: a 3D@2D product (B, L, m) @ (m, p) is one (B*L, m) @ (m, p)
+GEMM, and so is its input gradient, for every B (numpy's own 3D@2D runs
+one product per slice). At B = 1 this is numpy's product, bit for bit.
 
 The op set is deliberately small: exactly what the backbone and the
 mixture-of-Gaussians head need. Ops are called as functions (`add(a, b)`,
@@ -252,6 +261,10 @@ def _matmul(ad, bd):
         raise ShapeError(f"matmul: inner dims disagree: {ad.shape} @ {bd.shape}")
     if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
         raise ShapeError(f"matmul: batch dims disagree: {ad.shape} @ {bd.shape}")
+    if ad.ndim == 3 and bd.ndim == 2:
+        # one GEMM over all B*L rows; numpy's 3D@2D runs one per slice
+        B, L, m = ad.shape
+        return (ad.reshape(B * L, m) @ bd).reshape(B, L, bd.shape[1])
     return ad @ bd
 
 
@@ -263,9 +276,8 @@ def _matmul_grads(ad, bd, g):
         return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
     if ad.ndim == 3 and bd.ndim == 2:
         m, p = bd.shape
-        ga = g @ bd.T
-        gb = ad.reshape(-1, m).T @ g.reshape(-1, p)
-        return ga, gb
+        g2 = g.reshape(-1, p)
+        return (g2 @ bd.T).reshape(ad.shape), ad.reshape(-1, m).T @ g2
     # 2D @ 3D
     ga = (g @ bd.transpose(0, 2, 1)).sum(axis=0)
     return ga, ad.T @ g
@@ -542,7 +554,10 @@ def lowrank_sqdist(z, mu, M, s):
 
     Forward uses the expanded identity with cached M^T M and M^T s so the
     cost stays O(N K h + K H h) instead of materializing the full means;
-    backward recomputes the residual directly.
+    its three dot products over the mean rank h are `einsum` reductions.
+    Backward recomputes the residual directly, in component-major layout,
+    and sums it over the K components with `einsum` too. The expanded form is kept on purpose: the
+    low-rank identity check compares it with the direct distance.
 
     Shapes: z (N, H), mu (N, K, h), M (K, H, h), s (K, H).
     """
@@ -564,33 +579,37 @@ def lowrank_sqdist(z, mu, M, s):
     Mtz = (zd @ Md.transpose(1, 0, 2).reshape(H, K * h)).reshape(N, K, h)
     zz = (zd * zd).sum(axis=1)                         # (N,)
     ss = (sd * sd).sum(axis=1)                         # (K,)
-    prod = (mud.transpose(1, 0, 2) @ MtM).transpose(1, 0, 2) * mud
+    muMtM = (mud.transpose(1, 0, 2) @ MtM).transpose(1, 0, 2)
     # zz + quad + ss - 2 mu.Mtz - 2 z.s + 2 mu.Mts, left to right, in the
     # buffers made here
-    out = np.add.reduce(prod, axis=2)                  # quad
+    out = np.einsum("nkh,nkh->nk", muMtM, mud)         # quad
     out += zz[:, None]
     out += ss[None, :]
-    Mtz *= mud
-    t = np.add.reduce(Mtz, axis=2)
+    t = np.einsum("nkh,nkh->nk", Mtz, mud)
     t *= 2.0
     out -= t
     out -= 2.0 * zd @ sd.T
-    np.multiply(mud, Mts[None], out=prod)
-    t = np.add.reduce(prod, axis=2)
+    t = np.einsum("nkh,kh->nk", mud, Mts)
     t *= 2.0
     out += t
 
     def bwd(g):
-        full_mu = (Md @ mud.transpose(1, 2, 0)).transpose(2, 0, 1)
-        full_mu += sd[None]
-        diff = zd[:, None, :] - full_mu                # (N, K, H)
-        gd = g[:, :, None] * diff
-        gz = 2.0 * gd.sum(axis=1)
-        gmu = Mt @ gd.transpose(1, 2, 0)
+        # component-major (K, N, ...) layout: every product is a plain
+        # batched GEMM over contiguous operands
+        muk = mud.transpose(1, 0, 2)                   # (K, N, h)
+        gd = muk @ Mt                                  # full means (K, N, H)
+        gd += sd[:, None, :]
+        np.subtract(zd, gd, out=gd)                    # residuals z - mean
+        gd *= g.T[:, :, None]
+        gz = np.einsum("knh->nh", gd)
+        gz *= 2.0
+        gmu = gd @ Md
         gmu *= -2.0
-        gM = -2.0 * gd.transpose(1, 2, 0) @ mud.transpose(1, 0, 2)
-        gs = -2.0 * gd.sum(axis=0)
-        return gz, gmu.transpose(2, 0, 1), gM, gs
+        gM = gd.transpose(0, 2, 1) @ muk
+        gM *= -2.0
+        gs = np.einsum("knh->kh", gd)
+        gs *= -2.0
+        return gz, gmu.transpose(1, 0, 2), gM, gs
 
     return _node(out, (z, mu, M, s), bwd)
 
@@ -628,28 +647,47 @@ def topo_order(root):
     return order
 
 
-def backward(loss):
-    """Accumulate gradients of a scalar `loss` into every reachable tensor."""
+def _spent(g):
+    raise RuntimeError("backward: this node's graph was freed by an earlier "
+                       "`grads` walk; build the graph again")
+
+
+def backward(loss, free=False):
+    """Accumulate gradients of a scalar `loss` into every reachable tensor.
+
+    With `free`, each interior node is dropped from the walk once it has
+    passed its gradient to its parents: its gradient, backward closure and
+    parent links go, so the arrays only it held are freed as the walk goes
+    and the graph is spent (a later walk through it raises). Leaves keep
+    their gradients either way."""
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     order = topo_order(loss)
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._bwd is None or node.grad is None:
+    pop = order.pop
+    while order:
+        node = pop()
+        bwd = node._bwd
+        if bwd is None:
             continue
-        for parent, g in zip(node._parents, node._bwd(node.grad)):
-            if not parent.requires_grad:
-                continue            # g may be None: the closure skipped it
-            # first contribution is adopted as-is (backward closures never
-            # mutate what they return), later ones allocate a fresh sum
-            parent.grad = g if parent.grad is None else parent.grad + g
+        if node.grad is not None:
+            for parent, g in zip(node._parents, bwd(node.grad)):
+                if not parent.requires_grad:
+                    continue            # g may be None: the closure skipped it
+                # first contribution is adopted as-is (backward closures never
+                # mutate what they return), later ones allocate a fresh sum
+                parent.grad = g if parent.grad is None else parent.grad + g
+        if free:
+            node.grad, node._bwd, node._parents = None, _spent, ()
 
 
 def grads(loss, params):
-    """Run backward and return {name: grad} with exact zeros for unused leaves."""
-    backward(loss)
+    """Gradients of `loss` as {name: grad}, exact zeros for unused leaves.
+    The walk frees the graph as it goes (`backward` with `free`), so the
+    graph of `loss` cannot be walked again."""
+    backward(loss, free=True)
     out = {}
     for name, p in params.items():
         out[name] = np.zeros_like(p.data) if p.grad is None else p.grad

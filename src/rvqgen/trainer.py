@@ -88,8 +88,8 @@ class TrainConfig:
 
 
 class TrainingError(RuntimeError):
-    """A step that cannot go on: a non-finite loss (a diverging run) or a
-    negative Jensen gap."""
+    """A step that cannot go on: a non-finite loss or gradient (a diverging
+    run) or a negative Jensen gap."""
 
 
 def masked_targets(tokens, masked_counts, book: rvq.Codebook):
@@ -260,12 +260,14 @@ class Trainer:
             g = nm.grads(sur, self.model.params)
             for name, view in self._gviews.items():
                 view[...] = g[name]
-            scale = 1.0
-            if c.clip_norm > 0:
-                # per-tensor sums in model order: a flat g @ g rounds otherwise
-                total = np.sqrt(sum(float((gk * gk).sum()) for gk in g.values()))
-                if total > c.clip_norm:
-                    scale = c.clip_norm / total
+            # the global norm, one dot product over the flat gradient buffer,
+            # is taken on every step, clipping or not: a NaN norm would pass
+            # the clip test and an inf one would scale the step by 0 * inf
+            total = math.sqrt(self._g @ self._g)
+            if not math.isfinite(total):
+                raise TrainingError(f"non-finite gradient at step {self.step_count}: "
+                                    f"global norm {total}")
+            scale = c.clip_norm / total if 0 < c.clip_norm < total else 1.0
         self._update(scale)
         self.step_count += 1
         return {"step": self.step_count, "loss": loss, "gap": gap,

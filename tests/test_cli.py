@@ -18,6 +18,7 @@ from rvqgen import checkpoint as ckpt_mod
 from rvqgen import cli
 from rvqgen import data as data_mod
 from rvqgen import evaluate as ev
+from rvqgen import numerics as nm
 from rvqgen import rvq
 from rvqgen.trainer import TrainConfig
 
@@ -872,3 +873,20 @@ def test_train_and_sample_keep_the_mask_first_bits(tmp_path, monkeypatch):
     monkeypatch.setattr(rvq, "dequantize", loop_dequantize)
     monkeypatch.setattr(mog, "mixture_weights", softmax)
     assert artifacts("reference") == shipped
+
+
+def test_nonfinite_gradient_is_one_error_line(workspace, capsys, monkeypatch):
+    real = nm.grads
+
+    def poisoned(loss, params):
+        g = dict(real(loss, params))
+        g["head.shift.b"] = np.full_like(g["head.shift.b"], np.inf)
+        return g
+
+    monkeypatch.setattr(nm, "grads", poisoned)
+    tmp, ds_path, book_path = workspace
+    out = tmp / "never.ckpt"
+    assert run("train", "--dataset", ds_path, "--codebook", book_path, "--out", out,
+               "--steps", 5, "--batch-size", 4, *TRAIN_SMALL) == 1
+    assert _one_error(capsys).startswith("error: non-finite gradient at step 0: ")
+    assert not out.exists()

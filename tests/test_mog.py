@@ -197,10 +197,13 @@ def test_shared_loss_path_is_bit_equal_to_separate_calls(differentiate_q):
     nll_alone = mog.exact_nll(head, basis, z)
     assert sur.data.tobytes() == sur_alone.data.tobytes()
     assert nll.data.tobytes() == nll_alone.data.tobytes()
-    # and so are their gradients, each taken through its own graph
-    for shared, alone in ((sur, sur_alone), (nll, nll_alone)):
+    # and so are their gradients, each taken through its own graph (a
+    # `grads` walk frees the graph, so each walk gets a fresh one)
+    for pick, alone in ((0, mog.surrogate_loss), (1, mog.exact_nll)):
+        shared = mog.surrogate_and_nll(head, basis, z, differentiate_q)[pick]
+        extra = (differentiate_q,) if pick == 0 else ()
         g_shared = nm.grads(nm.mean_(shared), params)
-        g_alone = nm.grads(nm.mean_(alone), params)
+        g_alone = nm.grads(nm.mean_(alone(head, basis, z, *extra)), params)
         assert all(g_shared[k].tobytes() == g_alone[k].tobytes() for k in params)
 
 

@@ -595,3 +595,129 @@ def test_plain_kernels_write_into_no_input(name, args):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(x, c))
         elif isinstance(x, np.ndarray):
             assert x.tobytes() == c.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the 3D@2D product as one GEMM over all B*L rows
+
+GEMM_SHAPES = [(B, L, p) for B in (1, 2, 16) for L in (1, 8) for p in (1, 2, 64)]
+
+
+@pytest.mark.parametrize("B, L, p", GEMM_SHAPES, ids=[f"B{b}-L{l}-p{p}" for b, l, p in GEMM_SHAPES])
+@pytest.mark.parametrize("op", ["matmul", "linear"])
+def test_3d_at_2d_gradients_match_fd(op, B, L, p):
+    # B, L and p cross the sizes where numpy switches between gemv and gemm;
+    # the loss is linear in each operand, so a wide step has no truncation
+    # error and keeps the cancellation error of the 16*8-term sum small
+    rng = np.random.default_rng(zlib.crc32(f"{op}{B}{L}{p}".encode()))
+    arrays = [_r(rng, B, L, 5), _r(rng, 5, p)] + ([_r(rng, p)] if op == "linear" else [])
+    check_op(getattr(nm, op), arrays, h=1e-3)
+
+
+@pytest.mark.parametrize("B, L, p", GEMM_SHAPES, ids=[f"B{b}-L{l}-p{p}" for b, l, p in GEMM_SHAPES])
+def test_3d_at_2d_product_is_one_gemm_bit_for_bit(B, L, p):
+    rng = np.random.default_rng(B * 100 + L * 10 + p)
+    m = 48
+    x, w, g = _r(rng, B, L, m), _r(rng, m, p), _r(rng, B, L, p)
+    out = nm._matmul(x, w)
+    assert out.shape == (B, L, p)
+    assert out.tobytes() == (x.reshape(B * L, m) @ w).tobytes()
+    ga, gw = nm._matmul_grads(x, w, g)
+    assert ga.shape == x.shape
+    assert ga.tobytes() == (g.reshape(B * L, p) @ w.T).tobytes()
+    assert gw.tobytes() == (x.reshape(B * L, m).T @ g.reshape(B * L, p)).tobytes()
+    # a strided operand gives the bits of its contiguous copy
+    xt = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert nm._matmul(xt, w).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("m, p", [(9, 64), (64, 64), (64, 256), (256, 64), (64, 32),
+                                  (64, 1), (64, 8)])
+def test_batch_one_product_keeps_numpys_bits(m, p):
+    # the sampler's batch-1 forward: the backbone's projections and heads,
+    # the 1-wide scale head included, give numpy's own 3D@2D bits
+    rng = np.random.default_rng(m * 1000 + p)
+    x, w = _r(rng, 1, 8, m), _r(rng, m, p)
+    assert nm._matmul(x, w).tobytes() == np.matmul(x, w).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# lowrank_sqdist at the trainer's head shapes
+
+@pytest.mark.parametrize("N, K, H, h", [(124, 32, 8, 8), (40, 6, 8, 3), (30, 5, 3, 6)],
+                         ids=["criterion9", "h<H", "h>H"])
+def test_lowrank_sqdist_gradients_match_fd(N, K, H, h):
+    rng = np.random.default_rng(N + K + H + h)
+    arrays = {"z": _r(rng, N, H), "mu": _r(rng, N, K, h), "M": 0.3 * _r(rng, K, H, h),
+              "s": 0.3 * _r(rng, K, H)}
+    params = {k: nm.parameter(a, name=k) for k, a in arrays.items()}
+    w = nm.constant(rng.normal(size=(N, K)))
+
+    def loss():
+        return nm.sum_(nm.mul(nm.lowrank_sqdist(*params.values()), w))
+
+    # the distance is quadratic in each entry, so a central difference of
+    # wide step is exact but for rounding
+    picks = {k: rng.choice(a.size, size=min(a.size, 60), replace=False)
+             for k, a in arrays.items()}
+    assert nm.finite_difference_check(loss, params, h=1e-3, entries=picks) < 1e-6
+
+
+def test_lowrank_sqdist_matches_the_direct_distance():
+    # the expanded identity against ||z - (M mu + s)||^2 at criterion-9 shapes
+    rng = np.random.default_rng(21)
+    N, K, H, h = 124, 32, 8, 8
+    z, mu = _r(rng, N, H), _r(rng, N, K, h)
+    M, s = 0.3 * _r(rng, K, H, h), 0.3 * _r(rng, K, H)
+    full = np.einsum("khr,nkr->nkh", M, mu) + s[None]
+    direct = ((z[:, None, :] - full) ** 2).sum(axis=-1)
+    got = nm.lowrank_sqdist(z, mu, M, s).data
+    assert np.max(np.abs(got - direct) / np.maximum(direct, 1.0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the gradient walk: `backward` keeps the graph, `grads` frees it
+
+def _small_graph(rng):
+    w = nm.parameter(rng.normal(size=(5, 4)), name="w")
+    b = nm.parameter(rng.normal(size=4), name="b")
+    dead = nm.parameter(rng.normal(size=3), name="dead")
+    x = nm.constant(rng.normal(size=(2, 3, 5)))
+    h = nm.gelu(nm.linear(x, w, b))
+    y = nm.softmax(nm.mul(h, h))
+    loss = nm.sum_(nm.mul(nm.add(y, h), nm.constant(rng.normal(size=(2, 3, 4)))))
+    return loss, {"w": w, "b": b, "dead": dead}
+
+
+def test_backward_sets_grad_on_every_reachable_tensor_and_keeps_the_graph():
+    loss, params = _small_graph(np.random.default_rng(4))
+    nodes = nm.topo_order(loss)
+    nm.backward(loss)
+    assert len(nodes) > 8
+    for node in nodes:
+        assert node.grad is not None and node.grad.shape == node.shape, node
+    first = {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+    # the graph survives: a second walk gives the same bits
+    nm.backward(loss)
+    assert all(params[k].grad.tobytes() == g.tobytes() for k, g in first.items())
+    assert params["dead"].grad is None
+
+
+def test_grads_gives_backwards_bits_then_spends_the_graph():
+    loss, params = _small_graph(np.random.default_rng(5))
+    nm.backward(loss)
+    want = {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+    loss, params = _small_graph(np.random.default_rng(5))
+    nodes = nm.topo_order(loss)
+    got = nm.grads(loss, params)
+    assert all(got[k].tobytes() == g.tobytes() for k, g in want.items())
+    assert np.array_equal(got["dead"], np.zeros(3))
+    # leaves keep their gradients; interior nodes drop gradient and links
+    leaves = [params["w"], params["b"]]
+    interior = [n for n in nodes if not any(n is p for p in leaves)]
+    assert len(interior) == len(nodes) - 2
+    for node in interior:
+        assert node.grad is None and node._parents == () and node._bwd is nm._spent
+    assert all(params[k].grad is got[k] for k in want)
+    with pytest.raises(RuntimeError, match="freed by an earlier `grads` walk"):
+        nm.grads(loss, params)

@@ -39,3 +39,19 @@ def test_differing_hashes_exit_one(monkeypatch, capsys):
     monkeypatch.setattr(th, "hash_checkout", lambda checkout, steps: runs[os.path.basename(checkout)])
     assert th.main(["parent", "change", "--steps", "1"]) == 1
     assert th.main(["parent", "parent", "--steps", "1"]) == 0
+
+
+def test_differing_digests_are_named(monkeypatch, capsys):
+    runs = {"parent": "t0 r0 p0 f0 d0", "train": "t1 r0 p0 f0 d0", "samples": "t1 r1 p1 f0 d0",
+            "all": "t1 r1 p1 f1 d1"}
+    monkeypatch.setattr(th, "hash_checkout",
+                        lambda checkout, steps: runs[os.path.basename(checkout)])
+    for change, moved in (("train", "training"),
+                          ("samples", "training, sample-random, sample-paper-28"),
+                          ("all", "training, sample-random, sample-paper-28, fit, "
+                                  "diagnostics")):
+        assert th.main(["parent", change, "--steps", "7"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"train_hash: 7-step digests differ: {moved}"]
+    assert th.main(["parent", "parent"]) == 0
+    assert capsys.readouterr().err == ""

@@ -2,11 +2,15 @@
 against a per-tensor oracle, null updates, convergence on a degenerate
 dataset, gradient hygiene, and the VLB diagnostics."""
 
+import gc
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from rvqgen import data
 from rvqgen import masking as mk
 from rvqgen import mog
 from rvqgen import numerics as nm
@@ -119,7 +123,9 @@ class PerTensorOracle:
         if n_sel > 0:
             g = nm.grads(sur, tr.model.params)
             if c.clip_norm > 0:
-                total = np.sqrt(sum(float((gk * gk).sum()) for gk in g.values()))
+                # one dot product over the gradients in sorted-name order
+                flat = np.concatenate([g[k].reshape(-1) for k in sorted(g)])
+                total = np.sqrt(flat @ flat)
                 if total > c.clip_norm:
                     scale = c.clip_norm / total
                     g = {k: gk * scale for k, gk in g.items()}
@@ -521,3 +527,93 @@ def test_vlb_rejects_huge_grids():
         tnr.vlb_diagnostic(grids[0], model, book, T=4,
                            schedule=mk.parse_schedule("circle"),
                            rng=np.random.default_rng(0), max_states=10)
+
+
+# ---------------------------------------------------------------------------
+# the freeing gradient walk, and non-finite gradients
+
+def _criterion9_trainer():
+    ds, _ = data.synthesize("grid", count=256, seq_len=8, dim=8, modes=9, noise=0.1, seed=11)
+    book = rvq.fit_codebook(ds.vectors.reshape(-1, 8), depth=4, vocab=32, epochs=2, seed=1)
+    grids = rvq.quantize(ds.vectors.reshape(-1, 8), book).reshape(-1, 8, 4)
+    cfg = BackboneConfig(seq_len=8, depth=4, vocab=32, latent_dim=8, width=64, layers=2,
+                         heads=4, mixtures=32, mean_rank=8)
+    return tnr.Trainer(Backbone(cfg, seed=0), book, grids, ds.labels,
+                       tnr.TrainConfig(steps=100, batch_size=16, seed=0))
+
+
+def test_a_training_step_holds_at_most_7mb_of_transients():
+    # the walk frees each node's arrays once it has passed its gradient on,
+    # so the forward graph shrinks while the gradients grow; a walk that
+    # kept the whole graph to the end peaked near 9 MB here
+    tr = _criterion9_trainer()
+    tr.step()
+    tracemalloc.start()
+    try:
+        tr.step()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rec = tr.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec["positions"] > 0
+    assert (peak - start) / 2**20 <= 7.0, f"{(peak - start) / 2**20:.2f} MB"
+
+
+def test_no_interior_array_outlives_grads():
+    model, book, grids = toy_setup()
+    st = mk.binary_mask(5, grids.shape[1], grids.shape[2], np.random.default_rng(1))
+    sur, nll, n_sel, out = tnr.masked_loss(model, book, grids[:2],
+                                           np.stack([st.masked_counts] * 2), [0, 0],
+                                           [0.5, 0.5])
+    del nll, out
+    assert n_sel > 0
+    held = {id(p.data) for p in model.params.values()}
+    refs = []
+    for node in nm.topo_order(sur):
+        if node._bwd is None or node is sur:
+            continue
+        saved = [node.data] + [c.cell_contents for c in node._bwd.__closure__ or ()]
+        for a in saved:
+            a = a.data if isinstance(a, nm.Tensor) else a
+            if isinstance(a, np.ndarray) and id(a) not in held:
+                refs.append(weakref.ref(a))
+    del node, saved, a
+    assert len(refs) > 50
+    gc.disable()        # freed by the walk itself, not by a collection
+    try:
+        g = nm.grads(sur, model.params)
+        alive = sum(r() is not None for r in refs)
+    finally:
+        gc.enable()
+    assert alive == 0, f"{alive} of {len(refs)} saved arrays outlived the walk"
+    assert sorted(g) == sorted(model.params)
+
+
+@pytest.mark.parametrize("clip", [1.0, 0.0])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_gradient_raises_before_any_state_changes(monkeypatch, bad, clip):
+    # a NaN norm passed the clip test, an inf one scaled the step by 0 * inf,
+    # and clip_norm = 0 took no norm: each wrote NaN into the state
+    model, book, grids = toy_setup()
+    cfg = tnr.TrainConfig(steps=5, batch_size=4, seed=3, clip_norm=clip, warmup=0)
+    tr = tnr.Trainer(model, book, grids, np.zeros(len(grids), dtype=np.int64), cfg)
+    tr.step()
+    real = nm.grads
+
+    def poisoned(loss, params):
+        g = dict(real(loss, params))
+        g["embed.w"] = g["embed.w"].copy()
+        g["embed.w"].flat[3] = bad
+        return g
+
+    monkeypatch.setattr(nm, "grads", poisoned)
+    before = [model.parameter_arrays(), tr._m.copy(), tr._v.copy(), tr._ema.copy()]
+    with pytest.raises(tnr.TrainingError, match=r"^non-finite gradient at step 1: "):
+        tr.step()
+    after = [model.parameter_arrays(), tr._m, tr._v, tr._ema]
+    assert all(a[k].tobytes() == b[k].tobytes() for a, b in zip(before[:1], after[:1])
+               for k in a)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before[1:], after[1:]))
+    assert tr.step_count == 1
