@@ -42,17 +42,22 @@ def env_seed():
 
 
 def parse_config_file(path):
-    """Flat key=value lines; blank lines and #-comments ignored."""
+    """Flat key=value lines of UTF-8 text; blank lines and #-comments
+    ignored."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: config file is not UTF-8 text") from None
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 

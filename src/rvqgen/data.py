@@ -118,7 +118,7 @@ class Dataset:
             raise ValueError("one label per record required")
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("dataset vectors must be finite")
-        if self.num_classes and np.any(self.labels > self.num_classes):
+        if np.any(self.labels > self.num_classes):
             raise ValueError("label exceeds num_classes")
 
     @property

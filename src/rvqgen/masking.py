@@ -9,10 +9,11 @@ slots grouped D per position). The marginal, per-step, and posterior count
 distributions all have closed forms in terms of binomial coefficients,
 implemented here in log space.
 
-The state is therefore the vector of masked counts q. `MaskState` holds
-it and derives the (L, D) mask from it once; each transition maps counts
-to counts. The counts are also the model's and the loss's only masking
-input, checked there by `checked_counts`.
+The state is therefore the int64 array of masked counts q, and each
+transition maps counts to counts. The mask (`suffix_masks(q, D)`), the
+unmasked counts D - q and the masked total q.sum() are derived where they
+are read. The counts are also the model's and the loss's only masking
+input; `checked_counts` checks them where they enter from outside.
 
 Every split is one rule, conditional hypergeometric draws position by
 position: `sample_counts` on one row, `sample_counts_batch` on many at
@@ -88,30 +89,7 @@ def mask_count(schedule: Schedule, r, L, D):
 
 
 # ---------------------------------------------------------------------------
-# mask state
-
-class MaskState:
-    """The forward process's state: the masked counts q (L,) of a depth-D
-    grid, position i hiding its deepest q_i depths. The (L, D) visibility
-    mask in depth-suffix form (int8, 1 = revealed), the unmasked counts
-    and the masked total are derived once, here; every transition builds
-    its successor from counts."""
-
-    def __init__(self, masked_counts, depth):
-        q = np.array(masked_counts, dtype=np.int64)
-        counts = q.tolist()     # at grid sizes, list min/max/sum beat numpy's
-        if q.ndim != 1 or counts and (min(counts) < 0 or max(counts) > depth):
-            raise ValueError(f"masked counts must be (L,) in [0, {depth}]")
-        self.masked_counts = q
-        self.depth = depth
-        self.mask = suffix_masks(q, depth)
-        self.unmasked_counts = depth - q
-        self.n_total = sum(counts)
-
-    @property
-    def shape(self):
-        return self.mask.shape
-
+# masked counts
 
 def checked_counts(q, shape, D):
     """Masked counts q as an array; ValueError unless `shape` ints in [0, D]."""
@@ -200,34 +178,33 @@ def sample_counts_batch(capacities, n, rng):
     return k
 
 
-def binary_mask(n, L, D, rng) -> MaskState:
-    """Fresh mask with n entries hidden, split across positions by a
-    multivariate hypergeometric draw; the deepest k_i depths hide at each
-    position."""
+def binary_mask(n, L, D, rng):
+    """Masked counts (L,) of a fresh mask with n entries hidden, split
+    across positions by a multivariate hypergeometric draw; the deepest
+    k_i depths hide at each position."""
     if not 0 <= n <= L * D:
         raise ValueError(f"n={n} outside [0, {L * D}]")
-    return MaskState(sample_counts(np.full(L, D, dtype=np.int64), n, rng), D)
+    return sample_counts(np.full(L, D, dtype=np.int64), n, rng)
 
 
-def mask_more(state: MaskState, n_new, rng) -> MaskState:
-    """One forward step: hide n_new additional entries drawn without
-    replacement from the currently revealed slots."""
-    u = state.unmasked_counts
+def mask_more(q, D, n_new, rng):
+    """One forward step on masked counts q: hide n_new additional entries
+    drawn without replacement from the currently revealed slots."""
+    u = D - q
     if not 0 <= n_new <= u.sum():
         raise ValueError(f"cannot mask {n_new} more; only {u.sum()} revealed")
-    return MaskState(state.masked_counts + sample_counts(u, n_new, rng),
-                     state.depth)
+    return q + sample_counts(u, n_new, rng)
 
 
-def binary_unmask(state: MaskState, n_target, rng) -> MaskState:
-    """Reveal tokens until n_target remain masked. How many reveals land on
-    each position is hypergeometric with capacities q_i; reveals take the
-    shallowest masked depths, keeping the suffix invariant."""
-    q = state.masked_counts
-    if n_target > state.n_total:
-        raise ValueError(f"n_target={n_target} exceeds masked count {state.n_total}")
-    return MaskState(q - sample_counts(q, state.n_total - n_target, rng),
-                     state.depth)
+def binary_unmask(q, n_target, rng):
+    """Masked counts after revealing tokens until n_target of q's remain
+    masked. How many reveals land on each position is hypergeometric with
+    capacities q_i; reveals take the shallowest masked depths, keeping the
+    suffix invariant."""
+    n_total = int(q.sum())
+    if n_target > n_total:
+        raise ValueError(f"n_target={n_target} exceeds masked count {n_total}")
+    return q - sample_counts(q, n_total - n_target, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +232,12 @@ def _log_comb_ratio(tops, bottoms, total, n):
     return IMPOSSIBLE if den == IMPOSSIBLE else num - den
 
 
-def forward_step_logprob(k_next, state: MaskState):
+def forward_step_logprob(k_next, q, D):
     """log q(k | x_t): probability of newly masking k_i tokens per position
-    given the current unmasked capacities. Infeasible k -> -inf."""
+    given masked counts q, so unmasked capacities D - q. Infeasible k ->
+    -inf."""
     k = np.asarray(k_next, dtype=np.int64)
-    u = state.unmasked_counts
+    u = D - np.asarray(q, dtype=np.int64)
     return _log_comb_ratio(u, k, int(u.sum()), int(k.sum()))
 
 

@@ -8,10 +8,12 @@ Revealed tokens are frozen: later steps only re-predict what is still
 hidden, so the model is invoked exactly T times (2T with guidance) no
 matter how long or deep the grid is.
 
-Each model call is the backbone's graph-free forward on the grid and its
-masked counts (`Backbone.forward(tokens, q, ..., grad=False)`). It records
-no graph, since no backward pass follows, and gives the bits of the
-autodiff forward, so tokens do not depend on the path.
+The masking state is the int64 masked counts q (L,) and their total;
+the mask and the unmasked counts D - q are derived where a step reads
+them. Each model call is the backbone's graph-free forward on the grid
+and its masked counts (`Backbone.forward(tokens, q, ..., grad=False)`).
+It records no graph, since no backward pass follows, and gives the bits
+of the autodiff forward, so tokens do not depend on the path.
 
 The reveal schedule is taken before the first step, from one array call
 to `masking.mask_count` over the ratios t/T, equal bit for bit to T
@@ -38,7 +40,7 @@ import numpy as np
 from . import masking as mk
 from . import mog
 from . import rvq
-from .backbone import Backbone
+from .backbone import Backbone, check_integers
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self)
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         # nan passes the range checks and reaches the draws as nan scores
@@ -97,12 +100,11 @@ def cfg_weight(config: SamplerConfig, t):
     return config.cfg_start + frac * (config.cfg_end - config.cfg_start)
 
 
-def confidence_scores(z, tokens, state: mk.MaskState, book: rvq.Codebook,
-                      tau, rng):
+def confidence_scores(z, tokens, q, book: rvq.Codebook, tau, rng):
     """Per-masked-token confidence: Gaussian log-density of each depth's
     residual under its chosen codeword (variance sigma_j^2), cumulatively
     summed across depths, plus tau-scaled Gumbel noise. Revealed entries
-    get -inf.
+    get -inf. q holds each position's masked count.
 
     One pass over (L, D, H): revealed depths contribute a zero codeword, so
     the running subtraction rounds exactly as a per-depth loop from each
@@ -111,8 +113,8 @@ def confidence_scores(z, tokens, state: mk.MaskState, book: rvq.Codebook,
     if book.sigma is None or not (book.sigma > 0).all():
         raise ValueError("codebook sigma required for confidence scores")
     z = np.asarray(z, dtype=np.float64)
-    L, D = state.shape
-    masked = state.mask == 0
+    L, D = np.shape(tokens)
+    masked = mk.suffix_masks(q, D) == 0
     gumbel = rng.gumbel(size=(L, D))
     words = rvq.codewords(tokens, book)                            # (L, D, H)
     words[~masked] = 0.0
@@ -124,25 +126,26 @@ def confidence_scores(z, tokens, state: mk.MaskState, book: rvq.Codebook,
     return np.where(masked, cum + tau * gumbel, -np.inf)
 
 
-def select_unmask(state: mk.MaskState, n_target, scores):
-    """Reveal down to n_target masked tokens by confidence: greedily reveal
-    the highest-scoring token among each position's shallowest masked
-    depth, which preserves the depth-suffix invariant by construction. A
-    token can be revealed only after every shallower masked token of its
-    position, so the greedy order ranks tokens by their running minimum
-    score along depth; the first n of a stable sort of those minima (ties
-    to the lower position, then the shallower depth) are the greedy
-    reveals.
+def select_unmask(q, n_target, scores):
+    """Masked counts q after revealing down to n_target tokens by
+    confidence: greedily reveal the highest-scoring token among each
+    position's shallowest masked depth, which preserves the depth-suffix
+    invariant by construction. A token can be revealed only after every
+    shallower masked token of its position, so the greedy order ranks
+    tokens by their running minimum score along depth; the first n of a
+    stable sort of those minima (ties to the lower position, then the
+    shallower depth) are the greedy reveals.
     """
-    if n_target > state.n_total:
-        raise ValueError(f"n_target={n_target} exceeds masked count {state.n_total}")
-    L, D = state.shape
-    masked = state.mask == 0
+    n_total = int(q.sum())
+    if n_target > n_total:
+        raise ValueError(f"n_target={n_target} exceeds masked count {n_total}")
+    L, D = np.shape(scores)
+    masked = mk.suffix_masks(q, D) == 0
     eff = np.minimum.accumulate(np.where(masked, scores, np.inf), axis=1)
     # revealed entries sort after every masked one, -inf scores included
     eff = np.where(masked, eff, np.nan)
-    picks = np.argsort(-eff.ravel(), kind="stable")[:state.n_total - n_target]
-    return mk.MaskState(state.masked_counts - np.bincount(picks // D, minlength=L), D)
+    picks = np.argsort(-eff.ravel(), kind="stable")[:n_total - n_target]
+    return q - np.bincount(picks // D, minlength=L)
 
 
 def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
@@ -170,37 +173,36 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     t0 = time.perf_counter()
     calls_before = model.forward_calls
     tokens = np.full((c.seq_len, c.depth), rvq.MASK, dtype=np.int64)
-    state = mk.MaskState(np.full(c.seq_len, c.depth), c.depth)
+    q = np.full(c.seq_len, c.depth, dtype=np.int64)
+    n_masked = c.seq_len * c.depth
     frozen = tokens.copy()      # the revealed tokens, for `validate`
 
     for t in range(1, T + 1):
         r_model = ratios[t - 1:t]
-        q = state.masked_counts
         params = model.forward(tokens, q, book, labels, r_model, grad=False)
         if config.use_cfg:
             uncond = model.forward(tokens, q, book, null_labels, r_model, grad=False)
             params = mog.cfg_combine(params, uncond, cfg_weight(config, t))
 
         z = mog.sample(params, basis, rng, top_p=config.top_p)
-        tokens = rvq.quantize(z, book, start_depth=state.unmasked_counts,
-                              out=tokens)
+        tokens = rvq.quantize(z, book, start_depth=c.depth - q, out=tokens)
 
-        n_target = min(targets[t - 1], state.n_total)
+        n_target = min(targets[t - 1], n_masked)
         if config.selection == "confidence":
-            scores = confidence_scores(z, tokens, state, book,
+            scores = confidence_scores(z, tokens, q, book,
                                        config.temperature, rng)
-            new_state = select_unmask(state, n_target, scores)
+            new_q = select_unmask(q, n_target, scores)
         else:
-            new_state = mk.binary_unmask(state, n_target, rng)
+            new_q = mk.binary_unmask(q, n_target, rng)
 
         if validate:
-            prev = state.mask == 1
+            prev = mk.suffix_masks(q, c.depth) == 1
             if not np.array_equal(tokens[prev], frozen[prev]):
                 raise AssertionError("revealed token changed after reveal")
             frozen = tokens.copy()
-        state = new_state
+        q, n_masked = new_q, n_target
 
-    if state.n_total != 0:
+    if q.any():
         raise AssertionError("grid not fully revealed after the final step")
     stats = {
         "forward_passes": model.forward_calls - calls_before,

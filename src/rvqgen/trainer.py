@@ -346,7 +346,7 @@ class Trainer:
         take = min(2, self.grids.shape[0])
         tokens = self.grids[:take]
         q = np.stack([
-            mk.binary_mask(mk.mask_count(self.schedule, 0.4, L, D), L, D, arng).masked_counts
+            mk.binary_mask(mk.mask_count(self.schedule, 0.4, L, D), L, D, arng)
             for _ in range(take)])
         labels = self.labels[:take]
         ratios = np.full(take, 0.4)
@@ -374,13 +374,13 @@ def format_record(record):
 # variational-bound diagnostics
 
 
-def _model_reconstructions(model, book, tokens, state, label, ratio, rng, samples):
-    """Draw full-grid candidates x0_hat ~ p(x0 | x_t), (samples, L, D):
-    sample z at masked positions, quantize the masked depths, keep
-    revealed tokens."""
-    params = model.forward(tokens, state.masked_counts, book, [label], [ratio], grad=False)
+def _model_reconstructions(model, book, tokens, q, label, ratio, rng, samples):
+    """Draw full-grid candidates x0_hat ~ p(x0 | x_t), (samples, L, D), at
+    masked counts q: sample z at masked positions, quantize the masked
+    depths, keep revealed tokens."""
+    params = model.forward(tokens, q, book, [label], [ratio], grad=False)
     basis = model.basis
-    start = np.asarray(state.unmasked_counts)
+    start = book.depth - q
     return np.stack([rvq.quantize(mog.sample(params, basis, rng), book,
                                   start_depth=start, out=tokens)
                      for _ in range(samples)])
@@ -405,17 +405,16 @@ def vlb_diagnostic(tokens, model, book, T, schedule, rng, label=0,
     # schedule: N_0 = 0 (clean), N_T = L*D (fully masked)
     totals = mk.mask_count(schedule, (T - np.arange(T + 1)) / T, L, D).tolist()
 
-    # forward-simulate the masking chain
-    states = [mk.MaskState(np.zeros(L), D)]
+    # forward-simulate the masking chain's masked counts
+    qs = [np.zeros(L, dtype=np.int64)]
     for t in range(1, T + 1):
-        states.append(mk.mask_more(states[t - 1], totals[t] - totals[t - 1], rng))
+        qs.append(mk.mask_more(qs[t - 1], D, totals[t] - totals[t - 1], rng))
 
     terms = {"L_T": 0.0, "L_t": [], "L_0": None}
     for t in range(1, T):
-        st1 = states[t + 1]
-        c1 = np.asarray(st1.masked_counts)
+        c1 = qs[t + 1]
         n_step = totals[t + 1] - totals[t]
-        cands = _model_reconstructions(model, book, tokens, st1, label,
+        cands = _model_reconstructions(model, book, tokens, c1, label,
                                        (T - (t + 1)) / T, rng, model_samples)
         # x_t reveals, relative to x_{t+1}, the shallowest k_i masked depths
         # with the TRUE tokens; a candidate x0_hat supports k iff its run of
@@ -437,8 +436,7 @@ def vlb_diagnostic(tokens, model, book, T, schedule, rng, label=0,
         terms["L_t"].append(kl)
 
     # reconstruction term from x_1
-    st1 = states[1]
-    cands = _model_reconstructions(model, book, tokens, st1, label,
+    cands = _model_reconstructions(model, book, tokens, qs[1], label,
                                    (T - 1) / T, rng, model_samples)
     hits = (cands == tokens).all(axis=(1, 2)).sum()
     terms["L_0"] = -np.log(hits / len(cands)) if hits else np.inf

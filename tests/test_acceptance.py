@@ -95,8 +95,7 @@ def test_criterion_1_hypergeometric_tv():
                     checked += 1
         # the single-draw path follows the same conditional factorization;
         # cross-check it against the enumerated pmf on one grid
-        single = np.array([mk.binary_mask(2, 2, 2, rng).masked_counts
-                           for _ in range(20_000)])
+        single = np.array([mk.binary_mask(2, 2, 2, rng) for _ in range(20_000)])
         pmf = exact_pmf([2, 2], 2)
         tv = 0.5 * sum(abs((single == np.array(key)).all(axis=1).mean() - float(p))
                        for key, p in pmf.items())
@@ -113,11 +112,10 @@ def test_criterion_2_bayes_consistency():
                 if L * D > 9:
                     continue
                 for c in itertools.product(range(D + 1), repeat=L):
-                    st = mk.MaskState(list(c), D)
                     for k in itertools.product(*(range(D - ci + 1) for ci in c)):
                         c1 = tuple(ci + ki for ci, ki in zip(c, k))
                         lhs = (mk.marginal_logprob(c, sum(c), L, D)
-                               + mk.forward_step_logprob(k, st))
+                               + mk.forward_step_logprob(k, c, D))
                         rhs = (mk.marginal_logprob(c1, sum(c1), L, D)
                                + mk.posterior_logprob(c, c1, sum(c1), sum(k)))
                         if lhs == mk.IMPOSSIBLE and rhs == mk.IMPOSSIBLE:
@@ -171,8 +169,8 @@ def _tiny_model_and_batch(rng):
     book = rvq.fit_codebook(vectors.reshape(-1, 3), depth=2, vocab=4,
                             seed=int(rng.integers(1 << 31)))
     tokens = np.stack([rvq.quantize(v, book) for v in vectors])
-    q = np.stack([mk.binary_mask(int(rng.integers(1, 8)), 4, 2,
-                                 rng).masked_counts for _ in range(3)])
+    q = np.stack([mk.binary_mask(int(rng.integers(1, 8)), 4, 2, rng)
+                  for _ in range(3)])
     labels = rng.integers(0, 3, size=3)
     ratios = rng.random(3)
     return model, book, tokens, q, labels, ratios
@@ -335,18 +333,18 @@ def test_criterion_10_confidence_limits():
             book = rvq.fit_codebook(rng.normal(size=(128, 3)), depth=D,
                                     vocab=4, seed=trial)
             q0 = rng.integers(0, D + 1, size=L)
-            state = mk.MaskState(q0, D)
-            if state.n_total == 0:
+            n_total = int(q0.sum())
+            if n_total == 0:
                 continue
             tokens = rng.integers(1, 5, size=(L, D))
             z = rng.normal(size=(L, 3))
-            scores = smp.confidence_scores(z, tokens, state, book, tau=0.0,
+            scores = smp.confidence_scores(z, tokens, q0, book, tau=0.0,
                                            rng=rng)
-            n_target = int(rng.integers(0, state.n_total))
+            n_target = int(rng.integers(0, n_total))
 
-            u = np.asarray(state.unmasked_counts).copy()
-            q = np.asarray(state.masked_counts).copy()
-            for _ in range(state.n_total - n_target):
+            u = D - q0
+            q = q0.copy()
+            for _ in range(n_total - n_target):
                 best, pos = -np.inf, -1
                 for i in range(L):
                     if q[i] > 0 and scores[i, u[i]] > best:
@@ -354,8 +352,8 @@ def test_criterion_10_confidence_limits():
                 u[pos] += 1
                 q[pos] -= 1
 
-            got = smp.select_unmask(state, n_target, scores=scores)
-            assert np.array_equal(np.asarray(got.masked_counts), q)
+            got = smp.select_unmask(q0, n_target, scores=scores)
+            assert np.array_equal(got, q)
 
         # tau = 28.0 (reference choice temperature) must preserve validity
         book = rvq.fit_codebook(np.random.default_rng(1).normal(size=(256, 3)),

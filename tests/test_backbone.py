@@ -57,7 +57,7 @@ def test_zero_init_heads_give_uniform_pi_and_zero_means():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st = mk.binary_mask(3, cfg.seq_len, cfg.depth, np.random.default_rng(2))
-    out = model.forward(tokens, st.masked_counts, book, labels=[1], r=[0.5])
+    out = model.forward(tokens, st, book, labels=[1], r=[0.5])
     pi = mixture_weights(out.logits.data)
     assert np.allclose(pi, 1.0 / cfg.mixtures, atol=1e-12)
     assert np.all(out.means.data == 0.0)
@@ -70,7 +70,7 @@ def test_output_shapes():
     model = Backbone(cfg, seed=0)
     book = tiny_book(cfg)
     tokens = np.stack([random_grid(cfg, book, s) for s in (1, 2)])
-    q = np.stack([mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(s)).masked_counts
+    q = np.stack([mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(s))
                   for s in (3, 4)])
     out = model.forward(tokens, q, book, labels=[0, 2], r=[0.1, 0.9])
     # one head row per grid position, grid by grid
@@ -121,10 +121,10 @@ def test_permutation_equivariance_without_pe():
     model = Backbone(cfg, seed=3)
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
-    st = mk.MaskState([0, 1, 2, 1], cfg.depth)
-    out = model.forward(tokens, st.masked_counts, book, labels=[1], r=[0.4])
+    st = np.array([0, 1, 2, 1])
+    out = model.forward(tokens, st, book, labels=[1], r=[0.4])
     perm = np.array([2, 0, 3, 1])
-    out_p = model.forward(tokens[perm], st.masked_counts[perm], book, labels=[1], r=[0.4])
+    out_p = model.forward(tokens[perm], st[perm], book, labels=[1], r=[0.4])
     assert np.allclose(out.logits.data[perm], out_p.logits.data, atol=1e-10)
     assert np.allclose(out.shift.data[perm], out_p.shift.data, atol=1e-10)
 
@@ -137,7 +137,7 @@ def test_determinism_bit_identical():
 
     def run():
         model = Backbone(cfg, seed=7)
-        return model.forward(tokens, st.masked_counts, book, labels=[2], r=[0.3])
+        return model.forward(tokens, st, book, labels=[2], r=[0.3])
 
     a, b = run(), run()
     assert np.array_equal(a.logits.data, b.logits.data)
@@ -152,8 +152,8 @@ def test_null_label_output_is_label_free():
     # grids drawn from two different "classes": with the null label the
     # prediction for the same visible tokens must be identical
     tokens = random_grid(cfg, book, seed=9)
-    a = model.forward(tokens, st.masked_counts, book, labels=[0], r=[0.2])
-    b = model.forward(tokens, st.masked_counts, book, labels=[0], r=[0.2])
+    a = model.forward(tokens, st, book, labels=[0], r=[0.2])
+    b = model.forward(tokens, st, book, labels=[0], r=[0.2])
     assert np.array_equal(a.logits.data, b.logits.data)
 
 
@@ -164,7 +164,7 @@ def test_rejects_bad_label_and_bad_mask():
     tokens = random_grid(cfg, book)
     st = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
     with pytest.raises(ValueError, match="labels"):
-        model.forward(tokens, st.masked_counts, book, labels=[5], r=[0.5])
+        model.forward(tokens, st, book, labels=[5], r=[0.5])
     bad = np.full(cfg.seq_len, cfg.depth + 1)  # more hidden depths than there are
     with pytest.raises(ValueError, match="masked counts"):
         model.forward(tokens, bad, book, labels=[1], r=[0.5])
@@ -177,8 +177,8 @@ def test_forward_counter_increments():
     tokens = random_grid(cfg, book)
     st = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
     assert model.forward_calls == 0
-    model.forward(tokens, st.masked_counts, book, labels=[1], r=[0.5])
-    model.forward(tokens, st.masked_counts, book, labels=[1], r=[0.5])
+    model.forward(tokens, st, book, labels=[1], r=[0.5])
+    model.forward(tokens, st, book, labels=[1], r=[0.5])
     assert model.forward_calls == 2
 
 
@@ -220,7 +220,7 @@ def test_plain_forward_bit_equal_to_autodiff(B, num_classes, pe):
     # in every grid position 0 is fully masked, position 1 fully revealed
     q = rng.integers(0, cfg.depth + 1, size=(B, cfg.seq_len))
     q[:, 0], q[:, 1] = cfg.depth, 0
-    masks = np.stack([mk.MaskState(qb, cfg.depth).mask for qb in q])
+    masks = np.stack([mk.suffix_masks(qb, cfg.depth) for qb in q])
     visible = np.stack([mk.apply_mask(t, m) for t, m in zip(tokens, masks)])
     labels = rng.integers(0, num_classes + 1, size=B)
     out = assert_modes_bit_equal(model, book, visible, q, labels, rng.random(B))
@@ -233,11 +233,11 @@ def test_plain_forward_reads_parameters_afresh():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(3, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    before = model.forward(tokens, st_.masked_counts, book, [1], [0.5], grad=False)
+    before = model.forward(tokens, st_, book, [1], [0.5], grad=False)
     # rebinding and in-place edits both show in the next call
     model.params["head.logits.b"].data = model.params["head.logits.b"].data + 1.0
     model.params["head.shift.w"].data[0, 0] += 0.25
-    after = assert_modes_bit_equal(model, book, tokens, st_.masked_counts, [1], [0.5])
+    after = assert_modes_bit_equal(model, book, tokens, st_, [1], [0.5])
     assert not np.array_equal(before.logits, after.logits)
     assert not np.array_equal(before.shift, after.shift)
 
@@ -267,7 +267,7 @@ def test_plain_forward_bit_equal_property(case):
                         np.ones(cfg.depth))
     tokens = rng.integers(1, cfg.vocab + 1, size=(B, cfg.seq_len, cfg.depth))
     q = rng.integers(0, cfg.depth + 1, size=(B, cfg.seq_len))
-    masks = np.stack([mk.MaskState(qb, cfg.depth).mask for qb in q])
+    masks = np.stack([mk.suffix_masks(qb, cfg.depth) for qb in q])
     visible = np.stack([mk.apply_mask(t, m) for t, m in zip(tokens, masks)])
     labels = rng.integers(0, cfg.num_classes + 1, size=B)
     assert_modes_bit_equal(model, book, visible, q, labels, rng.random(B))
@@ -288,7 +288,7 @@ def test_both_modes_reject_malformed_inputs_alike(bad, reason):
     cfg = tiny_config()
     model = Backbone(cfg, seed=0)
     book = tiny_book(cfg)
-    good = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0)).masked_counts
+    good = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
     tokens, q, labels = bad(random_grid(cfg, book), good)
     messages = []
     for grad in (True, False):
@@ -372,10 +372,10 @@ def test_forward_counter_counts_both_modes():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    model.forward(tokens, st_.masked_counts, book, labels=[1], r=[0.5], grad=False)
+    model.forward(tokens, st_, book, labels=[1], r=[0.5], grad=False)
     assert model.forward_calls == 1
-    model.forward(tokens, st_.masked_counts, book, labels=[1], r=[0.5])
-    model.forward(tokens, st_.masked_counts, book, labels=[1], r=[0.5], grad=False)
+    model.forward(tokens, st_, book, labels=[1], r=[0.5])
+    model.forward(tokens, st_, book, labels=[1], r=[0.5], grad=False)
     assert model.forward_calls == 3
 
 
@@ -387,7 +387,7 @@ def test_each_projection_is_one_graph_node():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    out = model.forward(tokens, st_.masked_counts, book, [1], [0.5])
+    out = model.forward(tokens, st_, book, [1], [0.5])
     loss = nm.add(nm.add(nm.sum_(out.logits), nm.sum_(out.means)),
                   nm.add(nm.sum_(out.log_scale), nm.sum_(out.shift)))
     consumers = {}
@@ -412,18 +412,18 @@ def test_forward_reads_the_parameter_mapping_once(monkeypatch):
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    ref = model.forward(tokens, st_.masked_counts, book, [1], [0.5], grad=False)
+    ref = model.forward(tokens, st_, book, [1], [0.5], grad=False)
     built = []
     ops = Backbone._ops
     monkeypatch.setattr(Backbone, "_ops", lambda self, grad: built.append(grad)
                         or ops(self, grad))
     for grad in (False, True):
-        out = model.forward(tokens, st_.masked_counts, book, [1], [0.5], grad=grad)
+        out = model.forward(tokens, st_, book, [1], [0.5], grad=grad)
         assert built == [grad]
         built.clear()
         assert mixture_weights(nm.constant(out.logits).data).tobytes() == \
             mixture_weights(ref.logits).tobytes()
     # the halves called on their own still build their own
-    emb = model.embed_input(tokens, st_.masked_counts, book, grad=False)
+    emb = model.embed_input(tokens, st_, book, grad=False)
     model.predict(emb, [1], [0.5], grad=False)
     assert built == [False, False]

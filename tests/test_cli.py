@@ -281,6 +281,24 @@ def test_truncated_or_padded_dataset_reports_path(workspace, capsys):
     assert not (tmp / "never.rvqc").exists()
 
 
+def test_label_past_num_classes_reports_path(workspace, capsys):
+    # with num_classes 0 the label check was once skipped: fit-rvq took
+    # the file and train failed later with no path
+    tmp, ds_path, book_path = workspace
+    blob = bytearray(ds_path.read_bytes())
+    at = data_mod._HEADER.size          # the first record's u32 label
+    blob[at:at + 4] = struct.pack("<I", 1)
+    bad = tmp / "bad.rgds"
+    bad.write_bytes(bytes(blob))
+    for argv in (("train", "--dataset", bad, "--codebook", book_path,
+                  "--out", tmp / "never.ckpt", *TRAIN_SMALL),
+                 ("fit-rvq", "--dataset", bad, "--depth", 1, "--vocab", 2,
+                  "--out", tmp / "never.rvqc")):
+        assert run(*argv) == 1
+        assert _one_error(capsys) == f"error: {bad}: label exceeds num_classes"
+    assert not (tmp / "never.ckpt").exists() and not (tmp / "never.rvqc").exists()
+
+
 def test_truncated_or_padded_checkpoint_reports_path(workspace, capsys):
     tmp, ds_path, book_path = workspace
     ckpt = tmp / "good.ckpt"
@@ -708,6 +726,10 @@ def test_bad_config_value_names_file_and_key(workspace, capsys):
     assert run("synth", "--config", cfg, "--out", tmp / "x.rgds") == 1
     assert _one_error(capsys) == (
         f"error: {cfg}: count: invalid literal for int() with base 10: '12x'")
+    # a non-UTF-8 file once failed with the codec's words and no path
+    cfg.write_bytes(b"\xff\xfecount=12\n")
+    assert run("synth", "--config", cfg, "--out", tmp / "x.rgds") == 1
+    assert _one_error(capsys) == f"error: {cfg}: config file is not UTF-8 text"
     assert not (tmp / "x.rgds").exists()
     # a key the command does not take once trained silently on the defaults
     for text, command in (("bogus=1\n", "train"), ("steps=1\nbeta1=0.5\n", "train"),
@@ -828,14 +850,15 @@ def test_option_surface_is_pinned(monkeypatch):
 
 def test_train_and_sample_keep_the_mask_first_bits(tmp_path, monkeypatch):
     """`train` then `sample` through `cli.main`, once as shipped and once
-    with the mask-first state, the per-depth codeword loop and the
+    with the mask-first transitions, the per-depth codeword loop and the
     hand-written mixture softmax patched in: the checkpoint, the training
     log, the generated vectors and the token dumps are the same bytes."""
-    from test_masking import MaskFirst
+    from test_masking import mask_first_transitions
     from test_rvq import subset_sum_loop
 
     from rvqgen import masking as mk
     from rvqgen import mog
+    from rvqgen import sampler as smp
 
     ds, book = tmp_path / "data.rgds", tmp_path / "book.rvqc"
     assert run("synth", "--out", ds, "--family", "classes", "--num-classes", 3,
@@ -869,10 +892,24 @@ def test_train_and_sample_keep_the_mask_first_bits(tmp_path, monkeypatch):
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)
 
-    monkeypatch.setattr(mk, "MaskState", MaskFirst)
+    called = set()
+
+    def recorded(name, transition):
+        def run(*args):
+            called.add(name)
+            return transition(*args)
+        return run
+
+    for module, name, transition in zip((mk, mk, mk, smp),
+                                        ("binary_mask", "mask_more", "binary_unmask",
+                                         "select_unmask"),
+                                        mask_first_transitions(3)):
+        monkeypatch.setattr(module, name, recorded(name, transition))
     monkeypatch.setattr(rvq, "dequantize", loop_dequantize)
     monkeypatch.setattr(mog, "mixture_weights", softmax)
     assert artifacts("reference") == shipped
+    # the audit draws its mask, and both selection modes reveal
+    assert called == {"binary_mask", "binary_unmask", "select_unmask"}
 
 
 def test_nonfinite_gradient_is_one_error_line(workspace, capsys, monkeypatch):

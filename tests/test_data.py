@@ -59,7 +59,7 @@ def test_wrong_magic_and_version_rejected():
 
 def test_header_fields_are_bounded_by_their_u32():
     # a num_classes past 2**32 - 1 once ended in a struct.error traceback
-    ds = data_mod.Dataset(np.zeros((2, 1, 2)), np.array([1, 2], dtype=np.uint32))
+    ds = data_mod.Dataset(np.zeros((2, 1, 2)), np.array([1, 2], dtype=np.uint32), 2)
     for bad in (2**32, 2**40, -1):
         ds.num_classes = bad
         with pytest.raises(ValueError, match=re.escape(
@@ -170,9 +170,11 @@ def test_one_dim_grid_keeps_the_first_axis():
 
 
 def test_label_bounds_enforced():
-    with pytest.raises(ValueError, match="label"):
-        data_mod.Dataset(np.zeros((2, 1, 1)), np.array([1, 4], dtype=np.uint32),
-                         num_classes=3)
+    # num_classes 0 (unconditional) once skipped the check
+    for labels, num_classes in (([1, 4], 3), ([0, 1], 0)):
+        with pytest.raises(ValueError, match="label exceeds num_classes"):
+            data_mod.Dataset(np.zeros((2, 1, 1)), np.array(labels, dtype=np.uint32),
+                             num_classes=num_classes)
 
 
 def test_nonfinite_vectors_rejected():

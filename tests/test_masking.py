@@ -136,7 +136,7 @@ def test_batched_mask_count_and_masks_match_the_trainer_reference(spec):
     ref_masks = (np.arange(D)[None, None, :] < (D - k)[:, :, None]).astype(np.int8)
     masks = mk.suffix_masks(k, D)
     assert masks.dtype == np.int8 and np.array_equal(masks, ref_masks)
-    assert np.array_equal(masks[0], mk.MaskState(k[0], D).mask)
+    assert np.array_equal(masks[0], mk.suffix_masks(k[0], D))
     assert np.array_equal(mk.suffix_masks(k[0, 0], D), ref_masks[0, 0])
     assert mk.suffix_masks(k.reshape(4, -1, L), D).shape == (4, len(ratios) // 4, L, D)
 
@@ -234,9 +234,9 @@ def test_batch_draw_keeps_the_trainer_stream(L, D):
 def test_binary_mask_full_and_empty():
     rng = np.random.default_rng(0)
     full = mk.binary_mask(6, 3, 2, rng)
-    assert full.n_total == 6 and np.all(full.mask == 0)
+    assert full.dtype == np.int64 and full.tolist() == [2, 2, 2]
     empty = mk.binary_mask(0, 3, 2, rng)
-    assert empty.n_total == 0 and np.all(empty.mask == 1)
+    assert empty.dtype == np.int64 and empty.tolist() == [0, 0, 0]
 
 
 def test_binary_mask_2x2_distribution():
@@ -257,11 +257,11 @@ def test_single_draw_matches_batch_distribution():
 
 def test_binary_unmask_trivials():
     rng = np.random.default_rng(1)
-    st = mk.binary_mask(4, 2, 2, rng)
-    same = mk.binary_unmask(st, 4, rng)
-    assert np.array_equal(same.mask, st.mask)
-    done = mk.binary_unmask(st, 0, rng)
-    assert done.n_total == 0 and np.all(done.mask == 1)
+    q = mk.binary_mask(4, 2, 2, rng)
+    same = mk.binary_unmask(q, 4, rng)
+    assert np.array_equal(same, q)
+    done = mk.binary_unmask(q, 0, rng)
+    assert done.tolist() == [0, 0]
 
 
 def test_binary_unmask_reveal_distribution():
@@ -270,38 +270,37 @@ def test_binary_unmask_reveal_distribution():
     hits = 0
     trials = 30_000
     for _ in range(trials):
-        st = mk.MaskState([2, 2], 2)
-        out = mk.binary_unmask(st, 2, rng)
-        if tuple(out.masked_counts) == (1, 1):
+        out = mk.binary_unmask(np.array([2, 2]), 2, rng)
+        if tuple(out) == (1, 1):
             hits += 1
     assert abs(hits / trials - 2 / 3) < 0.01
 
 
 def test_binary_unmask_rejects_increase():
-    st = mk.MaskState([1, 1], 2)
-    with pytest.raises(ValueError):
-        mk.binary_unmask(st, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n_target=3 exceeds masked count 2"):
+        mk.binary_unmask(np.array([1, 1]), 3, np.random.default_rng(0))
 
 
 def test_unmask_terminates_on_schedule():
     s = mk.Schedule("circle")
     L, D, T = 4, 3, 7
     rng = np.random.default_rng(11)
-    st = mk.binary_mask(L * D, L, D, rng)
+    q = mk.binary_mask(L * D, L, D, rng)
     for t in range(1, T + 1):
-        st = mk.binary_unmask(st, mk.mask_count(s, t / T, L, D), rng)
-        assert_depth_suffix(st.mask)
-        assert (st.n_total == 0) == (t == T)
+        n = mk.mask_count(s, t / T, L, D)
+        q = mk.binary_unmask(q, n, rng)
+        mk.checked_counts(q, (L,), D)
+        assert q.sum() == n and (n == 0) == (t == T)
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 def test_forward_step_examples():
-    fresh = mk.MaskState([0, 0], 2)
-    assert mk.forward_step_logprob([1, 1], fresh) == pytest.approx(math.log(2 / 3), abs=1e-12)
-    assert mk.forward_step_logprob([3, 0], fresh) == mk.IMPOSSIBLE
-    assert mk.forward_step_logprob([0, 0], fresh) == 0.0
+    fresh = np.zeros(2, dtype=np.int64)
+    assert mk.forward_step_logprob([1, 1], fresh, 2) == pytest.approx(math.log(2 / 3), abs=1e-12)
+    assert mk.forward_step_logprob([3, 0], fresh, 2) == mk.IMPOSSIBLE
+    assert mk.forward_step_logprob([0, 0], fresh, 2) == 0.0
 
 
 def test_marginal_examples():
@@ -332,10 +331,9 @@ def _log_comb_ratio_oracle(tops, bottoms, total, n):
 def test_closed_forms_keep_their_bits():
     L, D = 3, 3
     for c in itertools.product(range(D + 1), repeat=L):
-        st = mk.MaskState(list(c), D)
-        u = st.unmasked_counts
+        u = D - np.array(c)
         for k in itertools.product(range(D + 2), repeat=L):
-            assert mk.forward_step_logprob(k, st) == _log_comb_ratio_oracle(
+            assert mk.forward_step_logprob(k, c, D) == _log_comb_ratio_oracle(
                 u, k, u.sum(), sum(k))
             new_c = np.array(c) + np.array(k)
             assert mk.posterior_logprob(c, new_c, new_c.sum(), sum(k)) == \
@@ -361,11 +359,10 @@ def bayes_gap(L, D):
     q(x_t|x_0) q(k|x_t) = q(x_{t+1}|x_0) q(x_t|x_{t+1}, x_0)."""
     worst = 0.0
     for c in itertools.product(range(D + 1), repeat=L):
-        st = mk.MaskState(list(c), D)
         for k in itertools.product(*(range(D - ci + 1) for ci in c)):
             c1 = tuple(ci + ki for ci, ki in zip(c, k))
             lhs = (mk.marginal_logprob(c, sum(c), L, D)
-                   + mk.forward_step_logprob(k, st))
+                   + mk.forward_step_logprob(k, c, D))
             rhs = (mk.marginal_logprob(c1, sum(c1), L, D)
                    + mk.posterior_logprob(c, c1, sum(c1), sum(k)))
             if lhs == mk.IMPOSSIBLE and rhs == mk.IMPOSSIBLE:
@@ -383,30 +380,40 @@ def test_bayes_consistency_small(L, D):
 # state mechanics
 
 def test_depth_suffix_enforced():
-    # a state is its masked counts, so its mask is a depth suffix by
-    # construction; counts that name no suffix are rejected
+    # the state is its masked counts, so its mask is a depth suffix by
+    # construction; counts that name no suffix are refused where they enter
     for q in ([3, 0], [-1, 1], [[0, 1], [1, 1]]):
-        with pytest.raises(ValueError, match=r"masked counts must be \(L,\) in \[0, 2\]"):
-            mk.MaskState(q, 2)
-    st = mk.MaskState([2, 0, 1], 2)
-    assert_depth_suffix(st.mask)
-    assert st.mask.dtype == np.int8 and st.mask.tolist() == [[0, 0], [1, 1], [1, 0]]
+        with pytest.raises(ValueError, match=r"masked counts must be \(2,\) integers in \[0, 2\]"):
+            mk.checked_counts(np.array(q), (2,), 2)
+    mask = mk.suffix_masks([2, 0, 1], 2)
+    assert_depth_suffix(mask)
+    assert mask.dtype == np.int8 and mask.tolist() == [[0, 0], [1, 1], [1, 0]]
 
 
 def test_masked_counts_bookkeeping():
-    st = mk.MaskState([0, 1, 2], 2)
-    assert st.n_total == 3
-    assert np.array_equal(st.masked_counts, [0, 1, 2])
-    assert np.array_equal(st.unmasked_counts, [2, 1, 0])
+    # every transition returns int64 (L,) counts holding the masked total
+    # it was asked for
+    from rvqgen import sampler as smp
+
+    rng = np.random.default_rng(4)
+    q0 = mk.binary_mask(3, 3, 2, rng)
+    q1 = mk.mask_more(q0, 2, 2, rng)
+    q2 = mk.binary_unmask(q1, 1, rng)
+    q3 = smp.select_unmask(q2, 0, np.zeros((3, 2)))
+    for q, n in zip((q0, q1, q2, q3), (3, 5, 1, 0)):
+        assert q.dtype == np.int64 and q.shape == (3,) and q.sum() == n
+        mk.checked_counts(q, (3,), 2)
+    with pytest.raises(ValueError, match="cannot mask 3 more; only 2 revealed"):
+        mk.mask_more(np.array([1, 2, 1]), 2, 3, rng)
 
 
 def test_apply_mask_hides_suffix():
     tokens = np.array([[3, 1], [2, 2]])
-    st = mk.MaskState([1, 0], 2)
-    masked = mk.apply_mask(tokens, st.mask)
+    mask = mk.suffix_masks([1, 0], 2)
+    masked = mk.apply_mask(tokens, mask)
     assert np.array_equal(masked, [[3, mk.MASK], [2, 2]])
     # the tokens left visible are exactly the mask's depth prefix
-    assert np.array_equal(masked != mk.MASK, st.mask == 1)
+    assert np.array_equal(masked != mk.MASK, mask == 1)
 
 
 def test_checked_counts_names_the_masked_counts():
@@ -424,17 +431,17 @@ def test_mask_draw_distribution_matches_forward_logprob():
     # empirical pmf of draws from a partially masked state agrees with
     # forward_step_logprob
     rng = np.random.default_rng(9)
-    st = mk.MaskState([1, 0, 2], 3)
-    caps = st.unmasked_counts
+    q = np.array([1, 0, 2])
+    caps = 3 - q
     draws = mk.sample_counts_batch(np.broadcast_to(caps, (50_000, 3)), 3, rng)
     pmf = enumerate_pmf(list(caps), 3)
     for k, p in pmf.items():
-        assert math.exp(mk.forward_step_logprob(k, st)) == pytest.approx(float(p), rel=1e-10)
+        assert math.exp(mk.forward_step_logprob(k, q, 3)) == pytest.approx(float(p), rel=1e-10)
     assert empirical_tv(draws, pmf) < 0.015
 
 
 # ---------------------------------------------------------------------------
-# counts-first state against the mask-first state it replaced
+# count transitions against the mask-first state they replaced
 
 class MaskFirst:
     """The earlier state, kept as the oracle: the (L, D) mask is stored and
@@ -447,29 +454,41 @@ class MaskFirst:
         self.mask = mk.suffix_masks(q, depth)
         assert_depth_suffix(self.mask)
 
-    shape = property(lambda self: self.mask.shape)
-    depth = property(lambda self: self.mask.shape[1])
     masked_counts = property(
         lambda self: self.mask.shape[1] - self.mask.sum(axis=1, dtype=np.int64))
     unmasked_counts = property(lambda self: self.mask.sum(axis=1, dtype=np.int64))
     n_total = property(lambda self: int(self.masked_counts.sum()))
 
 
-def mask_first_transitions(n0, n1, n2, n3, scores, L, D, rng):
+def mask_first_transitions(D):
     """binary_mask, mask_more, binary_unmask and the confidence selection
-    as the mask-first code wrote them; yields each state."""
-    s = MaskFirst(mk.sample_counts(np.full(L, D, dtype=np.int64), n0, rng), D)
-    yield s
-    s = MaskFirst(s.masked_counts + mk.sample_counts(s.unmasked_counts, n1, rng), D)
-    yield s
-    q = s.masked_counts
-    s = MaskFirst(q - mk.sample_counts(q, s.n_total - n2, rng), D)
-    yield s
-    masked = s.mask == 0
-    eff = np.minimum.accumulate(np.where(masked, scores, np.inf), axis=1)
-    eff = np.where(masked, eff, np.nan)
-    picks = np.argsort(-eff.ravel(), kind="stable")[:s.n_total - n3]
-    yield MaskFirst(s.masked_counts - np.bincount(picks // D, minlength=L), D)
+    as the mask-first code wrote them, with the shipped signatures on
+    counts: each builds the mask-first state at depth D from its input and
+    returns its successor's masked counts."""
+    def binary_mask(n, L, D, rng):
+        return MaskFirst(mk.sample_counts(np.full(L, D, dtype=np.int64), n, rng),
+                         D).masked_counts
+
+    def mask_more(q, D, n_new, rng):
+        s = MaskFirst(q, D)
+        return MaskFirst(s.masked_counts + mk.sample_counts(s.unmasked_counts, n_new, rng),
+                         D).masked_counts
+
+    def binary_unmask(q, n_target, rng):
+        s = MaskFirst(q, D)
+        q = s.masked_counts
+        return MaskFirst(q - mk.sample_counts(q, s.n_total - n_target, rng), D).masked_counts
+
+    def select_unmask(q, n_target, scores):
+        s = MaskFirst(q, D)
+        masked = s.mask == 0
+        eff = np.minimum.accumulate(np.where(masked, scores, np.inf), axis=1)
+        eff = np.where(masked, eff, np.nan)
+        picks = np.argsort(-eff.ravel(), kind="stable")[:s.n_total - n_target]
+        return MaskFirst(s.masked_counts - np.bincount(picks // D, minlength=len(q)),
+                         D).masked_counts
+
+    return binary_mask, mask_more, binary_unmask, select_unmask
 
 
 @settings(max_examples=300, deadline=None)
@@ -484,17 +503,16 @@ def test_transitions_match_the_mask_first_state(L, D, seed, data):
     scores = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=L * D,
                                          max_size=L * D)), dtype=float).reshape(L, D)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    s0 = mk.binary_mask(n0, L, D, rng)
-    s1 = mk.mask_more(s0, n1, rng)
-    s2 = mk.binary_unmask(s1, n2, rng)
-    s3 = smp.select_unmask(s2, n3, scores)
-    oracle = mask_first_transitions(n0, n1, n2, n3, scores, L, D, ref_rng)
-    for got, ref in zip((s0, s1, s2, s3), oracle):
-        assert got.mask.dtype == ref.mask.dtype and np.array_equal(got.mask, ref.mask)
-        for name in ("masked_counts", "unmasked_counts"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert type(got.n_total) is int and got.n_total == ref.n_total
-        assert got.shape == ref.shape and got.depth == ref.depth
+    runs = []
+    for (mask, more, unmask, select), r in (
+            ((mk.binary_mask, mk.mask_more, mk.binary_unmask, smp.select_unmask), rng),
+            (mask_first_transitions(D), ref_rng)):
+        q0 = mask(n0, L, D, r)
+        q1 = more(q0, D, n1, r)
+        q2 = unmask(q1, n2, r)
+        runs.append((q0, q1, q2, select(q2, n3, scores)))
+    for got, ref, n in zip(*runs, (n0, n0 + n1, n2, n3)):
+        assert got.dtype == ref.dtype == np.int64 and got.shape == (L,)
+        assert np.array_equal(got, ref) and got.sum() == n
     # the same draws in the same order: both streams end in the same state
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -42,6 +42,11 @@ def test_config_validation():
         smp.SamplerConfig(top_p=0.0)
     with pytest.raises(ValueError):
         smp.SamplerConfig(selection="greedy")
+    # steps=2.5 once failed in `generate` with a schedule error, seed=1.5
+    # in SeedSequence's TypeError, and steps=True ran one step
+    for name, bad in (("steps", 2.5), ("steps", True), ("seed", 1.5), ("seed", False)):
+        with pytest.raises(ValueError, match=rf"^{name}: {bad!r} is not an integer$"):
+            smp.SamplerConfig(**{name: bad})
 
 
 def test_presets_match_reference_table():
@@ -145,10 +150,9 @@ def test_geometry_mismatch_rejected():
 def test_confidence_exact_hit_gets_max_density():
     # zero residual at depth j contributes the Gaussian mode density
     book = rvq.Codebook(np.array([[[1.0, 0.0], [0.0, 1.0]]]), np.array([0.5]))
-    state = mk.MaskState([1], 1)
     tokens = np.array([[1]])
     z = np.array([[1.0, 0.0]])  # exactly codeword 1
-    scores = smp.confidence_scores(z, tokens, state, book, tau=0.0,
+    scores = smp.confidence_scores(z, tokens, np.array([1]), book, tau=0.0,
                                    rng=np.random.default_rng(0))
     H, s2 = 2, 0.25
     assert scores[0, 0] == pytest.approx(-0.5 * H * np.log(2 * np.pi * s2), abs=1e-12)
@@ -157,23 +161,22 @@ def test_confidence_exact_hit_gets_max_density():
 def test_confidence_requires_sigma():
     # the codebook takes sigma = 0; the confidence scores refuse it
     book = rvq.Codebook(np.zeros((1, 2, 2)), np.array([0.0]))
-    state = mk.MaskState([1], 1)
     with pytest.raises(ValueError, match="sigma"):
         smp.confidence_scores(np.zeros((1, 2)), np.ones((1, 1), dtype=int),
-                              state, book, 0.0, np.random.default_rng(0))
+                              np.array([1]), book, 0.0, np.random.default_rng(0))
 
 
 def test_tau_zero_selection_matches_greedy_oracle():
     model, book = build(L=6, D=3, V=5)
     rng = np.random.default_rng(7)
-    state = mk.MaskState([3, 2, 3, 1, 3, 0], 3)
+    q0 = np.array([3, 2, 3, 1, 3, 0])
     tokens = rng.integers(1, 6, size=(6, 3))
     z = rng.normal(size=(6, book.dim))
-    scores = smp.confidence_scores(z, tokens, state, book, tau=0.0, rng=rng)
+    scores = smp.confidence_scores(z, tokens, q0, book, tau=0.0, rng=rng)
 
     # oracle: repeatedly reveal the best-scoring frontier token
-    u = np.asarray(state.unmasked_counts).copy()
-    q = np.asarray(state.masked_counts).copy()
+    u = 3 - q0
+    q = q0.copy()
     order = []
     for _ in range(int(q.sum()) - 4):
         best, pos = -np.inf, -1
@@ -185,16 +188,17 @@ def test_tau_zero_selection_matches_greedy_oracle():
         q[pos] -= 1
     oracle_counts = q
 
-    got = smp.select_unmask(state, 4, scores=scores)
-    assert np.array_equal(np.asarray(got.masked_counts), oracle_counts)
+    got = smp.select_unmask(q0, 4, scores=scores)
+    assert np.array_equal(got, oracle_counts)
 
 
-def confidence_loop_oracle(z, tokens, state, book, tau, rng, dot=True):
-    """Per-position, per-depth loop; dot=False squares the residual the way
-    the vectorized pass does, so its scores must match bit for bit."""
-    L, D = state.shape
+def confidence_loop_oracle(z, tokens, q, book, tau, rng, dot=True):
+    """Per-position, per-depth loop at masked counts q; dot=False squares
+    the residual the way the vectorized pass does, so its scores must match
+    bit for bit."""
+    L, D = tokens.shape
     H = book.dim
-    u = np.asarray(state.unmasked_counts)
+    u = D - np.asarray(q)
     scores = np.full((L, D), -np.inf)
     gumbel = rng.gumbel(size=(L, D))
     for i in range(L):
@@ -209,13 +213,14 @@ def confidence_loop_oracle(z, tokens, state, book, tau, rng, dot=True):
     return scores
 
 
-def greedy_select_oracle(state, n_target, scores):
-    """The greedy frontier loop: reveal the best shallowest-masked token,
-    lowest position first among ties, one token at a time."""
-    u = np.asarray(state.unmasked_counts).copy()
-    q = np.asarray(state.masked_counts).copy()
-    D = state.shape[1]
-    for _ in range(state.n_total - n_target):
+def greedy_select_oracle(q, n_target, scores):
+    """The greedy frontier loop from masked counts q: reveal the best
+    shallowest-masked token, lowest position first among ties, one token at
+    a time."""
+    D = scores.shape[1]
+    u = D - q
+    q = q.copy()
+    for _ in range(int(q.sum()) - n_target):
         frontier = np.where(q > 0, scores[np.arange(len(u)), np.minimum(u, D - 1)],
                             -np.inf)
         pos = int(np.argmax(frontier))
@@ -229,18 +234,18 @@ def test_confidence_scores_match_loop_oracle(tau):
     model, book = build(L=7, D=4, V=5, H=3)
     rng = np.random.default_rng(31)
     for _ in range(20):
-        state = mk.MaskState(rng.integers(0, 5, size=7), 4)
+        q = rng.integers(0, 5, size=7)
         tokens = rng.integers(1, 6, size=(7, 4))
         z = rng.normal(size=(7, 3)) * 2.0
         seed = int(rng.integers(1 << 30))
-        got = smp.confidence_scores(z, tokens, state, book, tau,
+        got = smp.confidence_scores(z, tokens, q, book, tau,
                                     np.random.default_rng(seed))
-        same_sq = confidence_loop_oracle(z, tokens, state, book, tau,
+        same_sq = confidence_loop_oracle(z, tokens, q, book, tau,
                                          np.random.default_rng(seed), dot=False)
         assert np.array_equal(got, same_sq)      # residuals round identically
-        dot = confidence_loop_oracle(z, tokens, state, book, tau,
+        dot = confidence_loop_oracle(z, tokens, q, book, tau,
                                      np.random.default_rng(seed))
-        masked = state.mask == 0
+        masked = mk.suffix_masks(q, 4) == 0
         assert np.all(got[~masked] == -np.inf)
         np.testing.assert_allclose(got[masked], dot[masked], rtol=1e-12)
 
@@ -249,23 +254,22 @@ def test_confidence_scores_match_loop_oracle(tau):
 def selection_cases(draw):
     L = draw(st.integers(1, 7))
     D = draw(st.integers(1, 4))
-    q = draw(st.lists(st.integers(0, D), min_size=L, max_size=L))
-    state = mk.MaskState(q, D)
+    q = np.array(draw(st.lists(st.integers(0, D), min_size=L, max_size=L)),
+                 dtype=np.int64)
     # small integers make ties common
     scores = np.array(draw(st.lists(st.integers(-2, 2), min_size=L * D,
                                     max_size=L * D)), dtype=float).reshape(L, D)
-    n_target = draw(st.integers(0, state.n_total))
-    return state, n_target, scores
+    n_target = draw(st.integers(0, int(q.sum())))
+    return q, n_target, scores
 
 
 @settings(max_examples=400, deadline=None)
 @given(selection_cases())
 def test_vectorized_selection_equals_greedy_loop(case):
-    state, n_target, scores = case
-    got = smp.select_unmask(state, n_target, scores=scores)
-    assert np.array_equal(got.masked_counts,
-                          greedy_select_oracle(state, n_target, scores))
-    assert got.n_total == n_target
+    q, n_target, scores = case
+    got = smp.select_unmask(q, n_target, scores=scores)
+    assert np.array_equal(got, greedy_select_oracle(q, n_target, scores))
+    assert got.sum() == n_target
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,9 +286,9 @@ def test_masked_total_follows_the_schedule(L, D, T, selection, use_cfg, schedule
     totals = []
 
     def recorded(transition):
-        def run(state, n_target, *args):
-            new = transition(state, n_target, *args)
-            totals.append((state.n_total, new.n_total))
+        def run(q, n_target, *args):
+            new = transition(q, n_target, *args)
+            totals.append((int(q.sum()), int(new.sum())))
             return new
         return run
 
@@ -307,21 +311,18 @@ def test_masked_total_follows_the_schedule(L, D, T, selection, use_cfg, schedule
 def test_dominant_position_reveals_first():
     # one position scores strictly higher at every depth
     model, book = build(L=2, D=2)
-    state = mk.MaskState([2, 2], 2)
     scores = np.array([[10.0, 9.0], [1.0, 0.5]])
-    out = smp.select_unmask(state, 2, scores=scores)
-    assert np.array_equal(np.asarray(out.masked_counts), [0, 2])
+    out = smp.select_unmask(np.array([2, 2]), 2, scores=scores)
+    assert np.array_equal(out, [0, 2])
 
 
 def test_select_noop_and_reject():
     model, book = build()
-    state = mk.MaskState([2, 1, 0, 2], 2)
-    same = smp.select_unmask(state, state.n_total,
-                             scores=np.zeros((4, 2)))
-    assert np.array_equal(np.asarray(same.masked_counts),
-                          np.asarray(state.masked_counts))
-    with pytest.raises(ValueError):
-        smp.select_unmask(state, 9, scores=np.zeros((4, 2)))
+    q = np.array([2, 1, 0, 2])
+    same = smp.select_unmask(q, 5, scores=np.zeros((4, 2)))
+    assert np.array_equal(same, q)
+    with pytest.raises(ValueError, match="n_target=9 exceeds masked count 5"):
+        smp.select_unmask(q, 9, scores=np.zeros((4, 2)))
 
 
 def test_revealed_tokens_never_change_over_run():
@@ -401,8 +402,8 @@ def test_generate_builds_no_autodiff_tensors(monkeypatch):
                      validate=True)
     assert made == []
     # the guard is live: an autodiff forward does construct Tensors
-    st_ = mk.binary_mask(2, 5, 3, np.random.default_rng(0))
-    model.forward(np.ones((5, 3), dtype=np.int64), st_.masked_counts, book, [1], [0.5])
+    q = mk.binary_mask(2, 5, 3, np.random.default_rng(0))
+    model.forward(np.ones((5, 3), dtype=np.int64), q, book, [1], [0.5])
     assert made
 
 
@@ -418,29 +419,27 @@ def reference_generate(model, book, label, config, rng):
     L, D, T = c.seq_len, c.depth, config.steps
     schedule = mk.parse_schedule(config.schedule)
     tokens = np.full((L, D), rvq.MASK, dtype=np.int64)
-    state = mk.MaskState(np.full(L, D), D)
+    q = np.full(L, D, dtype=np.int64)
     for t in range(1, T + 1):
         # MASK at the hidden entries, which the model must not read anyway
-        visible = mk.apply_mask(tokens, state.mask)
-        params = model.forward(visible, state.masked_counts, book, [label],
+        visible = mk.apply_mask(tokens, mk.suffix_masks(q, D))
+        params = model.forward(visible, q, book, [label],
                                [(t - 1) / T], grad=False)
         if config.use_cfg:
-            uncond = model.forward(visible, state.masked_counts, book, [0],
+            uncond = model.forward(visible, q, book, [0],
                                    [(t - 1) / T], grad=False)
             params = mog.cfg_combine(params, uncond, smp.cfg_weight(config, t))
         z = mog.sample(params, model.basis, rng, top_p=config.top_p)
-        tokens = oracle_quantize(z, book, start_depth=state.unmasked_counts,
+        tokens = oracle_quantize(z, book, start_depth=D - q,
                                  out=tokens)
-        n_target = min(mk.mask_count(schedule, t / T, L, D), state.n_total)
+        n_target = min(mk.mask_count(schedule, t / T, L, D), int(q.sum()))
         if config.selection == "confidence":
-            scores = confidence_loop_oracle(z, tokens, state, book,
+            scores = confidence_loop_oracle(z, tokens, q, book,
                                             config.temperature, rng, dot=False)
-            state = smp.select_unmask(state, n_target, scores)
+            q = smp.select_unmask(q, n_target, scores)
         else:
-            q = state.masked_counts
-            state = mk.MaskState(
-                q - numpy_int_counts(q, state.n_total - n_target, rng), D)
-    assert state.n_total == 0
+            q = q - numpy_int_counts(q, int(q.sum()) - n_target, rng)
+    assert q.sum() == 0
     return tokens
 
 

@@ -54,9 +54,9 @@ def test_fully_masked_target_is_reconstruction():
 def test_target_partitions_full_reconstruction():
     model, book, grids = toy_setup()
     L, D = grids[0].shape
-    st = mk.binary_mask(5, L, D, np.random.default_rng(3))
-    z_masked = tnr.masked_targets(grids[:1], st.masked_counts[None], book)[0][0]
-    z_visible = rvq.dequantize(grids[0], book, keep=st.mask == 1)
+    q = mk.binary_mask(5, L, D, np.random.default_rng(3))
+    z_masked = tnr.masked_targets(grids[:1], q[None], book)[0][0]
+    z_visible = rvq.dequantize(grids[0], book, keep=mk.suffix_masks(q, D) == 1)
     full = rvq.dequantize(grids[0], book)
     assert np.max(np.abs(z_visible + z_masked - full)) < 1e-12
 
@@ -338,9 +338,7 @@ def test_no_gradient_leak_to_excluded_positions():
     L, D = grids[0].shape
     # mask only position 0; positions 1..L-1 contribute nothing
     counts = np.array([D] + [0] * (L - 1))
-    st = mk.MaskState(counts, D)
-    sur, _, n_sel, out = tnr.masked_loss(model, book, grids[:1], st.masked_counts[None], [0],
-                                         [0.5])
+    sur, _, n_sel, out = tnr.masked_loss(model, book, grids[:1], counts[None], [0], [0.5])
     assert n_sel == 1
     nm.backward(sur)
     assert out.logits.grad is not None
@@ -393,7 +391,7 @@ def test_simple_loss_monotone_in_corruption_after_training():
         # the per-step loss at t: a schedule-drawn mask at ratio 1 - t/T
         for t, losses in ((T - 1, heavy), (1, light)):
             n = mk.mask_count(schedule, 1.0 - t / T, *g.shape)
-            q = mk.binary_mask(n, *g.shape, rng).masked_counts
+            q = mk.binary_mask(n, *g.shape, rng)
             sur, _, _, _ = tnr.masked_loss(model, book, g[None], q[None], [0],
                                            [1.0 - t / T])
             losses.append(float(sur.data))
@@ -435,15 +433,15 @@ def test_vlb_perfect_model_reconstruction_term_zero():
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in terms["L_t"])
 
 
-def autodiff_reconstructions(model, book, tokens, state, label, ratio, rng, samples):
+def autodiff_reconstructions(model, book, tokens, q, label, ratio, rng, samples):
     """`_model_reconstructions` on the autodiff forward, flattening the head
     outputs through `gather_params` as the loss path does."""
-    out = model.forward(tokens, state.masked_counts, book, [label], [ratio])
+    out = model.forward(tokens, q, book, [label], [ratio])
     flat = tnr.gather_params(out, np.arange(tokens.shape[0]))
     params = mog.MoGParams(flat.logits.data, flat.means.data,
                            flat.log_scale.data.reshape(-1), flat.shift.data)
     basis = mog.LowRankBasis(model.params["basis.M"].data, model.params["basis.s"].data)
-    start = np.asarray(state.unmasked_counts)
+    start = book.depth - q
     return np.stack([rvq.quantize(mog.sample(params, basis, rng), book,
                                   start_depth=start, out=tokens) for _ in range(samples)])
 
@@ -472,14 +470,14 @@ def vlb_loop_oracle(tokens, model, book, T, schedule, rng, label=0, model_sample
     candidate, entry-by-entry match of every count vector k."""
     L, D = tokens.shape
     totals = [mk.mask_count(schedule, (T - t) / T, L, D) for t in range(T + 1)]
-    states = [mk.MaskState(np.zeros(L), D)]
+    qs = [np.zeros(L, dtype=np.int64)]
     for t in range(1, T + 1):
-        states.append(mk.mask_more(states[t - 1], totals[t] - totals[t - 1], rng))
+        qs.append(mk.mask_more(qs[t - 1], D, totals[t] - totals[t - 1], rng))
     terms = {"L_T": 0.0, "L_t": [], "L_0": None}
     for t in range(1, T):
-        c1 = states[t + 1].masked_counts
+        c1 = qs[t + 1]
         n_step = totals[t + 1] - totals[t]
-        cands = tnr._model_reconstructions(model, book, tokens, states[t + 1], label,
+        cands = tnr._model_reconstructions(model, book, tokens, c1, label,
                                            (T - (t + 1)) / T, rng, model_samples)
         kl = 0.0
         for k in itertools.product(*(range(min(ci, n_step) + 1) for ci in c1)):
@@ -495,7 +493,7 @@ def vlb_loop_oracle(tokens, model, book, T, schedule, rng, label=0, model_sample
             q = np.exp(logq)
             kl += q * (logq - np.log(p_hat)) if p_hat > 0 else np.inf
         terms["L_t"].append(kl)
-    cands = tnr._model_reconstructions(model, book, tokens, states[1], label,
+    cands = tnr._model_reconstructions(model, book, tokens, qs[1], label,
                                        (T - 1) / T, rng, model_samples)
     hits = sum(1 for cand in cands if np.array_equal(cand, tokens))
     terms["L_0"] = -np.log(hits / len(cands)) if hits else np.inf
@@ -563,9 +561,9 @@ def test_a_training_step_holds_at_most_7mb_of_transients():
 
 def test_no_interior_array_outlives_grads():
     model, book, grids = toy_setup()
-    st = mk.binary_mask(5, grids.shape[1], grids.shape[2], np.random.default_rng(1))
+    q = mk.binary_mask(5, grids.shape[1], grids.shape[2], np.random.default_rng(1))
     sur, nll, n_sel, out = tnr.masked_loss(model, book, grids[:2],
-                                           np.stack([st.masked_counts] * 2), [0, 0],
+                                           np.stack([q] * 2), [0, 0],
                                            [0.5, 0.5])
     del nll, out
     assert n_sel > 0
