@@ -1,7 +1,7 @@
 """Command-line surface: synth | fit-rvq | train | sample | eval | inspect.
 
 Options are read off the library code that consumes them (the keywords of
-`data.synthesize` and `rvq.fit_codebook`, the fields of `TrainConfig`,
+`data.synthesize` and `rvq.fit_and_quantize`, the fields of `TrainConfig`,
 `BackboneConfig` and `SamplerConfig`), which owns their defaults and checks.
 Values resolve in three layers: those defaults, then a key=value config
 file (--config), then explicit command-line flags. Every command that takes
@@ -148,16 +148,16 @@ def cmd_synth(args):
 # ---------------------------------------------------------------------------
 # fit-rvq
 
-FIT_OPTS = _keywords(rvq.fit_codebook)
+FIT_OPTS = _keywords(rvq.fit_and_quantize)
 
 
 def cmd_fit_rvq(args):
     o = resolve(args)
     ds = data_mod.load_dataset(args.dataset)
     flat = ds.vectors.reshape(-1, ds.dim)
-    book = rvq.fit_codebook(flat, **o)
+    # the fit's own encode of the data: the tokens of rvq.quantize(flat, book)
+    book, tokens = rvq.fit_and_quantize(flat, **o)
     rvq.save_codebook(book, args.out)
-    tokens = rvq.quantize(flat, book)
     mse = rvq.reconstruction_mse_by_depth(flat, book, tokens)
     entropy = ev.codebook_usage_entropy(tokens, book.vocab)
     print(f"wrote {args.out}: depth={book.depth} vocab={book.vocab} dim={book.dim}")

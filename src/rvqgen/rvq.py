@@ -9,7 +9,11 @@ Each depth's k-means starts from V distinct residual rows; `_distinct_rows`
 finds them with one argsort of column 0 and falls back to np.unique's
 record sort only when that column has ties or a NaN. `quantize` scores
 every row at each depth and keeps the results of the rows whose start
-depth is shallower than it.
+depth is shallower than it. After each depth's k-means, the fit subtracts
+every residual's nearest final codeword, which is quantize's pass at that
+depth, so `fit_and_quantize` returns the fitted data's tokens without
+encoding it again. Row lookups of dataset size are `ndarray.take` copies,
+about a third of the cost of fancy indexing for the same bits.
 
 Every score goes through one kernel, `_scores`: the expanded squared
 distance ||r||^2 - 2 r.e + ||e||^2 without its ||r||^2 term, so one
@@ -154,6 +158,7 @@ def score_pair(table):
 def _scores(rows, pair, out=None):
     """Squared distance less the row's own ||r||^2, from a table's
     `score_pair`, into `out` when given. (N,H)x(V,H)->(N,V)
+    The pair's (V,) norms may also come repeated down N rows as (N, V).
 
     ||e||^2 - 2 r.e ranks codewords as ||r - e||^2 does. Its rounding
     error scales with ||e||^2 + ||r||*||e||, not with the distance, so
@@ -229,12 +234,18 @@ def _nearest_rows(rows, pair):
     if N - edges[-2] == 1:
         del edges[-2]
     picks = np.empty(N, dtype=np.intp)
-    V = pair[1].shape[0]
+    neg2, norms = pair
+    V = norms.shape[0]
+    # the norms repeated down a block: adding a same-shape block is one flat
+    # loop, where broadcasting the (V,) row pays numpy's per-row overhead;
+    # the sums are the same
+    block_norms = np.tile(norms, (BLOCK + 1, 1))
 
     def blocks(edges):
         buf = np.empty((BLOCK + 1, V))
         for lo, hi in zip(edges[:-1], edges[1:]):
-            _scores(rows[lo:hi], pair, out=buf[:hi - lo]).argmin(axis=1, out=picks[lo:hi])
+            _scores(rows[lo:hi], (neg2, block_norms[:hi - lo]),
+                    out=buf[:hi - lo]).argmin(axis=1, out=picks[lo:hi])
 
     mid = len(edges) // 2
     _halves(lambda: blocks(edges[:mid + 1]), lambda: blocks(edges[mid:]))
@@ -285,9 +296,9 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
         idx = _nearest_rows(residual, book.score_pairs[j - 1])
         picks[:, j - 1] = idx
         if j > last:
-            residual -= table[idx]
+            residual -= table.take(idx, axis=0)
         else:
-            np.subtract(residual, table[idx], out=residual,
+            np.subtract(residual, table.take(idx, axis=0), out=residual,
                         where=active[:, j - 1:j])
     picks += 1
     np.copyto(tokens, picks, where=active)
@@ -356,7 +367,7 @@ def reconstruction_mse_by_depth(vectors, book: Codebook, tokens=None):
     mse = np.empty(book.depth)
     z = np.zeros_like(vectors)
     for j in range(1, book.depth + 1):
-        z += book.table(j)[tokens[:, j - 1] - 1]
+        z += book.table(j).take(tokens[:, j - 1] - 1, axis=0)
         mse[j - 1] = ((vectors - z) ** 2).sum(axis=1).mean()
     return mse
 
@@ -394,9 +405,9 @@ def _distinct_rows(rows):
     the strict increase, and then the record sort is the only correct path.
     """
     order = np.argsort(rows[:, 0])
-    col = rows[order, 0]
+    col = rows[:, 0].take(order)
     if np.all(col[1:] > col[:-1]):
-        return rows[order]
+        return rows.take(order, axis=0)
     return np.unique(rows, axis=0)
 
 
@@ -412,6 +423,7 @@ def _kmeans_depth(residuals, V, update, epochs, sigma_assign, rng):
     else:
         # init from distinct rows so separable data converges immediately
         table = distinct[rng.choice(distinct.shape[0], size=V, replace=False)].copy()
+    del distinct        # an (N, H) copy that the epochs do not read
 
     if update == "nearest":
         columns = np.ascontiguousarray(residuals.T)
@@ -444,6 +456,20 @@ def fit_codebook(vectors, depth=4, vocab=32, update="nearest", epochs=10,
     keyword defaults are `rvqgen fit-rvq`'s; every argument is checked
     before any fitting, and an error names the argument.
     """
+    return fit_and_quantize(vectors, depth, vocab, update, epochs, sigma_assign,
+                            seed)[0]
+
+
+def fit_and_quantize(vectors, depth=4, vocab=32, update="nearest", epochs=10,
+                     sigma_assign=1.0, seed=0):
+    """`fit_codebook`'s codebook and the (N, D) tokens of `vectors` under it,
+    equal bit for bit to `quantize(vectors, book)`.
+
+    After each depth's k-means, the pass that subtracts every residual's
+    nearest final codeword is quantize's pass at that depth: the same
+    residuals, the same `score_pair` bits and the same subtraction order.
+    Its picks are that depth's tokens, so the fit's data is encoded once.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or 0 in vectors.shape:
         raise ValueError("vectors must be a non-empty (N, H) array")
@@ -461,18 +487,26 @@ def fit_codebook(vectors, depth=4, vocab=32, update="nearest", epochs=10,
     if not (np.isfinite(sigma_assign) and sigma_assign > 0):
         raise ValueError(f"sigma_assign must be finite and > 0, got {sigma_assign}")
 
-    H = vectors.shape[1]
+    N, H = vectors.shape
     seeds = np.random.SeedSequence(seed).spawn(depth)
     tables = np.empty((depth, vocab, H))
     sigma = np.empty(depth)
+    # each depth's picks, held compactly until the last k-means is done
+    picks = np.empty((depth, N), dtype=np.min_scalar_type(vocab - 1))
     residual = vectors.copy()
     for j in range(depth):
         sigma[j] = max(np.sqrt((residual**2).mean()), SIGMA_FLOOR)
         tables[j] = _kmeans_depth(residual, vocab, update, epochs,
                                   sigma_assign, np.random.default_rng(seeds[j]))
+        idx = nearest(residual, tables[j])
+        picks[j] = idx
         if j < depth - 1:  # the last depth's residual has no reader
-            residual -= tables[j][nearest(residual, tables[j])]
-    return Codebook(tables, sigma)
+            residual -= tables[j].take(idx, axis=0)
+        del idx             # not held through the next depth's k-means
+    tokens = np.empty((N, depth), dtype=np.int64)
+    # int64 before the + 1: a uint8 pick of 255 would wrap to 0
+    np.add(picks.T, MASK + 1, out=tokens, dtype=np.int64)
+    return Codebook(tables, sigma), tokens
 
 
 # ---------------------------------------------------------------------------

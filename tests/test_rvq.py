@@ -3,9 +3,11 @@ fixed points, sigma estimation, the nearest-codeword kernel against its
 broadcast oracle, the blocked search against one whole-array call, its
 two-thread split against the serial pass and the split's worker thread,
 the whole-grid quantize and the distinct-row init against
-their reference forms, and the binary codebook format."""
+their reference forms, the fit's own tokens against `quantize` and the
+searches `fit-rvq` makes, and the binary codebook format."""
 
 import dataclasses
+import inspect
 import os
 import re
 import signal
@@ -840,6 +842,115 @@ def test_fit_rvq_and_eval_keep_the_reference_bits(tmp_path, monkeypatch, capsys)
     assert shipped[0] == reference[0]
     assert shipped[1] == reference[1]
     assert shipped[2] == reference[2] and len(shipped[2]) > 8
+
+
+# ---------------------------------------------------------------------------
+# the fit's single encode: its tokens are quantize's
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "split"])
+@pytest.mark.parametrize("N", [B + 1, B + 2, 2 * B + 1])
+@pytest.mark.parametrize("epochs", [0, 3])
+@pytest.mark.parametrize("update", ["nearest", "probabilistic"])
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_fit_tokens_are_quantize_bit_for_bit(depth, update, epochs, N, cpus,
+                                             monkeypatch):
+    monkeypatch.setattr(rvq, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(depth * 1000 + N + epochs)
+    vectors = rng.standard_normal((N, 4)) * 10.0 ** rng.integers(-2, 3, size=(N, 1))
+    book, tokens = rvq.fit_and_quantize(vectors, depth=depth, vocab=8, update=update,
+                                        epochs=epochs, seed=depth + epochs)
+    want = rvq.quantize(vectors, book)
+    assert tokens.dtype == want.dtype and tokens.shape == want.shape
+    assert np.array_equal(tokens, want)
+    assert rvq.codebook_to_bytes(book) == rvq.codebook_to_bytes(
+        rvq.fit_codebook(vectors, depth, 8, update, epochs, seed=depth + epochs))
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "split"])
+@pytest.mark.parametrize("N", [B + 1, 2 * B + 1])
+@pytest.mark.parametrize("update", ["nearest", "probabilistic"])
+def test_fit_tokens_are_quantize_with_duplicate_codewords(update, N, cpus, monkeypatch):
+    # 2 columns of {0, 1}: 4 distinct rows for 8 codewords, so the table
+    # repeats rows and ties resolve to the lowest index
+    monkeypatch.setattr(rvq, "_cpus", lambda: cpus)
+    vectors = np.random.default_rng(N).integers(0, 2, size=(N, 2)).astype(np.float64)
+    with pytest.warns(UserWarning, match="distinct residuals"):
+        book, tokens = rvq.fit_and_quantize(vectors, depth=3, vocab=8, update=update,
+                                            epochs=3, seed=5)
+    assert np.array_equal(tokens, rvq.quantize(vectors, book))
+
+
+def test_fit_tokens_past_255_keep_their_value():
+    # 256 codewords: the fit holds its picks 0..255 as uint8. epochs=0 keeps
+    # the table as drawn from distinct data rows, so the row drawn as
+    # codeword 256 is its own nearest: its token must not wrap to 0
+    vectors = np.random.default_rng(3).standard_normal((B + 1, 3))
+    book, tokens = rvq.fit_and_quantize(vectors, depth=2, vocab=256, epochs=0, seed=2)
+    assert tokens[:, 0].max() == 256
+    assert np.array_equal(tokens, rvq.quantize(vectors, book))
+
+
+def test_fit_and_quantize_takes_fit_codebooks_arguments():
+    assert inspect.signature(rvq.fit_and_quantize) == inspect.signature(rvq.fit_codebook)
+
+
+def _fit_rvq_data(tmp_path, count):
+    from rvqgen import cli
+    path = tmp_path / "ref.rgds"
+    assert cli.main(["synth", "--out", str(path), "--family", "grid", "--count",
+                     str(count), "--seq-len", "1", "--dim", "8", "--modes", "9",
+                     "--noise", "0.1", "--seed", "44"]) == 0
+    return path, data_mod.load_dataset(path).vectors.reshape(-1, 8)
+
+
+def test_fit_rvq_prints_what_fit_quantize_and_mse_give(tmp_path, capsys):
+    """`fit-rvq` writes the codebook `fit_codebook` fits and prints the MSE
+    and usage of `quantize`'s tokens under it, as it did before the fit
+    returned its own tokens."""
+    from rvqgen import cli
+    from rvqgen import evaluate as ev
+    ref, flat = _fit_rvq_data(tmp_path, 2 * B + 1)
+    out = tmp_path / "book.rvqc"
+    capsys.readouterr()
+    assert cli.main(["fit-rvq", "--dataset", str(ref), "--depth", "3", "--vocab", "16",
+                     "--epochs", "4", "--seed", "45", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    book = rvq.fit_codebook(flat, depth=3, vocab=16, epochs=4, seed=45)
+    tokens = rvq.quantize(flat, book)
+    mse = rvq.reconstruction_mse_by_depth(flat, book, tokens)
+    entropy = ev.codebook_usage_entropy(tokens, book.vocab)
+    want = [f"wrote {out}: depth=3 vocab=16 dim=8"] + [
+        f"depth={j + 1} mse={mse[j]:.6g} sigma={book.sigma[j]:.6g} "
+        f"usage_entropy={entropy[j]:.4f}" for j in range(3)]
+    assert out.read_bytes() == rvq.codebook_to_bytes(book)
+    assert printed.splitlines() == want
+
+
+@pytest.mark.parametrize("depth,epochs", [(4, 10), (2, 0), (1, 3)])
+def test_fit_rvq_searches_its_data_once_per_epoch_and_depth(depth, epochs, tmp_path,
+                                                             monkeypatch):
+    """D·E k-means searches, one residual pass per depth, and no second
+    encode: 44 searches at the benchmark's D = 4, E = 10 (47 when `fit-rvq`
+    re-quantized its data)."""
+    from rvqgen import cli
+    ref, flat = _fit_rvq_data(tmp_path, 2 * B + 1)
+    sizes = []
+    real = rvq._nearest_rows
+
+    def counting(rows, pair):
+        sizes.append(rows.shape[0])
+        return real(rows, pair)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("fit-rvq quantized its data a second time")
+
+    monkeypatch.setattr(rvq, "_nearest_rows", counting)
+    monkeypatch.setattr(rvq, "quantize", refused)
+    assert cli.main(["fit-rvq", "--dataset", str(ref), "--depth", str(depth),
+                     "--vocab", "8", "--epochs", str(epochs), "--seed", "46",
+                     "--out", str(tmp_path / "book.rvqc")]) == 0
+    assert sizes == [len(flat)] * (depth * epochs + depth)
 
 
 # ---------------------------------------------------------------------------
