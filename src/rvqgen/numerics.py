@@ -452,17 +452,9 @@ def gather(table, idx):
     rows, width = table.shape[0], math.prod(table.shape[1:])
 
     def bwd(g):
-        # both paths add each cell's terms in input order to +0.0, the bits
-        # of np.add.at. Strictly increasing indices (the loss's head rows)
-        # give each row one term: g + 0.0 is that sum (it turns -0.0 into
-        # +0.0), stored once. Repeated ones take one bincount over
-        # (row, column) cells.
-        flat = idx.reshape(-1)
-        if np.all(flat[1:] > flat[:-1]):
-            gt = np.zeros(table.shape)
-            gt[flat] = g.reshape((-1,) + table.shape[1:]) + 0.0
-            return (gt,)
-        cells = (flat[:, None].astype(np.intp) * width + np.arange(width)).reshape(-1)
+        # one bincount over (row, column) cells adds each cell's terms in
+        # input order from +0.0, the bits of np.add.at, duplicates included
+        cells = (idx.reshape(-1, 1).astype(np.intp) * width + np.arange(width)).reshape(-1)
         gt = np.bincount(cells, weights=g.reshape(-1), minlength=rows * width)
         return (gt.reshape(table.shape),)
 

@@ -453,8 +453,9 @@ def fit_codebook(vectors, depth=4, vocab=32, update="nearest", epochs=10,
     flattened. sigma[j] is the per-dimension RMS magnitude of the residuals
     entering depth j (the scale the confidence scores divide by), floored
     at SIGMA_FLOOR so downstream Gaussian densities stay defined. The
-    keyword defaults are `rvqgen fit-rvq`'s; every argument is checked
-    before any fitting, and an error names the argument.
+    keyword defaults are `fit_and_quantize`'s (a test keeps them equal),
+    whose keywords `rvqgen fit-rvq` reads its flags off; every argument is
+    checked before any fitting, and an error names the argument.
     """
     return fit_and_quantize(vectors, depth, vocab, update, epochs, sigma_assign,
                             seed)[0]
