@@ -26,8 +26,11 @@ Each checkout runs in its own process with that checkout's `src/` first
 on the import path. With no checkout the script hashes its own; with one
 it prints that checkout's digests; with two (PARENT CHANGE) it prints both
 and, when any digest differs, names on stderr the ones that do (training,
-sample-random, sample-paper-28, fit, diagnostics) and exits 1. Standard
-library, numpy and the checkout's `rvqgen` only.
+sample-random, sample-paper-28, fit, diagnostics) and exits 1. A checkout
+that fails to run (no `src/rvqgen`, or a worker that exits nonzero) gets
+one `train_hash: <checkout>: <reason>` line on stderr and exit 2, so a
+broken run is not taken for a moved digest. Standard library, numpy and
+the checkout's `rvqgen` only.
 """
 
 from __future__ import annotations
@@ -145,15 +148,19 @@ def fit_eval_hash():
 
 def hash_checkout(checkout, steps):
     """Run `run_hash` in a fresh process on `checkout`'s `src/`; its
-    digests as one space-separated string."""
+    digests as one space-separated string. A checkout that cannot run
+    raises RuntimeError naming it and the reason."""
     src = os.path.join(checkout, "src")
+    if not os.path.isdir(os.path.join(src, "rvqgen")):
+        raise RuntimeError(f"{checkout}: no src/rvqgen package")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker", "--steps", str(steps)],
         cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
+        last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        raise RuntimeError(f"{checkout}: worker exit {proc.returncode}: {last}")
     *digests, module = proc.stdout.split()
     # the worker must have imported the checkout's package, not another one
     if os.path.commonpath([os.path.realpath(module), os.path.realpath(src)]) \
@@ -177,7 +184,11 @@ def main(argv=None):
     if len(args.checkouts) > 2:
         p.error("give at most two checkouts")
     dirs = [os.path.abspath(c) for c in args.checkouts] or [HERE]
-    digests = [hash_checkout(d, args.steps) for d in dirs]
+    try:
+        digests = [hash_checkout(d, args.steps) for d in dirs]
+    except RuntimeError as e:
+        print(f"train_hash: {e}", file=sys.stderr)
+        return 2
     for d, digest in zip(dirs, digests):
         print(f"{digest}  {d}")
     if len(set(digests)) > 1:

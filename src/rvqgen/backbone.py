@@ -28,7 +28,7 @@ import numpy as np
 from . import numerics as nm
 from . import rvq
 from .masking import checked_counts, suffix_masks
-from .mog import LowRankBasis, MoGParams
+from .mog import MoGParams
 
 
 def check_integers(config):
@@ -142,10 +142,6 @@ class Backbone:
         for k, p in self.params.items():
             p.data = np.array(arrays[k], dtype=np.float64)
 
-    @property
-    def basis(self):
-        return LowRankBasis(self.params["basis.M"], self.params["basis.s"])
-
     # -- forward ----------------------------------------------------------
 
     def _ops(self, grad):
@@ -207,7 +203,9 @@ class Backbone:
         `embed_input`. The blocks and heads run on (B*L, width) rows, one
         per grid position, and the heads are emitted as those rows: logits
         (B*L, K), means (B*L, K, h), log_scale (B*L,) and shift (B*L, H),
-        grid b's positions at rows b*L .. b*L + L - 1."""
+        grid b's positions at rows b*L .. b*L + L - 1. The output carries
+        the low-rank basis parameters `basis.M` and `basis.s` as its M and
+        s, so the loss and the sampler need nothing else."""
         c = self.config
         ops, P = ops or self._ops(grad)
         B = embedded.shape[0]
@@ -245,7 +243,7 @@ class Backbone:
         log_scale = ops.reshape(head("scale"), (B * L,))
         shift = head("shift")
         self.forward_calls += 1
-        return MoGParams(logits, means, log_scale, shift)
+        return MoGParams(logits, means, log_scale, shift, P["basis.M"], P["basis.s"])
 
     def forward(self, tokens, masked_counts, book, labels, r, grad=True):
         """One model call, on the inputs of `embed_input`. grad=True builds

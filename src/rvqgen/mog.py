@@ -5,9 +5,10 @@ K-component mixture over z~ with identity covariances and low-rank means
 mu = M mu~ + s. The exact negative log-likelihood and its Jensen-decomposed
 regression+classification surrogate are built on the autodiff engine; the
 sampling-side helpers (component draws, nucleus truncation, guidance
-combination) are plain numpy. Every function takes head rows, one per grid
-position, as `Backbone.predict` emits them: the loss gathers the rows it
-scores, and the sampler draws one vector per row.
+combination) are plain numpy. Every function takes a head output as
+`Backbone.predict` emits it: head rows, one per grid position, with the
+low-rank basis M, s beside them. The loss gathers the rows it scores, and
+the sampler draws one vector per row.
 """
 
 from __future__ import annotations
@@ -23,30 +24,24 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class MoGParams:
-    """Head rows, one per grid position. Fields are Tensors from the
-    autodiff forward (training) and ndarrays from the graph-free forward
-    (sampling, VLB diagnostics); the losses take either.
+    """One head output: rows, one per grid position, and the low-rank
+    basis they share. Fields are Tensors from the autodiff forward
+    (training; M and s are the parameter Tensors) and ndarrays from the
+    graph-free forward (sampling, VLB diagnostics; M and s are the
+    parameters' current arrays). The losses take either, the sampling
+    helpers the ndarrays.
 
     logits (N, K); means (N, K, h) low-rank; log_scale (N,) with a=exp(.);
     shift (N, H). A forward over B grids of L positions emits N = B*L rows.
+    M (K, H, h) and s (K, H) map a low-rank mean to mu = M mu~ + s.
     """
 
     logits: object
     means: object
     log_scale: object
     shift: object
-
-
-@dataclass
-class LowRankBasis:
-    """Per-component projection M (K, H, h) and offset s (K, H)."""
-
     M: object
     s: object
-
-
-def _data(x):
-    return x.data if isinstance(x, nm.Tensor) else np.asarray(x, dtype=np.float64)
 
 
 # softmax of the mixture logits over the last axis (numpy)
@@ -57,10 +52,21 @@ mixture_weights = nm.plain.softmax
 # likelihoods (autodiff path)
 
 
-def _log_terms(params, basis, z):
-    """The nodes both loss flavors share, built once: the Jacobian term
-    H*log a, log pi (L, K) and log N(z~; mu_k, I) (L, K), where
-    z~ = (z - b) / a with a = exp(log_scale)."""
+def surrogate_and_nll(params, z, differentiate_q=False):
+    """(surrogate, exact NLL) per position, two (L,) Tensors taken from one
+    whitening z~ = (z - b) / a (a = exp(log_scale)) and one component
+    log-density log N(z~; M mu~ + s, I) (L, K).
+
+    exact NLL: -log p(z) = H*log a - logsumexp_k(log pi_k + log N_k); the
+    H*log a term is the Jacobian of the affine map (scalar a scales every
+    one of the H dimensions).
+
+    surrogate: H*log a + regression + classification, with
+    q(k | z~, mu) ∝ N(z~; mu_k, I), regression = -sum_k q_k log N_k and
+    classification = KL(q || pi). It upper bounds the exact NLL. By default
+    q is treated as a constant target (EM-style); set differentiate_q to
+    also backprop through it.
+    """
     logits = nm.constant(params.logits)
     log_scale = nm.constant(params.log_scale)
     if np.any(log_scale.data == -np.inf):
@@ -68,22 +74,11 @@ def _log_terms(params, basis, z):
     inv_a = nm.exp(nm.neg(log_scale))                      # (L,)
     zt = nm.mul(nm.sub(z, params.shift), nm.reshape(inv_a, (-1, 1)))
     log_pi = nm.sub(logits, nm.logsumexp(logits, keepdims=True))
-    log_n = component_log_density(zt, params.means, basis)
-    return nm.mul(log_scale, float(zt.shape[-1])), log_pi, log_n
-
-
-def component_log_density(zt, means, basis):
-    """log N(z~; M mu~ + s, I) per component -> (L, K) Tensor."""
-    d2 = nm.lowrank_sqdist(zt, means, basis.M, basis.s)
     H = zt.shape[-1]
-    return nm.add(nm.mul(d2, -0.5), nm.constant(-0.5 * H * LOG_2PI))
+    d2 = nm.lowrank_sqdist(zt, params.means, params.M, params.s)
+    log_n = nm.add(nm.mul(d2, -0.5), nm.constant(-0.5 * H * LOG_2PI))
+    jac = nm.mul(log_scale, float(H))
 
-
-def _nll(jac, log_pi, log_n):
-    return nm.sub(jac, nm.logsumexp(nm.add(log_pi, log_n)))
-
-
-def _decomposed(log_pi, log_n, differentiate_q):
     if differentiate_q:
         log_q = nm.sub(log_n, nm.logsumexp(log_n, keepdims=True))
         q = nm.softmax(log_n)
@@ -93,48 +88,18 @@ def _decomposed(log_pi, log_n, differentiate_q):
         q = nm.constant(np.exp(lq))
     regression = nm.neg(nm.sum_(nm.mul(q, log_n), axis=-1))
     classification = nm.sum_(nm.mul(q, nm.sub(log_q, log_pi)), axis=-1)
-    return regression, classification
+    surrogate = nm.add(jac, nm.add(regression, classification))
+    return surrogate, nm.sub(jac, nm.logsumexp(nm.add(log_pi, log_n)))
 
 
-def _surrogate(jac, log_pi, log_n, differentiate_q):
-    reg, cls = _decomposed(log_pi, log_n, differentiate_q)
-    return nm.add(jac, nm.add(reg, cls))
+def exact_nll(params, z):
+    """The exact NLL of `surrogate_and_nll` alone -> (L,) Tensor."""
+    return surrogate_and_nll(params, z)[1]
 
 
-def surrogate_and_nll(params, basis, z, differentiate_q=False):
-    """(surrogate, exact NLL) per position, two (L,) Tensors taken from one
-    whitening and one component log-density; see `surrogate_loss` and
-    `exact_nll`."""
-    terms = _log_terms(params, basis, z)
-    return _surrogate(*terms, differentiate_q), _nll(*terms)
-
-
-def exact_nll(params, basis, z):
-    """Exact mixture negative log-likelihood per position -> (L,) Tensor.
-
-    -log p(z) = H*log a - logsumexp_k(log pi_k + log N(z~; mu_k, I)); the
-    H*log a term is the Jacobian of the affine map (scalar a scales every
-    one of the H dimensions).
-    """
-    return _nll(*_log_terms(params, basis, z))
-
-
-def decomposed_loss(params, basis, z, differentiate_q=False):
-    """Jensen surrogate split into (regression, classification) per position.
-
-    q(k | z~, mu) ∝ N(z~; mu_k, I). regression = -sum_k q_k log N_k;
-    classification = KL(q || pi). By default q is treated as a constant
-    target (EM-style); set differentiate_q to also backprop through it.
-    The total surrogate is H*log a + regression + classification and upper
-    bounds exact_nll.
-    """
-    _, log_pi, log_n = _log_terms(params, basis, z)
-    return _decomposed(log_pi, log_n, differentiate_q)
-
-
-def surrogate_loss(params, basis, z, differentiate_q=False):
-    """H*log a + regression + classification, per position -> (L,) Tensor."""
-    return _surrogate(*_log_terms(params, basis, z), differentiate_q)
+def surrogate_loss(params, z, differentiate_q=False):
+    """The surrogate of `surrogate_and_nll` alone -> (L,) Tensor."""
+    return surrogate_and_nll(params, z, differentiate_q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +126,7 @@ def nucleus(weights, top_p):
     return order, csum / csum[rows, keep][:, None]
 
 
-def sample(params, basis, rng, top_p=1.0):
+def sample(params, rng, top_p=1.0):
     """Draw z per position: nucleus-restricted component choice, then
     z = a * (mu + eps) + b with eps standard normal.
 
@@ -173,8 +138,8 @@ def sample(params, basis, rng, top_p=1.0):
     full mean is built. Non-finite head outputs or draws raise ValueError
     instead of quantizing to an arbitrary token.
     """
-    logits, means, log_scale, b = (_data(params.logits), _data(params.means),
-                                   _data(params.log_scale), _data(params.shift))
+    logits, means, log_scale, b = (params.logits, params.means, params.log_scale,
+                                   params.shift)
     if not (np.isfinite(logits).all() and np.isfinite(means).all()
             and np.isfinite(log_scale).all() and np.isfinite(b).all()):
         raise ValueError("mog.sample: non-finite head outputs")
@@ -183,8 +148,8 @@ def sample(params, basis, rng, top_p=1.0):
     rank = np.add.reduce(cdf < rng.random(L)[:, None], axis=-1)
     rows = np.arange(L)
     comp = order[rows, rank]
-    M = _data(basis.M)[comp]                                   # (L, H, h)
-    mu = (M @ means[rows, comp][:, :, None])[:, :, 0] + _data(basis.s)[comp]
+    M = params.M[comp]                                         # (L, H, h)
+    mu = (M @ means[rows, comp][:, :, None])[:, :, 0] + params.s[comp]
     eps = rng.standard_normal((L, H))
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         z = np.exp(log_scale).reshape(L, 1) * (mu + eps) + b
@@ -196,7 +161,8 @@ def sample(params, basis, rng, top_p=1.0):
 def cfg_combine(cond: MoGParams, uncond: MoGParams, w: float) -> MoGParams:
     """Classifier-free guidance on distribution parameters: extrapolate the
     mixture logits and low-rank means from the unconditional toward the
-    conditional prediction; scale and shift come from the conditional.
+    conditional prediction; scale, shift and the basis come from the
+    conditional.
 
     Written as cond + w*(cond - uncond) so w=0 and cond==uncond are exact.
     Both take the graph-free forward's ndarrays.
@@ -208,4 +174,4 @@ def cfg_combine(cond: MoGParams, uncond: MoGParams, w: float) -> MoGParams:
         return cond
     return MoGParams(cond.logits + w * (cond.logits - uncond.logits),
                      cond.means + w * (cond.means - uncond.means),
-                     cond.log_scale, cond.shift)
+                     cond.log_scale, cond.shift, cond.M, cond.s)

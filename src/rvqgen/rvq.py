@@ -305,13 +305,34 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
     return tokens
 
 
-def codewords(tokens, book: Codebook):
+def codewords(tokens, book: Codebook, keep=None):
     """Codeword embeddings of token grids (..., D) -> (..., D, H): token t
-    at depth j reads row t - 1 of table j. A MASK entry reads codeword V,
-    so callers must discard it (see `dequantize`). A token outside [0, V]
-    raises ValueError instead of wrapping around or escaping the table."""
-    tokens = _checked(tokens, MASK, book.vocab)
-    return book.embeddings[np.arange(book.depth), tokens - 1]
+    at depth j reads row t - 1 of table j.
+
+    With a boolean `keep` (broadcast to tokens' shape), only the kept
+    entries are read and checked, and the others come back as +0.0, so any
+    value there is fine. A MASK token at a kept entry raises ValueError
+    (masked entries carry no embedding), and so does a token outside
+    [0, V], instead of wrapping around or escaping the table.
+    """
+    tokens = np.asarray(tokens)
+    D, V, H = book.depth, book.vocab, book.dim
+    if tokens.shape[-1] != D:
+        raise ValueError(f"token grid depth {tokens.shape[-1]} != codebook depth {D}")
+    if keep is not None and np.shape(keep) != tokens.shape:
+        keep = np.broadcast_to(keep, tokens.shape)   # a ValueError if it cannot
+    # kept entries by flat index; entry i sits at depth i % D
+    at = np.arange(tokens.size) if keep is None else np.flatnonzero(keep)
+    kept = tokens.reshape(-1).take(at)
+    if kept.size and not MASK < np.minimum.reduce(kept) <= np.maximum.reduce(kept) <= V:
+        # a kept MASK is named before any other bad token
+        if (kept == MASK).any():
+            raise ValueError("MASK token at a kept entry: masked entries carry no embedding")
+        _checked(kept, MASK, V)          # raises: a token outside [0, V]
+    rows = at % D * V + kept - 1
+    out = np.zeros((tokens.size, H))
+    out[at] = book.embeddings.reshape(-1, H).take(rows, axis=0)
+    return out.reshape(tokens.shape + (H,))
 
 
 def _checked(tokens, low, vocab):
@@ -324,27 +345,13 @@ def _checked(tokens, low, vocab):
 
 
 def dequantize(tokens, book: Codebook, keep=None):
-    """Sum the codeword embeddings of token grids (..., D) over depth, in
-    depth order -> (..., H).
-
-    With a boolean `keep` (tokens' shape), only the kept entries add, and
-    the others add +0.0, which leaves every partial sum's bits unchanged.
-    The others are never read either, so any value there is fine. A MASK
-    token at a kept entry is an error: masked entries carry no embedding.
+    """Sum the `codewords` of token grids (..., D) over depth, in depth
+    order -> (..., H). With `keep`, the dropped entries add +0.0, which
+    leaves every partial sum's bits unchanged.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    D = tokens.shape[-1]
-    if D != book.depth:
-        raise ValueError(f"token grid depth {D} != codebook depth {book.depth}")
-    keep = np.asarray(True if keep is None else keep, dtype=bool)
-    # a dropped entry reads as token 1, which is checked and gathered in
-    # its place and then replaced by +0.0
-    tokens = np.where(keep, tokens, MASK + 1)
-    if (tokens == MASK).any():
-        raise ValueError("MASK token at a kept entry: masked entries carry no embedding")
-    words = np.where(keep[..., None], codewords(tokens, book), 0.0)
-    z = np.zeros(tokens.shape[:-1] + (book.dim,))
-    for j in range(D):
+    words = codewords(np.asarray(tokens, dtype=np.int64), book, keep)
+    z = np.zeros(words.shape[:-2] + (book.dim,))
+    for j in range(book.depth):
         z += words[..., j, :]
     return z
 
@@ -445,26 +452,24 @@ def _kmeans_depth(residuals, V, update, epochs, sigma_assign, rng):
     return table
 
 
-def fit_codebook(vectors, depth=4, vocab=32, update="nearest", epochs=10,
-                 sigma_assign=1.0, seed=0):
-    """Fit a residual codebook depth by depth.
-
-    `vectors` is (N, H): every position of every training sequence,
-    flattened. sigma[j] is the per-dimension RMS magnitude of the residuals
-    entering depth j (the scale the confidence scores divide by), floored
-    at SIGMA_FLOOR so downstream Gaussian densities stay defined. The
-    keyword defaults are `fit_and_quantize`'s (a test keeps them equal),
-    whose keywords `rvqgen fit-rvq` reads its flags off; every argument is
-    checked before any fitting, and an error names the argument.
-    """
-    return fit_and_quantize(vectors, depth, vocab, update, epochs, sigma_assign,
-                            seed)[0]
+def fit_codebook(vectors, *args, **kwargs):
+    """The codebook of `fit_and_quantize`, on its arguments."""
+    return fit_and_quantize(vectors, *args, **kwargs)[0]
 
 
 def fit_and_quantize(vectors, depth=4, vocab=32, update="nearest", epochs=10,
                      sigma_assign=1.0, seed=0):
-    """`fit_codebook`'s codebook and the (N, D) tokens of `vectors` under it,
-    equal bit for bit to `quantize(vectors, book)`.
+    """Fit a residual codebook depth by depth; returns it and the (N, D)
+    tokens of `vectors` under it, equal bit for bit to
+    `quantize(vectors, book)`.
+
+    `vectors` is (N, H): every position of every training sequence,
+    flattened. sigma[j] is the per-dimension RMS magnitude of the residuals
+    entering depth j (the scale the confidence scores divide by), floored
+    at SIGMA_FLOOR so downstream Gaussian densities stay defined. These
+    keyword defaults are the only ones: `rvqgen fit-rvq` reads its flags
+    off them. Every argument is checked before any fitting, and an error
+    names the argument.
 
     After each depth's k-means, the pass that subtracts every residual's
     nearest final codeword is quantize's pass at that depth: the same

@@ -116,8 +116,7 @@ def confidence_scores(z, tokens, q, book: rvq.Codebook, tau, rng):
     L, D = np.shape(tokens)
     masked = mk.suffix_masks(q, D) == 0
     gumbel = rng.gumbel(size=(L, D))
-    words = rvq.codewords(tokens, book)                            # (L, D, H)
-    words[~masked] = 0.0
+    words = rvq.codewords(tokens, book, keep=masked)               # (L, D, H)
     res = np.subtract.accumulate(np.concatenate([z[:, None], words], axis=1),
                                  axis=1)[:, 1:]
     # the codebook holds the sigma-only terms -H/2 log(2 pi s2) and 2 s2
@@ -168,7 +167,6 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
                             np.arange(1, T + 1) / T, c.seq_len, c.depth).tolist()
     ratios = np.arange(T) / T
     labels, null_labels = np.array([label]), np.array([0])
-    basis = model.basis
 
     t0 = time.perf_counter()
     calls_before = model.forward_calls
@@ -184,7 +182,7 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
             uncond = model.forward(tokens, q, book, null_labels, r_model, grad=False)
             params = mog.cfg_combine(params, uncond, cfg_weight(config, t))
 
-        z = mog.sample(params, basis, rng, top_p=config.top_p)
+        z = mog.sample(params, rng, top_p=config.top_p)
         tokens = rvq.quantize(z, book, start_depth=c.depth - q, out=tokens)
 
         n_target = min(targets[t - 1], n_masked)

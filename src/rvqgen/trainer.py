@@ -105,10 +105,11 @@ def masked_targets(tokens, masked_counts, book: rvq.Codebook):
 
 
 def gather_params(params: mog.MoGParams, rows):
-    """The head rows that enter the loss."""
+    """The head rows that enter the loss; M and s pass through."""
     idx = np.asarray(rows, dtype=np.int64)
     return mog.MoGParams(*(nm.gather(f, idx) for f in (
-        params.logits, params.means, params.log_scale, params.shift)))
+        params.logits, params.means, params.log_scale, params.shift)),
+        params.M, params.s)
 
 
 def masked_loss(model: Backbone, book, tokens, masked_counts, labels, ratios,
@@ -129,7 +130,7 @@ def masked_loss(model: Backbone, book, tokens, masked_counts, labels, ratios,
 
     sel = gather_params(out, rows)
     z = targets.reshape(-1, book.dim)[rows]
-    sur, nll = mog.surrogate_and_nll(sel, model.basis, z, differentiate_q)
+    sur, nll = mog.surrogate_and_nll(sel, z, differentiate_q)
     return nm.mean_(sur), nm.mean_(nll), rows.size, out
 
 
@@ -379,9 +380,8 @@ def _model_reconstructions(model, book, tokens, q, label, ratio, rng, samples):
     masked counts q: sample z at masked positions, quantize the masked
     depths, keep revealed tokens."""
     params = model.forward(tokens, q, book, [label], [ratio], grad=False)
-    basis = model.basis
     start = book.depth - q
-    return np.stack([rvq.quantize(mog.sample(params, basis, rng), book,
+    return np.stack([rvq.quantize(mog.sample(params, rng), book,
                                   start_depth=start, out=tokens)
                      for _ in range(samples)])
 

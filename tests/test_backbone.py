@@ -205,6 +205,11 @@ def assert_modes_bit_equal(model, book, tokens, q, labels, r):
         assert isinstance(a, np.ndarray) and isinstance(b, nm.Tensor), name
         assert a.shape == b.data.shape, name
         assert a.tobytes() == b.data.tobytes(), name
+    # the output carries the low-rank basis: the parameter Tensors, or
+    # their current arrays
+    for name in ("M", "s"):
+        p = model.params[f"basis.{name}"]
+        assert getattr(ref, name) is p and getattr(got, name) is p.data, name
     return got
 
 
@@ -237,6 +242,7 @@ def test_plain_forward_reads_parameters_afresh():
     # rebinding and in-place edits both show in the next call
     model.params["head.logits.b"].data = model.params["head.logits.b"].data + 1.0
     model.params["head.shift.w"].data[0, 0] += 0.25
+    model.params["basis.M"].data = model.params["basis.M"].data + 0.5
     after = assert_modes_bit_equal(model, book, tokens, st_, [1], [0.5])
     assert not np.array_equal(before.logits, after.logits)
     assert not np.array_equal(before.shift, after.shift)

@@ -5,21 +5,27 @@ number, or a new check that refuses yesterday's valid files, fails here.
 
 The values are dyadic fractions, exact in float64, so the bytes depend on
 the format alone. `codebook-v1.rvqc` was written by
-`rvq.save_codebook(rvq.Codebook(EMBEDDINGS, SIGMA), path)`. A change of
-layout bumps the version and either keeps reading the old fixture or
-refuses it with one named error.
+`rvq.save_codebook(rvq.Codebook(EMBEDDINGS, SIGMA), path)` and
+`checkpoint-v1.rgck` by `checkpoint.save_checkpoint(fixture_checkpoint(), path)`.
+A change of layout bumps the version and either keeps reading the old
+fixture or refuses it with one named error.
 """
 
+import math
 import os
 
 import numpy as np
 
+from rvqgen import checkpoint as ckpt_mod
 from rvqgen import cli
 from rvqgen import data as data_mod
 from rvqgen import rvq
+from rvqgen.backbone import BackboneConfig, parameter_specs
+from rvqgen.trainer import TrainConfig
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 CODEBOOK = os.path.join(FIXTURES, "codebook-v1.rvqc")
+CHECKPOINT = os.path.join(FIXTURES, "checkpoint-v1.rgck")
 
 # D=2, V=4, H=3; the second table holds the zero codeword, so no vector's
 # error grows from depth 1 to depth 2 and eval's MSE check passes on any data
@@ -56,3 +62,68 @@ def test_codebook_fixture_passes_inspect_and_eval(tmp_path, capsys):
                      "--codebook", CODEBOOK, "--out", str(report)]) == 0
     assert "recon_mse_by_depth=" in report.read_text()
 
+
+
+# the smallest backbone on the codebook's geometry: 1 layer, width 2, 2
+# components of mean rank 1, so 129 floats per group
+BACKBONE = BackboneConfig(seq_len=2, depth=2, vocab=4, latent_dim=3, width=2, layers=1,
+                          heads=1, mixtures=2, mean_rank=1)
+TRAIN = TrainConfig(steps=4, batch_size=2, warmup=1, seed=5)
+
+
+def dyadic(shape, offset):
+    """Eighths in [-1/2, 1/2], a fixed pattern per offset."""
+    n = math.prod(shape)
+    return (((np.arange(n) * 5 + offset) % 9 - 4) / 8).reshape(shape)
+
+
+def fixture_checkpoint():
+    """The values `checkpoint-v1.rgck` holds: every parameter named by
+    `parameter_specs` (the head's `basis.M` and `basis.s` among them) in
+    each of the four groups, with squares as the second moments."""
+    specs = parameter_specs(BACKBONE)
+    groups = [{name: dyadic(shape, i + 7 * g) for i, (name, shape, _) in enumerate(specs)}
+              for g in range(3)]
+    return ckpt_mod.Checkpoint(
+        backbone_config=BACKBONE, train_config=TRAIN, step=3,
+        rng_state=np.random.default_rng(5).bit_generator.state,
+        codebook=rvq.Codebook(EMBEDDINGS, SIGMA), params=groups[0], ema=groups[1],
+        opt_m=groups[2], opt_v={k: v * v for k, v in groups[2].items()})
+
+
+def test_checkpoint_fixture_loads_to_its_values_and_bytes():
+    want = fixture_checkpoint()
+    got = ckpt_mod.load_checkpoint(CHECKPOINT)
+    assert got.backbone_config == want.backbone_config
+    assert got.train_config == want.train_config
+    assert (got.step, got.rng_state) == (want.step, want.rng_state)
+    assert got.codebook.embeddings.tobytes() == EMBEDDINGS.tobytes()
+    assert got.codebook.sigma.tobytes() == SIGMA.tobytes()
+    for group in ("params", "ema", "opt_m", "opt_v"):
+        have, expect = getattr(got, group), getattr(want, group)
+        assert sorted(have) == sorted(expect), group
+        for name in expect:
+            assert have[name].shape == expect[name].shape, (group, name)
+            assert have[name].tobytes() == expect[name].tobytes(), (group, name)
+    assert {"basis.M", "basis.s"} <= got.params.keys()
+    with open(CHECKPOINT, "rb") as fh:
+        blob = fh.read()
+    assert got.to_bytes() == blob
+    assert want.to_bytes() == blob
+
+
+def test_checkpoint_fixture_passes_inspect_and_sample(tmp_path, capsys):
+    assert cli.main(["inspect", CHECKPOINT]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"kind=checkpoint version={ckpt_mod.CHECKPOINT_VERSION} step=3",
+        "backbone: seq_len=2 depth=2 vocab=4 dim=3 width=2 layers=1 mixtures=2",
+        "train: steps=4 lr=0.0003 schedule=circle seed=5",
+        "arrays=32 ema=32"]
+    out = tmp_path / "gen.rgds"
+    for weights in ("ema", "raw"):
+        assert cli.main(["sample", "--checkpoint", CHECKPOINT, "--out", str(out),
+                         "--count", "2", "--steps", "3", "--weights", weights]) == 0
+        assert data_mod.load_dataset(out).vectors.shape == (2, 2, 3)
+        dump = (tmp_path / "gen.rgds.tokens.txt").read_text().splitlines()
+        assert dump[0] == "# forward_passes=6 steps=3 grids=2 seq_len=2 depth=2"
+        assert len(dump) == 3

@@ -9,7 +9,8 @@ from rvqgen import numerics as nm
 
 
 def identity_basis(K, H):
-    return mog.LowRankBasis(np.tile(np.eye(H)[None], (K, 1, 1)), np.zeros((K, H)))
+    """M and s of the full-rank means mu = mu~."""
+    return {"M": np.tile(np.eye(H)[None], (K, 1, 1)), "s": np.zeros((K, H))}
 
 
 def random_instance(rng, K, H=4, h=2, L=1):
@@ -18,10 +19,11 @@ def random_instance(rng, K, H=4, h=2, L=1):
         means=rng.normal(size=(L, K, h)),
         log_scale=rng.normal(size=(L,)) * 0.3,
         shift=rng.normal(size=(L, H)),
+        M=rng.normal(size=(K, H, h)),
+        s=rng.normal(size=(K, H)),
     )
-    basis = mog.LowRankBasis(rng.normal(size=(K, H, h)), rng.normal(size=(K, H)))
     z = rng.normal(size=(L, H))
-    return params, basis, z
+    return params, z
 
 
 # ---------------------------------------------------------------------------
@@ -31,20 +33,20 @@ def test_nll_at_mean_is_gaussian_constant():
     H = 2
     z = np.array([[0.3, -0.7]])
     params = mog.MoGParams(np.zeros((1, 1)), z.reshape(1, 1, H),
-                           np.zeros(1), np.zeros((1, H)))
-    out = mog.exact_nll(params, identity_basis(1, H), z)
+                           np.zeros(1), np.zeros((1, H)), **identity_basis(1, H))
+    out = mog.exact_nll(params, z)
     assert out.data[0] == pytest.approx(np.log(2 * np.pi), abs=1e-12)
 
 
 def test_scale_equivariance():
     rng = np.random.default_rng(0)
-    params, basis, z = random_instance(rng, K=3)
-    base = mog.exact_nll(params, basis, z).data[0]
+    params, z = random_instance(rng, K=3)
+    base = mog.exact_nll(params, z).data[0]
     c = 2.5
     H = z.shape[-1]
-    scaled = mog.MoGParams(params.logits, params.means,
-                           params.log_scale + np.log(c), c * params.shift)
-    shifted = mog.exact_nll(scaled, basis, c * z).data[0]
+    scaled = mog.MoGParams(params.logits, params.means, params.log_scale + np.log(c),
+                           c * params.shift, params.M, params.s)
+    shifted = mog.exact_nll(scaled, c * z).data[0]
     assert shifted == pytest.approx(base + H * np.log(c), rel=1e-12)
 
 
@@ -53,42 +55,43 @@ def test_duplicated_component_collapses():
     rng = np.random.default_rng(1)
     mu = rng.normal(size=(1, 1, H))
     z = rng.normal(size=(1, H))
-    single = mog.MoGParams(np.zeros((1, 1)), mu, np.zeros(1), np.zeros((1, H)))
+    single = mog.MoGParams(np.zeros((1, 1)), mu, np.zeros(1), np.zeros((1, H)),
+                           **identity_basis(1, H))
     double = mog.MoGParams(np.zeros((1, 2)), np.repeat(mu, 2, axis=1),
-                           np.zeros(1), np.zeros((1, H)))
-    a = mog.exact_nll(single, identity_basis(1, H), z).data[0]
-    b = mog.exact_nll(double, identity_basis(2, H), z).data[0]
+                           np.zeros(1), np.zeros((1, H)), **identity_basis(2, H))
+    a = mog.exact_nll(single, z).data[0]
+    b = mog.exact_nll(double, z).data[0]
     assert b == pytest.approx(a, abs=1e-12)
 
 
 def test_zero_scale_rejected():
     params = mog.MoGParams(np.zeros((1, 1)), np.zeros((1, 1, 2)),
-                           np.array([-np.inf]), np.zeros((1, 2)))
+                           np.array([-np.inf]), np.zeros((1, 2)), **identity_basis(1, 2))
     with pytest.raises(ValueError, match="positive"):
-        mog.exact_nll(params, identity_basis(1, 2), np.zeros((1, 2)))
+        mog.exact_nll(params, np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
 # Jensen decomposition
 
 def test_k1_surrogate_equals_exact():
+    # one component: q = pi = 1, so the classification term is 0 and the
+    # regression term is the whole negative log-density
     rng = np.random.default_rng(2)
     for _ in range(50):
-        params, basis, z = random_instance(rng, K=1)
-        exact = mog.exact_nll(params, basis, z).data[0]
-        sur = mog.surrogate_loss(params, basis, z).data[0]
+        params, z = random_instance(rng, K=1)
+        exact = mog.exact_nll(params, z).data[0]
+        sur = mog.surrogate_loss(params, z).data[0]
         assert abs(sur - exact) < 1e-12
-        _, cls = mog.decomposed_loss(params, basis, z)
-        assert cls.data[0] == 0.0
 
 
 @pytest.mark.parametrize("K", [2, 8, 64])
 def test_jensen_bound(K):
     rng = np.random.default_rng(K)
     for _ in range(300):
-        params, basis, z = random_instance(rng, K=K)
-        exact = mog.exact_nll(params, basis, z).data[0]
-        sur = mog.surrogate_loss(params, basis, z).data[0]
+        params, z = random_instance(rng, K=K)
+        exact = mog.exact_nll(params, z).data[0]
+        sur = mog.surrogate_loss(params, z).data[0]
         assert sur - exact >= -1e-9
 
 
@@ -98,26 +101,36 @@ def test_equality_under_equal_densities_and_uniform_pi():
     H, K = 3, 4
     rng = np.random.default_rng(5)
     mu = np.repeat(rng.normal(size=(1, 1, 2)), K, axis=1)
-    basis = mog.LowRankBasis(np.repeat(rng.normal(size=(1, H, 2)), K, axis=0),
-                             np.zeros((K, H)))
-    params = mog.MoGParams(np.full((1, K), 0.7), mu, np.zeros(1), np.zeros((1, H)))
+    M = np.repeat(rng.normal(size=(1, H, 2)), K, axis=0)
+    params = mog.MoGParams(np.full((1, K), 0.7), mu, np.zeros(1), np.zeros((1, H)),
+                           M, np.zeros((K, H)))
     z = rng.normal(size=(1, H))
-    exact = mog.exact_nll(params, basis, z).data[0]
-    sur = mog.surrogate_loss(params, basis, z).data[0]
+    exact = mog.exact_nll(params, z).data[0]
+    sur = mog.surrogate_loss(params, z).data[0]
     assert sur == pytest.approx(exact, abs=1e-12)
 
 
+def component_log_density_oracle(params, z):
+    """log N(z~; M mu~ + s, I) (L, K) from the full means, in plain numpy."""
+    zt = (z - params.shift) * np.exp(-params.log_scale)[:, None]
+    mu = np.einsum("khr,lkr->lkh", params.M, params.means) + params.s
+    H = z.shape[-1]
+    return -0.5 * ((zt[:, None] - mu) ** 2).sum(axis=-1) - 0.5 * H * np.log(2 * np.pi)
+
+
 def test_classification_zero_when_pi_matches_q():
-    # pick logits equal to log q so KL(q||pi) vanishes
+    # pick logits equal to log q so KL(q||pi) vanishes: the surrogate is
+    # then H*log a plus the regression term -sum_k q_k log N_k alone
     rng = np.random.default_rng(6)
-    params, basis, z = random_instance(rng, K=5)
-    log_n = mog.component_log_density(
-        nm.constant((z - params.shift) * np.exp(-params.log_scale)[:, None]),
-        nm.constant(params.means), basis).data
-    log_q = log_n - nm.logsumexp(log_n, keepdims=True).data
-    params = mog.MoGParams(log_q, params.means, params.log_scale, params.shift)
-    _, cls = mog.decomposed_loss(params, basis, z)
-    assert cls.data[0] == pytest.approx(0.0, abs=1e-12)
+    params, z = random_instance(rng, K=5)
+    log_n = component_log_density_oracle(params, z)
+    log_q = log_n - np.log(np.exp(log_n).sum(axis=-1, keepdims=True))
+    params = mog.MoGParams(log_q, params.means, params.log_scale, params.shift,
+                           params.M, params.s)
+    regression = -(np.exp(log_q) * log_n).sum(axis=-1)
+    H = z.shape[-1]
+    sur = mog.surrogate_loss(params, z).data
+    assert sur == pytest.approx(H * params.log_scale + regression, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -183,38 +196,37 @@ def _tensor_instance(rng, K=5, H=4, h=2, L=3):
            "log_scale": 0.3 * rng.normal(size=(L,)), "shift": rng.normal(size=(L, H)),
            "M": rng.normal(size=(K, H, h)), "s": rng.normal(size=(K, H))}
     params = {k: nm.parameter(v, name=k) for k, v in raw.items()}
-    head = mog.MoGParams(params["logits"], params["means"], params["log_scale"],
-                         params["shift"])
-    return params, head, mog.LowRankBasis(params["M"], params["s"]), rng.normal(size=(L, H))
+    return params, mog.MoGParams(**params), rng.normal(size=(L, H))
 
 
 @pytest.mark.parametrize("differentiate_q", [False, True])
 def test_shared_loss_path_is_bit_equal_to_separate_calls(differentiate_q):
+    # `surrogate_loss` and `exact_nll` are views of the one loss builder
     rng = np.random.default_rng(13)
-    params, head, basis, z = _tensor_instance(rng)
-    sur, nll = mog.surrogate_and_nll(head, basis, z, differentiate_q)
-    sur_alone = mog.surrogate_loss(head, basis, z, differentiate_q)
-    nll_alone = mog.exact_nll(head, basis, z)
+    params, head, z = _tensor_instance(rng)
+    sur, nll = mog.surrogate_and_nll(head, z, differentiate_q)
+    sur_alone = mog.surrogate_loss(head, z, differentiate_q)
+    nll_alone = mog.exact_nll(head, z)
     assert sur.data.tobytes() == sur_alone.data.tobytes()
     assert nll.data.tobytes() == nll_alone.data.tobytes()
     # and so are their gradients, each taken through its own graph (a
     # `grads` walk frees the graph, so each walk gets a fresh one)
     for pick, alone in ((0, mog.surrogate_loss), (1, mog.exact_nll)):
-        shared = mog.surrogate_and_nll(head, basis, z, differentiate_q)[pick]
+        shared = mog.surrogate_and_nll(head, z, differentiate_q)[pick]
         extra = (differentiate_q,) if pick == 0 else ()
         g_shared = nm.grads(nm.mean_(shared), params)
-        g_alone = nm.grads(nm.mean_(alone(head, basis, z, *extra)), params)
+        g_alone = nm.grads(nm.mean_(alone(head, z, *extra)), params)
         assert all(g_shared[k].tobytes() == g_alone[k].tobytes() for k in params)
 
 
 def test_shared_loss_path_builds_one_component_density(monkeypatch):
     rng = np.random.default_rng(14)
-    _, head, basis, z = _tensor_instance(rng)
+    _, head, z = _tensor_instance(rng)
     calls = []
     kernel = nm.lowrank_sqdist
     monkeypatch.setattr(nm, "lowrank_sqdist",
                         lambda *a: calls.append(1) or kernel(*a))
-    mog.surrogate_and_nll(head, basis, z)
+    mog.surrogate_and_nll(head, z)
     assert len(calls) == 1
 
 
@@ -235,10 +247,7 @@ def test_exact_nll_gradients_match_fd():
     z = rng.normal(size=(2, 4))
 
     def loss():
-        p = mog.MoGParams(params["logits"], params["means"],
-                          params["log_scale"], params["shift"])
-        basis = mog.LowRankBasis(params["M"], params["s"])
-        return nm.mean_(mog.exact_nll(p, basis, z))
+        return nm.mean_(mog.exact_nll(mog.MoGParams(**params), z))
 
     assert nm.finite_difference_check(loss, params, h=1e-5) < 1e-4
 
@@ -257,10 +266,8 @@ def test_surrogate_with_differentiable_q_matches_fd():
     z = rng.normal(size=(1, 3))
 
     def loss():
-        p = mog.MoGParams(params["logits"], params["means"],
-                          params["log_scale"], params["shift"])
-        basis = mog.LowRankBasis(params["M"], params["s"])
-        return nm.mean_(mog.surrogate_loss(p, basis, z, differentiate_q=True))
+        return nm.mean_(mog.surrogate_loss(mog.MoGParams(**params), z,
+                                           differentiate_q=True))
 
     assert nm.finite_difference_check(loss, params, h=1e-5) < 1e-4
 
@@ -339,9 +346,9 @@ def test_sample_draws_nucleus_members_at_renormalized_rates():
     logits = np.log(np.array([0.05, 0.3, 0.02, 0.25, 0.18, 0.2]))
     params = mog.MoGParams(np.tile(logits, (L, 1)),
                            np.tile(np.arange(K, dtype=float)[None, :, None], (L, 1, 1)),
-                           np.zeros(L), np.zeros((L, 1)))
-    basis = mog.LowRankBasis(np.ones((K, 1, 1)), np.zeros((K, 1)))
-    z = mog.sample(params, basis, NoiseFree(5), top_p=top_p)
+                           np.zeros(L), np.zeros((L, 1)), np.ones((K, 1, 1)),
+                           np.zeros((K, 1)))
+    z = mog.sample(params, NoiseFree(5), top_p=top_p)
     comp = z[:, 0].astype(int)
     assert np.array_equal(z[:, 0], comp)
     members = nucleus_oracle(mog.mixture_weights(logits), top_p)
@@ -356,7 +363,7 @@ def test_sample_draws_nucleus_members_at_renormalized_rates():
 
 def test_sample_rejects_non_finite_outputs_and_draws():
     rng = np.random.default_rng(17)
-    params, basis, _ = random_instance(rng, K=3, L=2)
+    params, _ = random_instance(rng, K=3, L=2)
     for field, value in (("logits", np.nan), ("means", np.inf),
                          ("log_scale", np.nan), ("shift", -np.inf)):
         bad = mog.MoGParams(**{**params.__dict__})
@@ -364,26 +371,27 @@ def test_sample_rejects_non_finite_outputs_and_draws():
         arr.flat[0] = value
         setattr(bad, field, arr)
         with pytest.raises(ValueError, match="non-finite head outputs"):
-            mog.sample(bad, basis, np.random.default_rng(0))
-    huge = mog.MoGParams(params.logits, params.means, np.full(2, 800.0), params.shift)
+            mog.sample(bad, np.random.default_rng(0))
+    huge = mog.MoGParams(params.logits, params.means, np.full(2, 800.0), params.shift,
+                         params.M, params.s)
     with pytest.raises(ValueError, match="non-finite draw"):
-        mog.sample(huge, basis, np.random.default_rng(0))
+        mog.sample(huge, np.random.default_rng(0))
 
 
 def test_sample_deterministic_degenerate_draw():
     H = 3
     mu = np.array([[[0.5, -1.0, 2.0]]])
     params = mog.MoGParams(np.zeros((1, 1)), mu, np.log(np.array([2.0])),
-                           np.array([[1.0, 1.0, 1.0]]))
-    z = mog.sample(params, identity_basis(1, H), NoiseFree(0))
+                           np.array([[1.0, 1.0, 1.0]]), **identity_basis(1, H))
+    z = mog.sample(params, NoiseFree(0))
     assert np.allclose(z, 2.0 * mu[0] + 1.0)
 
 
 def test_sample_reproducible():
     rng = np.random.default_rng(13)
-    params, basis, z0 = random_instance(rng, K=4, L=3)
-    a = mog.sample(params, basis, np.random.default_rng(99), top_p=0.9)
-    b = mog.sample(params, basis, np.random.default_rng(99), top_p=0.9)
+    params, _ = random_instance(rng, K=4, L=3)
+    a = mog.sample(params, np.random.default_rng(99), top_p=0.9)
+    b = mog.sample(params, np.random.default_rng(99), top_p=0.9)
     assert np.array_equal(a, b)
 
 
@@ -392,8 +400,8 @@ def test_sample_reproducible():
 
 def test_cfg_zero_weight_is_identity():
     rng = np.random.default_rng(14)
-    cond, basis, _ = random_instance(rng, K=3)
-    uncond, _, _ = random_instance(rng, K=3)
+    cond, _ = random_instance(rng, K=3)
+    uncond, _ = random_instance(rng, K=3)
     out = mog.cfg_combine(cond, uncond, 0.0)
     assert np.array_equal(out.logits, cond.logits)
     assert np.array_equal(out.means, cond.means)
@@ -401,7 +409,7 @@ def test_cfg_zero_weight_is_identity():
 
 def test_cfg_equal_inputs_fixed_point():
     rng = np.random.default_rng(15)
-    cond, _, _ = random_instance(rng, K=3)
+    cond, _ = random_instance(rng, K=3)
     out = mog.cfg_combine(cond, cond, 1.7)
     assert np.array_equal(out.logits, cond.logits)
     assert np.array_equal(out.means, cond.means)
@@ -409,16 +417,17 @@ def test_cfg_equal_inputs_fixed_point():
 
 def test_cfg_extrapolation_k1():
     c = mog.MoGParams(np.zeros((1, 1)), np.array([[[1.0, 2.0]]]),
-                      np.zeros(1), np.zeros((1, 2)))
+                      np.zeros(1), np.zeros((1, 2)), **identity_basis(1, 2))
     u = mog.MoGParams(np.zeros((1, 1)), np.array([[[0.5, -1.0]]]),
-                      np.zeros(1), np.zeros((1, 2)))
+                      np.zeros(1), np.zeros((1, 2)), **identity_basis(1, 2))
     out = mog.cfg_combine(c, u, 1.0)
     assert np.allclose(out.means, 2 * c.means - u.means)
+    assert out.M is c.M and out.s is c.s
 
 
 def test_cfg_shape_mismatch_rejected():
     rng = np.random.default_rng(16)
-    a, _, _ = random_instance(rng, K=3)
-    b, _, _ = random_instance(rng, K=4)
+    a, _ = random_instance(rng, K=3)
+    b, _ = random_instance(rng, K=4)
     with pytest.raises(ValueError, match="mismatch"):
         mog.cfg_combine(a, b, 1.0)

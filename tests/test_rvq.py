@@ -7,7 +7,6 @@ their reference forms, the fit's own tokens against `quantize` and the
 searches `fit-rvq` makes, and the binary codebook format."""
 
 import dataclasses
-import inspect
 import os
 import re
 import signal
@@ -66,6 +65,32 @@ def test_dequantize_zero_depth_is_zero():
     tokens = rvq.quantize(np.array([[1.0, 1.0], [0.5, 0.5]]), book)
     z = rvq.dequantize(tokens, book, keep=np.zeros((2, 2), dtype=bool))
     assert np.array_equal(z, np.zeros((2, 2)))
+
+
+def test_codewords_read_and_check_only_kept_entries():
+    book = book_2d()
+    tokens = np.array([[2, rvq.MASK], [1, 2]])
+    keep = np.array([[True, False], [False, True]])
+    words = rvq.codewords(tokens, book, keep=keep)
+    assert np.array_equal(words[0, 0], book.table(1)[1])
+    assert np.array_equal(words[1, 1], book.table(2)[1])
+    # dropped entries are +0.0, whatever token they hold
+    for i, j in ((0, 1), (1, 0)):
+        assert np.array_equal(words[i, j], [0.0, 0.0])
+        assert not np.signbit(words[i, j]).any()
+    bad = np.array([[2, 99], [-7, 2]])
+    assert np.array_equal(rvq.codewords(bad, book, keep=keep), words)
+    # a kept MASK or a kept token outside [0, V] is refused by name
+    with pytest.raises(ValueError, match="MASK token at a kept entry"):
+        rvq.codewords(tokens, book)
+    with pytest.raises(ValueError, match=r"tokens must lie in \[0, 2\]"):
+        rvq.codewords(bad, book, keep=~keep)
+    assert rvq.codewords(tokens, book, keep=np.zeros((2, 2), bool)).shape == (2, 2, 2)
+    # keep broadcasts to the tokens' shape, or is refused
+    assert np.array_equal(rvq.codewords(tokens, book, keep=[True, False])[1, 0],
+                          book.table(1)[0])
+    with pytest.raises(ValueError):
+        rvq.codewords(tokens, book, keep=[True, False, True])
 
 
 def test_dequantize_rejects_mask_in_range():
@@ -892,7 +917,21 @@ def test_fit_tokens_past_255_keep_their_value():
 
 
 def test_fit_and_quantize_takes_fit_codebooks_arguments():
-    assert inspect.signature(rvq.fit_and_quantize) == inspect.signature(rvq.fit_codebook)
+    # fit_codebook has no defaults of its own: positional and keyword calls
+    # (the benchmark's `fit_codebook(vectors, DEPTH, VOCAB, epochs=, seed=)`)
+    # reach fit_and_quantize's parameters, and bad ones are refused there
+    vectors = np.random.default_rng(4).standard_normal((300, 3))
+    want = rvq.fit_and_quantize(vectors, 2, 8, epochs=2, seed=3)[0]
+    for book in (rvq.fit_codebook(vectors, 2, 8, epochs=2, seed=3),
+                 rvq.fit_codebook(vectors, depth=2, vocab=8, epochs=2, seed=3),
+                 rvq.fit_codebook(vectors, 2, 8, "nearest", 2, 1.0, 3)):
+        assert book.embeddings.tobytes() == want.embeddings.tobytes()
+        assert book.sigma.tobytes() == want.sigma.tobytes()
+    default = rvq.fit_codebook(vectors, epochs=1)
+    assert default.embeddings.tobytes() == \
+        rvq.fit_and_quantize(vectors, epochs=1)[0].embeddings.tobytes()
+    with pytest.raises(TypeError, match="depths"):
+        rvq.fit_codebook(vectors, depths=2)
 
 
 def _fit_rvq_data(tmp_path, count):

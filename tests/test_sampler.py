@@ -429,7 +429,7 @@ def reference_generate(model, book, label, config, rng):
             uncond = model.forward(visible, q, book, [0],
                                    [(t - 1) / T], grad=False)
             params = mog.cfg_combine(params, uncond, smp.cfg_weight(config, t))
-        z = mog.sample(params, model.basis, rng, top_p=config.top_p)
+        z = mog.sample(params, rng, top_p=config.top_p)
         tokens = oracle_quantize(z, book, start_depth=D - q,
                                  out=tokens)
         n_target = min(mk.mask_count(schedule, t / T, L, D), int(q.sum()))

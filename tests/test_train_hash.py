@@ -1,6 +1,6 @@
 """scripts/train_hash.py: the seeded digests (training, sampling in two
-modes, fitting, audit and VLB diagnostics) are the same in two processes on one checkout, and a
-difference between checkouts fails."""
+modes, fitting, audit and VLB diagnostics) are the same in two processes on one checkout, a
+difference between checkouts exits 1, and a checkout that cannot run exits 2."""
 
 import importlib.util
 import os
@@ -55,3 +55,19 @@ def test_differing_digests_are_named(monkeypatch, capsys):
         assert err == [f"train_hash: 7-step digests differ: {moved}"]
     assert th.main(["parent", "parent"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_checkout_that_cannot_run_exits_two_without_a_traceback(tmp_path):
+    missing = tmp_path / "no-src"
+    missing.mkdir()
+    broken = tmp_path / "broken"
+    (broken / "src" / "rvqgen").mkdir(parents=True)
+    (broken / "src" / "rvqgen" / "__init__.py").write_text("raise ImportError('broken on import')\n")
+    for checkout, reason in ((missing, "no src/rvqgen package"),
+                             (broken, "worker exit 1: ImportError: broken on import")):
+        # the failing checkout comes first, so the good one is never hashed
+        proc = subprocess.run([sys.executable, _PATH, str(checkout), ROOT, "--steps", "0"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"train_hash: {checkout}: {reason}"]

@@ -439,10 +439,10 @@ def autodiff_reconstructions(model, book, tokens, q, label, ratio, rng, samples)
     out = model.forward(tokens, q, book, [label], [ratio])
     flat = tnr.gather_params(out, np.arange(tokens.shape[0]))
     params = mog.MoGParams(flat.logits.data, flat.means.data,
-                           flat.log_scale.data.reshape(-1), flat.shift.data)
-    basis = mog.LowRankBasis(model.params["basis.M"].data, model.params["basis.s"].data)
+                           flat.log_scale.data.reshape(-1), flat.shift.data,
+                           flat.M.data, flat.s.data)
     start = book.depth - q
-    return np.stack([rvq.quantize(mog.sample(params, basis, rng), book,
+    return np.stack([rvq.quantize(mog.sample(params, rng), book,
                                   start_depth=start, out=tokens) for _ in range(samples)])
 
 
