@@ -15,7 +15,12 @@ each of these and side, the median and the quartiles, the pairs the
 change won and lost (ties count for neither), the relative gap between
 the medians, and whether the pairs meet the gain rule: the change wins at
 least nine tenths of the pairs and the medians differ by more than the
-parent's own interquartile range.
+parent's own interquartile range. Beside it, each metric with a `bound`
+gets the no-regression verdict, with the bound a share of the parent's
+median: "regressed" when the change's median is worse than the parent's
+by more than the bound; "unresolved" when the parent's interquartile
+range is wider than the bound and not every change run beats every parent
+run; "within bound" otherwise.
 
 The summary's first line also gives each side's `cpu_affinity` (the CPUs
 the run may use) and `blas_threads`, read off each run's `provenance`
@@ -46,11 +51,12 @@ def quartiles(values):
     return q1, med, q3
 
 
-def summarize(parent, change, better="lower"):
+def summarize(parent, change, better="lower", bound=None):
     """Summary of paired readings of one metric; parent[i] and change[i]
     come from pair i. Returns a dict of both sides' quartiles, the change's
-    wins/losses/ties, the relative gap of the medians (change vs parent)
-    and `gain`, whether the pairs meet the gain rule."""
+    wins/losses/ties, the relative gap of the medians (change vs parent),
+    `gain`, whether the pairs meet the gain rule, and, given the metric's
+    `bound`, `verdict`: "regressed", "unresolved" or "within bound"."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same non-zero number of readings per side")
     sign = 1 if better == "lower" else -1
@@ -58,10 +64,21 @@ def summarize(parent, change, better="lower"):
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
     gap = sign * (pq[1] - cq[1])
-    return {"parent": pq, "change": cq, "wins": wins, "losses": losses,
-            "ties": len(parent) - wins - losses,
-            "rel": (cq[1] - pq[1]) / pq[1] if pq[1] else float("nan"),
-            "gain": wins >= 0.9 * len(parent) and gap > pq[2] - pq[0]}
+    out = {"parent": pq, "change": cq, "wins": wins, "losses": losses,
+           "ties": len(parent) - wins - losses,
+           "rel": (cq[1] - pq[1]) / pq[1] if pq[1] else float("nan"),
+           "gain": wins >= 0.9 * len(parent) and gap > pq[2] - pq[0]}
+    if bound is not None:
+        allowed = bound * abs(pq[1])
+        beats_all = (max(change) < min(parent) if better == "lower"
+                     else min(change) > max(parent))
+        if -gap > allowed:
+            out["verdict"] = "regressed"
+        elif pq[2] - pq[0] > allowed and not beats_all:
+            out["verdict"] = "unresolved"
+        else:
+            out["verdict"] = "within bound"
+    return out
 
 
 def parse_result(stdout):
@@ -129,9 +146,12 @@ def run_order(pairs):
 
 
 def end_to_end(checkout):
+    """(name, better, bound) of each end-to-end metric; bound is None when
+    the metric has none."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return [(m["name"], m.get("better", "lower")) for m in spec["end_to_end"]]
+    return [(m["name"], m.get("better", "lower"), m.get("bound"))
+            for m in spec["end_to_end"]]
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -162,7 +182,7 @@ def main(argv=None):
     dirs = {"parent": os.path.abspath(args.parent),
             "change": os.path.abspath(args.change)}
     metrics = end_to_end(dirs["change"])
-    shown = metrics + [(name, "lower") for name in REPORTED]
+    shown = metrics + [(name, "lower", None) for name in REPORTED]
     runs = {"parent": [], "change": []}
     for i, order in enumerate(run_order(args.pairs)):
         seed = args.seed + i
@@ -170,22 +190,23 @@ def main(argv=None):
             got = run_once(dirs[side], args.workload, seed, args.seconds)
             runs[side].append(got)
             print(f"pair {i} seed {seed} {side}: " + " ".join(
-                f"{name}={got[name]:.6g}" for name, _ in shown), flush=True)
+                f"{name}={got[name]:.6g}" for name, _, _ in shown), flush=True)
     shown_hosts, warnings = hosts(runs)
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}.."
           f"{args.seed + args.pairs - 1}, {args.seconds:g} s runs; "
           + ", ".join(f"{side} {shown_hosts[side]}" for side in runs))
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    for name, better in shown:
+    for name, better, bound in shown:
         s = summarize([r[name] for r in runs["parent"]],
-                      [r[name] for r in runs["change"]], better)
+                      [r[name] for r in runs["change"]], better, bound)
         fmt = "median {1:.6g} [q1 {0:.6g}, q3 {2:.6g}]"
         kind = "reported" if name in REPORTED else f"{better} is better"
         print(f"{name} ({kind}): parent " + fmt.format(*s["parent"])
               + ", change " + fmt.format(*s["change"])
               + f", change {s['rel']:+.1%}, won {s['wins']}/{args.pairs}"
-              f" (lost {s['losses']}), gain rule {'met' if s['gain'] else 'not met'}")
+              f" (lost {s['losses']}), gain rule {'met' if s['gain'] else 'not met'}"
+              + (f", bound {bound:g}: {s['verdict']}" if bound is not None else ""))
     return 0
 
 

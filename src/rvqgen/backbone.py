@@ -11,12 +11,20 @@ carry the residual stream as one row per grid position, (B*L, width), so
 each projection is one 2D product, and the heads emit those rows,
 (B*L, ...), the layout the loss gathers from and the sampler draws from.
 
-The forward is written once against an op set and a parameter mapping.
-`forward(..., grad=True)` (training) runs it with the autodiff ops of
-`numerics` over the parameter Tensors; `grad=False` (sampling, VLB
-diagnostics) runs it with the graph-free kernels `numerics.plain` over the
-parameters' arrays, read afresh at each call, and returns ndarrays. The
-autodiff ops call those kernels, so the two modes agree bit for bit.
+A model call is `forward(embed_input(tokens, q, book), labels, r)`.
+`embed_input` computes everything before the first label-dependent op:
+the residual-stream rows with the positional encoding added, and block 0's
+first layer norm of them. `forward` adds the conditioning and runs the
+blocks and heads, and counts the call. The two calls of a guided sampling
+step see the same grid and differ only in the label, so they share one
+embedding.
+
+Both halves are written once against an op set and a parameter mapping.
+`grad=True` (training) runs them with the autodiff ops of `numerics` over
+the parameter Tensors; `grad=False` (sampling, VLB diagnostics) runs them
+with the graph-free kernels `numerics.plain` over the parameters' arrays,
+read afresh at each call, and returns ndarrays. The autodiff ops call
+those kernels, so the two modes agree bit for bit.
 """
 
 from __future__ import annotations
@@ -31,14 +39,19 @@ from .masking import checked_counts, suffix_masks
 from .mog import MoGParams
 
 
+def check_integer(name, value):
+    """A float or a bool raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: {value!r} is not an integer")
+
+
 def check_integers(config):
     """Every `int` field of a config dataclass, and every entry of a `tuple`
-    one, must be an integer: a float or a bool raises ValueError naming it."""
+    one, must be an integer (`check_integer`)."""
     for name, f in config.__dataclass_fields__.items():
         field = getattr(config, name)
         for value in field if f.type == "tuple" else (field,) if f.type == "int" else ():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name}: {value!r} is not an integer")
+            check_integer(name, value)
 
 
 @dataclass
@@ -152,10 +165,11 @@ class Backbone:
             return nm, self.params
         return nm.plain, {k: p.data for k, p in self.params.items()}
 
-    def embed_input(self, tokens, masked_counts, book: rvq.Codebook, grad=True, *, ops=None):
-        """(B, L, D) tokens + (B, L) masked counts q, or (L, D) + (L,) -> (B, L,
-        width) Tensor, or ndarray with grad=False; `ops` is the `_ops(grad)`
-        pair when the caller already built it (`forward` builds it once).
+    def embed_input(self, tokens, masked_counts, book: rvq.Codebook, grad=True):
+        """(B, L, D) tokens + (B, L) masked counts q, or (L, D) + (L,) -> the
+        label-free prefix of a model call: (x, normed), the residual-stream
+        rows (B*L, width) with the positional encoding added, and block 0's
+        first layer norm of them. Tensors, or ndarrays with grad=False.
 
         Position i hides its deepest q_i depths. Its features: the sum of
         its revealed codeword embeddings (hidden tokens are never read; a
@@ -163,7 +177,7 @@ class Backbone:
         A MASK token at a revealed entry raises ValueError.
         """
         c = self.config
-        ops, P = ops or self._ops(grad)
+        ops, P = self._ops(grad)
         tokens, q = np.asarray(tokens), np.asarray(masked_counts)
         if tokens.ndim == 2:
             tokens, q = tokens[None], q[None]
@@ -176,7 +190,11 @@ class Backbone:
 
         feat = ops.add(e_sum, ops.mul(hidden, P["embed.null"]))
         x = ops.concat([feat, (q / c.depth)[:, :, None]], axis=-1)
-        return ops.linear(x, P["embed.w"], P["embed.b"])
+        x = ops.linear(x, P["embed.w"], P["embed.b"])
+        if c.positional_encoding:
+            x = ops.add(x, self._pe[None])
+        x = ops.reshape(x, (tokens.shape[0] * c.seq_len, c.width))
+        return x, ops.layer_norm(x, P["block0.ln1.g"], P["block0.ln1.b"])
 
     def _attention(self, ops, P, x, prefix, B):
         c = self.config
@@ -197,19 +215,26 @@ class Backbone:
         out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (B * c.seq_len, W))
         return ops.linear(out, P[prefix + "attn.ow"], P[prefix + "attn.ob"])
 
-    def predict(self, embedded, labels, r, grad=True, *, ops=None):
-        """Embedded inputs + labels (B,) + mask ratio r (B,) -> MoGParams
-        of Tensors, or of ndarrays with grad=False; `ops` as in
-        `embed_input`. The blocks and heads run on (B*L, width) rows, one
-        per grid position, and the heads are emitted as those rows: logits
-        (B*L, K), means (B*L, K, h), log_scale (B*L,) and shift (B*L, H),
-        grid b's positions at rows b*L .. b*L + L - 1. The output carries
-        the low-rank basis parameters `basis.M` and `basis.s` as its M and
-        s, so the loss and the sampler need nothing else."""
+    def predict(self, embedded, labels, r, grad=True):
+        """`embed_input`'s (x, normed) + labels (B,) + mask ratio r (B,) ->
+        MoGParams of Tensors, or of ndarrays with grad=False. The blocks and
+        heads run on (B*L, width) rows, one per grid position, and the heads
+        are emitted as those rows: logits (B*L, K), means (B*L, K, h),
+        log_scale (B*L,) and shift (B*L, H), grid b's positions at rows
+        b*L .. b*L + L - 1. The output carries the low-rank basis parameters
+        `basis.M` and `basis.s` as its M and s, so the loss and the sampler
+        need nothing else. A label that is a float or a bool raises
+        ValueError naming it."""
         c = self.config
-        ops, P = ops or self._ops(grad)
-        B = embedded.shape[0]
-        labels = np.asarray(labels, dtype=np.int64).reshape(B)
+        ops, P = self._ops(grad)
+        x, normed = embedded
+        L = c.seq_len
+        B = x.shape[0] // L
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "iu":
+            for value in labels.ravel().tolist():
+                check_integer("labels", value)
+        labels = labels.astype(np.int64).reshape(B)
         if (np.minimum.reduce(labels, initial=0) < 0
                 or np.maximum.reduce(labels, initial=0) > c.num_classes):
             raise ValueError(f"labels must lie in [0, {c.num_classes}]")
@@ -218,22 +243,21 @@ class Backbone:
             r = np.broadcast_to(r, (B,))
 
         # one conditioning row per grid position, as the residual stream
-        L = c.seq_len
         cond = ops.add(ops.gather(P["cond.classes"], np.repeat(labels, L)),
                        ops.mul(np.repeat(r, L)[:, None], P["cond.ratio"]))
 
-        x = embedded
-        if c.positional_encoding:
-            x = ops.add(x, self._pe[None])
-        x = ops.reshape(x, (B * L, c.width))
+        # `normed` is the layer norm that opens each stage: block i's first,
+        # then the final one
         for i in range(c.layers):
             p = f"block{i}."
-            h1 = ops.add(ops.layer_norm(x, P[p + "ln1.g"], P[p + "ln1.b"]), cond)
-            x = ops.add(x, self._attention(ops, P, h1, p, B))
+            x = ops.add(x, self._attention(ops, P, ops.add(normed, cond), p, B))
             h2 = ops.add(ops.layer_norm(x, P[p + "ln2.g"], P[p + "ln2.b"]), cond)
             mlp = ops.gelu(ops.linear(h2, P[p + "mlp.w1"], P[p + "mlp.b1"]))
             x = ops.add(x, ops.linear(mlp, P[p + "mlp.w2"], P[p + "mlp.b2"]))
-        y = ops.add(ops.layer_norm(x, P["final.g"], P["final.b"]), cond)
+            g, b = ((f"block{i + 1}.ln1.g", f"block{i + 1}.ln1.b") if i + 1 < c.layers
+                    else ("final.g", "final.b"))
+            normed = ops.layer_norm(x, P[g], P[b])
+        y = ops.add(normed, cond)
 
         def head(name):
             return ops.linear(y, P[f"head.{name}.w"], P[f"head.{name}.b"])
@@ -242,16 +266,16 @@ class Backbone:
         means = ops.reshape(head("means"), (B * L, c.mixtures, c.mean_rank))
         log_scale = ops.reshape(head("scale"), (B * L,))
         shift = head("shift")
-        self.forward_calls += 1
         return MoGParams(logits, means, log_scale, shift, P["basis.M"], P["basis.s"])
 
-    def forward(self, tokens, masked_counts, book, labels, r, grad=True):
-        """One model call, on the inputs of `embed_input`. grad=True builds
-        the autodiff graph over `params` (training); grad=False runs the
-        same arithmetic through `numerics.plain` on the parameters' current
-        arrays and returns ndarray head outputs with the bits of the
-        graph's `.data` (inference). Both check their inputs alike and
-        count one call. The parameter mapping is read once, for both halves."""
-        ops = self._ops(grad)
-        return self.predict(self.embed_input(tokens, masked_counts, book, grad, ops=ops),
-                            labels, r, grad, ops=ops)
+    def forward(self, embedded, labels, r, grad=True):
+        """One model call, on `embed_input`'s output: `predict`, counted in
+        `forward_calls`. grad=True builds the autodiff graph over `params`
+        (training); grad=False runs the same arithmetic through
+        `numerics.plain` on the parameters' current arrays and returns
+        ndarray head outputs with the bits of the graph's `.data`
+        (inference). A guided sampling step embeds its grid once and makes
+        two calls on it."""
+        out = self.predict(embedded, labels, r, grad)
+        self.forward_calls += 1
+        return out

@@ -10,10 +10,13 @@ matter how long or deep the grid is.
 
 The masking state is the int64 masked counts q (L,) and their total;
 the mask and the unmasked counts D - q are derived where a step reads
-them. Each model call is the backbone's graph-free forward on the grid
-and its masked counts (`Backbone.forward(tokens, q, ..., grad=False)`).
-It records no graph, since no backward pass follows, and gives the bits
-of the autodiff forward, so tokens do not depend on the path.
+them. Each step embeds the grid and its masked counts once
+(`Backbone.embed_input(tokens, q, book, grad=False)`), and each model call
+is the backbone's graph-free forward on that embedding
+(`Backbone.forward(embedded, labels, r, grad=False)`): one call, or two
+with guidance, which differ only in the label. Neither records a graph,
+since no backward pass follows, and both give the bits of the autodiff
+path, so tokens do not depend on the path.
 
 The reveal schedule is taken before the first step, from one array call
 to `masking.mask_count` over the ratios t/T, equal bit for bit to T
@@ -40,7 +43,7 @@ import numpy as np
 from . import masking as mk
 from . import mog
 from . import rvq
-from .backbone import Backbone, check_integers
+from .backbone import Backbone, check_integer, check_integers
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,8 @@ def select_unmask(q, n_target, scores):
 
 def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
              rng=None, validate=False):
-    """Run the T-step unmasking loop; returns (tokens, stats).
+    """Run the T-step unmasking loop for an integer class label (0 is the
+    null label); returns (tokens, stats).
 
     stats: forward_passes (exactly T, or 2T with guidance), steps, and
     wall_time seconds.
@@ -157,6 +161,7 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     c = model.config
     if book.depth != c.depth or book.dim != c.latent_dim:
         raise ValueError("model and codebook disagree on grid geometry")
+    check_integer("label", label)
     if not 0 <= label <= c.num_classes:
         raise ValueError(f"label {label} outside [0, {c.num_classes}]")
     rng = rng if rng is not None else np.random.default_rng(config.seed)
@@ -177,9 +182,10 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
 
     for t in range(1, T + 1):
         r_model = ratios[t - 1:t]
-        params = model.forward(tokens, q, book, labels, r_model, grad=False)
+        embedded = model.embed_input(tokens, q, book, grad=False)
+        params = model.forward(embedded, labels, r_model, grad=False)
         if config.use_cfg:
-            uncond = model.forward(tokens, q, book, null_labels, r_model, grad=False)
+            uncond = model.forward(embedded, null_labels, r_model, grad=False)
             params = mog.cfg_combine(params, uncond, cfg_weight(config, t))
 
         z = mog.sample(params, rng, top_p=config.top_p)

@@ -123,7 +123,7 @@ def masked_loss(model: Backbone, book, tokens, masked_counts, labels, ratios,
     targets, included = masked_targets(tokens, masked_counts, book)
     rows = np.flatnonzero(included.reshape(-1))
 
-    out = model.forward(tokens, masked_counts, book, labels, ratios)
+    out = model.forward(model.embed_input(tokens, masked_counts, book), labels, ratios)
     if rows.size == 0:
         zero = nm.constant(0.0)
         return zero, zero, 0, out
@@ -379,7 +379,8 @@ def _model_reconstructions(model, book, tokens, q, label, ratio, rng, samples):
     """Draw full-grid candidates x0_hat ~ p(x0 | x_t), (samples, L, D), at
     masked counts q: sample z at masked positions, quantize the masked
     depths, keep revealed tokens."""
-    params = model.forward(tokens, q, book, [label], [ratio], grad=False)
+    params = model.forward(model.embed_input(tokens, q, book, grad=False),
+                           [label], [ratio], grad=False)
     start = book.depth - q
     return np.stack([rvq.quantize(mog.sample(params, rng), book,
                                   start_depth=start, out=tokens)

@@ -52,6 +52,29 @@ def test_summary_honours_higher_is_better():
     assert s["rel"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("parent, change, better, verdict", [
+    # medians 10 -> 12.4: worse by 24% of the parent's, inside a 0.25 bound
+    ([9.9, 10.0, 10.1, 10.0], [12.3, 12.4, 12.5, 12.4], "lower", "within bound"),
+    # 10 -> 12.6: worse by 26%
+    ([9.9, 10.0, 10.1, 10.0], [12.5, 12.6, 12.7, 12.6], "lower", "regressed"),
+    # the parent's IQR (4.0 on a median of 10) is wider than 2.5
+    ([7.0, 13.0, 10.0, 8.0, 12.0], [10.5, 9.0, 11.0, 12.5, 9.5], "lower", "unresolved"),
+    # ... unless every change run beats every parent run
+    ([7.0, 13.0, 10.0, 8.0, 12.0], [6.5, 6.0, 5.0, 6.8, 6.9], "lower", "within bound"),
+    # a wide spread does not hide a median beyond the bound
+    ([7.0, 13.0, 10.0, 8.0, 12.0], [14.0, 12.0, 13.0, 12.6, 13.5], "lower", "regressed"),
+    # higher is better: 10 -> 7.4 falls by 26%
+    ([9.9, 10.0, 10.1, 10.0], [7.3, 7.4, 7.5, 7.4], "higher", "regressed"),
+    ([9.9, 10.0, 10.1, 10.0], [7.6, 7.7, 7.8, 7.7], "higher", "within bound"),
+    ([7.0, 13.0, 10.0, 8.0, 12.0], [13.5, 14.0, 15.0, 13.2, 13.9], "higher", "within bound"),
+    ([7.0, 13.0, 10.0, 8.0, 12.0], [13.5, 14.0, 15.0, 12.0, 13.9], "higher", "unresolved"),
+])
+def test_summary_gives_the_no_regression_verdict(parent, change, better, verdict):
+    s = ab.summarize(parent, change, better, bound=0.25)
+    assert s["verdict"] == verdict
+    assert "verdict" not in ab.summarize(parent, change, better)
+
+
 def test_summary_needs_paired_readings():
     with pytest.raises(ValueError):
         ab.summarize([1.0, 2.0], [1.0])
@@ -88,7 +111,7 @@ def test_raw_time_and_probe_are_shown_and_summarized(tmp_path, monkeypatch, caps
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "op_rel.p50", "better": "lower"}]}))
+        {"end_to_end": [{"name": "op_rel.p50", "better": "lower", "bound": 0.25}]}))
 
     def fake_run(checkout, workload, seed, seconds):
         # the change's raw time is 10% lower and its probe 5% higher
@@ -106,6 +129,9 @@ def test_raw_time_and_probe_are_shown_and_summarized(tmp_path, monkeypatch, caps
     summary = {line.split(" (")[0]: line for line in out[5:]}
     assert list(summary) == ["op_rel.p50", "op_ms.p50", "probe_ms"]
     assert summary["op_rel.p50"].startswith("op_rel.p50 (lower is better): parent median 5.025")
+    # the bound is read from the change's BENCHMARK.json; reported lines have none
+    assert summary["op_rel.p50"].endswith(", bound 0.25: within bound")
+    assert all("bound" not in summary[name] for name in ("op_ms.p50", "probe_ms"))
     assert "(reported): parent median 100.5" in summary["op_ms.p50"]
     assert "change -10.0%, won 2/2 (lost 0)" in summary["op_ms.p50"]
     assert "change +5.0%, won 0/2 (lost 2)" in summary["probe_ms"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rvqgen import masking as mk
 from rvqgen import numerics as nm
 from rvqgen import rvq
-from rvqgen.backbone import Backbone, BackboneConfig
+from rvqgen.backbone import Backbone, BackboneConfig, sinusoidal_encoding
 from rvqgen.mog import mixture_weights
 
 
@@ -31,6 +31,11 @@ def random_grid(config, book, seed=1):
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(config.seq_len, config.latent_dim))
     return rvq.quantize(vectors, book)
+
+
+def call(model, tokens, q, book, labels, r, grad=True):
+    """One model call on a token grid: embed it, then run the forward."""
+    return model.forward(model.embed_input(tokens, q, book, grad), labels, r, grad)
 
 
 def test_config_validation():
@@ -57,7 +62,7 @@ def test_zero_init_heads_give_uniform_pi_and_zero_means():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st = mk.binary_mask(3, cfg.seq_len, cfg.depth, np.random.default_rng(2))
-    out = model.forward(tokens, st, book, labels=[1], r=[0.5])
+    out = call(model, tokens, st, book, labels=[1], r=[0.5])
     pi = mixture_weights(out.logits.data)
     assert np.allclose(pi, 1.0 / cfg.mixtures, atol=1e-12)
     assert np.all(out.means.data == 0.0)
@@ -72,7 +77,7 @@ def test_output_shapes():
     tokens = np.stack([random_grid(cfg, book, s) for s in (1, 2)])
     q = np.stack([mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(s))
                   for s in (3, 4)])
-    out = model.forward(tokens, q, book, labels=[0, 2], r=[0.1, 0.9])
+    out = call(model, tokens, q, book, labels=[0, 2], r=[0.1, 0.9])
     # one head row per grid position, grid by grid
     rows = 2 * cfg.seq_len
     assert out.logits.shape == (rows, cfg.mixtures)
@@ -81,39 +86,47 @@ def test_output_shapes():
     assert out.shift.shape == (rows, cfg.latent_dim)
     L = cfg.seq_len
     for b in (0, 1):
-        one = model.forward(tokens[b], q[b], book, labels=[2 * b], r=[0.1 + 0.8 * b])
+        one = call(model, tokens[b], q[b], book, labels=[2 * b], r=[0.1 + 0.8 * b])
         for name in HEADS:
             np.testing.assert_allclose(getattr(out, name).data[b * L:(b + 1) * L],
                                        getattr(one, name).data, rtol=0, atol=1e-12)
 
 
 def test_fully_masked_positions_share_null_embedding():
-    cfg = tiny_config()
+    cfg = tiny_config(positional_encoding=False)
     model = Backbone(cfg, seed=0)
     book = tiny_book(cfg)
     tokens = np.full((cfg.seq_len, cfg.depth), rvq.MASK, dtype=np.int64)
     q = np.full(cfg.seq_len, cfg.depth)
-    emb = model.embed_input(tokens, q, book).data[0]
-    assert np.all(emb == emb[0])
+    for part in model.embed_input(tokens, q, book):
+        assert np.all(part.data == part.data[0])
 
 
 def test_embedding_matches_dequantize_prefix():
     cfg = tiny_config()
-    model = Backbone(cfg, seed=0)
+    model = perturb(Backbone(cfg, seed=0), seed=2)
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     # position 0 reveals only depth 1; others fully revealed
     q = np.array([cfg.depth - 1] + [0] * (cfg.seq_len - 1))
-    emb = model.embed_input(tokens, q, book).data[0]
-    w = model.params["embed.w"].data
-    b = model.params["embed.b"].data
-    for i in range(cfg.seq_len):
-        upto = cfg.depth - q[i]
-        z = np.zeros(cfg.latent_dim)        # the revealed prefix, depth by depth
-        for j in range(upto):
-            z = z + book.table(j + 1)[tokens[i, j] - 1]
-        feat = np.concatenate([z, [q[i] / cfg.depth]])
-        assert np.allclose(emb[i], feat @ w + b, atol=1e-12)
+    P = {k: p.data for k, p in model.params.items()}
+    pe = sinusoidal_encoding(cfg.seq_len, cfg.width)
+    for grad in (True, False):
+        x, normed = (nm.constant(part).data
+                     for part in model.embed_input(tokens, q, book, grad=grad))
+        assert x.shape == normed.shape == (cfg.seq_len, cfg.width)
+        for i in range(cfg.seq_len):
+            upto = cfg.depth - q[i]
+            z = np.zeros(cfg.latent_dim)        # the revealed prefix, depth by depth
+            for j in range(upto):
+                z = z + book.table(j + 1)[tokens[i, j] - 1]
+            feat = np.concatenate([z, [q[i] / cfg.depth]])
+            assert np.allclose(x[i], feat @ P["embed.w"] + P["embed.b"] + pe[i],
+                               atol=1e-12)
+        # block 0's first layer norm of the rows, before any label enters
+        mu, var = x.mean(-1, keepdims=True), x.var(-1, keepdims=True)
+        want = (x - mu) / np.sqrt(var + 1e-6) * P["block0.ln1.g"] + P["block0.ln1.b"]
+        assert np.allclose(normed, want, atol=1e-9)
 
 
 def test_permutation_equivariance_without_pe():
@@ -122,9 +135,9 @@ def test_permutation_equivariance_without_pe():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st = np.array([0, 1, 2, 1])
-    out = model.forward(tokens, st, book, labels=[1], r=[0.4])
+    out = call(model, tokens, st, book, labels=[1], r=[0.4])
     perm = np.array([2, 0, 3, 1])
-    out_p = model.forward(tokens[perm], st[perm], book, labels=[1], r=[0.4])
+    out_p = call(model, tokens[perm], st[perm], book, labels=[1], r=[0.4])
     assert np.allclose(out.logits.data[perm], out_p.logits.data, atol=1e-10)
     assert np.allclose(out.shift.data[perm], out_p.shift.data, atol=1e-10)
 
@@ -137,7 +150,7 @@ def test_determinism_bit_identical():
 
     def run():
         model = Backbone(cfg, seed=7)
-        return model.forward(tokens, st, book, labels=[2], r=[0.3])
+        return call(model, tokens, st, book, labels=[2], r=[0.3])
 
     a, b = run(), run()
     assert np.array_equal(a.logits.data, b.logits.data)
@@ -152,8 +165,8 @@ def test_null_label_output_is_label_free():
     # grids drawn from two different "classes": with the null label the
     # prediction for the same visible tokens must be identical
     tokens = random_grid(cfg, book, seed=9)
-    a = model.forward(tokens, st, book, labels=[0], r=[0.2])
-    b = model.forward(tokens, st, book, labels=[0], r=[0.2])
+    a = call(model, tokens, st, book, labels=[0], r=[0.2])
+    b = call(model, tokens, st, book, labels=[0], r=[0.2])
     assert np.array_equal(a.logits.data, b.logits.data)
 
 
@@ -164,10 +177,32 @@ def test_rejects_bad_label_and_bad_mask():
     tokens = random_grid(cfg, book)
     st = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
     with pytest.raises(ValueError, match="labels"):
-        model.forward(tokens, st, book, labels=[5], r=[0.5])
+        call(model, tokens, st, book, labels=[5], r=[0.5])
     bad = np.full(cfg.seq_len, cfg.depth + 1)  # more hidden depths than there are
     with pytest.raises(ValueError, match="masked counts"):
-        model.forward(tokens, bad, book, labels=[1], r=[0.5])
+        call(model, tokens, bad, book, labels=[1], r=[0.5])
+
+
+@pytest.mark.parametrize("bad, shown", [(1.5, "1.5"), (0.7, "0.7"), (True, "True"),
+                                        (np.float64(1.0), "1.0")])
+def test_a_label_that_is_not_an_integer_is_named(bad, shown):
+    # np.asarray(labels, dtype=np.int64) once ran 0.7 as the null label
+    cfg = tiny_config()
+    model = Backbone(cfg, seed=0)
+    book = tiny_book(cfg)
+    tokens = random_grid(cfg, book)
+    q = np.array([0, 1, 2, 1])
+    for grad in (True, False):
+        emb = model.embed_input(tokens, q, book, grad=grad)
+        for labels in ([bad], np.array([bad]), bad):
+            with pytest.raises(ValueError, match=rf"^labels: {shown} is not an integer$"):
+                model.forward(emb, labels, [0.5], grad=grad)
+    assert model.forward_calls == 0
+    # integer labels of any integer type pass
+    for labels in ([1], np.array([1], dtype=np.uint8), np.int32(1), [np.int64(2)]):
+        model.forward(model.embed_input(tokens, q, book, grad=False), labels, [0.5],
+                      grad=False)
+    assert model.forward_calls == 4
 
 
 def test_forward_counter_increments():
@@ -177,8 +212,8 @@ def test_forward_counter_increments():
     tokens = random_grid(cfg, book)
     st = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
     assert model.forward_calls == 0
-    model.forward(tokens, st, book, labels=[1], r=[0.5])
-    model.forward(tokens, st, book, labels=[1], r=[0.5])
+    call(model, tokens, st, book, labels=[1], r=[0.5])
+    call(model, tokens, st, book, labels=[1], r=[0.5])
     assert model.forward_calls == 2
 
 
@@ -198,8 +233,8 @@ def perturb(model, seed, scale=0.3):
 
 
 def assert_modes_bit_equal(model, book, tokens, q, labels, r):
-    ref = model.forward(tokens, q, book, labels, r)
-    got = model.forward(tokens, q, book, labels, r, grad=False)
+    ref = call(model, tokens, q, book, labels, r)
+    got = call(model, tokens, q, book, labels, r, grad=False)
     for name in HEADS:
         a, b = getattr(got, name), getattr(ref, name)
         assert isinstance(a, np.ndarray) and isinstance(b, nm.Tensor), name
@@ -238,7 +273,7 @@ def test_plain_forward_reads_parameters_afresh():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(3, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    before = model.forward(tokens, st_, book, [1], [0.5], grad=False)
+    before = call(model, tokens, st_, book, [1], [0.5], grad=False)
     # rebinding and in-place edits both show in the next call
     model.params["head.logits.b"].data = model.params["head.logits.b"].data + 1.0
     model.params["head.shift.w"].data[0, 0] += 0.25
@@ -299,7 +334,7 @@ def test_both_modes_reject_malformed_inputs_alike(bad, reason):
     messages = []
     for grad in (True, False):
         with pytest.raises(ValueError, match=reason) as info:
-            model.forward(tokens, q, book, labels, [0.5], grad=grad)
+            call(model, tokens, q, book, labels, [0.5], grad=grad)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert model.forward_calls == 0
@@ -326,9 +361,9 @@ def test_tokens_at_hidden_entries_are_never_read(case):
     labels = rng.integers(0, cfg.num_classes + 1, size=B)
     r = rng.random(B)
     for grad in (True, False):
-        ref = model.forward(masked, q, book, labels, r, grad=grad)
+        ref = call(model, masked, q, book, labels, r, grad=grad)
         for noise in (in_range, outside):
-            got = model.forward(noise, q, book, labels, r, grad=grad)
+            got = call(model, noise, q, book, labels, r, grad=grad)
             for name in HEADS:
                 a, b = (nm.constant(getattr(o, name)).data for o in (ref, got))
                 assert a.tobytes() == b.tobytes(), (grad, name)
@@ -361,13 +396,12 @@ def test_bad_masked_counts_are_named(q, why):
     model = Backbone(cfg, seed=0)
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
-    for call in (lambda: model.embed_input(tokens, q, book),
-                 lambda: model.embed_input(tokens, q, book, grad=False),
-                 lambda: model.forward(tokens, q, book, [1], [0.5]),
-                 lambda: model.forward(tokens, q, book, [1], [0.5], grad=False),
-                 lambda: model.forward(tokens[None], q[None], book, [1], [0.5])):
+    for attempt in (lambda: model.embed_input(tokens, q, book),
+                    lambda: model.embed_input(tokens, q, book, grad=False),
+                    lambda: model.embed_input(tokens[None], q[None], book),
+                    lambda: model.embed_input(tokens[None], q[None], book, grad=False)):
         with pytest.raises(ValueError, match="masked counts must be") as info:
-            call()
+            attempt()
         assert "[0, 2]" in str(info.value), why
     assert model.forward_calls == 0
 
@@ -378,10 +412,10 @@ def test_forward_counter_counts_both_modes():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    model.forward(tokens, st_, book, labels=[1], r=[0.5], grad=False)
+    call(model, tokens, st_, book, labels=[1], r=[0.5], grad=False)
     assert model.forward_calls == 1
-    model.forward(tokens, st_, book, labels=[1], r=[0.5])
-    model.forward(tokens, st_, book, labels=[1], r=[0.5], grad=False)
+    call(model, tokens, st_, book, labels=[1], r=[0.5])
+    call(model, tokens, st_, book, labels=[1], r=[0.5], grad=False)
     assert model.forward_calls == 3
 
 
@@ -393,7 +427,7 @@ def test_each_projection_is_one_graph_node():
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    out = model.forward(tokens, st_, book, [1], [0.5])
+    out = call(model, tokens, st_, book, [1], [0.5])
     loss = nm.add(nm.add(nm.sum_(out.logits), nm.sum_(out.means)),
                   nm.add(nm.sum_(out.log_scale), nm.sum_(out.shift)))
     consumers = {}
@@ -418,18 +452,21 @@ def test_forward_reads_the_parameter_mapping_once(monkeypatch):
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
-    ref = model.forward(tokens, st_, book, [1], [0.5], grad=False)
+    ref = call(model, tokens, st_, book, [1], [0.5], grad=False)
     built = []
     ops = Backbone._ops
     monkeypatch.setattr(Backbone, "_ops", lambda self, grad: built.append(grad)
                         or ops(self, grad))
     for grad in (False, True):
-        out = model.forward(tokens, st_, book, [1], [0.5], grad=grad)
+        emb = model.embed_input(tokens, st_, book, grad=grad)
         assert built == [grad]
+        out = model.forward(emb, [1], [0.5], grad=grad)
+        assert built == [grad, grad]
         built.clear()
         assert mixture_weights(nm.constant(out.logits).data).tobytes() == \
             mixture_weights(ref.logits).tobytes()
-    # the halves called on their own still build their own
+    # each call on a shared embedding reads the mapping afresh
     emb = model.embed_input(tokens, st_, book, grad=False)
-    model.predict(emb, [1], [0.5], grad=False)
-    assert built == [False, False]
+    for _ in range(2):
+        model.forward(emb, [1], [0.5], grad=False)
+    assert built == [False, False, False]

@@ -3,6 +3,7 @@ tau=0 greedy limit, guidance scheduling, determinism, and the graph-free
 model calls against the autodiff forward as oracle."""
 
 import os
+import re
 import sys
 
 import numpy as np
@@ -135,6 +136,15 @@ def test_label_out_of_range_rejected():
     model, book = build()
     with pytest.raises(ValueError, match="label"):
         smp.generate(model, book, 9, smp.SamplerConfig(steps=2))
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.7, True, np.float64(1.0)])
+def test_a_label_that_is_not_an_integer_is_named(bad):
+    # 1.5 once ran as class 1, and 0.7 as the null label
+    model, book = build()
+    with pytest.raises(ValueError, match=rf"^label: {re.escape(repr(bad))} is not an integer$"):
+        smp.generate(model, book, bad, smp.SamplerConfig(steps=2))
+    assert model.forward_calls == 0
 
 
 def test_geometry_mismatch_rejected():
@@ -351,15 +361,21 @@ def trained_like(L=5, D=3, seed=0, **over):
 
 
 def autodiff_forward(monkeypatch):
-    """Route every sampler model call through the autodiff forward."""
-    forward = Backbone.forward
+    """Route every sampler embedding and model call through the autodiff
+    ops; returns the `grad` each was asked for."""
+    embed, forward = Backbone.embed_input, Backbone.forward
     seen = []
+
+    def graph_embed(self, *args, grad=True):
+        seen.append(grad)
+        return embed(self, *args, grad=True)
 
     def graph_forward(self, *args, grad=True):
         seen.append(grad)
         out = forward(self, *args, grad=True)
         return mog.MoGParams(**{k: v.data for k, v in vars(out).items()})
 
+    monkeypatch.setattr(Backbone, "embed_input", graph_embed)
     monkeypatch.setattr(Backbone, "forward", graph_forward)
     return seen
 
@@ -382,8 +398,9 @@ def test_generate_matches_autodiff_forward_oracle(monkeypatch, cfg):
                                      rng=np.random.default_rng(seed))
         assert np.array_equal(runs[seed], oracle), seed
         assert stats["forward_passes"] == cfg.steps * (2 if cfg.use_cfg else 1)
-    # the sampler asked for the graph-free forward on every call
-    assert seen and not any(seen)
+    # the sampler asked for the graph-free path on every call: one
+    # embedding per step, then its model calls
+    assert len(seen) == 4 * cfg.steps * (3 if cfg.use_cfg else 2) and not any(seen)
 
 
 def test_generate_builds_no_autodiff_tensors(monkeypatch):
@@ -403,7 +420,8 @@ def test_generate_builds_no_autodiff_tensors(monkeypatch):
     assert made == []
     # the guard is live: an autodiff forward does construct Tensors
     q = mk.binary_mask(2, 5, 3, np.random.default_rng(0))
-    model.forward(np.ones((5, 3), dtype=np.int64), q, book, [1], [0.5])
+    model.forward(model.embed_input(np.ones((5, 3), dtype=np.int64), q, book),
+                  [1], [0.5])
     assert made
 
 
@@ -414,7 +432,8 @@ def reference_generate(model, book, label, config, rng):
     """`generate` as per-step pieces: a scalar `mask_count` call per step,
     the boolean-gather `oracle_quantize`, confidence scores from the
     per-depth loop (sigma terms computed afresh), and random reveals from
-    the numpy-int hypergeometric loop. Returns the final token grid."""
+    the numpy-int hypergeometric loop. Each model call embeds the grid
+    afresh. Returns the final token grid."""
     c = model.config
     L, D, T = c.seq_len, c.depth, config.steps
     schedule = mk.parse_schedule(config.schedule)
@@ -423,11 +442,11 @@ def reference_generate(model, book, label, config, rng):
     for t in range(1, T + 1):
         # MASK at the hidden entries, which the model must not read anyway
         visible = mk.apply_mask(tokens, mk.suffix_masks(q, D))
-        params = model.forward(visible, q, book, [label],
-                               [(t - 1) / T], grad=False)
+        params = model.forward(model.embed_input(visible, q, book, grad=False),
+                               [label], [(t - 1) / T], grad=False)
         if config.use_cfg:
-            uncond = model.forward(visible, q, book, [0],
-                                   [(t - 1) / T], grad=False)
+            uncond = model.forward(model.embed_input(visible, q, book, grad=False),
+                                   [0], [(t - 1) / T], grad=False)
             params = mog.cfg_combine(params, uncond, smp.cfg_weight(config, t))
         z = mog.sample(params, rng, top_p=config.top_p)
         tokens = oracle_quantize(z, book, start_depth=D - q,
@@ -459,6 +478,37 @@ def test_generate_matches_the_reference_step(L, D, V, T, selection, use_cfg,
     want = reference_generate(model, book, 1, cfg, ref_rng)
     assert np.array_equal(tokens, want)
     # the same draws, in the same order, left the stream where it was
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("cfg, forwards", [
+    (smp.SamplerConfig(steps=6, selection="random"), 6),
+    (smp.preset("paper-28", steps=6), 12),
+], ids=["random", "paper-28"])
+def test_a_step_embeds_its_grid_once(monkeypatch, cfg, forwards):
+    model, book = trained_like()
+    calls = []
+
+    def counted(name):
+        method = getattr(Backbone, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for name in ("embed_input", "forward"):
+        monkeypatch.setattr(Backbone, name, counted(name))
+    rng = np.random.default_rng(5)
+    tokens, stats = smp.generate(model, book, 1, cfg, rng=rng)
+    # each step: one embedding, then its one or two model calls
+    per_step = ["embed_input"] + ["forward"] * (forwards // cfg.steps)
+    assert calls == per_step * cfg.steps
+    assert stats["forward_passes"] == forwards
+    # a model call that embeds afresh reads the same bits
+    monkeypatch.undo()
+    ref_rng = np.random.default_rng(5)
+    assert np.array_equal(tokens, reference_generate(model, book, 1, cfg, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
