@@ -11,20 +11,19 @@ carry the residual stream as one row per grid position, (B*L, width), so
 each projection is one 2D product, and the heads emit those rows,
 (B*L, ...), the layout the loss gathers from and the sampler draws from.
 
-A model call is `forward(embed_input(tokens, q, book), labels, r)`.
-`embed_input` computes everything before the first label-dependent op:
-the residual-stream rows with the positional encoding added, and block 0's
-first layer norm of them. `forward` adds the conditioning and runs the
-blocks and heads, and counts the call. The two calls of a guided sampling
-step see the same grid and differ only in the label, so they share one
-embedding.
+A model call is `forward(embed_input(tokens, q, book, w), condition(labels,
+r, w), w)`. `w = weights(grad)` binds the op set and the parameter mapping;
+`embed_input` computes the label-free prefix (the residual-stream rows with
+the positional encoding added, and block 0's first layer norm of them);
+`condition` builds the label and ratio rows; `forward` runs the blocks and
+heads on both and counts the call. A sampled grid binds `w` and builds all
+its steps' rows once, and a guided step embeds its grid once for two calls.
 
-Both halves are written once against an op set and a parameter mapping.
-`grad=True` (training) runs them with the autodiff ops of `numerics` over
-the parameter Tensors; `grad=False` (sampling, VLB diagnostics) runs them
-with the graph-free kernels `numerics.plain` over the parameters' arrays,
-read afresh at each call, and returns ndarrays. The autodiff ops call
-those kernels, so the two modes agree bit for bit.
+`weights(True)` (training) gives the autodiff ops of `numerics` over the
+parameter Tensors; `weights(False)` (sampling, VLB diagnostics) gives the
+graph-free kernels `numerics.plain` over the parameters' arrays as they are
+then, and the calls return ndarrays. The autodiff ops call those kernels,
+so the two modes agree bit for bit.
 """
 
 from __future__ import annotations
@@ -125,15 +124,24 @@ def parameter_specs(c: BackboneConfig):
     return specs + [("basis.M", (K, H, h), 0.1), ("basis.s", (K, H), "zeros")]
 
 
+_BLOCK_NAMES = ("attn.qw", "attn.qb", "attn.kw", "attn.vw", "attn.vb", "attn.ow",
+                "attn.ob", "ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
+
+
 class Backbone:
     """Owns the parameter store; autodiff forward passes build fresh
-    graphs, graph-free ones (grad=False) build none."""
+    graphs, graph-free ones (`weights(False)`) build none."""
 
     def __init__(self, config: BackboneConfig, seed=0):
         self.config = config
         self.params: dict[str, nm.Tensor] = {}
         self.forward_calls = 0
         self._pe = sinusoidal_encoding(config.seq_len, config.width)
+        self._scale = 1.0 / np.sqrt(config.width // config.heads)
+        # per block: its names as `predict` reads them, then the next norm's
+        opens = [f"block{i}.ln1." for i in range(1, config.layers)] + ["final."]
+        self._blocks = tuple(tuple(f"block{i}.{n}" for n in _BLOCK_NAMES)
+                             + (opens[i] + "g", opens[i] + "b") for i in range(config.layers))
         self._init_params(np.random.default_rng(seed))
 
     # -- parameters -------------------------------------------------------
@@ -157,19 +165,19 @@ class Backbone:
 
     # -- forward ----------------------------------------------------------
 
-    def _ops(self, grad):
-        """(op set, parameter mapping) of one forward pass: the autodiff
-        ops over the parameter Tensors, or the graph-free kernels over the
-        parameters' current arrays."""
+    def weights(self, grad):
+        """(op set, parameter mapping) that `embed_input`, `condition` and
+        `forward` take: the autodiff ops over the parameter Tensors, or the
+        graph-free kernels over the parameters' arrays as they are now."""
         if grad:
             return nm, self.params
         return nm.plain, {k: p.data for k, p in self.params.items()}
 
-    def embed_input(self, tokens, masked_counts, book: rvq.Codebook, grad=True):
+    def embed_input(self, tokens, masked_counts, book: rvq.Codebook, weights):
         """(B, L, D) tokens + (B, L) masked counts q, or (L, D) + (L,) -> the
         label-free prefix of a model call: (x, normed), the residual-stream
         rows (B*L, width) with the positional encoding added, and block 0's
-        first layer norm of them. Tensors, or ndarrays with grad=False.
+        first layer norm of them. Tensors, or ndarrays under `weights(False)`.
 
         Position i hides its deepest q_i depths. Its features: the sum of
         its revealed codeword embeddings (hidden tokens are never read; a
@@ -177,7 +185,7 @@ class Backbone:
         A MASK token at a revealed entry raises ValueError.
         """
         c = self.config
-        ops, P = self._ops(grad)
+        ops, P = weights
         tokens, q = np.asarray(tokens), np.asarray(masked_counts)
         if tokens.ndim == 2:
             tokens, q = tokens[None], q[None]
@@ -196,86 +204,77 @@ class Backbone:
         x = ops.reshape(x, (tokens.shape[0] * c.seq_len, c.width))
         return x, ops.layer_norm(x, P["block0.ln1.g"], P["block0.ln1.b"])
 
-    def _attention(self, ops, P, x, prefix, B):
+    def condition(self, labels, r, weights):
+        """Labels (B,) + mask ratios r (B,) -> conditioning rows (B*L, width):
+        label b's class row plus r_b times the ratio direction, at each of
+        grid b's positions, bit for bit as in B one-grid calls. A label that
+        is not an integer in [0, num_classes], a ratio outside [0, 1] (or
+        not finite) and unequal lengths each raise ValueError naming it."""
         c = self.config
-        W, nh = c.width, c.heads
-        hd = W // nh
-
-        def split_heads(t):                       # rows -> (B*heads, L, hd)
-            t = ops.reshape(t, (B, c.seq_len, nh, hd))
-            t = ops.transpose(t, (0, 2, 1, 3))
-            return ops.reshape(t, (B * nh, c.seq_len, hd))
-
-        q, k, v = (split_heads(ops.linear(x, P[prefix + f"attn.{n}w"],
-                                          P.get(prefix + f"attn.{n}b")))
-                   for n in ("q", "k", "v"))
-        scores = ops.mul(ops.matmul(q, ops.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(hd))
-        out = ops.matmul(ops.softmax(scores), v)
-        out = ops.reshape(out, (B, nh, c.seq_len, hd))
-        out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (B * c.seq_len, W))
-        return ops.linear(out, P[prefix + "attn.ow"], P[prefix + "attn.ob"])
-
-    def predict(self, embedded, labels, r, grad=True):
-        """`embed_input`'s (x, normed) + labels (B,) + mask ratio r (B,) ->
-        MoGParams of Tensors, or of ndarrays with grad=False. The blocks and
-        heads run on (B*L, width) rows, one per grid position, and the heads
-        are emitted as those rows: logits (B*L, K), means (B*L, K, h),
-        log_scale (B*L,) and shift (B*L, H), grid b's positions at rows
-        b*L .. b*L + L - 1. The output carries the low-rank basis parameters
-        `basis.M` and `basis.s` as its M and s, so the loss and the sampler
-        need nothing else. A label that is a float or a bool raises
-        ValueError naming it."""
-        c = self.config
-        ops, P = self._ops(grad)
-        x, normed = embedded
-        L = c.seq_len
-        B = x.shape[0] // L
+        ops, P = weights
         labels = np.asarray(labels)
         if labels.dtype.kind not in "iu":
             for value in labels.ravel().tolist():
                 check_integer("labels", value)
-        labels = labels.astype(np.int64).reshape(B)
+        labels, r = np.atleast_1d(labels).astype(np.int64), np.atleast_1d(r).astype(np.float64)
+        if labels.ndim != 1 or r.shape != labels.shape:
+            raise ValueError(f"labels and mask ratios must be (B,) each, got {labels.shape} "
+                             f"and {r.shape}")
         if (np.minimum.reduce(labels, initial=0) < 0
                 or np.maximum.reduce(labels, initial=0) > c.num_classes):
             raise ValueError(f"labels must lie in [0, {c.num_classes}]")
-        r = np.asarray(r, dtype=np.float64)
-        if r.shape != (B,):
-            r = np.broadcast_to(r, (B,))
+        inside = (r >= 0) & (r <= 1)             # false for nan
+        if not inside.all():
+            raise ValueError(f"mask ratios must be finite and lie in [0, 1], got {r[~inside][0]}")
+        return ops.add(ops.gather(P["cond.classes"], np.repeat(labels, c.seq_len)),
+                       ops.mul(np.repeat(r, c.seq_len)[:, None], P["cond.ratio"]))
 
-        # one conditioning row per grid position, as the residual stream
-        cond = ops.add(ops.gather(P["cond.classes"], np.repeat(labels, L)),
-                       ops.mul(np.repeat(r, L)[:, None], P["cond.ratio"]))
-
+    def predict(self, embedded, cond, weights):
+        """`embed_input`'s (x, normed) + `condition`'s rows (of x's shape, or
+        ValueError) -> MoGParams of Tensors, or of ndarrays under
+        `weights(False)`. Blocks and heads run on (B*L, width) rows, one per
+        grid position, and emit such rows: logits (B*L, K), means (B*L, K, h),
+        log_scale (B*L,) and shift (B*L, H), grid b at rows b*L .. b*L + L - 1.
+        M and s are the basis parameters `basis.M` and `basis.s`, so the loss
+        and the sampler need nothing else."""
+        c = self.config
+        ops, P = weights
+        x, normed = embedded
+        if cond.shape != x.shape:
+            raise ValueError(f"conditioning rows must be {x.shape}, got {cond.shape}")
+        L, nh, hd = c.seq_len, c.heads, c.width // c.heads
+        B = x.shape[0] // L
+        split = (B, L, nh, hd)
         # `normed` is the layer norm that opens each stage: block i's first,
         # then the final one
-        for i in range(c.layers):
-            p = f"block{i}."
-            x = ops.add(x, self._attention(ops, P, ops.add(normed, cond), p, B))
-            h2 = ops.add(ops.layer_norm(x, P[p + "ln2.g"], P[p + "ln2.b"]), cond)
-            mlp = ops.gelu(ops.linear(h2, P[p + "mlp.w1"], P[p + "mlp.b1"]))
-            x = ops.add(x, ops.linear(mlp, P[p + "mlp.w2"], P[p + "mlp.b2"]))
-            g, b = ((f"block{i + 1}.ln1.g", f"block{i + 1}.ln1.b") if i + 1 < c.layers
-                    else ("final.g", "final.b"))
-            normed = ops.layer_norm(x, P[g], P[b])
+        for names in self._blocks:
+            qw, qb, kw, vw, vb, ow, ob, g2, b2, w1, b1, w2, b3, g, b = map(P.__getitem__, names)
+            h = ops.add(normed, cond)
+            # rows -> (B*heads, L, hd); a key bias would cancel in the softmax
+            q, k, v = (ops.reshape(ops.transpose(ops.reshape(ops.linear(h, w, bias), split),
+                                                 (0, 2, 1, 3)), (B * nh, L, hd))
+                       for w, bias in ((qw, qb), (kw, None), (vw, vb)))
+            scores = ops.mul(ops.matmul(q, ops.transpose(k, (0, 2, 1))), self._scale)
+            att = ops.reshape(ops.matmul(ops.softmax(scores), v), (B, nh, L, hd))
+            att = ops.reshape(ops.transpose(att, (0, 2, 1, 3)), (B * L, c.width))
+            x = ops.add(x, ops.linear(att, ow, ob))
+            h2 = ops.add(ops.layer_norm(x, g2, b2), cond)
+            mlp = ops.gelu(ops.linear(h2, w1, b1))
+            x = ops.add(x, ops.linear(mlp, w2, b3))
+            normed = ops.layer_norm(x, g, b)
         y = ops.add(normed, cond)
 
-        def head(name):
-            return ops.linear(y, P[f"head.{name}.w"], P[f"head.{name}.b"])
-
-        logits = head("logits")
-        means = ops.reshape(head("means"), (B * L, c.mixtures, c.mean_rank))
-        log_scale = ops.reshape(head("scale"), (B * L,))
-        shift = head("shift")
+        logits = ops.linear(y, P["head.logits.w"], P["head.logits.b"])
+        means = ops.reshape(ops.linear(y, P["head.means.w"], P["head.means.b"]),
+                            (B * L, c.mixtures, c.mean_rank))
+        log_scale = ops.reshape(ops.linear(y, P["head.scale.w"], P["head.scale.b"]), (B * L,))
+        shift = ops.linear(y, P["head.shift.w"], P["head.shift.b"])
         return MoGParams(logits, means, log_scale, shift, P["basis.M"], P["basis.s"])
 
-    def forward(self, embedded, labels, r, grad=True):
-        """One model call, on `embed_input`'s output: `predict`, counted in
-        `forward_calls`. grad=True builds the autodiff graph over `params`
-        (training); grad=False runs the same arithmetic through
-        `numerics.plain` on the parameters' current arrays and returns
-        ndarray head outputs with the bits of the graph's `.data`
-        (inference). A guided sampling step embeds its grid once and makes
-        two calls on it."""
-        out = self.predict(embedded, labels, r, grad)
+    def forward(self, embedded, cond, weights):
+        """One model call, on `embed_input`'s output and `condition`'s rows:
+        `predict`, counted in `forward_calls`. Under `weights(False)` its
+        ndarray heads have the bits of the autodiff graph's `.data`."""
+        out = self.predict(embedded, cond, weights)
         self.forward_calls += 1
         return out

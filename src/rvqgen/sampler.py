@@ -10,13 +10,13 @@ matter how long or deep the grid is.
 
 The masking state is the int64 masked counts q (L,) and their total;
 the mask and the unmasked counts D - q are derived where a step reads
-them. Each step embeds the grid and its masked counts once
-(`Backbone.embed_input(tokens, q, book, grad=False)`), and each model call
-is the backbone's graph-free forward on that embedding
-(`Backbone.forward(embedded, labels, r, grad=False)`): one call, or two
-with guidance, which differ only in the label. Neither records a graph,
-since no backward pass follows, and both give the bits of the autodiff
-path, so tokens do not depend on the path.
+them. A grid binds the graph-free weights once (`w = model.weights(False)`)
+and builds all T steps' conditioning rows in one `model.condition` call
+(one more for the null label with guidance). A step embeds the grid once
+(`model.embed_input(tokens, q, book, w)`), and each model call is the
+graph-free `model.forward(embedded, cond, w)` on it: one call, or two with
+guidance, which differ only in the label. Neither records a graph, and
+both give the bits of the autodiff path, so tokens do not depend on it.
 
 The reveal schedule is taken before the first step, from one array call
 to `masking.mask_count` over the ratios t/T, equal bit for bit to T
@@ -24,12 +24,11 @@ scalar calls. Outside the model a step works on the whole grid at once:
 one component draw and one quantization for all positions (against the
 codebook's precomputed scoring pairs), then, in confidence mode, one
 scoring pass over (L, D, H), with the codebook's sigma-only terms, and
-one sort to pick the reveals. The
-step's random draws come in a fixed order: the component uniforms of
-every position, then every position's normals (`mog.sample`), then the
-Gumbel noise or the hypergeometric reveal counts. Seeded runs are
-deterministic, but tokens differ from versions that drew per position at
-the same seed.
+one sort to pick the reveals. The step's random draws come in a fixed
+order: the component uniforms of every position, then every position's
+normals (`mog.sample`), then the Gumbel noise or the hypergeometric reveal
+counts. Seeded runs are deterministic, but tokens differ from versions
+that drew per position at the same seed.
 """
 
 from __future__ import annotations
@@ -170,22 +169,23 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     # tokens masked, and the model sees the mask ratio (t - 1) / T
     targets = mk.mask_count(mk.parse_schedule(config.schedule),
                             np.arange(1, T + 1) / T, c.seq_len, c.depth).tolist()
-    ratios = np.arange(T) / T
-    labels, null_labels = np.array([label]), np.array([0])
 
     t0 = time.perf_counter()
     calls_before = model.forward_calls
+    # the grid's weights; all steps' rows (T, L, width), label then null label
+    w, ratios = model.weights(False), np.arange(T) / T
+    conds = [model.condition(np.full(T, y), ratios, w).reshape(T, c.seq_len, -1)
+             for y in ((label, 0) if config.use_cfg else (label,))]
     tokens = np.full((c.seq_len, c.depth), rvq.MASK, dtype=np.int64)
     q = np.full(c.seq_len, c.depth, dtype=np.int64)
     n_masked = c.seq_len * c.depth
     frozen = tokens.copy()      # the revealed tokens, for `validate`
 
     for t in range(1, T + 1):
-        r_model = ratios[t - 1:t]
-        embedded = model.embed_input(tokens, q, book, grad=False)
-        params = model.forward(embedded, labels, r_model, grad=False)
+        embedded = model.embed_input(tokens, q, book, w)
+        params = model.forward(embedded, conds[0][t - 1], w)
         if config.use_cfg:
-            uncond = model.forward(embedded, null_labels, r_model, grad=False)
+            uncond = model.forward(embedded, conds[1][t - 1], w)
             params = mog.cfg_combine(params, uncond, cfg_weight(config, t))
 
         z = mog.sample(params, rng, top_p=config.top_p)

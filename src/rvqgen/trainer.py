@@ -1,11 +1,11 @@
 """Training loop: draw a mask ratio and depth-suffix masked counts, regress
 the masked cumulative embeddings under the MoG surrogate, step AdamW.
 
-`masked_loss` is the paper's simplified per-step loss for any batch of
-grids and masked counts; the trainer, the finite-difference audit and the
-acceptance checks all evaluate it. Also houses the variational-bound
-diagnostics (per-step KL terms against the model's implied reverse
-kernel).
+`masked_loss` is the paper's simplified per-step loss for any batch of grids
+and masked counts, from one model call `forward(embed_input(...),
+condition(...), w)`, w = `weights(True)`; the trainer, the finite-difference
+audit and the acceptance checks all evaluate it. Also houses the
+variational-bound diagnostics (KL terms against the implied reverse kernel).
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ def masked_loss(model: Backbone, book, tokens, masked_counts, labels, ratios,
     """
     targets, included = masked_targets(tokens, masked_counts, book)
     rows = np.flatnonzero(included.reshape(-1))
-
-    out = model.forward(model.embed_input(tokens, masked_counts, book), labels, ratios)
+    w = model.weights(True)
+    out = model.forward(model.embed_input(tokens, masked_counts, book, w),
+                        model.condition(labels, ratios, w), w)
     if rows.size == 0:
         zero = nm.constant(0.0)
         return zero, zero, 0, out
@@ -379,11 +380,11 @@ def _model_reconstructions(model, book, tokens, q, label, ratio, rng, samples):
     """Draw full-grid candidates x0_hat ~ p(x0 | x_t), (samples, L, D), at
     masked counts q: sample z at masked positions, quantize the masked
     depths, keep revealed tokens."""
-    params = model.forward(model.embed_input(tokens, q, book, grad=False),
-                           [label], [ratio], grad=False)
-    start = book.depth - q
+    w = model.weights(False)
+    params = model.forward(model.embed_input(tokens, q, book, w),
+                           model.condition([label], [ratio], w), w)
     return np.stack([rvq.quantize(mog.sample(params, rng), book,
-                                  start_depth=start, out=tokens)
+                                  start_depth=book.depth - q, out=tokens)
                      for _ in range(samples)])
 
 

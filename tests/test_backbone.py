@@ -34,8 +34,11 @@ def random_grid(config, book, seed=1):
 
 
 def call(model, tokens, q, book, labels, r, grad=True):
-    """One model call on a token grid: embed it, then run the forward."""
-    return model.forward(model.embed_input(tokens, q, book, grad), labels, r, grad)
+    """One model call on a token grid: bind the weights, embed the grid,
+    build its conditioning rows, then run the forward."""
+    w = model.weights(grad)
+    return model.forward(model.embed_input(tokens, q, book, w),
+                         model.condition(labels, r, w), w)
 
 
 def test_config_validation():
@@ -98,7 +101,7 @@ def test_fully_masked_positions_share_null_embedding():
     book = tiny_book(cfg)
     tokens = np.full((cfg.seq_len, cfg.depth), rvq.MASK, dtype=np.int64)
     q = np.full(cfg.seq_len, cfg.depth)
-    for part in model.embed_input(tokens, q, book):
+    for part in model.embed_input(tokens, q, book, model.weights(True)):
         assert np.all(part.data == part.data[0])
 
 
@@ -113,7 +116,7 @@ def test_embedding_matches_dequantize_prefix():
     pe = sinusoidal_encoding(cfg.seq_len, cfg.width)
     for grad in (True, False):
         x, normed = (nm.constant(part).data
-                     for part in model.embed_input(tokens, q, book, grad=grad))
+                     for part in model.embed_input(tokens, q, book, model.weights(grad)))
         assert x.shape == normed.shape == (cfg.seq_len, cfg.width)
         for i in range(cfg.seq_len):
             upto = cfg.depth - q[i]
@@ -193,15 +196,16 @@ def test_a_label_that_is_not_an_integer_is_named(bad, shown):
     tokens = random_grid(cfg, book)
     q = np.array([0, 1, 2, 1])
     for grad in (True, False):
-        emb = model.embed_input(tokens, q, book, grad=grad)
+        w = model.weights(grad)
         for labels in ([bad], np.array([bad]), bad):
             with pytest.raises(ValueError, match=rf"^labels: {shown} is not an integer$"):
-                model.forward(emb, labels, [0.5], grad=grad)
+                model.condition(labels, [0.5], w)
     assert model.forward_calls == 0
     # integer labels of any integer type pass
+    w = model.weights(False)
     for labels in ([1], np.array([1], dtype=np.uint8), np.int32(1), [np.int64(2)]):
-        model.forward(model.embed_input(tokens, q, book, grad=False), labels, [0.5],
-                      grad=False)
+        model.forward(model.embed_input(tokens, q, book, w),
+                      model.condition(labels, [0.5], w), w)
     assert model.forward_calls == 4
 
 
@@ -274,7 +278,8 @@ def test_plain_forward_reads_parameters_afresh():
     tokens = random_grid(cfg, book)
     st_ = mk.binary_mask(3, cfg.seq_len, cfg.depth, np.random.default_rng(0))
     before = call(model, tokens, st_, book, [1], [0.5], grad=False)
-    # rebinding and in-place edits both show in the next call
+    # rebinding and in-place edits both show in a call on fresh
+    # `weights(False)`
     model.params["head.logits.b"].data = model.params["head.logits.b"].data + 1.0
     model.params["head.shift.w"].data[0, 0] += 0.25
     model.params["basis.M"].data = model.params["basis.M"].data + 0.5
@@ -312,6 +317,71 @@ def test_plain_forward_bit_equal_property(case):
     visible = np.stack([mk.apply_mask(t, m) for t, m in zip(tokens, masks)])
     labels = rng.integers(0, cfg.num_classes + 1, size=B)
     assert_modes_bit_equal(model, book, visible, q, labels, rng.random(B))
+
+
+# ---------------------------------------------------------------------------
+# conditioning rows, built once per grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**16),
+       st.booleans())
+def test_conditioning_rows_of_t_steps_equal_t_one_step_calls(T, num_classes, B, seed, grad):
+    # the sampler builds all T steps' rows in one call and slices them
+    cfg = tiny_config(num_classes=num_classes)
+    model = perturb(Backbone(cfg, seed=seed % 7), seed=seed)
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, num_classes + 1, size=(T, B))
+    ratios = np.concatenate([np.arange(T) / T, rng.random(T * B - T)]).reshape(T, B)
+    w = model.weights(grad)
+    whole = nm.constant(model.condition(labels.ravel(), ratios.ravel(), w)).data
+    rows = B * cfg.seq_len
+    assert whole.shape == (T * rows, cfg.width)
+    for t in range(T):
+        one = nm.constant(model.condition(labels[t], ratios[t], w)).data
+        assert one.tobytes() == whole[t * rows:(t + 1) * rows].tobytes(), t
+    assert model.forward_calls == 0
+
+
+LENGTHS = r"labels and mask ratios must be \(B,\) each, got "
+RATIO = r"mask ratios must be finite and lie in \[0, 1\], got "
+
+
+@pytest.mark.parametrize("labels, r, reason", [
+    ([1, 2], [0.5], LENGTHS + r"\(2,\) and \(1,\)$"),
+    ([1], [0.5, 0.2], LENGTHS + r"\(1,\) and \(2,\)$"),
+    ([[1]], [[0.5]], LENGTHS + r"\(1, 1\) and \(1, 1\)$"),
+    ([1], [float("nan")], RATIO + "nan$"),
+    ([1], [float("inf")], RATIO + "inf$"),
+    ([1, 1], [0.5, 7.0], RATIO + "7.0$"),
+    ([1], [-0.25], RATIO + "-0.25$"),
+], ids=["labels-longer", "ratios-longer", "two-dims", "nan", "inf", "above-1", "below-0"])
+@pytest.mark.parametrize("grad", [True, False])
+def test_bad_conditioning_inputs_are_named(labels, r, reason, grad):
+    # these once raised numpy's reshape or broadcast errors, or ran with
+    # non-finite heads
+    model = Backbone(tiny_config(), seed=0)
+    with pytest.raises(ValueError, match=reason):
+        model.condition(labels, r, model.weights(grad))
+    # the ends of [0, 1] pass
+    model.condition([1, 2], [0.0, 1.0], model.weights(grad))
+
+
+@pytest.mark.parametrize("rows, width", [(1, 16), (3, 16), (2, 15), (2, 17)])
+@pytest.mark.parametrize("grad", [True, False])
+def test_conditioning_rows_of_another_shape_are_refused(rows, width, grad):
+    cfg = tiny_config()
+    model = Backbone(cfg, seed=0)
+    book = tiny_book(cfg)
+    tokens = np.stack([random_grid(cfg, book)] * 2)
+    q = np.full((2, cfg.seq_len), 1)
+    w = model.weights(grad)
+    emb = model.embed_input(tokens, q, book, w)
+    cond = model.condition(np.ones(rows, dtype=np.int64), np.full(rows, 0.5), w)
+    cond = cond if width == cfg.width else np.zeros((rows * cfg.seq_len, width))
+    with pytest.raises(ValueError, match=r"conditioning rows must be \(8, 16\), got "):
+        model.forward(emb, cond, w)
+    assert model.forward_calls == 0
 
 
 @pytest.mark.parametrize("bad, reason", [
@@ -379,9 +449,9 @@ def test_a_kept_token_outside_the_vocabulary_still_raises(bad):
     tokens[1, 0] = bad            # position 1 keeps depth 1 and hides depth 2
     for grad in (True, False):
         with pytest.raises(ValueError, match=r"tokens must lie in \[0, 4\]"):
-            model.embed_input(tokens, q, book, grad=grad)
+            model.embed_input(tokens, q, book, model.weights(grad))
     tokens[1, 0], tokens[1, 1] = 1, bad
-    model.embed_input(tokens, q, book)     # the hidden entry is not read
+    model.embed_input(tokens, q, book, model.weights(True))   # the hidden entry is not read
 
 
 @pytest.mark.parametrize("q, why", [
@@ -396,10 +466,11 @@ def test_bad_masked_counts_are_named(q, why):
     model = Backbone(cfg, seed=0)
     book = tiny_book(cfg)
     tokens = random_grid(cfg, book)
-    for attempt in (lambda: model.embed_input(tokens, q, book),
-                    lambda: model.embed_input(tokens, q, book, grad=False),
-                    lambda: model.embed_input(tokens[None], q[None], book),
-                    lambda: model.embed_input(tokens[None], q[None], book, grad=False)):
+    graph, plain = model.weights(True), model.weights(False)
+    for attempt in (lambda: model.embed_input(tokens, q, book, graph),
+                    lambda: model.embed_input(tokens, q, book, plain),
+                    lambda: model.embed_input(tokens[None], q[None], book, graph),
+                    lambda: model.embed_input(tokens[None], q[None], book, plain)):
         with pytest.raises(ValueError, match="masked counts must be") as info:
             attempt()
         assert "[0, 2]" in str(info.value), why
@@ -454,19 +525,21 @@ def test_forward_reads_the_parameter_mapping_once(monkeypatch):
     st_ = mk.binary_mask(2, cfg.seq_len, cfg.depth, np.random.default_rng(0))
     ref = call(model, tokens, st_, book, [1], [0.5], grad=False)
     built = []
-    ops = Backbone._ops
-    monkeypatch.setattr(Backbone, "_ops", lambda self, grad: built.append(grad)
-                        or ops(self, grad))
+    weights = Backbone.weights
+    monkeypatch.setattr(Backbone, "weights", lambda self, grad: built.append(grad)
+                        or weights(self, grad))
     for grad in (False, True):
-        emb = model.embed_input(tokens, st_, book, grad=grad)
+        w = model.weights(grad)
         assert built == [grad]
-        out = model.forward(emb, [1], [0.5], grad=grad)
-        assert built == [grad, grad]
+        emb = model.embed_input(tokens, st_, book, w)
+        out = model.forward(emb, model.condition([1], [0.5], w), w)
+        assert built == [grad]
         built.clear()
         assert mixture_weights(nm.constant(out.logits).data).tobytes() == \
             mixture_weights(ref.logits).tobytes()
-    # each call on a shared embedding reads the mapping afresh
-    emb = model.embed_input(tokens, st_, book, grad=False)
+    # calls on a shared embedding and bound weights build no mapping
+    w = model.weights(False)
+    emb = model.embed_input(tokens, st_, book, w)
     for _ in range(2):
-        model.forward(emb, [1], [0.5], grad=False)
-    assert built == [False, False, False]
+        model.forward(emb, model.condition([1], [0.5], w), w)
+    assert built == [False]

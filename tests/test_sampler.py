@@ -361,21 +361,26 @@ def trained_like(L=5, D=3, seed=0, **over):
 
 
 def autodiff_forward(monkeypatch):
-    """Route every sampler embedding and model call through the autodiff
-    ops; returns the `grad` each was asked for."""
-    embed, forward = Backbone.embed_input, Backbone.forward
+    """Route every sampler model call through the autodiff ops: the weights
+    the sampler binds are the autodiff pair, its conditioning rows are the
+    autodiff rows' arrays, and each call's head outputs come back as
+    arrays. Returns the `grad` each `weights` call asked for."""
+    weights, condition, forward = Backbone.weights, Backbone.condition, Backbone.forward
     seen = []
 
-    def graph_embed(self, *args, grad=True):
+    def graph_weights(self, grad):
         seen.append(grad)
-        return embed(self, *args, grad=True)
+        return weights(self, True)
 
-    def graph_forward(self, *args, grad=True):
-        seen.append(grad)
-        out = forward(self, *args, grad=True)
+    def graph_condition(self, *args):
+        return condition(self, *args).data
+
+    def graph_forward(self, *args):
+        out = forward(self, *args)
         return mog.MoGParams(**{k: v.data for k, v in vars(out).items()})
 
-    monkeypatch.setattr(Backbone, "embed_input", graph_embed)
+    monkeypatch.setattr(Backbone, "weights", graph_weights)
+    monkeypatch.setattr(Backbone, "condition", graph_condition)
     monkeypatch.setattr(Backbone, "forward", graph_forward)
     return seen
 
@@ -398,9 +403,9 @@ def test_generate_matches_autodiff_forward_oracle(monkeypatch, cfg):
                                      rng=np.random.default_rng(seed))
         assert np.array_equal(runs[seed], oracle), seed
         assert stats["forward_passes"] == cfg.steps * (2 if cfg.use_cfg else 1)
-    # the sampler asked for the graph-free path on every call: one
-    # embedding per step, then its model calls
-    assert len(seen) == 4 * cfg.steps * (3 if cfg.use_cfg else 2) and not any(seen)
+    # the sampler asked for the graph-free path, once per grid: every
+    # embedding and model call ran on those weights
+    assert len(seen) == 4 and not any(seen)
 
 
 def test_generate_builds_no_autodiff_tensors(monkeypatch):
@@ -420,8 +425,9 @@ def test_generate_builds_no_autodiff_tensors(monkeypatch):
     assert made == []
     # the guard is live: an autodiff forward does construct Tensors
     q = mk.binary_mask(2, 5, 3, np.random.default_rng(0))
-    model.forward(model.embed_input(np.ones((5, 3), dtype=np.int64), q, book),
-                  [1], [0.5])
+    w = model.weights(True)
+    model.forward(model.embed_input(np.ones((5, 3), dtype=np.int64), q, book, w),
+                  model.condition([1], [0.5], w), w)
     assert made
 
 
@@ -432,8 +438,9 @@ def reference_generate(model, book, label, config, rng):
     """`generate` as per-step pieces: a scalar `mask_count` call per step,
     the boolean-gather `oracle_quantize`, confidence scores from the
     per-depth loop (sigma terms computed afresh), and random reveals from
-    the numpy-int hypergeometric loop. Each model call embeds the grid
-    afresh. Returns the final token grid."""
+    the numpy-int hypergeometric loop. Each model call binds the weights,
+    embeds the grid and builds its one-step conditioning rows afresh.
+    Returns the final token grid."""
     c = model.config
     L, D, T = c.seq_len, c.depth, config.steps
     schedule = mk.parse_schedule(config.schedule)
@@ -442,11 +449,13 @@ def reference_generate(model, book, label, config, rng):
     for t in range(1, T + 1):
         # MASK at the hidden entries, which the model must not read anyway
         visible = mk.apply_mask(tokens, mk.suffix_masks(q, D))
-        params = model.forward(model.embed_input(visible, q, book, grad=False),
-                               [label], [(t - 1) / T], grad=False)
+        w = model.weights(False)
+        params = model.forward(model.embed_input(visible, q, book, w),
+                               model.condition([label], [(t - 1) / T], w), w)
         if config.use_cfg:
-            uncond = model.forward(model.embed_input(visible, q, book, grad=False),
-                                   [0], [(t - 1) / T], grad=False)
+            w = model.weights(False)
+            uncond = model.forward(model.embed_input(visible, q, book, w),
+                                   model.condition([0], [(t - 1) / T], w), w)
             params = mog.cfg_combine(params, uncond, smp.cfg_weight(config, t))
         z = mog.sample(params, rng, top_p=config.top_p)
         tokens = oracle_quantize(z, book, start_depth=D - q,
@@ -497,19 +506,43 @@ def test_a_step_embeds_its_grid_once(monkeypatch, cfg, forwards):
             return method(self, *args, **kwargs)
         return wrapper
 
-    for name in ("embed_input", "forward"):
+    for name in ("weights", "condition", "embed_input", "forward"):
         monkeypatch.setattr(Backbone, name, counted(name))
     rng = np.random.default_rng(5)
     tokens, stats = smp.generate(model, book, 1, cfg, rng=rng)
-    # each step: one embedding, then its one or two model calls
+    # once per grid: the weights, then every step's conditioning rows for
+    # the label and, with guidance, for the null label; each step: one
+    # embedding, then its one or two model calls
     per_step = ["embed_input"] + ["forward"] * (forwards // cfg.steps)
-    assert calls == per_step * cfg.steps
+    per_grid = ["weights"] + ["condition"] * (forwards // cfg.steps)
+    assert calls == per_grid + per_step * cfg.steps
     assert stats["forward_passes"] == forwards
     # a model call that embeds afresh reads the same bits
     monkeypatch.undo()
     ref_rng = np.random.default_rng(5)
     assert np.array_equal(tokens, reference_generate(model, book, 1, cfg, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("cfg", [smp.SamplerConfig(steps=6, selection="random"),
+                                 smp.preset("paper-28", steps=6)],
+                         ids=["random", "paper-28"])
+def test_a_grid_reads_the_parameters_as_they_are_when_it_starts(cfg):
+    # the weights are bound once per grid, not once per model: a parameter
+    # changed between two grids shows in the second, rebound or in place
+    model, book = trained_like()
+    first = smp.generate(model, book, 1, cfg, rng=np.random.default_rng(3))[0]
+    assert np.array_equal(first, smp.generate(model, book, 1, cfg,
+                                              rng=np.random.default_rng(3))[0])
+    shift = model.params["head.shift.b"]
+    shift.data = shift.data + 3.0
+    rebound = smp.generate(model, book, 1, cfg, rng=np.random.default_rng(3))[0]
+    assert not np.array_equal(first, rebound)
+    shift.data -= 6.0
+    in_place = smp.generate(model, book, 1, cfg, rng=np.random.default_rng(3))[0]
+    assert not np.array_equal(rebound, in_place)
+    assert np.array_equal(in_place, reference_generate(model, book, 1, cfg,
+                                                       np.random.default_rng(3)))
 
 
 @pytest.mark.parametrize("spec", ["nan", "inf", "-inf"])

@@ -436,7 +436,9 @@ def test_vlb_perfect_model_reconstruction_term_zero():
 def autodiff_reconstructions(model, book, tokens, q, label, ratio, rng, samples):
     """`_model_reconstructions` on the autodiff forward, flattening the head
     outputs through `gather_params` as the loss path does."""
-    out = model.forward(model.embed_input(tokens, q, book), [label], [ratio])
+    w = model.weights(True)
+    out = model.forward(model.embed_input(tokens, q, book, w),
+                        model.condition([label], [ratio], w), w)
     flat = tnr.gather_params(out, np.arange(tokens.shape[0]))
     params = mog.MoGParams(flat.logits.data, flat.means.data,
                            flat.log_scale.data.reshape(-1), flat.shift.data,
