@@ -2,7 +2,7 @@
 
     python3 scripts/train_hash.py [CHECKOUT [CHECKOUT]] [--steps 200]
 
-Five digests, in this order on each output line:
+Six digests, in this order on each output line:
 - training: criterion 9's training geometry (L=8, D=4, V=32, H=8, width
   64, 2 layers, 4 heads, 32 components, rank 8, batch 16, circle
   schedule) on 1,024 synthetic grid records, for N `Trainer.step`s
@@ -10,10 +10,12 @@ Five digests, in this order on each output line:
   parameters, AdamW moments and EMA in sorted-name order, then the
   checkpoint file that `checkpoint.save_checkpoint` writes at the end, as
   read back from a scratch directory.
-- random-mode and `paper-28` sampling: `evaluate.generate_vectors` of 4
-  grids from that run's EMA weights, seeded as `rvqgen sample` seeds it
-  (T=32 random reveals; the preset's 28 guided steps); it covers the
-  vectors, the token grids and the model-call count.
+- random-mode, `paper-28` and confidence-mode sampling:
+  `evaluate.generate_vectors` of 4 grids from that run's EMA weights,
+  seeded as `rvqgen sample` seeds it (T=32 random reveals; the preset's
+  28 guided steps; T=32 confidence reveals without guidance, the CLI's
+  default selection); it covers the vectors, the token grids and the
+  model-call count.
 - fitting: `rvqgen synth`, `fit-rvq` and `eval` through `cli.main` in a
   scratch directory; it covers every file they write and their stdout,
   less eval's wall-time line.
@@ -26,11 +28,11 @@ Each checkout runs in its own process with that checkout's `src/` first
 on the import path. With no checkout the script hashes its own; with one
 it prints that checkout's digests; with two (PARENT CHANGE) it prints both
 and, when any digest differs, names on stderr the ones that do (training,
-sample-random, sample-paper-28, fit, diagnostics) and exits 1. A checkout
-that fails to run (no `src/rvqgen`, or a worker that exits nonzero) gets
-one `train_hash: <checkout>: <reason>` line on stderr and exit 2, so a
-broken run is not taken for a moved digest. Standard library, numpy and
-the checkout's `rvqgen` only.
+sample-random, sample-paper-28, fit, diagnostics, sample-confidence) and
+exits 1. A checkout that fails to run (no `src/rvqgen`, or a worker that
+exits nonzero) gets one `train_hash: <checkout>: <reason>` line on stderr
+and exit 2, so a broken run is not taken for a moved digest. Standard
+library, numpy and the checkout's `rvqgen` only.
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ import tempfile
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# the five digests' names, in output order
-DIGESTS = ("training", "sample-random", "sample-paper-28", "fit", "diagnostics")
+# the six digests' names, in output order
+DIGESTS = ("training", "sample-random", "sample-paper-28", "fit", "diagnostics",
+           "sample-confidence")
 
 
 def run_hash(steps):
-    """The five digests with the `rvqgen` on the import path."""
+    """The six digests with the `rvqgen` on the import path."""
     import numpy as np
     from rvqgen import checkpoint, data, evaluate, rvq, sampler, trainer
     from rvqgen.backbone import Backbone, BackboneConfig
@@ -84,14 +87,18 @@ def run_hash(steps):
 
     ema = Backbone(config, seed=0)
     ema.load_arrays(tr.ema)
-    for sc in (sampler.SamplerConfig(steps=32, selection="random"),
-               sampler.preset("paper-28")):
+
+    def sample_hash(sc):
         flat, tokens, passes = evaluate.generate_vectors(
             ema, book, sc, 4, 0, np.random.default_rng(sc.seed))
-        digests.append(hashlib.sha256(flat.tobytes() + tokens.tobytes()
-                                      + str(passes).encode()).hexdigest())
-    digests.append(fit_eval_hash())
-    digests.append(diagnostics_hash(tr, ds.vectors.reshape(-1, H)))
+        return hashlib.sha256(flat.tobytes() + tokens.tobytes()
+                              + str(passes).encode()).hexdigest()
+
+    digests += [sample_hash(sampler.SamplerConfig(steps=32, selection="random")),
+                sample_hash(sampler.preset("paper-28")),
+                fit_eval_hash(),
+                diagnostics_hash(tr, ds.vectors.reshape(-1, H)),
+                sample_hash(sampler.SamplerConfig(steps=32))]
     return digests
 
 

@@ -264,12 +264,8 @@ def cmd_sample(args):
                                            num_classes=model.config.num_classes),
                           args.out)
 
-    dump = [f"# forward_passes={passes} steps={config.steps} grids={count} "
-            f"seq_len={L} depth={model.config.depth}"]
-    for g in grids:
-        dump.append(" ".join(str(int(v)) for v in g.T.reshape(-1)))
     data_mod.atomic_write(str(args.out) + ".tokens.txt",
-                          ("\n".join(dump) + "\n").encode())
+                          token_dump_bytes(grids, passes, config.steps))
     print(f"wrote {args.out} (+.tokens.txt): {count} grids, "
           f"forward_passes={passes}, wall_time={wall:.3f}s")
     return 0
@@ -278,8 +274,20 @@ def cmd_sample(args):
 # ---------------------------------------------------------------------------
 # eval
 
-def _load_token_dump(path, book):
-    """Header fields and (N, L, D) token grids of a `sample` token dump;
+def token_dump_bytes(grids, forward_passes, steps):
+    """A `sample` token dump of (N, L, D) grids: one '#' header line, then
+    one line per grid, its tokens depth-major."""
+    count, L, D = grids.shape
+    dump = [f"# forward_passes={forward_passes} steps={steps} grids={count} "
+            f"seq_len={L} depth={D}"]
+    for g in grids:
+        dump.append(" ".join(str(int(v)) for v in g.T.reshape(-1)))
+    return ("\n".join(dump) + "\n").encode()
+
+
+def _load_token_dump(path, book=None):
+    """Header fields and (N, L, D) token grids of a `sample` token dump,
+    checked against `book`'s depth and vocabulary when one is given;
     malformed dumps raise ValueError naming the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -299,7 +307,7 @@ def _load_token_dump(path, book):
     L, D = header.get("seq_len", 0), header.get("depth", 0)
     if L < 1 or D < 1:
         raise ValueError(f"{path}: header needs positive seq_len and depth")
-    if D != book.depth:
+    if book is not None and D != book.depth:
         raise ValueError(f"{path}: depth {D} disagrees with the codebook's {book.depth}")
     grids = []
     for lineno, line in enumerate(lines[1:], 2):
@@ -312,8 +320,9 @@ def _load_token_dump(path, book):
         if vals.size != L * D:
             raise ValueError(f"{path}: line {lineno}: {vals.size} tokens, "
                              f"seq_len*depth is {L * D}")
-        if vals.min() < 1 or vals.max() > book.vocab:
-            raise ValueError(f"{path}: line {lineno}: token outside [1, {book.vocab}]")
+        if vals.min() < 1 or book is not None and vals.max() > book.vocab:
+            top = "V" if book is None else book.vocab
+            raise ValueError(f"{path}: line {lineno}: token outside [1, {top}]")
         grids.append(vals.reshape(D, L).T)  # dump is depth-major
     if not grids:
         raise ValueError(f"{path}: token dump has no grids")
@@ -407,6 +416,11 @@ def cmd_inspect(args):
         print(f"train: steps={ck.train_config.steps} lr={ck.train_config.lr} "
               f"schedule={ck.train_config.schedule} seed={ck.train_config.seed}")
         print(f"arrays={len(ck.params)} ema={len(ck.ema)}")
+    elif magic[:1] == b"#":
+        header, grids = _load_token_dump(args.path)
+        _, L, D = grids.shape
+        print(f"kind=tokens grids={len(grids)} seq_len={L} depth={D}")
+        print("header: " + " ".join(f"{k}={v}" for k, v in header.items()))
     else:
         raise ValueError(f"{args.path}: unknown magic {magic!r}")
     return 0

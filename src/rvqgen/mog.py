@@ -148,8 +148,8 @@ def sample(params, rng, top_p=1.0):
     rank = np.add.reduce(cdf < rng.random(L)[:, None], axis=-1)
     rows = np.arange(L)
     comp = order[rows, rank]
-    M = params.M[comp]                                         # (L, H, h)
-    mu = (M @ means[rows, comp][:, :, None])[:, :, 0] + params.s[comp]
+    M = params.M.take(comp, axis=0)                            # (L, H, h)
+    mu = (M @ means[rows, comp][:, :, None])[:, :, 0] + params.s.take(comp, axis=0)
     eps = rng.standard_normal((L, H))
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         z = np.exp(log_scale).reshape(L, 1) * (mu + eps) + b

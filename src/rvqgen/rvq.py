@@ -31,11 +31,12 @@ public `nearest`, which `evaluate.mode_occupancy` calls) goes through
 (BLOCK + 1, V) buffer and takes each block's argmin while it is still in
 cache, in place of an (N, V) matrix that falls out of cache between the
 product, the `+= norms` and the argmin. Ties go to the lowest codeword
-index, as `np.argmin` takes the first minimum. No block is one row: numpy
-hands a one-row product to gemv, which may round otherwise than gemm, so
-a lone last row joins the block before it, and the picks are those of
-one whole `_scores` call. Up to BLOCK + 1 rows (the sampler's per-step
-calls) take that one call.
+index, as `np.argmin` takes the first minimum. No product is one row:
+numpy hands a one-row product to gemv, which may round otherwise than
+gemm, so a lone last row joins the block before it and a one-row search
+scores its row twice, and the picks are those of one whole `_scores`
+call whatever the row count. Up to BLOCK + 1 rows (the sampler's
+per-step calls) take that one call.
 
 A search of more rows splits its block list into two contiguous halves:
 the caller scores the first while one worker thread scores the second,
@@ -52,9 +53,14 @@ never reach the worker. Only numpy's product, argmin and bincount run
 there. The second thread costs about 1 MB of peak RSS, mostly the BLAS
 library's buffers for a second calling thread.
 
+`quantize` can leave the residual chain it walks, (L, D, H): each
+depth's residual after its codeword. The sampler's confidence scores
+read that chain, so quantization is the one residual walk of a step.
+
 Tokens are 1-based codeword indices; 0 is reserved as the MASK sentinel
 and never appears in quantizer output. `codewords` is the one token ->
-codeword lookup and `dequantize` the one sum of a token subset's
+codeword lookup, one `take` from the codebook's tables stacked with a
+zero row at token 0, and `dequantize` the one sum of a token subset's
 codewords: the backbone's input (the revealed depths) and the trainer's
 target (the hidden depths) are both `dequantize` with a `keep` mask.
 Codebooks are immutable once built (the derived scoring constants would
@@ -96,20 +102,25 @@ class Codebook:
     Frozen: assigning a field raises, and the arrays are read-only copies,
     so the derived terms below cannot go stale. Construction also derives
     what the per-call paths would otherwise rebuild: `score_pairs`, each
-    depth's `score_pair` for `quantize`, and the confidence scores'
-    sigma-only terms `two_var` = 2 sigma^2 and `log_norm` =
-    -H/2 log(2 pi sigma^2), both (D,).
+    depth's `score_pair` for `quantize`; `padded`, the tables stacked as
+    (D * (V + 1), H) rows with a zero row in front of each depth's, so
+    that row `row_base[j] + t` (`row_base` (D,) = j * (V + 1)) is token t's
+    codeword at 0-based depth j and token 0 reads +0.0, for `codewords`;
+    and the confidence scores' sigma-only terms `two_var` = 2 sigma^2 and
+    `log_norm` = -H/2 log(2 pi sigma^2), both (D,).
     """
 
     embeddings: np.ndarray
     sigma: np.ndarray
     score_pairs: tuple = field(init=False, repr=False, compare=False)
+    padded: np.ndarray = field(init=False, repr=False, compare=False)
+    row_base: np.ndarray = field(init=False, repr=False, compare=False)
     two_var: np.ndarray = field(init=False, repr=False, compare=False)
     log_norm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        def put(name, value):
-            value = np.array(value, dtype=np.float64, order="C")
+        def put(name, value, dtype=np.float64):
+            value = np.array(value, dtype=dtype, order="C")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -126,6 +137,11 @@ class Codebook:
             raise ValueError("codebook embeddings must be finite")
         object.__setattr__(self, "score_pairs",
                            tuple(score_pair(t) for t in self.embeddings))
+        D, V, H = self.embeddings.shape
+        padded = np.zeros((D, V + 1, H))
+        padded[:, 1:] = self.embeddings
+        put("padded", padded.reshape(D * (V + 1), H))
+        put("row_base", np.arange(D) * (V + 1), np.int64)
         s2 = self.sigma ** 2
         put("two_var", 2 * s2)
         # a sigma <= 0 is refused where the scores are taken
@@ -221,12 +237,17 @@ def _nearest_rows(rows, pair):
     scored BLOCK rows at a time. (N,H)x(V,H)->(N,)
 
     A block's scores are the bits of those rows of one whole `_scores`
-    call, so the picks are too. No block is one row: a lone last row joins
-    the block before it, since numpy hands a one-row product to gemv, which
-    may round otherwise than gemm. Past BLOCK + 1 rows the block list
-    splits in two halves for `_halves`, each with its own reused buffer.
+    call, so the picks are too. No product is one row, since numpy hands a
+    one-row product to gemv, which may round otherwise than gemm: a lone
+    last row joins the block before it, and a one-row search scores its row
+    twice and keeps the first pick, so a row's token does not depend on how
+    many rows share its call. Past BLOCK + 1 rows the block list splits in
+    two halves for `_halves`, each with its own reused buffer.
     """
     N = rows.shape[0]
+    if N == 1:
+        # the row twice, so the product goes to gemm as every other search's
+        return _scores(rows.take([0, 0], axis=0), pair)[:1].argmin(axis=1)
     if N <= BLOCK + 1:
         # first minimum: lowest index
         return _scores(rows, pair).argmin(axis=1)
@@ -257,7 +278,8 @@ def nearest(rows, table):
     return _nearest_rows(rows, score_pair(table))
 
 
-def quantize(latents, book: Codebook, start_depth=None, out=None):
+def quantize(latents, book: Codebook, start_depth=None, out=None,
+             residuals=None):
     """Residual-quantize each latent vector into tokens at depths
     (start_depth, D]; shallower depths are left untouched.
 
@@ -265,7 +287,10 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
     each position (for a fresh encode that is the raw vector and
     start_depth is 0); start_depth is (L,). Returns an (L, D) int64 token
     grid; rows of an (L, D) `out` are copied through where provided,
-    otherwise untouched depths are MASK.
+    otherwise untouched depths are MASK. An (L, D, H) `residuals` array,
+    when given, receives the chain of residuals: entry (i, j) is row i's
+    residual after depth j + 1, which at an untouched depth is the residual
+    as it came in, since nothing was subtracted there.
     """
     latents = np.asarray(latents, dtype=np.float64)
     L = latents.shape[0]
@@ -280,12 +305,17 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
     if start_depth.shape != (L,) or tokens.shape != (L, D):
         raise ValueError(f"start_depth must be ({L},) and out ({L}, {D}), got "
                          f"{start_depth.shape} and {tokens.shape}")
+    if residuals is not None and np.shape(residuals) != (L, D, H):
+        raise ValueError(f"residuals must be ({L}, {D}, {H}), got {np.shape(residuals)}")
     first = int(np.minimum.reduce(start_depth, initial=D))
     last = int(np.maximum.reduce(start_depth, initial=0))
     if first < 0 or last > D:
         raise ValueError("start_depth entries must lie in [0, D]")
 
     residual = latents.copy()
+    if residuals is not None:
+        # depths above every row's start: nothing subtracted yet
+        residuals[:, :first] = latents[:, None]
     # score every row at each depth and keep the active ones: a masked
     # store costs less than gathering and scattering the active rows;
     # past the deepest start depth every row is active and needs no mask
@@ -300,6 +330,8 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
         else:
             np.subtract(residual, table.take(idx, axis=0), out=residual,
                         where=active[:, j - 1:j])
+        if residuals is not None:
+            residuals[:, j - 1] = residual
     picks += 1
     np.copyto(tokens, picks, where=active)
     return tokens
@@ -307,32 +339,34 @@ def quantize(latents, book: Codebook, start_depth=None, out=None):
 
 def codewords(tokens, book: Codebook, keep=None):
     """Codeword embeddings of token grids (..., D) -> (..., D, H): token t
-    at depth j reads row t - 1 of table j.
+    at depth j reads row t - 1 of table j, as one `take` from the
+    codebook's `padded` rows.
 
     With a boolean `keep` (broadcast to tokens' shape), only the kept
-    entries are read and checked, and the others come back as +0.0, so any
-    value there is fine. A MASK token at a kept entry raises ValueError
-    (masked entries carry no embedding), and so does a token outside
-    [0, V], instead of wrapping around or escaping the table.
+    entries are read and checked, and the others read the zero row, +0.0,
+    so any value there is fine. A MASK token at a kept entry raises
+    ValueError (masked entries carry no embedding), and so does a token
+    outside [0, V], instead of wrapping around or escaping the table.
     """
     tokens = np.asarray(tokens)
-    D, V, H = book.depth, book.vocab, book.dim
+    D, V = book.depth, book.vocab
     if tokens.shape[-1] != D:
         raise ValueError(f"token grid depth {tokens.shape[-1]} != codebook depth {D}")
-    if keep is not None and np.shape(keep) != tokens.shape:
-        keep = np.broadcast_to(keep, tokens.shape)   # a ValueError if it cannot
-    # kept entries by flat index; entry i sits at depth i % D
-    at = np.arange(tokens.size) if keep is None else np.flatnonzero(keep)
-    kept = tokens.reshape(-1).take(at)
-    if kept.size and not MASK < np.minimum.reduce(kept) <= np.maximum.reduce(kept) <= V:
+    if keep is None:
+        kept, n_kept = tokens, tokens.size
+    else:
+        if np.shape(keep) != tokens.shape:
+            keep = np.broadcast_to(keep, tokens.shape)   # a ValueError if it cannot
+        kept, n_kept = np.where(keep, tokens, MASK), np.count_nonzero(keep)
+    # every unkept entry of `kept` is MASK, so a kept MASK is a missing nonzero
+    if kept.size and not (MASK <= np.minimum.reduce(kept, axis=None)
+                          and np.maximum.reduce(kept, axis=None) <= V
+                          and np.count_nonzero(kept) == n_kept):
         # a kept MASK is named before any other bad token
-        if (kept == MASK).any():
+        if np.count_nonzero(kept) != n_kept:
             raise ValueError("MASK token at a kept entry: masked entries carry no embedding")
         _checked(kept, MASK, V)          # raises: a token outside [0, V]
-    rows = at % D * V + kept - 1
-    out = np.zeros((tokens.size, H))
-    out[at] = book.embeddings.reshape(-1, H).take(rows, axis=0)
-    return out.reshape(tokens.shape + (H,))
+    return book.padded.take(kept + book.row_base, axis=0)
 
 
 def _checked(tokens, low, vocab):

@@ -23,11 +23,13 @@ to `masking.mask_count` over the ratios t/T, equal bit for bit to T
 scalar calls. Outside the model a step works on the whole grid at once:
 one component draw and one quantization for all positions (against the
 codebook's precomputed scoring pairs), then, in confidence mode, one
-scoring pass over (L, D, H), with the codebook's sigma-only terms, and
-one sort to pick the reveals. The step's random draws come in a fixed
-order: the component uniforms of every position, then every position's
-normals (`mog.sample`), then the Gumbel noise or the hypergeometric reveal
-counts. Seeded runs are deterministic, but tokens differ from versions
+scoring pass over the residual chain that the quantization leaves
+(L, D, H), with the codebook's sigma-only terms, and one sort to pick the
+reveals; the codewords are not read back. One depth-suffix mask per step
+serves the scores, the selection and the `validate` check. The step's
+random draws come in a fixed order: the component uniforms of every
+position, then every position's normals (`mog.sample`), then the Gumbel
+noise or the hypergeometric reveal counts. Seeded runs are deterministic, but tokens differ from versions
 that drew per position at the same seed.
 """
 
@@ -102,46 +104,40 @@ def cfg_weight(config: SamplerConfig, t):
     return config.cfg_start + frac * (config.cfg_end - config.cfg_start)
 
 
-def confidence_scores(z, tokens, q, book: rvq.Codebook, tau, rng):
+def confidence_scores(residuals, masked, book: rvq.Codebook, tau, rng):
     """Per-masked-token confidence: Gaussian log-density of each depth's
     residual under its chosen codeword (variance sigma_j^2), cumulatively
     summed across depths, plus tau-scaled Gumbel noise. Revealed entries
-    get -inf. q holds each position's masked count.
+    get -inf.
 
-    One pass over (L, D, H): revealed depths contribute a zero codeword, so
-    the running subtraction rounds exactly as a per-depth loop from each
-    position's first masked depth would.
+    `residuals` (L, D, H) is the chain that `rvq.quantize` leaves for the
+    step's draw: each depth's residual after its codeword, where a revealed
+    depth subtracted nothing. `masked` (L, D) marks the masked entries.
     """
     if book.sigma is None or not (book.sigma > 0).all():
         raise ValueError("codebook sigma required for confidence scores")
-    z = np.asarray(z, dtype=np.float64)
-    L, D = np.shape(tokens)
-    masked = mk.suffix_masks(q, D) == 0
-    gumbel = rng.gumbel(size=(L, D))
-    words = rvq.codewords(tokens, book, keep=masked)               # (L, D, H)
-    res = np.subtract.accumulate(np.concatenate([z[:, None], words], axis=1),
-                                 axis=1)[:, 1:]
+    gumbel = rng.gumbel(size=np.shape(masked))
     # the codebook holds the sigma-only terms -H/2 log(2 pi s2) and 2 s2
-    log_n = book.log_norm - np.add.reduce(res * res, axis=-1) / book.two_var
+    log_n = book.log_norm - np.add.reduce(residuals * residuals, axis=-1) / book.two_var
     cum = np.cumsum(np.where(masked, log_n, 0.0), axis=1)
     return np.where(masked, cum + tau * gumbel, -np.inf)
 
 
-def select_unmask(q, n_target, scores):
+def select_unmask(q, n_target, scores, masked):
     """Masked counts q after revealing down to n_target tokens by
     confidence: greedily reveal the highest-scoring token among each
     position's shallowest masked depth, which preserves the depth-suffix
-    invariant by construction. A token can be revealed only after every
-    shallower masked token of its position, so the greedy order ranks
-    tokens by their running minimum score along depth; the first n of a
-    stable sort of those minima (ties to the lower position, then the
-    shallower depth) are the greedy reveals.
+    invariant by construction. `masked` (L, D) is q's mask, True at the
+    masked entries. A token can be revealed only after every shallower
+    masked token of its position, so the greedy order ranks tokens by their
+    running minimum score along depth; the first n of a stable sort of
+    those minima (ties to the lower position, then the shallower depth) are
+    the greedy reveals.
     """
     n_total = int(q.sum())
     if n_target > n_total:
         raise ValueError(f"n_target={n_target} exceeds masked count {n_total}")
     L, D = np.shape(scores)
-    masked = mk.suffix_masks(q, D) == 0
     eff = np.minimum.accumulate(np.where(masked, scores, np.inf), axis=1)
     # revealed entries sort after every masked one, -inf scores included
     eff = np.where(masked, eff, np.nan)
@@ -180,6 +176,10 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     q = np.full(c.seq_len, c.depth, dtype=np.int64)
     n_masked = c.seq_len * c.depth
     frozen = tokens.copy()      # the revealed tokens, for `validate`
+    confident = config.selection == "confidence"
+    # the step's residual chain, which `quantize` fills for the scores
+    chain = np.empty((c.seq_len, c.depth, c.latent_dim)) if confident else None
+    depths = np.arange(c.depth)
 
     for t in range(1, T + 1):
         embedded = model.embed_input(tokens, q, book, w)
@@ -189,19 +189,22 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
             params = mog.cfg_combine(params, uncond, cfg_weight(config, t))
 
         z = mog.sample(params, rng, top_p=config.top_p)
-        tokens = rvq.quantize(z, book, start_depth=c.depth - q, out=tokens)
+        start = c.depth - q
+        tokens = rvq.quantize(z, book, start_depth=start, out=tokens,
+                              residuals=chain)
+        if confident or validate:
+            # the step's one mask: position i hides its depths past start_i
+            masked = depths >= start[:, None]
 
         n_target = min(targets[t - 1], n_masked)
-        if config.selection == "confidence":
-            scores = confidence_scores(z, tokens, q, book,
-                                       config.temperature, rng)
-            new_q = select_unmask(q, n_target, scores)
+        if confident:
+            scores = confidence_scores(chain, masked, book, config.temperature, rng)
+            new_q = select_unmask(q, n_target, scores, masked)
         else:
             new_q = mk.binary_unmask(q, n_target, rng)
 
         if validate:
-            prev = mk.suffix_masks(q, c.depth) == 1
-            if not np.array_equal(tokens[prev], frozen[prev]):
+            if not np.array_equal(tokens[~masked], frozen[~masked]):
                 raise AssertionError("revealed token changed after reveal")
             frozen = tokens.copy()
         q, n_masked = new_q, n_target

@@ -339,8 +339,11 @@ def test_criterion_10_confidence_limits():
                 continue
             tokens = rng.integers(1, 5, size=(L, D))
             z = rng.normal(size=(L, 3))
-            scores = smp.confidence_scores(z, tokens, q0, book, tau=0.0,
-                                           rng=rng)
+            # a step's scores: quantize's residual chain under the step's mask
+            chain = np.empty((L, D, 3))
+            rvq.quantize(z, book, start_depth=D - q0, out=tokens, residuals=chain)
+            masked = mk.suffix_masks(q0, D) == 0
+            scores = smp.confidence_scores(chain, masked, book, tau=0.0, rng=rng)
             n_target = int(rng.integers(0, n_total))
 
             u = D - q0
@@ -353,7 +356,7 @@ def test_criterion_10_confidence_limits():
                 u[pos] += 1
                 q[pos] -= 1
 
-            got = smp.select_unmask(q0, n_target, scores=scores)
+            got = smp.select_unmask(q0, n_target, scores, masked)
             assert np.array_equal(got, q)
 
         # tau = 28.0 (reference choice temperature) must preserve validity

@@ -5,8 +5,12 @@ number, or a new check that refuses yesterday's valid files, fails here.
 
 The values are dyadic fractions, exact in float64, so the bytes depend on
 the format alone. `codebook-v1.rvqc` was written by
-`rvq.save_codebook(rvq.Codebook(EMBEDDINGS, SIGMA), path)` and
-`checkpoint-v1.rgck` by `checkpoint.save_checkpoint(fixture_checkpoint(), path)`.
+`rvq.save_codebook(rvq.Codebook(EMBEDDINGS, SIGMA), path)`,
+`checkpoint-v1.rgck` by `checkpoint.save_checkpoint(fixture_checkpoint(), path)`,
+`dataset-v1.rgds` by `data.save_dataset(data.Dataset(VECTORS, LABELS,
+num_classes=2), path)` and the token dump `grids.tokens.txt` (the text
+file `rvqgen sample` writes beside its dataset) by
+`data.atomic_write(path, cli.token_dump_bytes(GRIDS, 6, 3))`.
 A change of layout bumps the version and either keeps reading the old
 fixture or refuses it with one named error.
 """
@@ -19,6 +23,7 @@ import numpy as np
 from rvqgen import checkpoint as ckpt_mod
 from rvqgen import cli
 from rvqgen import data as data_mod
+from rvqgen import evaluate as ev
 from rvqgen import rvq
 from rvqgen.backbone import BackboneConfig, parameter_specs
 from rvqgen.trainer import TrainConfig
@@ -26,6 +31,8 @@ from rvqgen.trainer import TrainConfig
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 CODEBOOK = os.path.join(FIXTURES, "codebook-v1.rvqc")
 CHECKPOINT = os.path.join(FIXTURES, "checkpoint-v1.rgck")
+DATASET = os.path.join(FIXTURES, "dataset-v1.rgds")
+TOKENS = os.path.join(FIXTURES, "grids.tokens.txt")
 
 # D=2, V=4, H=3; the second table holds the zero codeword, so no vector's
 # error grows from depth 1 to depth 2 and eval's MSE check passes on any data
@@ -127,3 +134,54 @@ def test_checkpoint_fixture_passes_inspect_and_sample(tmp_path, capsys):
         dump = (tmp_path / "gen.rgds.tokens.txt").read_text().splitlines()
         assert dump[0] == "# forward_passes=6 steps=3 grids=2 seq_len=2 depth=2"
         assert len(dump) == 3
+
+
+# 8 records of 2x3 eighths in [-1, 1]; labels up to num_classes = 2
+VECTORS = ((np.arange(48) * 37 % 17 - 8) / 8).reshape(8, 2, 3)
+LABELS = np.array([0, 1, 2, 1, 0, 2, 2, 1], dtype=np.uint32)
+# 3 grids of the codebook's geometry (seq_len 2, depth 2, tokens in [1, 4])
+GRIDS = np.array([[[1, 2], [4, 1]], [[3, 3], [2, 4]], [[4, 1], [1, 2]]])
+
+
+def test_dataset_fixture_loads_to_its_values_and_bytes():
+    ds = data_mod.load_dataset(DATASET)
+    assert ds.vectors.tobytes() == VECTORS.tobytes()
+    assert ds.labels.dtype == np.uint32 and ds.labels.tobytes() == LABELS.tobytes()
+    assert ds.num_classes == 2
+    with open(DATASET, "rb") as fh:
+        blob = fh.read()
+    assert len(blob) == 24 + 8 * (4 + 8 * VECTORS[0].size)
+    assert data_mod.dataset_to_bytes(ds) == blob
+    assert data_mod.dataset_to_bytes(data_mod.Dataset(VECTORS, LABELS, 2)) == blob
+
+
+def test_token_dump_fixture_loads_to_its_grids_and_bytes():
+    header, grids = cli._load_token_dump(TOKENS, rvq.Codebook(EMBEDDINGS, SIGMA))
+    assert header == {"forward_passes": 6, "steps": 3, "grids": 3, "seq_len": 2, "depth": 2}
+    assert grids.dtype == np.int64 and np.array_equal(grids, GRIDS)
+    with open(TOKENS, "rb") as fh:
+        blob = fh.read()
+    assert cli.token_dump_bytes(grids, header["forward_passes"], header["steps"]) == blob
+    assert cli.token_dump_bytes(GRIDS, 6, 3) == blob
+
+
+def test_dataset_and_token_dump_fixtures_pass_inspect_and_eval(tmp_path, capsys):
+    assert cli.main(["inspect", DATASET]) == 0
+    assert cli.main(["inspect", TOKENS]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"kind=dataset version={data_mod.DATASET_VERSION} count=8 seq_len=2 dim=3 "
+        "num_classes=2",
+        "kind=tokens grids=3 seq_len=2 depth=2",
+        "header: forward_passes=6 steps=3 grids=3 seq_len=2 depth=2"]
+    other = str(tmp_path / "other.rgds")
+    data_mod.save_dataset(data_mod.synthesize("grid", 64, 2, 3, modes=4, seed=3)[0], other)
+    # the fixture as generated set, read with the dump, and as reference set
+    for generated, reference in ((DATASET, other), (other, DATASET)):
+        report = tmp_path / "report.txt"
+        assert cli.main(["eval", "--generated", generated, "--reference", reference,
+                         "--codebook", CODEBOOK, "--tokens", TOKENS,
+                         "--out", str(report)]) == 0
+        lines = report.read_text().splitlines()
+        assert "forward_pass_count=6" in lines
+        entropy = ev.codebook_usage_entropy(GRIDS.reshape(-1, 2), 4)
+        assert f"codebook_usage_entropy={','.join(f'{e:.12g}' for e in entropy)}" in lines

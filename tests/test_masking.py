@@ -399,7 +399,7 @@ def test_masked_counts_bookkeeping():
     q0 = mk.binary_mask(3, 3, 2, rng)
     q1 = mk.mask_more(q0, 2, 2, rng)
     q2 = mk.binary_unmask(q1, 1, rng)
-    q3 = smp.select_unmask(q2, 0, np.zeros((3, 2)))
+    q3 = smp.select_unmask(q2, 0, np.zeros((3, 2)), mk.suffix_masks(q2, 2) == 0)
     for q, n in zip((q0, q1, q2, q3), (3, 5, 1, 0)):
         assert q.dtype == np.int64 and q.shape == (3,) and q.sum() == n
         mk.checked_counts(q, (3,), 2)
@@ -479,9 +479,10 @@ def mask_first_transitions(D):
         q = s.masked_counts
         return MaskFirst(q - mk.sample_counts(q, s.n_total - n_target, rng), D).masked_counts
 
-    def select_unmask(q, n_target, scores):
+    def select_unmask(q, n_target, scores, shared):
         s = MaskFirst(q, D)
         masked = s.mask == 0
+        assert np.array_equal(shared, masked)   # the step's mask is q's
         eff = np.minimum.accumulate(np.where(masked, scores, np.inf), axis=1)
         eff = np.where(masked, eff, np.nan)
         picks = np.argsort(-eff.ravel(), kind="stable")[:s.n_total - n_target]
@@ -510,7 +511,7 @@ def test_transitions_match_the_mask_first_state(L, D, seed, data):
         q0 = mask(n0, L, D, r)
         q1 = more(q0, D, n1, r)
         q2 = unmask(q1, n2, r)
-        runs.append((q0, q1, q2, select(q2, n3, scores)))
+        runs.append((q0, q1, q2, select(q2, n3, scores, mk.suffix_masks(q2, D) == 0)))
     for got, ref, n in zip(*runs, (n0, n0 + n1, n2, n3)):
         assert got.dtype == ref.dtype == np.int64 and got.shape == (L,)
         assert np.array_equal(got, ref) and got.sum() == n

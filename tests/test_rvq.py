@@ -162,6 +162,12 @@ def test_codebook_scoring_constants_are_the_per_call_terms():
     s2 = book.sigma ** 2
     assert np.array_equal(book.two_var, 2 * s2)
     assert np.array_equal(book.log_norm, -0.5 * 4 * np.log(2 * np.pi * s2))
+    # each depth's rows behind a +0.0 row for token 0, at row_base[j]
+    padded = book.padded.reshape(3, 6, 4)
+    assert padded[:, 1:].tobytes() == book.embeddings.tobytes()
+    assert padded[:, 0].tobytes() == np.zeros((3, 4)).tobytes()
+    assert book.row_base.dtype == np.int64
+    assert np.array_equal(book.row_base, [0, 6, 12])
 
 
 def test_codebook_fields_cannot_be_reassigned():
@@ -176,7 +182,8 @@ def test_codebook_fields_cannot_be_reassigned():
     # nor written in place, and the caller's arrays are not the book's
     sigma = np.array([0.5, 0.25])
     book = rvq.Codebook(np.ones((2, 3, 2)), sigma)
-    for arr in (book.sigma, book.embeddings, book.two_var, book.log_norm):
+    for arr in (book.sigma, book.embeddings, book.two_var, book.log_norm,
+                book.padded, book.row_base):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     sigma[0] = 7.0
@@ -514,14 +521,64 @@ def test_blocked_nearest_is_the_whole_array_argmin(N, monkeypatch):
             sizes.clear()
             got = rvq._nearest_rows(rows, p)
             assert got.dtype == np.intp and np.array_equal(got, want)
-            assert sum(sizes) == N
-            if N <= B + 1:
+            if N == 1:
+                # a lone row is scored twice, as a two-row product
+                assert sizes == [2]
+            elif N <= B + 1:
                 assert sizes == [N]
             else:
+                assert sum(sizes) == N
                 # blocks of BLOCK rows and one of 2 to BLOCK + 1, never 1; as
                 # a multiset, since two threads append them
                 other = [s for s in sizes if s != B]
                 assert len(other) <= 1 and all(2 <= s <= B + 1 for s in other)
+
+
+def test_a_one_row_quantize_is_that_row_of_a_whole_call():
+    # numpy hands a one-row product to gemv, which may round otherwise than
+    # gemm: a lone row is scored as two, so its tokens are the ones it gets
+    # among other rows, at near-ties too
+    rng = np.random.default_rng(23)
+    D, V, H = 3, 16, 8
+    book = rvq.Codebook(rng.standard_normal((D, V, H)), np.ones(D))
+    a = rng.integers(0, V, size=300)
+    b = (a + rng.integers(1, V, size=300)) % V
+    # midpoints of two depth-1 codewords, nudged by a few ulps: their two
+    # scores come within rounding of each other
+    ties = (book.table(1)[a] + book.table(1)[b]) / 2
+    ties += rng.standard_normal(ties.shape) * 1e-15
+    x = np.concatenate([ties, rng.standard_normal((300, H)) * 2])
+    whole = rvq.quantize(x, book)
+    for i in range(len(x)):
+        assert np.array_equal(rvq.quantize(x[i:i + 1], book), whole[i:i + 1]), i
+    assert np.array_equal(rvq.nearest(x[:1], book.table(1)),
+                          rvq.nearest(x, book.table(1))[:1])
+
+
+@pytest.mark.parametrize("starts", ["fresh", "mixed", "shallow", "none"])
+def test_quantize_leaves_the_residual_chain(starts):
+    """`residuals` gets each depth's residual after its codeword, with the
+    bits of a per-row subtraction loop; an untouched depth holds the
+    residual as it came in, and the tokens are those of a call without it."""
+    rng = np.random.default_rng(29)
+    L, D, V, H = 7, 4, 6, 3
+    book = rvq.Codebook(rng.standard_normal((D, V, H)), np.ones(D))
+    start = {"fresh": np.zeros(L, dtype=np.int64), "mixed": np.array([0, 1, 2, 3, 4, 2, 4]),
+             "shallow": np.full(L, 2), "none": np.full(L, D)}[starts]
+    z = rng.standard_normal((L, H)) * 2
+    out = rng.integers(1, V + 1, size=(L, D))
+    chain = np.full((L, D, H), np.nan)      # every entry must be written
+    tokens = rvq.quantize(z, book, start_depth=start, out=out, residuals=chain)
+    assert np.array_equal(tokens, rvq.quantize(z, book, start_depth=start, out=out))
+    for i in range(L):
+        res = z[i].copy()
+        for j in range(D):
+            if j >= start[i]:
+                res = res - book.table(j + 1)[tokens[i, j] - 1]
+            assert chain[i, j].tobytes() == res.tobytes(), (i, j)
+    for bad in ((L, D, H + 1), (L, D), (L + 1, D, H)):
+        with pytest.raises(ValueError, match=r"^residuals must be \(7, 4, 3\), got "):
+            rvq.quantize(z, book, residuals=np.empty(bad))
 
 
 def serial_halves(first, second):

@@ -157,14 +157,55 @@ def test_geometry_mismatch_rejected():
 # ---------------------------------------------------------------------------
 # confidence scores and selection
 
+def codeword_confidence(z, tokens, q, book, tau, rng):
+    """The confidence scores from the token grid, as the sampler took them
+    before it read `quantize`'s residual chain: every masked entry's
+    codeword read back and subtracted from z again in one accumulate pass
+    (a revealed entry subtracts +0.0). The oracle of the chain's scores."""
+    z = np.asarray(z, dtype=np.float64)
+    L, D = np.shape(tokens)
+    masked = mk.suffix_masks(q, D) == 0
+    gumbel = rng.gumbel(size=(L, D))
+    rows = book.embeddings[np.arange(D), np.where(masked, tokens, 1) - 1]
+    words = np.where(masked[..., None], rows, 0.0)                 # (L, D, H)
+    res = np.subtract.accumulate(np.concatenate([z[:, None], words], axis=1),
+                                 axis=1)[:, 1:]
+    log_n = book.log_norm - np.add.reduce(res * res, axis=-1) / book.two_var
+    cum = np.cumsum(np.where(masked, log_n, 0.0), axis=1)
+    return np.where(masked, cum + tau * gumbel, -np.inf)
+
+
+def own_mask_select_unmask(q, n_target, scores):
+    """`select_unmask` as it was before the step shared one mask: the mask
+    derived from q inside the call."""
+    n_total = int(q.sum())
+    L, D = np.shape(scores)
+    masked = mk.suffix_masks(q, D) == 0
+    eff = np.minimum.accumulate(np.where(masked, scores, np.inf), axis=1)
+    eff = np.where(masked, eff, np.nan)
+    picks = np.argsort(-eff.ravel(), kind="stable")[:n_total - n_target]
+    return q - np.bincount(picks // D, minlength=L)
+
+
+def scored_step(z, out, q, book, tau, rng):
+    """A step's quantization and confidence scores as `generate` takes
+    them: the chain from `quantize`, scored under the step's one mask.
+    Returns (tokens, mask, scores, chain)."""
+    L, D = np.shape(out)
+    chain = np.full((L, D, book.dim), np.nan)    # every entry must be written
+    tokens = rvq.quantize(z, book, start_depth=D - q, out=out, residuals=chain)
+    masked = mk.suffix_masks(q, D) == 0
+    return tokens, masked, smp.confidence_scores(chain, masked, book, tau, rng), chain
+
+
 def test_confidence_exact_hit_gets_max_density():
     # zero residual at depth j contributes the Gaussian mode density
     book = rvq.Codebook(np.array([[[1.0, 0.0], [0.0, 1.0]]]), np.array([0.5]))
-    tokens = np.array([[1]])
     z = np.array([[1.0, 0.0]])  # exactly codeword 1
-    scores = smp.confidence_scores(z, tokens, np.array([1]), book, tau=0.0,
-                                   rng=np.random.default_rng(0))
+    tokens, _, scores, _ = scored_step(z, np.array([[rvq.MASK]]), np.array([1]), book,
+                                       0.0, np.random.default_rng(0))
     H, s2 = 2, 0.25
+    assert tokens.tolist() == [[1]]
     assert scores[0, 0] == pytest.approx(-0.5 * H * np.log(2 * np.pi * s2), abs=1e-12)
 
 
@@ -172,17 +213,17 @@ def test_confidence_requires_sigma():
     # the codebook takes sigma = 0; the confidence scores refuse it
     book = rvq.Codebook(np.zeros((1, 2, 2)), np.array([0.0]))
     with pytest.raises(ValueError, match="sigma"):
-        smp.confidence_scores(np.zeros((1, 2)), np.ones((1, 1), dtype=int),
-                              np.array([1]), book, 0.0, np.random.default_rng(0))
+        smp.confidence_scores(np.zeros((1, 1, 2)), np.ones((1, 1), dtype=bool),
+                              book, 0.0, np.random.default_rng(0))
 
 
 def test_tau_zero_selection_matches_greedy_oracle():
     model, book = build(L=6, D=3, V=5)
     rng = np.random.default_rng(7)
     q0 = np.array([3, 2, 3, 1, 3, 0])
-    tokens = rng.integers(1, 6, size=(6, 3))
     z = rng.normal(size=(6, book.dim))
-    scores = smp.confidence_scores(z, tokens, q0, book, tau=0.0, rng=rng)
+    _, masked, scores, _ = scored_step(z, rng.integers(1, 6, size=(6, 3)), q0, book,
+                                       0.0, rng)
 
     # oracle: repeatedly reveal the best-scoring frontier token
     u = 3 - q0
@@ -198,7 +239,7 @@ def test_tau_zero_selection_matches_greedy_oracle():
         q[pos] -= 1
     oracle_counts = q
 
-    got = smp.select_unmask(q0, 4, scores=scores)
+    got = smp.select_unmask(q0, 4, scores, masked)
     assert np.array_equal(got, oracle_counts)
 
 
@@ -245,19 +286,44 @@ def test_confidence_scores_match_loop_oracle(tau):
     rng = np.random.default_rng(31)
     for _ in range(20):
         q = rng.integers(0, 5, size=7)
-        tokens = rng.integers(1, 6, size=(7, 4))
         z = rng.normal(size=(7, 3)) * 2.0
         seed = int(rng.integers(1 << 30))
-        got = smp.confidence_scores(z, tokens, q, book, tau,
-                                    np.random.default_rng(seed))
+        tokens, masked, got, _ = scored_step(z, rng.integers(1, 6, size=(7, 4)), q, book,
+                                             tau, np.random.default_rng(seed))
         same_sq = confidence_loop_oracle(z, tokens, q, book, tau,
                                          np.random.default_rng(seed), dot=False)
         assert np.array_equal(got, same_sq)      # residuals round identically
         dot = confidence_loop_oracle(z, tokens, q, book, tau,
                                      np.random.default_rng(seed))
-        masked = mk.suffix_masks(q, 4) == 0
         assert np.all(got[~masked] == -np.inf)
         np.testing.assert_allclose(got[masked], dot[masked], rtol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 6), st.integers(1, 5),
+       st.sampled_from([0.0, 28.0]), st.integers(0, 2**32 - 1), st.data())
+def test_chain_scores_equal_the_codeword_oracle(L, D, V, H, tau, seed, data):
+    """Scores from `quantize`'s chain equal, bit for bit, the scores that
+    read the codewords back from the tokens, over fully masked, partly
+    revealed and fully revealed positions; and selection under the step's
+    shared mask equals selection that derives its own."""
+    q = np.array(data.draw(st.lists(st.integers(0, D), min_size=L, max_size=L)),
+                 dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    book = rvq.Codebook(rng.normal(size=(D, V, H)), rng.uniform(0.1, 2.0, size=D))
+    z = rng.normal(size=(L, H)) * 10.0 ** rng.integers(-2, 3)
+    out = rng.integers(1, V + 1, size=(L, D))       # the revealed tokens
+    tokens, masked, scores, chain = scored_step(z, out, q, book, tau,
+                                                np.random.default_rng(seed))
+    want = codeword_confidence(z, tokens, q, book, tau, np.random.default_rng(seed))
+    assert scores.tobytes() == want.tobytes()
+    assert np.array_equal(tokens[~masked], out[~masked])
+    # a revealed depth subtracted nothing: its chain entry is the draw
+    assert chain[~masked].tobytes() == np.broadcast_to(z[:, None], chain.shape)[~masked].tobytes()
+    n_target = data.draw(st.integers(0, int(q.sum())))
+    got = smp.select_unmask(q, n_target, scores, masked)
+    assert np.array_equal(got, own_mask_select_unmask(q, n_target, scores))
+    assert got.sum() == n_target
 
 
 @st.composite
@@ -277,7 +343,7 @@ def selection_cases(draw):
 @given(selection_cases())
 def test_vectorized_selection_equals_greedy_loop(case):
     q, n_target, scores = case
-    got = smp.select_unmask(q, n_target, scores=scores)
+    got = smp.select_unmask(q, n_target, scores, mk.suffix_masks(q, scores.shape[1]) == 0)
     assert np.array_equal(got, greedy_select_oracle(q, n_target, scores))
     assert got.sum() == n_target
 
@@ -322,17 +388,19 @@ def test_dominant_position_reveals_first():
     # one position scores strictly higher at every depth
     model, book = build(L=2, D=2)
     scores = np.array([[10.0, 9.0], [1.0, 0.5]])
-    out = smp.select_unmask(np.array([2, 2]), 2, scores=scores)
+    q = np.array([2, 2])
+    out = smp.select_unmask(q, 2, scores, mk.suffix_masks(q, 2) == 0)
     assert np.array_equal(out, [0, 2])
 
 
 def test_select_noop_and_reject():
     model, book = build()
     q = np.array([2, 1, 0, 2])
-    same = smp.select_unmask(q, 5, scores=np.zeros((4, 2)))
+    masked = mk.suffix_masks(q, 2) == 0
+    same = smp.select_unmask(q, 5, np.zeros((4, 2)), masked)
     assert np.array_equal(same, q)
     with pytest.raises(ValueError, match="n_target=9 exceeds masked count 5"):
-        smp.select_unmask(q, 9, scores=np.zeros((4, 2)))
+        smp.select_unmask(q, 9, np.zeros((4, 2)), masked)
 
 
 def test_revealed_tokens_never_change_over_run():
@@ -464,7 +532,7 @@ def reference_generate(model, book, label, config, rng):
         if config.selection == "confidence":
             scores = confidence_loop_oracle(z, tokens, q, book,
                                             config.temperature, rng, dot=False)
-            q = smp.select_unmask(q, n_target, scores)
+            q = own_mask_select_unmask(q, n_target, scores)
         else:
             q = q - numpy_int_counts(q, int(q.sum()) - n_target, rng)
     assert q.sum() == 0

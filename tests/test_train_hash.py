@@ -1,4 +1,4 @@
-"""scripts/train_hash.py: the seeded digests (training, sampling in two
+"""scripts/train_hash.py: the seeded digests (training, sampling in three
 modes, fitting, audit and VLB diagnostics) are the same in two processes on one checkout, a
 difference between checkouts exits 1, and a checkout that cannot run exits 2."""
 
@@ -23,9 +23,10 @@ def test_two_runs_on_one_checkout_hash_alike():
     digests = [line.split()[0] for line in lines]
     assert digests[0] == digests[1]
     assert re.fullmatch("[0-9a-f]{64}", digests[0])
-    # training, random-mode and paper-28 sampling, fit-rvq + eval, audit + VLB
+    # training, random-mode and paper-28 sampling, fit-rvq + eval, audit + VLB,
+    # confidence-mode sampling
     runs = [line.split()[:-1] for line in lines]
-    assert runs[0] == runs[1] and len(runs[0]) == 5 and len(set(runs[0])) == 5
+    assert runs[0] == runs[1] and len(runs[0]) == 6 and len(set(runs[0])) == 6
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in runs[0])
 
 
@@ -42,14 +43,17 @@ def test_differing_hashes_exit_one(monkeypatch, capsys):
 
 
 def test_differing_digests_are_named(monkeypatch, capsys):
-    runs = {"parent": "t0 r0 p0 f0 d0", "train": "t1 r0 p0 f0 d0", "samples": "t1 r1 p1 f0 d0",
-            "all": "t1 r1 p1 f1 d1"}
+    runs = {"parent": "t0 r0 p0 f0 d0 c0", "train": "t1 r0 p0 f0 d0 c0",
+            "samples": "t1 r1 p1 f0 d0 c1", "confidence": "t0 r0 p0 f0 d0 c1",
+            "all": "t1 r1 p1 f1 d1 c1"}
     monkeypatch.setattr(th, "hash_checkout",
                         lambda checkout, steps: runs[os.path.basename(checkout)])
     for change, moved in (("train", "training"),
-                          ("samples", "training, sample-random, sample-paper-28"),
+                          ("samples", "training, sample-random, sample-paper-28, "
+                                      "sample-confidence"),
+                          ("confidence", "sample-confidence"),
                           ("all", "training, sample-random, sample-paper-28, fit, "
-                                  "diagnostics")):
+                                  "diagnostics, sample-confidence")):
         assert th.main(["parent", change, "--steps", "7"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"train_hash: 7-step digests differ: {moved}"]
