@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rvq
+from .backbone import check_integer
 from .sampler import SamplerConfig, generate
 
 
@@ -123,9 +124,14 @@ def codebook_usage_entropy(tokens, vocab):
 def generate_vectors(model, book, config: SamplerConfig, count, labels, rng):
     """Generate `count` grids and return (stacked position vectors, grids,
     total forward passes). `labels` is one class label per grid, or one
-    for all; each must lie in [0, num_classes], checked before any work."""
+    for all; each must be an integer in [0, num_classes], checked before
+    any work."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        for value in labels.ravel().tolist():
+            check_integer("label", value)
     labels = np.broadcast_to(labels, (count,))
     bad = (labels < 0) | (labels > model.config.num_classes)
     if bad.any():

@@ -12,11 +12,12 @@ The masking state is the int64 masked counts q (L,) and their total;
 the mask and the unmasked counts D - q are derived where a step reads
 them. A grid binds the graph-free weights once (`w = model.weights(False)`)
 and builds all T steps' conditioning rows in one `model.condition` call
-(one more for the null label with guidance). A step embeds the grid once
-(`model.embed_input(tokens, q, book, w)`), and each model call is the
-graph-free `model.forward(embedded, cond, w)` on it: one call, or two with
-guidance, which differ only in the label. Neither records a graph, and
-both give the bits of the autodiff path, so tokens do not depend on it.
+(one more for the null label with guidance). The grid is embedded once
+per masked state (`model.embed_input(tokens, q, book, w)`), and each
+model call is the graph-free `model.forward(embedded, cond, w)` on it:
+one call per step, or two with guidance, which differ only in the label.
+Neither records a graph, and both give the bits of the autodiff path, so
+tokens do not depend on it.
 
 The reveal schedule is taken before the first step, from one array call
 to `masking.mask_count` over the ratios t/T, equal bit for bit to T
@@ -31,6 +32,19 @@ random draws come in a fixed order: the component uniforms of every
 position, then every position's normals (`mog.sample`), then the Gumbel
 noise or the hypergeometric reveal counts. Seeded runs are deterministic, but tokens differ from versions
 that drew per position at the same seed.
+
+A step whose schedule target equals the masked total reveals nothing. It
+makes its model call(s), the guidance combination and the mixture draw
+(with `mog.sample`'s finiteness checks), draws its Gumbel noise in
+confidence mode, and ends there: no quantization, scores or selection,
+and the next step reuses its embedding, which reads only the revealed
+tokens and q, neither of which changed. Its quantization would have
+written only masked tokens and the chain, which the next revealing step
+writes anew, and zero random reveals draw nothing, so the tokens and
+the generator state are those of a step that does all the work. At
+L = 8, D = 4 the circle schedule reveals nothing on 14 of T = 32 steps,
+11 of 28 and 39 of 63 (1 of 28 at L = 256); `forward_passes` stays T,
+or 2T with guidance.
 """
 
 from __future__ import annotations
@@ -104,7 +118,14 @@ def cfg_weight(config: SamplerConfig, t):
     return config.cfg_start + frac * (config.cfg_end - config.cfg_start)
 
 
-def confidence_scores(residuals, masked, book: rvq.Codebook, tau, rng):
+def check_sigma(book: rvq.Codebook):
+    """ValueError unless the codebook has a positive sigma at every depth,
+    which the confidence scores divide by."""
+    if book.sigma is None or not (book.sigma > 0).all():
+        raise ValueError("codebook sigma required for confidence scores")
+
+
+def confidence_scores(residuals, masked, book: rvq.Codebook, tau, gumbel):
     """Per-masked-token confidence: Gaussian log-density of each depth's
     residual under its chosen codeword (variance sigma_j^2), cumulatively
     summed across depths, plus tau-scaled Gumbel noise. Revealed entries
@@ -112,11 +133,10 @@ def confidence_scores(residuals, masked, book: rvq.Codebook, tau, rng):
 
     `residuals` (L, D, H) is the chain that `rvq.quantize` leaves for the
     step's draw: each depth's residual after its codeword, where a revealed
-    depth subtracted nothing. `masked` (L, D) marks the masked entries.
+    depth subtracted nothing. `masked` (L, D) marks the masked entries and
+    `gumbel` (L, D) is the step's standard Gumbel noise.
     """
-    if book.sigma is None or not (book.sigma > 0).all():
-        raise ValueError("codebook sigma required for confidence scores")
-    gumbel = rng.gumbel(size=np.shape(masked))
+    check_sigma(book)
     # the codebook holds the sigma-only terms -H/2 log(2 pi s2) and 2 s2
     log_n = book.log_norm - np.add.reduce(residuals * residuals, axis=-1) / book.two_var
     cum = np.cumsum(np.where(masked, log_n, 0.0), axis=1)
@@ -159,6 +179,9 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     check_integer("label", label)
     if not 0 <= label <= c.num_classes:
         raise ValueError(f"label {label} outside [0, {c.num_classes}]")
+    confident = config.selection == "confidence"
+    if confident:
+        check_sigma(book)   # before the leading steps, which score nothing
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     T = config.steps
     # the whole reveal schedule in one call: step t leaves targets[t - 1]
@@ -176,29 +199,36 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
     q = np.full(c.seq_len, c.depth, dtype=np.int64)
     n_masked = c.seq_len * c.depth
     frozen = tokens.copy()      # the revealed tokens, for `validate`
-    confident = config.selection == "confidence"
     # the step's residual chain, which `quantize` fills for the scores
     chain = np.empty((c.seq_len, c.depth, c.latent_dim)) if confident else None
     depths = np.arange(c.depth)
+    embedded = None             # the grid's embedding, kept until q changes
 
     for t in range(1, T + 1):
-        embedded = model.embed_input(tokens, q, book, w)
+        if embedded is None:
+            embedded = model.embed_input(tokens, q, book, w)
         params = model.forward(embedded, conds[0][t - 1], w)
         if config.use_cfg:
             uncond = model.forward(embedded, conds[1][t - 1], w)
             params = mog.cfg_combine(params, uncond, cfg_weight(config, t))
 
         z = mog.sample(params, rng, top_p=config.top_p)
+        # the step's last draw: every step takes it, revealing or not
+        gumbel = rng.gumbel(size=tokens.shape) if confident else None
+        n_target = min(targets[t - 1], n_masked)
+        if n_target == n_masked:
+            # nothing to reveal: the revealed tokens and q stand, and the
+            # next revealing step rewrites every masked token and the chain
+            continue
+
         start = c.depth - q
         tokens = rvq.quantize(z, book, start_depth=start, out=tokens,
                               residuals=chain)
         if confident or validate:
             # the step's one mask: position i hides its depths past start_i
             masked = depths >= start[:, None]
-
-        n_target = min(targets[t - 1], n_masked)
         if confident:
-            scores = confidence_scores(chain, masked, book, config.temperature, rng)
+            scores = confidence_scores(chain, masked, book, config.temperature, gumbel)
             new_q = select_unmask(q, n_target, scores, masked)
         else:
             new_q = mk.binary_unmask(q, n_target, rng)
@@ -207,7 +237,7 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
             if not np.array_equal(tokens[~masked], frozen[~masked]):
                 raise AssertionError("revealed token changed after reveal")
             frozen = tokens.copy()
-        q, n_masked = new_q, n_target
+        q, n_masked, embedded = new_q, n_target, None
 
     if q.any():
         raise AssertionError("grid not fully revealed after the final step")

@@ -343,7 +343,7 @@ def test_criterion_10_confidence_limits():
             chain = np.empty((L, D, 3))
             rvq.quantize(z, book, start_depth=D - q0, out=tokens, residuals=chain)
             masked = mk.suffix_masks(q0, D) == 0
-            scores = smp.confidence_scores(chain, masked, book, tau=0.0, rng=rng)
+            scores = smp.confidence_scores(chain, masked, book, 0.0, rng.gumbel(size=(L, D)))
             n_target = int(rng.integers(0, n_total))
 
             u = D - q0

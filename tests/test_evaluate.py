@@ -11,7 +11,7 @@ import pytest
 
 from rvqgen import rvq
 from rvqgen import evaluate as ev
-from rvqgen.backbone import BackboneConfig
+from rvqgen.backbone import Backbone, BackboneConfig
 from rvqgen.sampler import SamplerConfig
 from rvqgen.trainer import TrainConfig
 
@@ -164,3 +164,35 @@ def test_sampler_stats_sweeps_three_axes():
         assert passes == sc.steps * len(labels)
         assert grids.shape == (10, 3, 2) and grids.min() >= 1 and grids.max() <= 4
         assert gen.shape == (30, 3) and np.isfinite(ev.frechet_distance(gen, flat))
+
+
+
+def tiny_model():
+    return Backbone(BackboneConfig(seq_len=3, depth=2, vocab=4, latent_dim=3, width=4,
+                                   layers=1, heads=1, mixtures=2, mean_rank=1,
+                                   num_classes=3), seed=0)
+
+
+@pytest.mark.parametrize("labels, named", [
+    (1.5, "1.5"), (True, "True"), ([1.7, 2.2], "1.7"), ("a", "'a'"), ([1, "b"], "'1'"),
+    (np.array([1.0, 2.0]), "1.0"),
+], ids=["float", "bool", "floats", "string", "mixed", "float-array"])
+def test_a_label_that_is_not_an_integer_is_named(labels, named):
+    # checked before any grid is drawn: the model is never called
+    model = tiny_model()
+    with pytest.raises(ValueError, match=f"^label: {named} is not an integer$"):
+        ev.generate_vectors(model, rvq.Codebook(np.ones((2, 4, 3)), np.ones(2)),
+                            SamplerConfig(steps=2), 2, labels, np.random.default_rng(0))
+    assert model.forward_calls == 0
+
+
+def test_integer_labels_of_any_integer_type_sample():
+    model = tiny_model()
+    book = rvq.Codebook(np.arange(24, dtype=float).reshape(2, 4, 3), np.ones(2))
+    runs = [ev.generate_vectors(model, book, SamplerConfig(steps=2), 2, labels,
+                                np.random.default_rng(0))[1]
+            for labels in ([1, 3], np.array([1, 3], dtype=np.uint8), (np.int64(1), 3))]
+    assert all(np.array_equal(runs[0], grids) for grids in runs[1:])
+    with pytest.raises(ValueError, match="label 4 outside"):
+        ev.generate_vectors(model, book, SamplerConfig(steps=2), 2, [1, 4],
+                            np.random.default_rng(0))

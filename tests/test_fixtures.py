@@ -13,12 +13,22 @@ file `rvqgen sample` writes beside its dataset) by
 `data.atomic_write(path, cli.token_dump_bytes(GRIDS, 6, 3))`.
 A change of layout bumps the version and either keeps reading the old
 fixture or refuses it with one named error.
+
+A corruption fuzz flips, truncates and overwrites bytes of each fixture
+and runs the commands that read it through `cli.main`: each exits 0, 1
+with one `error:` line, or 2 for `eval`'s `FAILED`, and none raises.
 """
 
+import contextlib
+import io
 import math
 import os
+import tempfile
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rvqgen import checkpoint as ckpt_mod
 from rvqgen import cli
@@ -185,3 +195,92 @@ def test_dataset_and_token_dump_fixtures_pass_inspect_and_eval(tmp_path, capsys)
         assert "forward_pass_count=6" in lines
         entropy = ev.codebook_usage_entropy(GRIDS.reshape(-1, 2), 4)
         assert f"codebook_usage_entropy={','.join(f'{e:.12g}' for e in entropy)}" in lines
+
+
+# ---------------------------------------------------------------------------
+# corruption fuzz: flipped, truncated and overwritten bytes of each fixture
+
+# overwrites: raw bytes, or the characters the text and JSON parts hold
+CHUNKS = st.one_of(st.binary(min_size=1, max_size=8),
+                   st.text("0123456789-.e# =\n", min_size=1, max_size=8).map(str.encode))
+
+
+def header_size(fixture, blob):
+    """Bytes before the fixture's values: the fixed header (and the JSON
+    header and codebook of a checkpoint), or a token dump's '#' line."""
+    if fixture == TOKENS:
+        return blob.index(b"\n") + 1
+    if fixture == CHECKPOINT:
+        book = rvq.codebook_to_bytes(rvq.Codebook(EMBEDDINGS, SIGMA))
+        return 16 + int.from_bytes(blob[8:16], "little") + len(book)
+    return {CODEBOOK: 20, DATASET: 24}[fixture]
+
+
+@st.composite
+def corrupted(draw, blob, head):
+    """`blob` after one to three byte edits: a bit flip, a truncation or an
+    overwrite of up to 8 bytes. Half the edits fall in the first `head`
+    bytes, where the headers are, and half after them, among the values."""
+    data = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        if not data:
+            break
+        n = len(data)
+        i = draw(st.one_of(st.integers(0, min(head, n) - 1), st.integers(min(head, n - 1), n - 1)))
+        kind = draw(st.sampled_from(["flip", "truncate", "overwrite"]))
+        if kind == "flip":
+            data[i] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "truncate":
+            del data[i:]
+        else:
+            chunk = draw(CHUNKS)[:n - i]
+            data[i:i + len(chunk)] = chunk
+    return bytes(data)
+
+
+def _quiet_main(argv):
+    """Exit code and stderr lines of one in-process `cli.main` run; any
+    exception escapes as a test failure."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = cli.main(argv)
+    return rc, stderr.getvalue().splitlines()
+
+
+def _runs(fixture, path, out):
+    """(argv, allowed exit codes) of every command the fixture feeds: each
+    is inspected; the checkpoint samples (its step 1 of 3 reveals nothing),
+    and the codebook and the token dump are evaluated, where `FAILED`
+    exits 2."""
+    runs = [(["inspect", path], (0, 1))]
+    if fixture == CHECKPOINT:
+        runs.append((["sample", "--checkpoint", path, "--out", out, "--count", "1",
+                      "--steps", "3"], (0, 1)))
+    if fixture in (CODEBOOK, TOKENS):
+        book, dump = (path, []) if fixture == CODEBOOK else (CODEBOOK, ["--tokens", path])
+        runs.append((["eval", "--generated", DATASET, "--reference", DATASET,
+                      "--codebook", book, *dump, "--out", out], (0, 1, 2)))
+    return runs
+
+
+@pytest.mark.parametrize("fixture", [CODEBOOK, CHECKPOINT, DATASET, TOKENS],
+                         ids=["rvqc", "rgck", "rgds", "tokens"])
+def test_a_corrupted_fixture_exits_cleanly(fixture):
+    with open(fixture, "rb") as fh:
+        blob = fh.read()
+
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated=corrupted(blob, header_size(fixture, blob)))
+    def fuzz(mutated):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, os.path.basename(fixture))
+            with open(path, "wb") as fh:
+                fh.write(mutated)
+            for argv, allowed in _runs(fixture, path, os.path.join(work, "out")):
+                rc, err = _quiet_main(argv)
+                assert rc in allowed, (argv, rc, err)
+                if rc == 1:
+                    assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+
+    fuzz()

@@ -195,7 +195,8 @@ def scored_step(z, out, q, book, tau, rng):
     chain = np.full((L, D, book.dim), np.nan)    # every entry must be written
     tokens = rvq.quantize(z, book, start_depth=D - q, out=out, residuals=chain)
     masked = mk.suffix_masks(q, D) == 0
-    return tokens, masked, smp.confidence_scores(chain, masked, book, tau, rng), chain
+    scores = smp.confidence_scores(chain, masked, book, tau, rng.gumbel(size=(L, D)))
+    return tokens, masked, scores, chain
 
 
 def test_confidence_exact_hit_gets_max_density():
@@ -214,7 +215,7 @@ def test_confidence_requires_sigma():
     book = rvq.Codebook(np.zeros((1, 2, 2)), np.array([0.0]))
     with pytest.raises(ValueError, match="sigma"):
         smp.confidence_scores(np.zeros((1, 1, 2)), np.ones((1, 1), dtype=bool),
-                              book, 0.0, np.random.default_rng(0))
+                              book, 0.0, np.zeros((1, 1)))
 
 
 def test_tau_zero_selection_matches_greedy_oracle():
@@ -354,8 +355,9 @@ def test_vectorized_selection_equals_greedy_loop(case):
        st.sampled_from(["circle", "cosine", "exp"]), st.integers(0, 2**16))
 def test_masked_total_follows_the_schedule(L, D, T, selection, use_cfg, schedule, seed):
     """After step t the masked total is min(mask_count(t/T), total before
-    the step), the grid ends fully revealed, and the model is called T
-    times (2T with guidance)."""
+    the step), with one reveal transition per step that lowers it and none
+    on a step that leaves it, the grid ends fully revealed, and the model
+    is called T times (2T with guidance)."""
     model, book = build(L=L, D=D, seed=seed % 7)
     cfg = smp.SamplerConfig(steps=T, schedule=schedule, selection=selection,
                             use_cfg=use_cfg, cfg_start=0.5, cfg_end=1.5)
@@ -374,12 +376,13 @@ def test_masked_total_follows_the_schedule(L, D, T, selection, use_cfg, schedule
         tokens, stats = smp.generate(model, book, 1, cfg,
                                      rng=np.random.default_rng(seed), validate=True)
     sched = mk.parse_schedule(schedule)
-    prev = L * D
-    assert len(totals) == T
-    for t, (before, after) in enumerate(totals, start=1):
-        assert before == prev
-        assert after == min(mk.mask_count(sched, t / T, L, D), prev)
+    prev, want = L * D, []
+    for t in range(1, T + 1):
+        after = min(mk.mask_count(sched, t / T, L, D), prev)
+        if after < prev:
+            want.append((prev, after))
         prev = after
+    assert totals == want
     assert prev == 0 and np.all((tokens >= 1) & (tokens <= book.vocab))
     assert stats["forward_passes"] == T * (2 if use_cfg else 1)
 
@@ -540,22 +543,38 @@ def reference_generate(model, book, label, config, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 4), st.integers(2, 6), st.integers(1, 9),
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(2, 6),
        st.sampled_from(["random", "confidence"]), st.booleans(),
        st.sampled_from(["circle", "cosine", "exp", "exp:2.5"]),
-       st.integers(0, 2**16))
-def test_generate_matches_the_reference_step(L, D, V, T, selection, use_cfg,
-                                             schedule, seed):
+       st.integers(0, 2**16), st.data())
+def test_generate_matches_the_reference_step(L, D, V, selection, use_cfg,
+                                             schedule, seed, data):
+    # up to 2 L D steps, so runs with many steps that reveal nothing occur
+    T = data.draw(st.integers(1, 2 * L * D), label="T")
     model, book = trained_like(L=L, D=D, V=V, seed=seed % 5)
     cfg = smp.SamplerConfig(steps=T, schedule=schedule, selection=selection,
                             temperature=2.0, top_p=0.9, use_cfg=use_cfg,
                             cfg_start=0.5, cfg_end=1.5)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    tokens, _ = smp.generate(model, book, 1, cfg, rng=rng)
+    tokens, stats = smp.generate(model, book, 1, cfg, rng=rng, validate=True)
+    assert stats["forward_passes"] == T * (2 if use_cfg else 1)
     want = reference_generate(model, book, 1, cfg, ref_rng)
     assert np.array_equal(tokens, want)
     # the same draws, in the same order, left the stream where it was
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def revealing_steps(config, L, D):
+    """The 1-based steps of a T-step run whose schedule target lowers the
+    masked total."""
+    targets = mk.mask_count(mk.parse_schedule(config.schedule),
+                            np.arange(1, config.steps + 1) / config.steps, L, D)
+    prev, steps = L * D, []
+    for t, n in enumerate(targets.tolist(), start=1):
+        if n < prev:
+            steps.append(t)
+        prev = min(n, prev)
+    return steps
 
 
 @pytest.mark.parametrize("cfg, forwards", [
@@ -564,13 +583,15 @@ def test_generate_matches_the_reference_step(L, D, V, T, selection, use_cfg,
 ], ids=["random", "paper-28"])
 def test_a_step_embeds_its_grid_once(monkeypatch, cfg, forwards):
     model, book = trained_like()
-    calls = []
+    calls, embedded = [], []
 
     def counted(name):
         method = getattr(Backbone, name)
 
         def wrapper(self, *args, **kwargs):
             calls.append(name)
+            if name == "embed_input":
+                embedded.append(np.array(args[1]))
             return method(self, *args, **kwargs)
         return wrapper
 
@@ -579,17 +600,95 @@ def test_a_step_embeds_its_grid_once(monkeypatch, cfg, forwards):
     rng = np.random.default_rng(5)
     tokens, stats = smp.generate(model, book, 1, cfg, rng=rng)
     # once per grid: the weights, then every step's conditioning rows for
-    # the label and, with guidance, for the null label; each step: one
-    # embedding, then its one or two model calls
-    per_step = ["embed_input"] + ["forward"] * (forwards // cfg.steps)
+    # the label and, with guidance, for the null label; each step: its one
+    # or two model calls, after one embedding when the masked counts
+    # differ from the last step's (the first step, and each one after a
+    # step that revealed)
+    revealing = revealing_steps(cfg, *tokens.shape)
+    assert 0 < len(revealing) < cfg.steps      # both kinds of step occur
+    model_calls = ["forward"] * (forwards // cfg.steps)
     per_grid = ["weights"] + ["condition"] * (forwards // cfg.steps)
-    assert calls == per_grid + per_step * cfg.steps
+    steps = [["embed_input"] * (t == 1 or t - 1 in revealing) + model_calls
+             for t in range(1, cfg.steps + 1)]
+    assert calls == per_grid + sum(steps, [])
+    # one embedding per distinct masked state
+    assert len({q.tobytes() for q in embedded}) == len(embedded)
     assert stats["forward_passes"] == forwards
     # a model call that embeds afresh reads the same bits
     monkeypatch.undo()
     ref_rng = np.random.default_rng(5)
     assert np.array_equal(tokens, reference_generate(model, book, 1, cfg, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("cfg", [smp.SamplerConfig(steps=32, selection="random"),
+                                 smp.SamplerConfig(steps=32, temperature=28.0),
+                                 smp.preset("paper-28")],
+                         ids=["random", "confidence", "paper-28"])
+def test_a_step_that_reveals_nothing_stops_after_its_draws(monkeypatch, cfg):
+    """At L = 8, D = 4 the circle schedule leaves nothing to reveal on 14 of
+    32 steps (11 of 28): such a step makes its model calls and its draws,
+    and neither quantizes, scores nor calls a reveal transition."""
+    model, book = trained_like(L=8, D=4)
+    events = []
+
+    def spied(module, name):
+        fn = getattr(module, name)
+
+        def run(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, run)
+
+    spied(mog, "sample")
+    spied(rvq, "quantize")
+    spied(smp, "confidence_scores")
+    spied(smp, "select_unmask")
+    spied(mk, "binary_unmask")
+    rng = np.random.default_rng(11)
+    tokens, stats = smp.generate(model, book, 1, cfg, rng=rng, validate=True)
+    revealing = revealing_steps(cfg, 8, 4)
+    assert cfg.steps - len(revealing) == {32: 14, 28: 11}[cfg.steps]
+    reveal = (["quantize", "confidence_scores", "select_unmask"]
+              if cfg.selection == "confidence" else ["quantize", "binary_unmask"])
+    want = sum((["sample"] + reveal * (t in revealing)
+                for t in range(1, cfg.steps + 1)), [])
+    assert events == want
+    assert stats["forward_passes"] == cfg.steps * (2 if cfg.use_cfg else 1)
+    monkeypatch.undo()
+    ref_rng = np.random.default_rng(11)
+    assert np.array_equal(tokens, reference_generate(model, book, 1, cfg, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("use_cfg", [False, True], ids=["plain", "guided"])
+def test_a_non_finite_head_output_on_a_step_that_reveals_nothing_raises(monkeypatch,
+                                                                       use_cfg):
+    model, book = trained_like(L=8, D=4)
+    cfg = smp.SamplerConfig(steps=32, use_cfg=use_cfg, cfg_start=0.5, cfg_end=1.5)
+    assert 1 not in revealing_steps(cfg, 8, 4)
+    forward = Backbone.forward
+
+    def poisoned(self, *args):
+        out = forward(self, *args)
+        return mog.MoGParams(**{**vars(out), "shift": np.full_like(out.shift, np.nan)})
+
+    monkeypatch.setattr(Backbone, "forward", poisoned)
+    before = model.forward_calls
+    with pytest.raises(ValueError, match="mog.sample: non-finite head outputs"):
+        smp.generate(model, book, 1, cfg, rng=np.random.default_rng(0))
+    assert model.forward_calls - before == (2 if use_cfg else 1)
+
+
+def test_a_codebook_without_sigma_fails_before_the_first_model_call():
+    model, book = build(L=8, D=4)
+    flat = rvq.Codebook(book.embeddings, np.zeros(4))
+    with pytest.raises(ValueError, match="codebook sigma required for confidence"):
+        smp.generate(model, flat, 1, smp.SamplerConfig(steps=32))
+    assert model.forward_calls == 0
+    # random reveals read no sigma
+    cfg = smp.SamplerConfig(steps=32, selection="random")
+    assert smp.generate(model, flat, 1, cfg)[1]["forward_passes"] == 32
 
 
 @pytest.mark.parametrize("cfg", [smp.SamplerConfig(steps=6, selection="random"),
