@@ -44,6 +44,16 @@ def check_integer(name, value):
         raise ValueError(f"{name}: {value!r} is not an integer")
 
 
+def check_labels(labels):
+    """Every class label in `labels` (a scalar, a sequence or an ndarray)
+    must be an integer (`check_integer`). A list is read entry by entry
+    before numpy converts it, which would take [1, True] for [1, 1]."""
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        return
+    for value in np.array(labels, dtype=object).ravel().tolist():
+        check_integer("label", value.tolist() if isinstance(value, np.generic) else value)
+
+
 def check_integers(config):
     """Every `int` field of a config dataclass, and every entry of a `tuple`
     one, must be an integer (`check_integer`)."""
@@ -212,10 +222,7 @@ class Backbone:
         not finite) and unequal lengths each raise ValueError naming it."""
         c = self.config
         ops, P = weights
-        labels = np.asarray(labels)
-        if labels.dtype.kind not in "iu":
-            for value in labels.ravel().tolist():
-                check_integer("labels", value)
+        check_labels(labels)
         labels, r = np.atleast_1d(labels).astype(np.int64), np.atleast_1d(r).astype(np.float64)
         if labels.ndim != 1 or r.shape != labels.shape:
             raise ValueError(f"labels and mask ratios must be (B,) each, got {labels.shape} "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rvq
-from .backbone import check_integer
+from .backbone import check_labels
 from .sampler import SamplerConfig, generate
 
 
@@ -128,10 +128,7 @@ def generate_vectors(model, book, config: SamplerConfig, count, labels, rng):
     any work."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":
-        for value in labels.ravel().tolist():
-            check_integer("label", value)
+    check_labels(labels)
     labels = np.broadcast_to(labels, (count,))
     bad = (labels < 0) | (labels > model.config.num_classes)
     if bad.any():

@@ -107,7 +107,8 @@ class Codebook:
     that row `row_base[j] + t` (`row_base` (D,) = j * (V + 1)) is token t's
     codeword at 0-based depth j and token 0 reads +0.0, for `codewords`;
     and the confidence scores' sigma-only terms `two_var` = 2 sigma^2 and
-    `log_norm` = -H/2 log(2 pi sigma^2), both (D,).
+    `log_norm` = -H/2 log(2 pi sigma^2), both (D,). A sigma that is not
+    finite, or whose 2 sigma^2 is not, raises ValueError.
     """
 
     embeddings: np.ndarray
@@ -142,9 +143,13 @@ class Codebook:
         padded[:, 1:] = self.embeddings
         put("padded", padded.reshape(D * (V + 1), H))
         put("row_base", np.arange(D) * (V + 1), np.int64)
-        s2 = self.sigma ** 2
-        put("two_var", 2 * s2)
-        # a sigma <= 0 is refused where the scores are taken
+        with np.errstate(over="ignore"):
+            s2 = self.sigma ** 2
+            put("two_var", 2 * s2)
+        # nan and inf sigma too; a sigma <= 0 is refused where scores are taken
+        if not np.isfinite(self.two_var).all():
+            raise ValueError(f"codebook sigma must be finite, with 2 sigma^2 finite, "
+                             f"got {self.sigma[~np.isfinite(self.two_var)][0]}")
         with np.errstate(divide="ignore", invalid="ignore"):
             put("log_norm", -0.5 * self.dim * np.log(2 * np.pi * s2))
 

@@ -383,7 +383,7 @@ def _model_reconstructions(model, book, tokens, q, label, ratio, rng, samples):
     w = model.weights(False)
     params = model.forward(model.embed_input(tokens, q, book, w),
                            model.condition([label], [ratio], w), w)
-    return np.stack([rvq.quantize(mog.sample(params, rng), book,
+    return np.stack([rvq.quantize(mog.sample(params, *mog.draw(params, rng)), book,
                                   start_depth=book.depth - q, out=tokens)
                      for _ in range(samples)])
 

@@ -198,7 +198,7 @@ def test_a_label_that_is_not_an_integer_is_named(bad, shown):
     for grad in (True, False):
         w = model.weights(grad)
         for labels in ([bad], np.array([bad]), bad):
-            with pytest.raises(ValueError, match=rf"^labels: {shown} is not an integer$"):
+            with pytest.raises(ValueError, match=rf"^label: {shown} is not an integer$"):
                 model.condition(labels, [0.5], w)
     assert model.forward_calls == 0
     # integer labels of any integer type pass
@@ -207,6 +207,17 @@ def test_a_label_that_is_not_an_integer_is_named(bad, shown):
         model.forward(model.embed_input(tokens, q, book, w),
                       model.condition(labels, [0.5], w), w)
     assert model.forward_calls == 4
+
+
+@pytest.mark.parametrize("labels", [[1, True], (np.int64(1), np.True_), [True]],
+                         ids=["list", "tuple", "alone"])
+def test_a_bool_among_integer_labels_is_named(labels):
+    # np.asarray([1, True]) is an int64 array: the entries are read first
+    cfg = tiny_config()
+    model = Backbone(cfg, seed=0)
+    w = model.weights(False)
+    with pytest.raises(ValueError, match=r"^label: True is not an integer$"):
+        model.condition(labels, np.full(len(labels), 0.5), w)
 
 
 def test_forward_counter_increments():

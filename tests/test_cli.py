@@ -553,6 +553,18 @@ def test_inspect_rejects_unknown_magic(tmp_path, capsys):
     assert _one_error(capsys) == f"error: {path}: unknown magic b'JUNK'"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200], ids=["inf", "nan", "overflow"])
+def test_inspect_names_a_codebook_sigma_that_is_not_finite(tmp_path, capsys, bad):
+    # the RVQC file ends with its sigmas; the last one is overwritten
+    blob = rvq.codebook_to_bytes(rvq.Codebook(np.ones((2, 3, 2)), np.ones(2)))
+    path = tmp_path / "bad.rvqc"
+    path.write_bytes(blob[:-8] + struct.pack("<d", bad))
+    assert run("inspect", path) == 1
+    assert _one_error(capsys) == (f"error: {path}: codebook sigma must be finite, "
+                                  f"with 2 sigma^2 finite, got {bad}")
+
+
 def test_no_partial_output_on_failure(tmp_path, monkeypatch):
     # force a failure mid-synthesis by requesting an invalid family
     out = tmp_path / "never.rgds"

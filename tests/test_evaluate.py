@@ -174,13 +174,24 @@ def tiny_model():
 
 
 @pytest.mark.parametrize("labels, named", [
-    (1.5, "1.5"), (True, "True"), ([1.7, 2.2], "1.7"), ("a", "'a'"), ([1, "b"], "'1'"),
+    (1.5, "1.5"), (True, "True"), ([1.7, 2.2], "1.7"), ("a", "'a'"), ([1, "b"], "'b'"),
     (np.array([1.0, 2.0]), "1.0"),
 ], ids=["float", "bool", "floats", "string", "mixed", "float-array"])
 def test_a_label_that_is_not_an_integer_is_named(labels, named):
     # checked before any grid is drawn: the model is never called
     model = tiny_model()
     with pytest.raises(ValueError, match=f"^label: {named} is not an integer$"):
+        ev.generate_vectors(model, rvq.Codebook(np.ones((2, 4, 3)), np.ones(2)),
+                            SamplerConfig(steps=2), 2, labels, np.random.default_rng(0))
+    assert model.forward_calls == 0
+
+
+@pytest.mark.parametrize("labels", [[1, True], (np.int64(1), np.True_)],
+                         ids=["list", "tuple"])
+def test_a_bool_among_integer_labels_is_named(labels):
+    # np.asarray([1, True]) is an int64 array, which once sampled the bool as 1
+    model = tiny_model()
+    with pytest.raises(ValueError, match="^label: True is not an integer$"):
         ev.generate_vectors(model, rvq.Codebook(np.ones((2, 4, 3)), np.ones(2)),
                             SamplerConfig(steps=2), 2, labels, np.random.default_rng(0))
     assert model.forward_calls == 0

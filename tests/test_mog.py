@@ -1,8 +1,11 @@
 """Mixture-of-Gaussians head tests: exact NLL values, the Jensen bound,
-the low-rank distance identity, sampling behavior, and guidance."""
+the low-rank distance identity, sampling behavior (the draws, and z built
+for any subset of rows), and guidance."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqgen import mog
 from rvqgen import numerics as nm
@@ -348,7 +351,7 @@ def test_sample_draws_nucleus_members_at_renormalized_rates():
                            np.tile(np.arange(K, dtype=float)[None, :, None], (L, 1, 1)),
                            np.zeros(L), np.zeros((L, 1)), np.ones((K, 1, 1)),
                            np.zeros((K, 1)))
-    z = mog.sample(params, NoiseFree(5), top_p=top_p)
+    z = mog.sample(params, *mog.draw(params, NoiseFree(5)), top_p=top_p)
     comp = z[:, 0].astype(int)
     assert np.array_equal(z[:, 0], comp)
     members = nucleus_oracle(mog.mixture_weights(logits), top_p)
@@ -370,12 +373,28 @@ def test_sample_rejects_non_finite_outputs_and_draws():
         arr = getattr(bad, field).copy()
         arr.flat[0] = value
         setattr(bad, field, arr)
-        with pytest.raises(ValueError, match="non-finite head outputs"):
-            mog.sample(bad, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="mog.sample: non-finite head outputs"):
+            mog.draw(bad, np.random.default_rng(0))
     huge = mog.MoGParams(params.logits, params.means, np.full(2, 800.0), params.shift,
                          params.M, params.s)
     with pytest.raises(ValueError, match="non-finite draw"):
-        mog.sample(huge, np.random.default_rng(0))
+        mog.sample(huge, *mog.draw(huge, np.random.default_rng(0)))
+
+
+def test_an_overflow_raises_only_in_a_row_that_is_built():
+    rng = np.random.default_rng(18)
+    params, _ = random_instance(rng, K=3, L=3)
+    log_scale = params.log_scale.copy()
+    log_scale[1] = 800.0
+    huge = mog.MoGParams(**{**vars(params), "log_scale": log_scale})
+    u, eps = mog.draw(huge, np.random.default_rng(0))
+    # row 1 overflows; a call that leaves it out reaches no inf token
+    kept = mog.sample(huge, u, eps, rows=[0, 2])
+    assert np.isfinite(kept).all()
+    assert np.array_equal(kept, mog.sample(params, u, eps)[[0, 2]])
+    for rows in ([1], [0, 1], None):
+        with pytest.raises(ValueError, match="mog.sample: non-finite draw"):
+            mog.sample(huge, u, eps, rows=rows)
 
 
 def test_sample_deterministic_degenerate_draw():
@@ -383,16 +402,44 @@ def test_sample_deterministic_degenerate_draw():
     mu = np.array([[[0.5, -1.0, 2.0]]])
     params = mog.MoGParams(np.zeros((1, 1)), mu, np.log(np.array([2.0])),
                            np.array([[1.0, 1.0, 1.0]]), **identity_basis(1, H))
-    z = mog.sample(params, NoiseFree(0))
+    z = mog.sample(params, *mog.draw(params, NoiseFree(0)))
     assert np.allclose(z, 2.0 * mu[0] + 1.0)
 
 
 def test_sample_reproducible():
     rng = np.random.default_rng(13)
     params, _ = random_instance(rng, K=4, L=3)
-    a = mog.sample(params, np.random.default_rng(99), top_p=0.9)
-    b = mog.sample(params, np.random.default_rng(99), top_p=0.9)
+    a = mog.sample(params, *mog.draw(params, np.random.default_rng(99)), top_p=0.9)
+    b = mog.sample(params, *mog.draw(params, np.random.default_rng(99)), top_p=0.9)
     assert np.array_equal(a, b)
+
+
+def test_draw_takes_every_uniform_then_every_normal():
+    rng = np.random.default_rng(16)
+    params, _ = random_instance(rng, K=4, H=3, L=5)
+    u, eps = mog.draw(params, np.random.default_rng(7))
+    ref = np.random.default_rng(7)
+    assert np.array_equal(u, ref.random(5))
+    assert np.array_equal(eps, ref.standard_normal((5, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 8), st.integers(1, 8), st.integers(1, 4),
+       st.sampled_from([0.9, 1.0]), st.integers(0, 2**32 - 1), st.data())
+def test_a_subset_of_rows_gets_the_bits_of_the_all_row_call(N, K, H, h, top_p, seed, data):
+    """z for any rows, and for each row alone, equals those rows of the
+    call that builds every row, bit for bit."""
+    rng = np.random.default_rng(seed)
+    params, _ = random_instance(rng, K=K, H=H, h=h, L=N)
+    params = mog.MoGParams(**{**vars(params), "logits": 3.0 * params.logits})
+    u, eps = mog.draw(params, rng)
+    whole = mog.sample(params, u, eps, top_p)
+    rows = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True),
+                     label="rows")
+    assert mog.sample(params, u, eps, top_p, np.array(rows)).tobytes() \
+        == whole[rows].tobytes()
+    for i in range(N):
+        assert mog.sample(params, u, eps, top_p, [i]).tobytes() == whole[i:i + 1].tobytes()
 
 
 # ---------------------------------------------------------------------------

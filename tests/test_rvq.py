@@ -191,6 +191,19 @@ def test_codebook_fields_cannot_be_reassigned():
     assert np.array_equal(book.two_var, 2 * np.array([0.5, 0.25]) ** 2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200], ids=["inf", "nan", "overflow"])
+def test_a_sigma_whose_variance_is_not_finite_is_refused(bad):
+    # 1e200 once loaded with an overflow warning, two_var = inf and every
+    # confidence score -inf
+    with pytest.raises(ValueError, match=r"^codebook sigma must be finite, with 2 sigma\^2 "
+                                         rf"finite, got {re.escape(str(bad))}$"):
+        rvq.Codebook(np.ones((2, 3, 2)), np.array([0.5, bad]))
+    # zero, negative and large finite sigma load; the scores refuse sigma <= 0
+    for fine in (0.0, -1.0, 1e150):
+        assert np.isfinite(rvq.Codebook(np.ones((2, 3, 2)), [0.5, fine]).two_var).all()
+
+
 def prefix_sum_loop(tokens, book, up_to_depth):
     """The earlier `dequantize(..., up_to_depth)`: depths 1..up_to_depth[i]
     of each position, added depth by depth into the selected rows."""

@@ -444,7 +444,7 @@ def autodiff_reconstructions(model, book, tokens, q, label, ratio, rng, samples)
                            flat.log_scale.data.reshape(-1), flat.shift.data,
                            flat.M.data, flat.s.data)
     start = book.depth - q
-    return np.stack([rvq.quantize(mog.sample(params, rng), book,
+    return np.stack([rvq.quantize(mog.sample(params, *mog.draw(params, rng)), book,
                                   start_depth=start, out=tokens) for _ in range(samples)])
 
 
