@@ -8,9 +8,9 @@ sampling-side helpers (component draws, nucleus truncation, guidance
 combination) are plain numpy. Every function takes a head output as
 `Backbone.predict` emits it: head rows, one per grid position, with the
 low-rank basis M, s beside them. The loss gathers the rows it scores.
-The sampler takes every row's random draws (`draw`) and builds a vector
-only for the rows whose tokens it keeps (`sample`); a row's vector has
-the same bits whichever rows are built with it.
+The sampler takes every row's random draws on every step (`draw`) and
+builds one vector per row from them (`sample`) only on a step whose
+tokens it keeps.
 """
 
 from __future__ import annotations
@@ -129,48 +129,40 @@ def nucleus(weights, top_p):
 
 
 def draw(params, rng):
-    """A step's random draws for every row: (u (N,), eps (N, H)).
+    """A step's random draws for every row: (u (L,), eps (L, H)).
 
-    All rows at once: rng.random(N) gives the uniforms that pick the
-    components by inverse CDF, then rng.standard_normal((N, H)) gives eps.
+    All rows at once: rng.random(L) gives the uniforms that pick the
+    components by inverse CDF, then rng.standard_normal((L, H)) gives eps.
     A seeded run thus draws every uniform before any normal; versions that
     drew position by position consumed the stream in another order, so
-    the same seed gives other (equally distributed) draws. The draws take
-    the same stream whichever rows `sample` builds afterwards. Non-finite
-    head outputs in any row raise ValueError first.
+    the same seed gives other (equally distributed) draws, whether or not
+    `sample` builds z from them afterwards. Non-finite head outputs raise
+    ValueError first.
     """
     if not (np.isfinite(params.logits).all() and np.isfinite(params.means).all()
             and np.isfinite(params.log_scale).all() and np.isfinite(params.shift).all()):
         raise ValueError("mog.sample: non-finite head outputs")
-    N, H = params.shift.shape
-    return rng.random(N), rng.standard_normal((N, H))
+    L, H = params.shift.shape
+    return rng.random(L), rng.standard_normal((L, H))
 
 
-def sample(params, u, eps, top_p=1.0, rows=None):
-    """z for the given rows (all by default) from `draw`'s (u, eps):
-    nucleus-restricted component choice by inverse CDF at u, then
-    z = a * (mu + eps) + b. Only the chosen component's full mean is built.
-
-    Every step is row-wise, so a row's z has the same bits whichever rows
-    share the call, and a row whose z is never used need not be built. A
-    non-finite z raises ValueError instead of quantizing to an arbitrary
-    token; a draw that overflows in a row not built goes unseen, as it
-    reaches no token.
+def sample(params, u, eps, top_p=1.0):
+    """z per row from `draw`'s (u, eps): nucleus-restricted component
+    choice by inverse CDF at u, then z = a * (mu + eps) + b. Only the
+    chosen component's full mean is built. A non-finite z raises
+    ValueError instead of quantizing to an arbitrary token.
     """
     logits, means, log_scale, b = (params.logits, params.means, params.log_scale,
                                    params.shift)
-    if rows is not None:
-        logits, means, log_scale, b, u, eps = (
-            a.take(rows, axis=0) for a in (logits, means, log_scale, b, u, eps))
-    N = len(b)
+    L = len(b)
     order, cdf = nucleus(mixture_weights(logits), top_p)
     rank = np.add.reduce(cdf < u[:, None], axis=-1)
-    idx = np.arange(N)
-    comp = order[idx, rank]
-    M = params.M.take(comp, axis=0)                            # (N, H, h)
-    mu = (M @ means[idx, comp][:, :, None])[:, :, 0] + params.s.take(comp, axis=0)
+    rows = np.arange(L)
+    comp = order[rows, rank]
+    M = params.M.take(comp, axis=0)                            # (L, H, h)
+    mu = (M @ means[rows, comp][:, :, None])[:, :, 0] + params.s.take(comp, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        z = np.exp(log_scale).reshape(N, 1) * (mu + eps) + b
+        z = np.exp(log_scale).reshape(L, 1) * (mu + eps) + b
     if not np.isfinite(z).all():
         raise ValueError("mog.sample: non-finite draw")
     return z

@@ -28,30 +28,26 @@ outputs), then the Gumbel noise in confidence mode, or a random reveal's
 hypergeometric counts. Seeded runs are deterministic, but tokens differ
 from versions that drew per position at the same seed.
 
-What a step builds from its draws depends on its kind. A revealing step
-in confidence mode builds z at every position (`mog.sample`) and
-quantizes them all (against the codebook's precomputed scoring pairs),
-scores the residual chain that the quantization leaves (L, D, H) with
-the codebook's sigma-only terms, and picks the reveals with one sort;
-the codewords are not read back. One depth-suffix mask per step serves
-the scores, the selection and the `validate` check. A revealing step in
-random mode draws its reveal counts first, since they read no z, then
-builds and quantizes only the positions whose count drops (1.6 of 8 on
-average at L = 8, D = 4, T = 32). A step whose schedule target equals
-the masked total reveals nothing: it makes its model call(s), the
-guidance combination and the draws, and ends there, and the next step
-reuses its embedding, which reads only the revealed tokens and q,
-neither of which changed. At L = 8, D = 4 the circle schedule reveals nothing on 14 of
-T = 32 steps, 11 of 28 and 39 of 63 (1 of 28 at L = 256);
-`forward_passes` stays T, or 2T with guidance.
+A step whose schedule target equals the masked total reveals nothing.
+It makes its model call(s), the guidance combination and the draws
+(with `mog.draw`'s head-output check), and ends there: no z, no
+quantization, scores or selection, and the next step reuses its
+embedding, which reads only the revealed tokens and q, neither of which
+changed. Its z would have reached only masked tokens and the chain,
+which the next revealing step writes anew, so the tokens and the
+generator state are those of a step that does all the work; only a draw
+that overflows on such a step goes unreported, as it reaches no token.
+At L = 8, D = 4 the circle schedule reveals nothing on 14 of T = 32
+steps, 11 of 28 and 39 of 63 (1 of 28 at L = 256); `forward_passes`
+stays T, or 2T with guidance.
 
-Tokens and the generator state are those of a step that builds and
-quantizes every position: a position's z and tokens have the same bits
-whichever positions share the call, and no later step reads a candidate
-token at a depth that stays masked, since the next revealing step writes
-it anew. A draw that overflows at a position whose z is not built
-reaches no token and is not reported; non-finite head outputs raise on
-every step.
+A revealing step builds z at every position (`mog.sample`) and
+quantizes them all, against the codebook's precomputed scoring pairs.
+In confidence mode it then scores the residual chain that the
+quantization leaves (L, D, H) with the codebook's sigma-only terms and
+picks the reveals with one sort; the codewords are not read back. One
+depth-suffix mask per step serves the scores, the selection and the
+`validate` check.
 """
 
 from __future__ import annotations
@@ -126,9 +122,10 @@ def cfg_weight(config: SamplerConfig, t):
 
 
 def check_sigma(book: rvq.Codebook):
-    """ValueError unless the codebook has a positive sigma at every depth,
-    which the confidence scores divide by."""
-    if not (book.sigma > 0).all():
+    """ValueError unless the codebook has a positive sigma at every depth
+    whose 2 sigma^2 is positive too (not underflowed to 0), which the
+    confidence scores divide by."""
+    if not ((book.sigma > 0).all() and (book.two_var > 0).all()):
         raise ValueError("codebook sigma required for confidence scores")
 
 
@@ -229,22 +226,16 @@ def generate(model: Backbone, book: rvq.Codebook, label, config: SamplerConfig,
             continue
 
         start = c.depth - q
+        tokens = rvq.quantize(mog.sample(params, u, eps, config.top_p), book,
+                              start_depth=start, out=tokens, residuals=chain)
         if confident or validate:
             # the step's one mask: position i hides its depths past start_i
             masked = depths >= start[:, None]
         if confident:
-            z = mog.sample(params, u, eps, config.top_p)
-            tokens = rvq.quantize(z, book, start_depth=start, out=tokens,
-                                  residuals=chain)
             scores = confidence_scores(chain, masked, book, config.temperature, gumbel)
             new_q = select_unmask(q, n_target, scores, masked)
         else:
-            # the counts come next in the stream and read no z: only the
-            # rows that reveal are built and quantized
             new_q = mk.binary_unmask(q, n_target, rng)
-            rows = np.flatnonzero(new_q < q)
-            tokens[rows] = rvq.quantize(mog.sample(params, u, eps, config.top_p, rows),
-                                        book, start_depth=start[rows], out=tokens[rows])
 
         if validate:
             if not np.array_equal(tokens[~masked], frozen[~masked]):

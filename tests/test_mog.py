@@ -1,11 +1,8 @@
 """Mixture-of-Gaussians head tests: exact NLL values, the Jensen bound,
-the low-rank distance identity, sampling behavior (the draws, and z built
-for any subset of rows), and guidance."""
+the low-rank distance identity, sampling behavior, and guidance."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rvqgen import mog
 from rvqgen import numerics as nm
@@ -381,22 +378,6 @@ def test_sample_rejects_non_finite_outputs_and_draws():
         mog.sample(huge, *mog.draw(huge, np.random.default_rng(0)))
 
 
-def test_an_overflow_raises_only_in_a_row_that_is_built():
-    rng = np.random.default_rng(18)
-    params, _ = random_instance(rng, K=3, L=3)
-    log_scale = params.log_scale.copy()
-    log_scale[1] = 800.0
-    huge = mog.MoGParams(**{**vars(params), "log_scale": log_scale})
-    u, eps = mog.draw(huge, np.random.default_rng(0))
-    # row 1 overflows; a call that leaves it out reaches no inf token
-    kept = mog.sample(huge, u, eps, rows=[0, 2])
-    assert np.isfinite(kept).all()
-    assert np.array_equal(kept, mog.sample(params, u, eps)[[0, 2]])
-    for rows in ([1], [0, 1], None):
-        with pytest.raises(ValueError, match="mog.sample: non-finite draw"):
-            mog.sample(huge, u, eps, rows=rows)
-
-
 def test_sample_deterministic_degenerate_draw():
     H = 3
     mu = np.array([[[0.5, -1.0, 2.0]]])
@@ -421,25 +402,6 @@ def test_draw_takes_every_uniform_then_every_normal():
     ref = np.random.default_rng(7)
     assert np.array_equal(u, ref.random(5))
     assert np.array_equal(eps, ref.standard_normal((5, 3)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 8), st.integers(1, 8), st.integers(1, 4),
-       st.sampled_from([0.9, 1.0]), st.integers(0, 2**32 - 1), st.data())
-def test_a_subset_of_rows_gets_the_bits_of_the_all_row_call(N, K, H, h, top_p, seed, data):
-    """z for any rows, and for each row alone, equals those rows of the
-    call that builds every row, bit for bit."""
-    rng = np.random.default_rng(seed)
-    params, _ = random_instance(rng, K=K, H=H, h=h, L=N)
-    params = mog.MoGParams(**{**vars(params), "logits": 3.0 * params.logits})
-    u, eps = mog.draw(params, rng)
-    whole = mog.sample(params, u, eps, top_p)
-    rows = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True),
-                     label="rows")
-    assert mog.sample(params, u, eps, top_p, np.array(rows)).tobytes() \
-        == whole[rows].tobytes()
-    for i in range(N):
-        assert mog.sample(params, u, eps, top_p, [i]).tobytes() == whole[i:i + 1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,17 @@ def test_confidence_requires_sigma():
                               book, 0.0, np.zeros((1, 1)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_confidence_refuses_a_sigma_whose_variance_underflows():
+    # 1e-200 is positive, but its 2 sigma^2 underflows to 0, which the
+    # scores would divide by
+    book = rvq.Codebook(np.zeros((1, 2, 2)), np.array([1e-200]))
+    assert book.two_var[0] == 0.0
+    with pytest.raises(ValueError, match="codebook sigma required for confidence"):
+        smp.confidence_scores(np.zeros((1, 1, 2)), np.ones((1, 1), dtype=bool),
+                              book, 0.0, np.zeros((1, 1)))
+
+
 def test_tau_zero_selection_matches_greedy_oracle():
     model, book = build(L=6, D=3, V=5)
     rng = np.random.default_rng(7)
@@ -507,8 +518,8 @@ def test_generate_builds_no_autodiff_tensors(monkeypatch):
 
 def reference_generate(model, book, label, config, rng):
     """`generate` as per-step pieces: a scalar `mask_count` call per step,
-    a draw built and quantized at every position on every step (with the
-    boolean-gather `oracle_quantize`), confidence scores from the
+    z built and quantized on every step (with the boolean-gather
+    `oracle_quantize`), confidence scores from the
     per-depth loop (sigma terms computed afresh), and random reveals from
     the numpy-int hypergeometric loop. Each model call binds the weights,
     embeds the grid and builds its one-step conditioning rows afresh.
@@ -529,7 +540,7 @@ def reference_generate(model, book, label, config, rng):
             uncond = model.forward(model.embed_input(visible, q, book, w),
                                    model.condition([0], [(t - 1) / T], w), w)
             params = mog.cfg_combine(params, uncond, smp.cfg_weight(config, t))
-        # every row built and quantized, whichever rows reveal
+        # z built and quantized on every step, revealing or not
         z = mog.sample(params, *mog.draw(params, rng), top_p=config.top_p)
         tokens = oracle_quantize(z, book, start_depth=D - q,
                                  out=tokens)
@@ -630,8 +641,7 @@ def test_a_step_embeds_its_grid_once(monkeypatch, cfg, forwards):
 def test_a_step_that_reveals_nothing_stops_after_its_draws(monkeypatch, cfg):
     """At L = 8, D = 4 the circle schedule leaves nothing to reveal on 14 of
     32 steps (11 of 28): such a step makes its model calls and its draws,
-    and neither builds z, quantizes, scores nor calls a reveal transition.
-    A random reveal draws its counts before it builds z."""
+    and neither builds z, quantizes, scores nor calls a reveal transition."""
     model, book = trained_like(L=8, D=4)
     events = []
 
@@ -654,7 +664,7 @@ def test_a_step_that_reveals_nothing_stops_after_its_draws(monkeypatch, cfg):
     revealing = revealing_steps(cfg, 8, 4)
     assert cfg.steps - len(revealing) == {32: 14, 28: 11}[cfg.steps]
     reveal = (["sample", "quantize", "confidence_scores", "select_unmask"]
-              if cfg.selection == "confidence" else ["binary_unmask", "sample", "quantize"])
+              if cfg.selection == "confidence" else ["sample", "quantize", "binary_unmask"])
     want = sum((["draw"] + reveal * (t in revealing)
                 for t in range(1, cfg.steps + 1)), [])
     assert events == want
@@ -663,103 +673,6 @@ def test_a_step_that_reveals_nothing_stops_after_its_draws(monkeypatch, cfg):
     ref_rng = np.random.default_rng(11)
     assert np.array_equal(tokens, reference_generate(model, book, 1, cfg, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("cfg", [smp.SamplerConfig(steps=32, selection="random"),
-                                 smp.SamplerConfig(steps=9, selection="random", top_p=0.9,
-                                                   use_cfg=True, cfg_start=0.5,
-                                                   cfg_end=1.5)],
-                         ids=["T=32", "guided-T=9"])
-def test_a_random_reveal_builds_and_quantizes_only_its_revealing_rows(monkeypatch, cfg):
-    model, book = trained_like(L=8, D=4)
-    events = []
-    draw, sample, quantize, unmask = mog.draw, mog.sample, rvq.quantize, mk.binary_unmask
-
-    def spied_draw(params, rng):
-        events.append(("draw",))
-        return draw(params, rng)
-
-    def spied_unmask(q, n_target, rng):
-        new_q = unmask(q, n_target, rng)
-        events.append(("unmask", q.copy(), new_q.copy()))
-        return new_q
-
-    def spied_sample(params, u, eps, top_p=1.0, rows=None):
-        events.append(("sample", rows))
-        return sample(params, u, eps, top_p, rows)
-
-    def spied_quantize(latents, book, start_depth=None, out=None, residuals=None):
-        events.append(("quantize", len(latents), np.array(start_depth)))
-        return quantize(latents, book, start_depth, out, residuals)
-
-    monkeypatch.setattr(mog, "draw", spied_draw)
-    monkeypatch.setattr(mog, "sample", spied_sample)
-    monkeypatch.setattr(rvq, "quantize", spied_quantize)
-    monkeypatch.setattr(mk, "binary_unmask", spied_unmask)
-    rng = np.random.default_rng(13)
-    tokens, stats = smp.generate(model, book, 1, cfg, rng=rng, validate=True)
-    assert stats["forward_passes"] == cfg.steps * (2 if cfg.use_cfg else 1)
-    revealing = revealing_steps(cfg, 8, 4)
-    steps, built = 0, 0
-    while events:
-        assert events.pop(0) == ("draw",)
-        steps += 1
-        if steps not in revealing:
-            continue
-        (first, q, new_q), (second, rows), (third, n, start) = events[:3]
-        del events[:3]
-        assert (first, second, third) == ("unmask", "sample", "quantize")
-        # exactly the rows whose count drops, and only their masked depths
-        drops = np.flatnonzero(new_q < q)
-        assert np.array_equal(rows, drops) and n == len(drops)
-        assert np.array_equal(start, 4 - q[drops])
-        built += n
-    assert steps == cfg.steps
-    assert built < 8 * len(revealing)          # some revealing rows were left out
-    monkeypatch.undo()
-    ref_rng = np.random.default_rng(13)
-    assert np.array_equal(tokens, reference_generate(model, book, 1, cfg, ref_rng))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_an_overflow_in_a_row_that_does_not_reveal_goes_unseen(monkeypatch):
-    """Up to the first revealing step of a random T = 32 grid, a huge
-    log_scale makes draws that overflow. At positions that do not reveal
-    there no token reads them, and the grid is the one finite heads give;
-    at the position that reveals, the draw raises."""
-    model, book = trained_like(L=8, D=4)
-    cfg = smp.SamplerConfig(steps=32, selection="random")
-    first = revealing_steps(cfg, 8, 4)[0]
-    unmask, reveals = mk.binary_unmask, []
-
-    def recorded(q, n_target, rng):
-        reveals.append(unmask(q, n_target, rng))
-        return reveals[-1]
-
-    monkeypatch.setattr(mk, "binary_unmask", recorded)
-    tokens, _ = smp.generate(model, book, 1, cfg, rng=np.random.default_rng(3))
-    revealer = np.flatnonzero(reveals[0] < 4)
-    assert 1 < first and 0 < len(revealer) < 8
-    forward, calls = Backbone.forward, []
-
-    def huge_until_first(self, *args):
-        out = forward(self, *args)
-        calls.append(None)
-        if len(calls) > first:
-            return out
-        log_scale = out.log_scale.copy()
-        log_scale[huge_at] = 800.0
-        return mog.MoGParams(**{**vars(out), "log_scale": log_scale})
-
-    monkeypatch.setattr(Backbone, "forward", huge_until_first)
-    huge_at = np.setdiff1d(np.arange(8), revealer)
-    assert np.array_equal(smp.generate(model, book, 1, cfg, rng=np.random.default_rng(3))[0],
-                          tokens)
-    calls.clear()
-    huge_at = revealer
-    with pytest.raises(ValueError, match="mog.sample: non-finite draw"):
-        smp.generate(model, book, 1, cfg, rng=np.random.default_rng(3))
-    assert len(calls) == first
 
 
 @pytest.mark.parametrize("use_cfg", [False, True], ids=["plain", "guided"])
