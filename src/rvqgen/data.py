@@ -142,7 +142,11 @@ def _record_dtype(L, H):
     return np.dtype([("label", "<u4"), ("vec", "<f8", (L, H))])
 
 
-def dataset_to_bytes(ds: Dataset) -> bytes:
+def _dataset_parts(ds: Dataset):
+    """The RGDS file as bytes-like parts in file order: the fixed header,
+    then the records as one packed array. `dataset_to_bytes` joins them
+    and `save_dataset` streams them, so the layout lives here only and a
+    save holds the records once."""
     n, L, H = ds.vectors.shape
     header = pack_header(_HEADER, DATASET_MAGIC, DATASET_VERSION, "dataset",
                          (("count", n), ("seq_len", L), ("dim", H),
@@ -150,7 +154,11 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
     records = np.empty(n, dtype=_record_dtype(L, H))
     records["label"] = ds.labels
     records["vec"] = ds.vectors
-    return header + records.tobytes()
+    return [header, records]
+
+
+def dataset_to_bytes(ds: Dataset) -> bytes:
+    return b"".join(_dataset_parts(ds))
 
 
 def dataset_from_bytes(blob: bytes) -> Dataset:
@@ -163,7 +171,7 @@ def dataset_from_bytes(blob: bytes) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path, meta=None):
-    atomic_write(path, dataset_to_bytes(ds))
+    atomic_write(path, *_dataset_parts(ds))
     if meta is not None:
         atomic_write(str(path) + ".meta.json",
                      json.dumps(meta, indent=2, sort_keys=True).encode())

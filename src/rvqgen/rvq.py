@@ -20,9 +20,15 @@ distance ||r||^2 - 2 r.e + ||e||^2 without its ||r||^2 term, so one
 (N, H) x (H, V) matrix product replaces an (N, V, H) difference array.
 Dropping ||r||^2 shifts each row by a constant, which changes neither the
 row's argmin nor a max-subtracted softmax over it. The kernel takes a
-table's codeword-only terms, `score_pair(table)` = (-2 * table, ||e||^2):
-a `Codebook` builds them once per depth, at construction, and k-means
-once per epoch, since its table changes every epoch.
+table's codeword-only terms, `score_pair(table)` = (-2 * table^T, ||e||^2),
+the first stored as a C-contiguous (H, V) matrix: BLAS packs a transposed
+(V, H) view at about half the speed at H = 8. The two layouts gave the
+same products bit for bit on OpenBLAS 0.3.31 for 2 or more rows at
+H <= 15 and V <= 192; past that, and for a one-row product (gemv, which
+only the "probabilistic" update of a one-vector fit takes), BLAS may pick
+another kernel for each layout and round otherwise. A `Codebook` builds
+them once per depth, at construction, and k-means once per epoch, since
+its table changes every epoch.
 
 Every nearest-codeword search (each quantization depth, each epoch of the
 "nearest" k-means update, the fit's per-depth residual pass, and the
@@ -102,7 +108,9 @@ class Codebook:
     Frozen: assigning a field raises, and the arrays are read-only copies,
     so the derived terms below cannot go stale. Construction also derives
     what the per-call paths would otherwise rebuild: `score_pairs`, each
-    depth's `score_pair` for `quantize`; `padded`, the tables stacked as
+    depth's `score_pair` for `quantize` (-2 * table^T stored C-contiguous
+    as (H, V), the layout the search's product reads fastest, and the
+    codeword norms); `padded`, the tables stacked as
     (D * (V + 1), H) rows with a zero row in front of each depth's, so
     that row `row_base[j] + t` (`row_base` (D,) = j * (V + 1)) is token t's
     codeword at 0-based depth j and token 0 reads +0.0, for `codewords`;
@@ -172,21 +180,25 @@ class Codebook:
 
 def score_pair(table):
     """The codeword-only terms of `_scores` for a (V, H) table:
-    (-2 * table (V, H), ||e||^2 (V,))."""
-    return -2.0 * table, np.einsum("vh,vh->v", table, table)  # -2x is exact
+    (-2 * table^T as a C-contiguous (H, V) matrix, ||e||^2 (V,)). The
+    stored layout is the product's right operand as BLAS reads it fastest;
+    a transposed view of -2 * table gives the same bits at the sizes the
+    module docstring names, more slowly."""
+    neg2t = np.ascontiguousarray((-2.0 * table).T)      # -2x is exact
+    return neg2t, np.einsum("vh,vh->v", table, table)
 
 
 def _scores(rows, pair, out=None):
     """Squared distance less the row's own ||r||^2, from a table's
-    `score_pair`, into `out` when given. (N,H)x(V,H)->(N,V)
+    `score_pair`, into `out` when given. (N,H)x(H,V)->(N,V)
     The pair's (V,) norms may also come repeated down N rows as (N, V).
 
     ||e||^2 - 2 r.e ranks codewords as ||r - e||^2 does. Its rounding
     error scales with ||e||^2 + ||r||*||e||, not with the distance, so
     codewords closer together than that may rank either way.
     """
-    neg2, norms = pair
-    scores = np.matmul(rows, neg2.T, out=out)
+    neg2t, norms = pair
+    scores = np.matmul(rows, neg2t, out=out)
     scores += norms
     return scores
 
@@ -239,7 +251,7 @@ def _halves(first, second):
 
 def _nearest_rows(rows, pair):
     """Lowest-index nearest codeword per row, from a table's `score_pair`,
-    scored BLOCK rows at a time. (N,H)x(V,H)->(N,)
+    scored BLOCK rows at a time. (N,H)x(H,V)->(N,)
 
     A block's scores are the bits of those rows of one whole `_scores`
     call, so the picks are too. No product is one row, since numpy hands a
@@ -260,7 +272,7 @@ def _nearest_rows(rows, pair):
     if N - edges[-2] == 1:
         del edges[-2]
     picks = np.empty(N, dtype=np.intp)
-    neg2, norms = pair
+    neg2t, norms = pair
     V = norms.shape[0]
     # the norms repeated down a block: adding a same-shape block is one flat
     # loop, where broadcasting the (V,) row pays numpy's per-row overhead;
@@ -270,7 +282,7 @@ def _nearest_rows(rows, pair):
     def blocks(edges):
         buf = np.empty((BLOCK + 1, V))
         for lo, hi in zip(edges[:-1], edges[1:]):
-            _scores(rows[lo:hi], (neg2, block_norms[:hi - lo]),
+            _scores(rows[lo:hi], (neg2t, block_norms[:hi - lo]),
                     out=buf[:hi - lo]).argmin(axis=1, out=picks[lo:hi])
 
     mid = len(edges) // 2

@@ -154,7 +154,8 @@ class Trainer:
     buffers (the arithmetic of a per-tensor loop, hence its bits). So a
     `p.data` reference held across a step sees the update; take
     `model.parameter_arrays()` for a snapshot. The gradients are copied
-    into a flat buffer of their own.
+    into a flat buffer of their own, and no parameter keeps its `.grad`
+    past the step. The update's scratch is one chunk, not one buffer.
 
     Outside writers: `opt_m`, `opt_v` and `ema` read as {name: view into the
     buffer}, so later steps show through them (copy to keep a snapshot),
@@ -186,10 +187,10 @@ class Trainer:
         self._ema = self._p.copy()
         self._m = np.zeros_like(self._p)
         self._v = np.zeros_like(self._p)
-        # scratch for the update's ops: fresh temporaries cost more than
-        # the arithmetic
-        self._a = np.empty_like(self._p)
-        self._b = np.empty_like(self._p)
+        # one chunk of scratch for the update's ops: fresh temporaries cost
+        # more than the arithmetic
+        self._a = np.empty(min(_CHUNK, end))
+        self._b = np.empty_like(self._a)
 
     # -- flat state ----------------------------------------------------------
 
@@ -259,9 +260,13 @@ class Trainer:
 
         scale = None                    # None: no gradient step
         if n_sel > 0:
-            g = nm.grads(sur, self.model.params)
-            for name, view in self._gviews.items():
-                view[...] = g[name]
+            for name, g in nm.grads(sur, self.model.params).items():
+                self._gviews[name][...] = g
+        # the flat buffer is the step's only copy of the gradients: no leaf
+        # keeps a `.grad` (this step's, or an audit's) into the next forward
+        for p in self.model.params.values():
+            p.grad = None
+        if n_sel > 0:
             # the global norm, one dot product over the flat gradient buffer,
             # is taken on every step, clipping or not: a NaN norm would pass
             # the clip test and an inf one would scale the step by 0 * inf
@@ -298,8 +303,9 @@ class Trainer:
         bc1 = 1.0 - c.beta1**t
         bc2 = 1.0 - c.beta2**t
         for lo in range(0, self._p.size, _CHUNK):
-            p, g, m, v, ema, a, b = (x[lo:lo + _CHUNK] for x in (
-                self._p, self._g, self._m, self._v, self._ema, self._a, self._b))
+            p, g, m, v, ema = (x[lo:lo + _CHUNK] for x in (
+                self._p, self._g, self._m, self._v, self._ema))
+            a, b = self._a[:p.size], self._b[:p.size]
             if scale is not None:
                 if scale != 1.0:
                     g *= scale

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,26 @@ def test_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(ds.vectors, loaded.vectors)
     assert np.array_equal(ds.labels, loaded.labels)
     assert data_mod.load_meta(path)["modes"] == 4
+
+
+def test_a_save_streams_its_records_without_joining_them(tmp_path):
+    # the file is dataset_to_bytes' bytes, written from the header and the
+    # packed record array as parts: a save holds the records once, where
+    # joining them held them three times (records, tobytes, joined bytes)
+    ds, _ = data_mod.synthesize("grid", count=5120, seq_len=8, dim=8, modes=9,
+                                seed=2)
+    path = tmp_path / "d.rgds"
+    records = ds.count * (4 + ds.seq_len * ds.dim * 8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data_mod.save_dataset(ds, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == data_mod.dataset_to_bytes(ds)
+    assert peak - start < 1.2 * records, f"{(peak - start) / records:.2f}x the records"
 
 
 def test_truncated_file_rejected():

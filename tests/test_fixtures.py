@@ -11,6 +11,10 @@ the format alone. `codebook-v1.rvqc` was written by
 num_classes=2), path)` and the token dump `grids.tokens.txt` (the text
 file `rvqgen sample` writes beside its dataset) by
 `data.atomic_write(path, cli.token_dump_bytes(GRIDS, 6, 3))`.
+`sampled-runs.txt` pins the sampler's tokens: each `$` line holds the
+arguments of one `rvqgen sample --checkpoint checkpoint-v1.rgck` run, and
+the lines after it the token dump that run wrote. A change that moves a
+sampling stream on purpose rewrites it from those same runs.
 A change of layout bumps the version and either keeps reading the old
 fixture or refuses it with one named error.
 
@@ -43,6 +47,7 @@ CODEBOOK = os.path.join(FIXTURES, "codebook-v1.rvqc")
 CHECKPOINT = os.path.join(FIXTURES, "checkpoint-v1.rgck")
 DATASET = os.path.join(FIXTURES, "dataset-v1.rgds")
 TOKENS = os.path.join(FIXTURES, "grids.tokens.txt")
+SAMPLED = os.path.join(FIXTURES, "sampled-runs.txt")
 
 # D=2, V=4, H=3; the second table holds the zero codeword, so no vector's
 # error grows from depth 1 to depth 2 and eval's MSE check passes on any data
@@ -144,6 +149,40 @@ def test_checkpoint_fixture_passes_inspect_and_sample(tmp_path, capsys):
         dump = (tmp_path / "gen.rgds.tokens.txt").read_text().splitlines()
         assert dump[0] == "# forward_passes=6 steps=3 grids=2 seq_len=2 depth=2"
         assert len(dump) == 3
+
+
+def sampled_runs():
+    """(arguments, token dump text) of each run in `sampled-runs.txt`."""
+    with open(SAMPLED) as fh:
+        blocks = fh.read().split("$ ")[1:]
+    return [(b.split("\n", 1)[0].split(), b.split("\n", 1)[1]) for b in blocks]
+
+
+def test_sample_writes_the_pinned_tokens(tmp_path, monkeypatch, capsys):
+    # two seeds each of random reveals, confidence reveals at tau 0 and 28,
+    # and the guided paper-28 preset. Tokens come from an argmin, so they
+    # keep to the last bit of a BLAS kernel unless two codewords nearly tie:
+    # these seeds were picked for clear margins, and the smallest gap
+    # between a row's two lowest scores over every search of these runs is
+    # 0.0484 (score units of the fixture's codebook, whose codewords are
+    # eighths)
+    runs = sampled_runs()
+    assert len(runs) == 8
+    margins, real = [], rvq._nearest_rows
+
+    def spy(rows, pair):
+        low = np.partition(rvq._scores(rows, pair), 1, axis=1)
+        margins.append((low[:, 1] - low[:, 0]).min())
+        return real(rows, pair)
+
+    monkeypatch.setattr(rvq, "_nearest_rows", spy)
+    out = str(tmp_path / "gen.rgds")
+    for args, want in runs:
+        assert cli.main(["sample", "--checkpoint", CHECKPOINT, "--out", out] + args) == 0
+        with open(out + ".tokens.txt") as fh:
+            assert fh.read() == want, " ".join(args)
+    capsys.readouterr()
+    assert min(margins) > 0.048
 
 
 # 8 records of 2x3 eighths in [-1, 1]; labels up to num_classes = 2

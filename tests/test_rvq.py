@@ -1,6 +1,8 @@
 """Residual quantizer tests: hand-traced recurrences, telescoping, fitting
 fixed points, sigma estimation, the nearest-codeword kernel against its
-broadcast oracle, the blocked search against one whole-array call, its
+broadcast oracle, its stored (H, V) operand against the bits of the
+transposed-view product it replaced, the blocked search against one
+whole-array call, its
 two-thread split against the serial pass and the split's worker thread,
 the whole-grid quantize and the distinct-row init against
 their reference forms, the fit's own tokens against `quantize` and the
@@ -155,9 +157,11 @@ def test_codebook_scoring_constants_are_the_per_call_terms():
     rng = np.random.default_rng(8)
     book = rvq.Codebook(rng.normal(size=(3, 5, 4)), np.array([0.5, 0.2, 1e-3]))
     for j in range(1, 4):
-        neg2, norms = book.score_pairs[j - 1]
+        neg2t, norms = book.score_pairs[j - 1]
         table = book.table(j)
-        assert np.array_equal(neg2, -2.0 * table)
+        # -2 * table^T stored as a C-contiguous (H, V) matrix, not a view
+        assert neg2t.shape == (4, 5) and neg2t.flags.c_contiguous
+        assert neg2t.tobytes() == np.ascontiguousarray(-2.0 * table.T).tobytes()
         assert np.array_equal(norms, np.einsum("vh,vh->v", table, table))
     s2 = book.sigma ** 2
     assert np.array_equal(book.two_var, 2 * s2)
@@ -774,6 +778,52 @@ def test_blocked_nearest_matches_at_random_sizes(N, V, H, seed):
     rows = rng.standard_normal((N, H)) * 10.0 ** rng.integers(-3, 4)
     pair = rvq.score_pair(rng.standard_normal((V, H)))
     assert np.array_equal(rvq._nearest_rows(rows, pair), unblocked_nearest(rows, pair))
+
+
+def old_layout_scores(rows, table):
+    """The scores as they were computed before the stored (H, V) operand:
+    the product with a transposed view of -2 * table, plus the norms."""
+    return rows @ (-2.0 * table).T + np.einsum("vh,vh->v", table, table)
+
+
+def old_layout_picks(rows, table):
+    """Nearest codewords from `old_layout_scores`; a lone row is scored
+    twice, as every search scores it."""
+    scored = rows.take([0, 0], axis=0) if len(rows) == 1 else rows
+    return old_layout_scores(scored, table).argmin(axis=1)[:len(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 3, B, B + 1, B + 2, 3 * B + 1]), st.integers(1, 9),
+       st.integers(1, 64), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_stored_operand_scores_and_picks_are_the_old_layouts_bits(N, H, V, D, ties,
+                                                                  seed):
+    # the product reads -2 * table^T as a stored C-contiguous (H, V) matrix;
+    # it must give the bits of the transposed-view product it replaced.
+    # Small integers make exact scores with ties everywhere. A one-row
+    # product is gemv, whose rounding follows the operand's layout, so the
+    # one-row case compares the row scored twice, as every search scores it
+    rng = np.random.default_rng(seed)
+    if ties:
+        rows = rng.integers(-2, 3, size=(N, H)).astype(np.float64)
+        tables = rng.integers(-2, 3, size=(D, V, H)).astype(np.float64)
+    else:
+        rows = rng.standard_normal((N, H)) * 10.0 ** rng.integers(-3, 4)
+        tables = rng.standard_normal((D, V, H))
+    scored = rows.take([0, 0], axis=0) if N == 1 else rows
+    want = old_layout_scores(scored, tables[0])
+    assert rvq._scores(scored, rvq.score_pair(tables[0])).tobytes() == want.tobytes()
+    assert np.array_equal(rvq._nearest_rows(rows, rvq.score_pair(tables[0])),
+                          old_layout_picks(rows, tables[0]))
+    # quantize, with every depth's picks from the old scores
+    tokens, residual = np.empty((N, D), dtype=np.int64), rows.copy()
+    for j, table in enumerate(tables):
+        pick = old_layout_picks(residual, table)
+        tokens[:, j] = pick + 1
+        residual -= table.take(pick, axis=0)
+    assert np.array_equal(rvq.quantize(rows, rvq.Codebook(tables, np.ones(D))),
+                          tokens)
 
 
 @pytest.mark.parametrize("seed", [3, 11])

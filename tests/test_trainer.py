@@ -561,6 +561,28 @@ def test_a_training_step_holds_at_most_7mb_of_transients():
     assert (peak - start) / 2**20 <= 7.0, f"{(peak - start) / 2**20:.2f} MB"
 
 
+def test_a_step_leaves_no_parameter_gradient_and_chunk_scratch_keeps_the_bits():
+    # the flat buffer is the step's one copy of the gradients, and the
+    # update's scratch is one chunk: the bits are those of a trainer whose
+    # scratch spans every parameter
+    tr, wide = _criterion9_trainer(), _criterion9_trainer()
+    assert tr._p.size % tnr._CHUNK != 0         # a short last chunk is covered
+    assert tr._a.shape == tr._b.shape == (tnr._CHUNK,)
+    wide._a, wide._b = np.empty_like(wide._p), np.empty_like(wide._p)
+    for i in range(3):
+        if i == 1:      # an audit's gradients do not outlive the next step
+            tr.audit()
+            wide.audit()
+            assert all(p.grad is not None for p in tr.model.params.values())
+        rec, ref = tr.step(), wide.step()
+        assert rec["positions"] > 0 and rec == ref
+        assert all(p.grad is None for p in tr.model.params.values())
+    assert _same(tr.model.parameter_arrays(), wide.model.parameter_arrays())
+    for name in ("opt_m", "opt_v", "ema"):
+        assert _same(getattr(tr, name), getattr(wide, name))
+    assert tr._g.tobytes() == wide._g.tobytes()
+
+
 def test_no_interior_array_outlives_grads():
     model, book, grids = toy_setup()
     q = mk.binary_mask(5, grids.shape[1], grids.shape[2], np.random.default_rng(1))
